@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--n-values", help="comma-separated sample sizes override")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; replicates run one after another")
     p.add_argument("--out", help="report CSV path (default stdout)")
     p.set_defaults(func=cmd_coverage)
 

@@ -9,13 +9,10 @@ streams, so reports are reproducible and independent of execution order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-
-from scipy.linalg import lu_solve
 
 from .confidence import (
     ConfidenceSet,
@@ -34,11 +31,13 @@ from .problem import (
     Polytope,
     StandardLp,
     basic_solution,
+    cached_factors,
     optimal_vertices,
-    quiet_lu,
+    read_only,
+    solve_lu,
     support,
 )
-from .simplex import solve
+from .simplex import ratio_test, solve
 
 DEFAULT_SEED = 0x5EED
 
@@ -144,8 +143,14 @@ def selection_basis(lp: StandardLp, x: np.ndarray, *, tol: float = None) -> Basi
     Any completion is an optimal basis when ``x`` is an optimal basic
     solution, and for a nondegenerate solution this is the only basis; the
     greedy completion pins down which one is used on degenerate replicates.
+    The completion depends on the support only and is kept in the program's
+    basis cache.
     """
-    sup = sorted(support(x, tol) if tol is not None else support(x))
+    sup = tuple(sorted(support(x, tol) if tol is not None else support(x)))
+    return lp.basis_cache.get(("selection", sup), lambda: _complete_support(lp, sup))
+
+
+def _complete_support(lp: StandardLp, sup: tuple) -> Basis:
     chosen = list(sup)
     rank = _column_rank(lp.A[:, chosen]) if chosen else 0
     if rank < len(chosen):
@@ -266,38 +271,40 @@ def optimal_face_vertices(lp: StandardLp, result) -> list:
     one-pivot moves.
     """
     out = [(result.basis.indices, result.x_hat)]
-    cols = list(result.basis.indices)
+    cols = result.basis.indices
     zero_tol = 1e-9 * (1.0 + np.abs(lp.c).max(initial=0.0))
-    loose = [j for j in range(lp.m)
-             if j not in result.basis.indices and abs(result.slack[j]) <= zero_tol]
+    loose = tuple(int(j) for j in np.flatnonzero(np.abs(result.slack) <= zero_tol)
+                  if j not in cols)
     if not loose:
         return out
-    lu_piv = quiet_lu(lp.A[:, cols])
-    x_b = lu_solve(lu_piv, lp.b, check_finite=False)
-    pivot_tol = 1e-10 * (1.0 + np.abs(lp.A).max(initial=0.0))
-    for j in loose:
-        direction = lu_solve(lu_piv, lp.A[:, j], check_finite=False)
-        rows = np.flatnonzero(direction > pivot_tol)
+    lu_piv = cached_factors(lp, cols)
+    moves = lp.basis_cache.get(("face", cols, loose), lambda: _face_moves(lp, lu_piv, loose))
+    x_b = solve_lu(lu_piv, lp.b)
+    for j, rows, direction in moves:
         if rows.size == 0:
             continue
-        ratios = np.maximum(x_b[rows], 0.0) / direction[rows]
-        best = ratios.min()
-        ties = rows[np.flatnonzero(ratios <= best + 1e-12 * (1.0 + best))]
-        leaving_row = int(ties[np.argmin(np.asarray(cols)[ties])])
-        new_cols = sorted(cols[:leaving_row] + cols[leaving_row + 1:] + [j])
-        point = basic_solution(lp, Basis(tuple(new_cols)))
-        if point.feasible:
-            out.append((tuple(new_cols), point.x))
-    seen = set()
-    unique = []
-    for basis_indices, x in out:
-        if basis_indices not in seen:
-            seen.add(basis_indices)
-            unique.append((basis_indices, x))
-    return unique
+        leaving_row = ratio_test(x_b, rows, direction, cols)
+        new_cols = tuple(sorted(cols[:leaving_row] + cols[leaving_row + 1:] + (j,)))
+        point = basic_solution(lp, Basis(new_cols), cached=True)
+        if point.feasible and new_cols not in (basis for basis, _ in out):
+            out.append((new_cols, point.x))
+    return out
 
 
-def _run_one(config: ExperimentConfig, n: int, n_index: int, replicate: int) -> ReplicateRecord:
+def _face_moves(lp: StandardLp, lu_piv, loose: tuple) -> tuple:
+    """``(j, rows, direction)`` per loose column ``j``: the rows where its
+    coordinates in the basis exceed the pivot tolerance, and those coordinates."""
+    pivot_tol = 1e-10 * (1.0 + np.abs(lp.A).max(initial=0.0))
+    moves = []
+    for j in loose:
+        direction = solve_lu(lu_piv, lp.A[:, j])
+        rows = np.flatnonzero(direction > pivot_tol)
+        moves.append((j, *read_only(rows, direction[rows])))
+    return tuple(moves)
+
+
+def _run_one(config: ExperimentConfig, n: int, n_index: int, replicate: int,
+             parts: dict) -> ReplicateRecord:
     rng = _replicate_stream(config.seed, n_index, replicate)
     rate = float(n) ** config.rate_exponent
     b_n = config.b_sampler.sample(config.truth_b, n, rate, rng)
@@ -310,10 +317,8 @@ def _run_one(config: ExperimentConfig, n: int, n_index: int, replicate: int) -> 
         candidates = optimal_face_vertices(lp_n, result)
         _, x_hat = candidates[int(rng.integers(len(candidates)))]
         basis = selection_basis(config.lp, x_hat)
-        mapped = map_region(config.lp, basis, config.region)
+        mapped, projection = _basis_parts(config, basis, parts)
         cs = ConfidenceSet(center=np.array(x_hat, dtype=float), rate=rate, mapped=mapped)
-        anchor = basic_solution(config.lp, basis).x
-        projection, _ = min_norm_point(config.targets, anchor)
         covered_targets = tuple(
             i for i, v in enumerate(config.targets.vertices) if contains(cs, v)
         )
@@ -326,6 +331,19 @@ def _run_one(config: ExperimentConfig, n: int, n_index: int, replicate: int) -> 
                                covered_targets=(), basis=(), error=str(exc))
 
 
+def _basis_parts(config: ExperimentConfig, basis: Basis, parts: dict) -> tuple:
+    """The mapped region and the projection of the truth's basic point onto
+    the targets; both depend on the selection basis only, so ``parts``
+    keeps them for the rest of one coverage run."""
+    found = parts.get(basis.indices)
+    if found is None:
+        mapped = map_region(config.lp, basis, config.region)
+        anchor = basic_solution(config.lp, basis).x
+        projection, _ = min_norm_point(config.targets, anchor)
+        found = parts[basis.indices] = (mapped, projection)
+    return found
+
+
 def run_coverage(config: ExperimentConfig, *, n_values=None, replicates=None,
                  keep_log: bool = False, threads: int = 1) -> CoverageReport:
     """Coverage of the target optimal set across replicates, per sample size.
@@ -334,18 +352,18 @@ def run_coverage(config: ExperimentConfig, *, n_values=None, replicates=None,
     enumerated target vertex or the projection of its reported basic
     solution onto the target set.  Solver failures are logged and counted
     as non-covered.
+
+    ``threads`` is accepted for compatibility and ignored: replicates run
+    in this thread, one after another.  Each replicate has its own random
+    stream, so the report is the same either way.
     """
     n_values = list(config.n_values if n_values is None else n_values)
     replicates = int(config.replicates if replicates is None else replicates)
     rows = []
     log = []
+    parts: dict = {}
     for n_index, n in enumerate(n_values):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                records = list(pool.map(
-                    lambda rep: _run_one(config, n, n_index, rep), range(replicates)))
-        else:
-            records = [_run_one(config, n, n_index, rep) for rep in range(replicates)]
+        records = [_run_one(config, n, n_index, rep, parts) for rep in range(replicates)]
         covered = sum(1 for rec in records if rec.covered)
         coverage = covered / replicates
         rows.append(CoverageRow(

@@ -10,11 +10,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
 
 from .errors import Infeasible, InstanceTooLarge, SingularBasis
 
@@ -25,9 +26,23 @@ def quiet_lu(block: np.ndarray):
         warnings.simplefilter("ignore", LinAlgWarning)
         return lu_factor(block, check_finite=False)
 
+
+_GETRS = get_lapack_funcs("getrs", (np.zeros((1, 1)),))
+
+
+def solve_lu(lu_piv, rhs, trans: int = 0) -> np.ndarray:
+    """``scipy.linalg.lu_solve(lu_piv, rhs, trans, check_finite=False)`` for
+    float64 factors, minus the wrapper: the same LAPACK ``getrs`` call on the
+    same data, so the same bits."""
+    x, _ = _GETRS(lu_piv[0], lu_piv[1], rhs, trans=trans)
+    return x
+
+
 FEAS_TOL = 1e-9
 DEDUP_TOL = 1e-8
 ENUM_CAP = 10**6
+# entries one basis cache keeps; the oldest is dropped past this
+CACHE_SIZE = 512
 
 __all__ = [
     "FEAS_TOL",
@@ -50,6 +65,46 @@ def _frozen(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def read_only(*arrays) -> tuple:
+    """Mark ``arrays`` read-only in place and return them as a tuple."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+class BasisCache:
+    """Bounded memo of data that depends on ``(A, c)`` and a basis, never on ``b``.
+
+    One cache belongs to each program built by ``StandardLp`` and is shared by
+    every program derived from it with ``with_rhs``, so a Monte Carlo loop
+    that only changes the right-hand side factors each visited basis once.
+    Values are computed exactly as without the cache and stored read-only;
+    failures are not stored.  Past ``CACHE_SIZE`` entries the oldest goes.
+    """
+
+    def __init__(self):
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+        self.lookups = 0
+        self.misses = 0
+
+    def __len__(self):
+        return len(self._entries)
+
+    def get(self, key, build):
+        """The entry under ``key``, made by ``build()`` on a miss."""
+        self.lookups += 1
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            entry = build()
+            with self._lock:
+                while len(self._entries) >= CACHE_SIZE:
+                    del self._entries[next(iter(self._entries))]
+                self._entries[key] = entry
+        return entry
 
 
 class StandardLp:
@@ -79,10 +134,21 @@ class StandardLp:
         self.c = _frozen(c)
         self.k = k
         self.m = m
+        self.basis_cache = BasisCache()
 
     def with_rhs(self, b) -> "StandardLp":
-        """Same constraint matrix and objective, different right-hand side."""
-        return StandardLp(self.A, b, self.c)
+        """Same constraint matrix and objective, different right-hand side.
+
+        The new program shares this one's ``A``, ``c``, rank check and basis
+        cache, so the rank is not computed again.
+        """
+        b = np.asarray(b, dtype=float).ravel()
+        if b.shape != (self.k,):
+            raise ValueError(f"b has length {b.size}, expected {self.k}")
+        lp = object.__new__(type(self))
+        lp.__dict__.update(self.__dict__)
+        lp.b = _frozen(b)
+        return lp
 
     def __repr__(self):
         return f"StandardLp(k={self.k}, m={self.m})"
@@ -182,12 +248,22 @@ def factor_columns(lp: StandardLp, indices) -> tuple:
     return lu, piv
 
 
-def basic_solution(lp: StandardLp, basis: Basis, *, feas_tol: float = FEAS_TOL) -> BasicSolution:
-    """Solve for the basic point of ``basis``: x_B = A_B^{-1} b, zero elsewhere."""
+def cached_factors(lp: StandardLp, indices: tuple) -> tuple:
+    """``factor_columns`` through the program's basis cache."""
+    return lp.basis_cache.get(("lu", indices), lambda: read_only(*factor_columns(lp, indices)))
+
+
+def basic_solution(lp: StandardLp, basis: Basis, *, feas_tol: float = FEAS_TOL,
+                   cached: bool = False) -> BasicSolution:
+    """Solve for the basic point of ``basis``: x_B = A_B^{-1} b, zero elsewhere.
+
+    With ``cached`` the factors come from, and go into, the program's basis
+    cache; enumeration leaves it off so the cache holds only visited bases.
+    """
     if len(basis) != lp.k:
         raise SingularBasis(f"basis size {len(basis)} != row count {lp.k}")
-    lu_piv = factor_columns(lp, basis.indices)
-    x_b = lu_solve(lu_piv, lp.b, check_finite=False)
+    lu_piv = (cached_factors if cached else factor_columns)(lp, basis.indices)
+    x_b = solve_lu(lu_piv, lp.b)
     x = np.zeros(lp.m)
     x[list(basis.indices)] = x_b
     feasible = bool(x_b.min(initial=0.0) >= -feas_tol)
@@ -219,7 +295,7 @@ def enumerate_feasible_bases(
             lu_piv = factor_columns(lp, combo)
         except SingularBasis:
             continue
-        x_b = lu_solve(lu_piv, lp.b, check_finite=False)
+        x_b = solve_lu(lu_piv, lp.b)
         if x_b.min(initial=0.0) >= -feas_tol:
             out.append(Basis(combo))
     return out

@@ -8,12 +8,21 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
 
-from .errors import Infeasible, Unbounded
-from .problem import FEAS_TOL, Basis, StandardLp, basic_solution
+from .errors import Infeasible, NoConvergence, Unbounded
+from .problem import (
+    FEAS_TOL,
+    Basis,
+    BasisCache,
+    StandardLp,
+    basic_solution,
+    read_only,
+    solve_lu,
+)
 
 
 class LpStatus(enum.Enum):
@@ -38,64 +47,115 @@ class SolveResult:
             object.__setattr__(self, name, arr)
 
 
-def _bland(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray):
+@dataclass(frozen=True)
+class _Pivot:
+    """Bland's decision at one basis, which does not depend on ``b``."""
+
+    lu_piv: tuple  # read-only factors of the basis block
+    entering: Optional[int]  # lowest improving column; None when optimal
+    rows: Optional[np.ndarray]  # rows where the entering column is positive
+    direction: Optional[np.ndarray]  # the entering column's coefficients on ``rows``
+
+
+def _pivot(A: np.ndarray, c: np.ndarray, basis: list) -> _Pivot:
+    enter_tol = 1e-9 * (1.0 + np.abs(c).max(initial=0.0))
+    pivot_tol = 1e-10 * (1.0 + np.abs(A).max(initial=0.0))
+    lu_piv = read_only(*lu_factor(A[:, basis], check_finite=False))
+    y = solve_lu(lu_piv, c[basis], trans=1)
+    reduced = c - A.T @ y
+    reduced[basis] = 0.0
+    candidates = np.flatnonzero(reduced < -enter_tol)
+    if candidates.size == 0:
+        return _Pivot(lu_piv, None, None, None)
+    entering = int(candidates[0])
+    direction = solve_lu(lu_piv, A[:, entering])
+    rows = np.flatnonzero(direction > pivot_tol)
+    return _Pivot(lu_piv, entering, *read_only(rows, direction[rows]))
+
+
+def ratio_test(x_b: np.ndarray, rows: np.ndarray, direction: np.ndarray, order) -> int:
+    """Leaving row: least ratio ``x_b / direction`` over ``rows``, ties to the
+    row whose ``order`` entry (its basic column) is lowest."""
+    ratios = np.maximum(x_b[rows], 0.0) / direction
+    best = ratios.min()
+    ties = rows[(ratios <= best + 1e-12 * (1.0 + best)).nonzero()[0]]
+    return int(min(ties, key=order.__getitem__))
+
+
+def _bland(cache: BasisCache, phase: tuple, A: np.ndarray, b: np.ndarray, c: np.ndarray,
+           basis: list):
     """Run Bland-rule pivots from ``basis`` until optimal or unbounded.
 
     ``b`` must be nonnegative and ``basis`` must index a feasible square
-    block.  The factorization is redone each pivot; instances are small.
+    block.  Each basis's factors and pivot decision come from ``cache``
+    under ``phase``, which names ``A`` and ``c``; only ``x_B`` and the ratio
+    test depend on ``b``.
     """
     k, n = A.shape
-    enter_tol = 1e-9 * (1.0 + np.abs(c).max(initial=0.0))
-    pivot_tol = 1e-10 * (1.0 + np.abs(A).max(initial=0.0))
-    max_pivots = 2000 + 40 * (n + k)
-    basis = basis.copy()
-    for _ in range(max_pivots):
-        lu_piv = lu_factor(A[:, basis], check_finite=False)
-        x_b = lu_solve(lu_piv, b, check_finite=False)
-        y = lu_solve(lu_piv, c[basis], trans=1, check_finite=False)
-        reduced = c - A.T @ y
-        reduced[basis] = 0.0
-        candidates = np.flatnonzero(reduced < -enter_tol)
-        if candidates.size == 0:
+    basis = list(basis)
+    for _ in range(_pivot_budget(k, n)):
+        step = cache.get((phase, tuple(basis)), lambda: _pivot(A, c, basis))
+        x_b = solve_lu(step.lu_piv, b)
+        if step.entering is None:
             return basis, x_b
-        entering = int(candidates[0])
-        direction = lu_solve(lu_piv, A[:, entering], check_finite=False)
-        rows = np.flatnonzero(direction > pivot_tol)
-        if rows.size == 0:
-            raise Unbounded(f"column {entering} has no blocking row")
-        ratios = np.maximum(x_b[rows], 0.0) / direction[rows]
-        best = ratios.min()
-        ties = rows[np.flatnonzero(ratios <= best + 1e-12 * (1.0 + best))]
-        leaving_row = int(ties[np.argmin(basis[ties])])
-        basis[leaving_row] = entering
-    raise RuntimeError("pivot budget exhausted; the instance may be ill-conditioned")
+        if step.rows.size == 0:
+            raise Unbounded(f"column {step.entering} has no blocking row")
+        basis[ratio_test(x_b, step.rows, step.direction, basis)] = step.entering
+    raise NoConvergence("pivot budget exhausted; the instance may be ill-conditioned")
+
+
+def _pivot_budget(k: int, n: int) -> int:
+    return 2000 + 40 * (n + k)
+
+
+def _sign_pattern(cache: BasisCache, lp: StandardLp, negative: np.ndarray):
+    """Phase data for the rows of ``A`` negated where ``negative``."""
+
+    def build():
+        flip = np.where(negative, -1.0, 1.0)
+        A1 = lp.A * flip[:, None]
+        A_art = np.hstack([A1, np.eye(lp.k)])
+        c_art = np.concatenate([np.zeros(lp.m), np.ones(lp.k)])
+        return read_only(flip, A1, A_art, c_art)
+
+    return cache.get(("signs", negative.tobytes()), build)
+
+
+def _certificate(lp: StandardLp, indices: tuple):
+    dual = np.linalg.solve(lp.A[:, indices].T, lp.c[list(indices)])
+    slack = lp.c - lp.A.T @ dual
+    return read_only(dual, slack)
 
 
 def solve(lp: StandardLp, *, feas_tol: float = FEAS_TOL) -> SolveResult:
     """Optimal vertex, basis, and dual certificate for a standard-form LP.
 
     Raises ``Infeasible`` when phase one cannot clear the artificial
-    variables and ``Unbounded`` when phase two detects a descent ray.
+    variables, ``Unbounded`` when phase two detects a descent ray, and
+    ``NoConvergence`` when the pivot budget runs out.  Programs sharing a
+    basis cache (see ``StandardLp.with_rhs``) re-use each other's factors;
+    the result is bit for bit the one a fresh program gives.
     """
     k, m = lp.k, lp.m
-    flip = np.where(lp.b < 0, -1.0, 1.0)
-    A1 = lp.A * flip[:, None]
+    cache = lp.basis_cache
+    negative = lp.b < 0
+    signs = negative.tobytes()
+    flip, A1, A_art, c_art = _sign_pattern(cache, lp, negative)
     b1 = lp.b * flip
 
     # phase one: minimize the total artificial mass
-    A_art = np.hstack([A1, np.eye(k)])
-    c_art = np.concatenate([np.zeros(m), np.ones(k)])
-    basis = np.arange(m, m + k)
-    basis, x_b = _bland(A_art, b1, c_art, basis)
-    if float(x_b[basis >= m].sum(initial=0.0)) > feas_tol:
+    basis, x_b = _bland(cache, ("phase1", signs), A_art, b1, c_art, range(m, m + k))
+    if float(x_b[np.asarray(basis) >= m].sum(initial=0.0)) > feas_tol:
         raise Infeasible("phase one terminated with positive artificial mass")
-    basis = _evict_artificials(A_art, basis, m)
+    if max(basis) >= m:
+        basis = cache.get(("evict", signs, tuple(basis)),
+                          lambda: _evict_artificials(A_art, np.array(basis), m))
 
-    basis, _ = _bland(A1, b1, lp.c, basis)
-    final = Basis(tuple(int(i) for i in sorted(basis)))
-    point = basic_solution(lp, final, feas_tol=feas_tol)
-    dual = np.linalg.solve(lp.A[:, final.indices].T, lp.c[list(final.indices)])
-    slack = lp.c - lp.A.T @ dual
+    basis, _ = _bland(cache, ("phase2", signs), A1, b1, lp.c, basis)
+    final = Basis(tuple(sorted(basis)))
+    point = basic_solution(lp, final, feas_tol=feas_tol, cached=True)
+    dual, slack = cache.get(("certificate", final.indices),
+                            lambda: _certificate(lp, final.indices))
     return SolveResult(
         x_hat=point.x,
         basis=final,
@@ -105,7 +165,7 @@ def solve(lp: StandardLp, *, feas_tol: float = FEAS_TOL) -> SolveResult:
     )
 
 
-def _evict_artificials(A_art: np.ndarray, basis: np.ndarray, m: int) -> np.ndarray:
+def _evict_artificials(A_art: np.ndarray, basis: np.ndarray, m: int) -> tuple:
     """Swap zero-valued artificial columns out of the basis.
 
     After a successful phase one every artificial in the basis sits at value
@@ -120,13 +180,13 @@ def _evict_artificials(A_art: np.ndarray, basis: np.ndarray, m: int) -> np.ndarr
         for j in range(m):
             if j in basis:
                 continue
-            column = lu_solve(lu_piv, A_art[:, j], check_finite=False)
+            column = solve_lu(lu_piv, A_art[:, j])
             if abs(column[row]) > pivot_tol:
                 basis[row] = j
                 break
         else:
-            raise RuntimeError("could not replace a basic artificial variable")
-    return basis
+            raise NoConvergence("could not replace a basic artificial variable")
+    return tuple(int(j) for j in basis)
 
 
 def verify_kkt(lp: StandardLp, result: SolveResult, *, feas_tol: float = FEAS_TOL) -> bool:

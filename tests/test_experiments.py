@@ -267,3 +267,21 @@ def test_config_from_dict_rejects_unknown_sampler():
             "region": {"kind": "segment", "direction": [1.0, -1.0, 0.0],
                        "half_width": 1.0},
         })
+
+
+def test_coverage_logs_replicates_that_exhaust_the_pivot_budget(monkeypatch):
+    from lpdist import simplex
+
+    cfg = build_ot_2x2()
+    plain = run_coverage(cfg, n_values=(1, 10), replicates=40, keep_log=True)
+    monkeypatch.setattr(simplex, "_pivot_budget", lambda k, n: 4)
+    short = run_coverage(cfg, n_values=(1, 10), replicates=40, keep_log=True)
+    failed = [rec for rec in short.log if rec.error is not None]
+    assert 0 < len(failed) < len(short.log)
+    for rec in failed:
+        assert "pivot budget" in rec.error
+        assert not rec.covered and rec.basis == ()
+    for rec, reference in zip(short.log, plain.log):
+        if rec.error is None:
+            assert rec == reference
+    assert [row.replicates for row in short.rows] == [40, 40]

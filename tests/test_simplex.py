@@ -139,3 +139,13 @@ def test_scaling_invariance_of_argmin(ot_lp):
     assert res1.basis == res2.basis
     assert np.allclose(res1.x_hat, res2.x_hat)
     assert abs(res2.objective - 1000.0 * res1.objective) < 1e-9
+
+
+def test_pivot_budget_exhaustion_is_no_convergence(monkeypatch, ot_lp):
+    from lpdist import simplex
+    from lpdist.errors import LpError, NoConvergence
+
+    monkeypatch.setattr(simplex, "_pivot_budget", lambda k, n: 1)
+    with pytest.raises(NoConvergence) as info:
+        solve(ot_lp.with_rhs([0.55, 0.45, 0.5]))
+    assert isinstance(info.value, LpError)
