@@ -26,6 +26,7 @@ from .errors import (
     InstanceTooLarge,
     LpError,
     NoConvergence,
+    NonFiniteData,
     NotSlater,
     NotUnique,
     SingularBasis,

@@ -47,3 +47,7 @@ class SingularCovariance(LpError):
 
 class InstanceMismatch(LpError):
     """A built-in instance failed its construction self-check."""
+
+
+class NonFiniteData(LpError, ValueError):
+    """An input array holds NaN or infinity."""

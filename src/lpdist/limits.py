@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lu_solve
 
-from .errors import Infeasible, InstanceTooLarge, NotUnique, Unbounded
+from .errors import Infeasible, InstanceTooLarge, NonFiniteData, NotUnique, Unbounded
 from .geometry import (
     TIE_TOL,
     SphereGrid,
@@ -25,6 +25,7 @@ from .geometry import (
     support_function,
 )
 from .problem import (
+    _GETRS,
     ENUM_CAP,
     FEAS_TOL,
     Polytope,
@@ -64,12 +65,36 @@ class LimitSample:
     objective: float
 
 
+# draws per block in ``NoiseSampler.draws`` and ``sample_unique_limit``; the
+# draws themselves do not depend on it
+BLOCK = 1024
+_THREAD = threading.local()
+
+
+def _thread_philox() -> tuple:
+    """This thread's Philox bit generator, the ``Generator`` over it, and the
+    state of a freshly built one."""
+    if not hasattr(_THREAD, "philox"):
+        bitgen = np.random.Philox(key=0)
+        _THREAD.philox = (bitgen, np.random.Generator(bitgen), bitgen.state)
+    return _THREAD.philox
+
+
+def _philox_key(seed: int) -> np.ndarray:
+    """The key ``np.random.Philox(key=seed)`` uses, without building one
+    (which would first seed a ``SeedSequence`` from the OS)."""
+    if not 0 <= seed < 2**128:
+        raise ValueError("seed must be in [0, 2**128)")
+    return np.array([seed & (2**64 - 1), seed >> 64], dtype=np.uint64)
+
+
 class NoiseSampler:
     """Deterministic per-index noise draws for the rhs perturbation law.
 
-    Each draw uses a counter-based generator keyed by (seed, index), so a
-    draw depends only on its index and results are independent of order or
-    parallelism.
+    Draw ``i`` comes from a Philox stream keyed by the seed at counter
+    ``[0, 0, 0, i]``, so a draw depends only on its index and results are
+    independent of order, block size or parallelism.  Draws run on a
+    generator owned by the calling thread, so threads may share a sampler.
     """
 
     def __init__(self, kind, seed, *, sigma=None, probabilities=None,
@@ -106,6 +131,7 @@ class NoiseSampler:
             self.vectors = np.array(vectors, dtype=float)
             if self.vectors.ndim != 2 or not len(self.vectors):
                 raise ValueError("empirical sampler needs a nonempty 2-d array")
+        self._key = _philox_key(self.seed)
 
     @classmethod
     def gaussian(cls, sigma, seed, support_indices=None, dim=None):
@@ -119,34 +145,57 @@ class NoiseSampler:
     def empirical(cls, vectors, seed):
         return cls("empirical", seed, vectors=vectors)
 
-    def _rng(self, index: int) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.seed, counter=[0, 0, 0, index]))
+    def _streams(self, start: int, count: int):
+        """This thread's generator, reset to the stream of each index in turn.
 
-    def draw(self, index: int) -> np.ndarray:
-        rng = self._rng(index)
+        Setting the state equals building ``Philox(key=seed, counter=[0, 0,
+        0, i])`` afresh, at a fraction of the cost.
+        """
+        bitgen, rng, fresh = _thread_philox()
+        counter = np.zeros(4, dtype=np.uint64)
+        state = dict(fresh, state={"counter": counter, "key": self._key})
+        for index in range(start, start + count):
+            counter[3] = index
+            bitgen.state = state
+            yield rng
+
+    def draw_block(self, start: int, count: int) -> np.ndarray:
+        """Draws ``start, ..., start + count - 1`` as the rows of an array."""
+        if self.kind == "empirical":
+            picks = [int(rng.integers(len(self.vectors)))
+                     for rng in self._streams(start, count)]
+            return self.vectors[picks]
         if self.kind == "gaussian":
-            core = self._chol @ rng.standard_normal(self._chol.shape[0])
+            chol = self._chol
+            core = np.empty((count, chol.shape[0]))
+            for row, rng in enumerate(self._streams(start, count)):
+                core[row] = chol @ rng.standard_normal(chol.shape[0])
             if self.support_indices is None:
                 return core
-            out = np.zeros(self.dim)
-            out[list(self.support_indices)] = core
+            out = np.zeros((count, self.dim))
+            out[:, list(self.support_indices)] = core
             return out
-        if self.kind == "multinomial_clt":
-            # limit of sqrt(n) * (empirical frequencies - p): a centered
-            # Gaussian with covariance diag(p) - p p^T, realized from iid
-            # normals without forming the covariance matrix
-            p = self.probabilities
-            z = rng.standard_normal(len(p))
-            root = np.sqrt(p)
-            w = root * z - p * float(root @ z)
-            out = np.zeros(self.pad_to)
-            out[: len(p)] = w
-            return out
-        pick = int(rng.integers(len(self.vectors)))
-        return self.vectors[pick].copy()
+        # limit of sqrt(n) * (empirical frequencies - p): a centered Gaussian
+        # with covariance diag(p) - p p^T, realized from iid normals without
+        # forming the covariance matrix; each row's ``root @ z`` is its own
+        # dot product, as a matrix product would round differently
+        p = self.probabilities
+        root = np.sqrt(p)
+        z = np.empty((count, len(p)))
+        dots = np.empty((count, 1))
+        for row, rng in enumerate(self._streams(start, count)):
+            rng.standard_normal(out=z[row])
+            dots[row] = float(root @ z[row])
+        out = np.zeros((count, self.pad_to))
+        out[:, : len(p)] = root * z - p * dots
+        return out
+
+    def draw(self, index: int) -> np.ndarray:
+        return self.draw_block(index, 1)[0]
 
     def draws(self, n: int) -> list:
-        return [self.draw(i) for i in range(n)]
+        return [row for start in range(0, n, BLOCK)
+                for row in self.draw_block(start, min(BLOCK, n - start))]
 
 
 def aux_lp_unique(lp: StandardLp, x_star: np.ndarray, g: np.ndarray, *,
@@ -186,12 +235,17 @@ def split_free(mixed: MixedSignLp) -> tuple:
 def solve_mixed(mixed: MixedSignLp) -> tuple:
     """One optimal point of the mixed-sign LP and its objective value."""
     lp, free = split_free(mixed)
+    return _solve_split(lp, free, mixed.c)
+
+
+def _solve_split(lp: StandardLp, free: list, c: np.ndarray) -> tuple:
+    """``solve_mixed`` on a program already split by ``split_free``."""
     result = simplex_solve(lp)
-    m = mixed.a.shape[1]
+    m = len(c)
     point = result.x_hat[:m].copy()
     if free:
         point[free] -= result.x_hat[m:]
-    return point, float(mixed.c @ point)
+    return point, float(c @ point)
 
 
 class AuxVertexEnumerator:
@@ -211,47 +265,84 @@ class AuxVertexEnumerator:
         k, m = self.a.shape
         if len(self.free) > k:
             raise ValueError("free set is larger than the number of rows")
-        others = [j for j in range(m) if j not in set(self.free)]
+        free = set(self.free)
+        others = [j for j in range(m) if j not in free]
         if math.comb(len(others), k - len(self.free)) > ENUM_CAP:
             raise InstanceTooLarge("candidate basis count exceeds the enumeration cap")
         rank_tol = 1e-10 * max(np.abs(self.a).max(initial=0.0), 1e-30)
-        self._candidates = []
+        candidates = []
+        self._factors = []
         for extra in itertools.combinations(others, k - len(self.free)):
             cols = sorted(self.free + list(extra))
-            try:
-                lu_piv = quiet_lu(self.a[:, cols])
-            except Exception:
+            lu, piv = quiet_lu(self.a[:, cols])
+            if np.abs(np.diagonal(lu)).min() <= rank_tol:
                 continue
-            if np.abs(np.diagonal(lu_piv[0])).min() <= rank_tol:
-                continue
-            sign_checked = np.array([j not in set(self.free) for j in cols])
-            self._candidates.append((cols, lu_piv, sign_checked, self.c[cols]))
-        if not self._candidates:
+            candidates.append(cols)
+            self._factors.append((lu, piv))
+        if not candidates:
             raise Infeasible("no invertible column set contains the free indices")
+        # per candidate: its columns, their costs, and which of them are held
+        # to the sign constraint
+        self._cols = np.array(candidates, dtype=np.intp)
+        self._costs = self.c[self._cols][:, None, :]
+        self._signed = np.array([[[j not in free] for j in cols] for cols in candidates])
+        # index pair placing a (candidates, rows, k) block at the columns of each candidate
+        self._take = (np.arange(len(candidates))[:, None, None], self._cols[:, None, :])
+
+    def optimal_sets(self, rhs_rows: np.ndarray) -> list:
+        """``optimal_set`` for every row of a ``(N, k)`` block of right-hand sides.
+
+        Each candidate basis is solved for the whole block in one LAPACK
+        ``getrs`` call.  A candidate is feasible for a row when its signed
+        coordinates are at least ``-feas_tol``; the optimal value is the
+        first smallest objective among feasible candidates, and the optimal
+        set holds every feasible candidate within ``1e-8 * (1 + |best|)`` of
+        it.  Raises ``Infeasible`` when some row has no feasible candidate and
+        ``NonFiniteData`` when a row holds NaN or infinity.
+        """
+        rhs_rows = np.asarray(rhs_rows, dtype=float)
+        k, m = self.a.shape
+        if rhs_rows.ndim != 2 or rhs_rows.shape[1] != k:
+            raise ValueError(f"rhs rows must have length {k}")
+        if not np.isfinite(rhs_rows).all():
+            raise NonFiniteData("rhs holds NaN or infinity")
+        count = len(rhs_rows)
+        # one (width, k) slab per candidate, solved in place: its transpose is
+        # the Fortran-ordered block getrs takes.  OpenBLAS solves a lone column
+        # with another kernel than a block, so a single rhs goes in twice; a
+        # row's result then does not depend on the block it came in.
+        slabs = np.empty((len(self._factors), max(count, 2), k))
+        slabs[:] = rhs_rows
+        for (lu, piv), slab in zip(self._factors, slabs):
+            _GETRS(lu, piv, slab.T, 0, 1)  # trans=0, overwrite_b=1
+        x = slabs[:, :count]
+        # a sign-checked coordinate below -feas_tol makes the candidate infeasible
+        infeasible = np.matmul(x < -self.feas_tol, self._signed)[:, :, 0]
+        values = np.add.reduce(x * self._costs, axis=2)  # objectives
+        values[infeasible] = math.inf
+        rows = np.arange(count)
+        winner = values.argmin(axis=0)
+        best = values[winner, rows]
+        best_list = best.tolist()
+        if not all(map(math.isfinite, best_list)):
+            if infeasible.all(axis=0).any():
+                raise Infeasible("mixed-sign LP has no basic feasible point")
+            raise NonFiniteData("an objective value overflowed")
+        tied = values - best <= 1e-8 * (1.0 + np.abs(best))
+        # every candidate's basic point, then each row's winner
+        full = np.zeros((len(self._factors), count, m))
+        full[self._take[0], rows[:, None], self._take[1]] = x
+        points = full[winner, rows]
+        points.setflags(write=False)
+        out = list(zip(map(Polytope.single, points[:, None, :]), best_list))
+        if np.count_nonzero(tied) > count:
+            for row in np.flatnonzero(tied.sum(axis=0) > 1):
+                out[row] = (Polytope(full[tied[:, row], row]), out[row][1])
+        return out
 
     def optimal_set(self, rhs: np.ndarray) -> tuple:
         """(Polytope of optimal vertices, optimal value) for this rhs."""
-        k, m = self.a.shape
-        best = math.inf
-        hits = []
-        for cols, lu_piv, sign_checked, c_cols in self._candidates:
-            x_cols = lu_solve(lu_piv, rhs, check_finite=False)
-            checked = x_cols[sign_checked]
-            if checked.size and checked.min() < -self.feas_tol:
-                continue
-            value = float(c_cols @ x_cols)
-            hits.append((value, cols, x_cols))
-            best = min(best, value)
-        if not hits:
-            raise Infeasible("mixed-sign LP has no basic feasible point")
-        cutoff = 1e-8 * (1.0 + abs(best))
-        points = []
-        for value, cols, x_cols in hits:
-            if value - best <= cutoff:
-                p = np.zeros(m)
-                p[cols] = x_cols
-                points.append(p)
-        return Polytope(points), best
+        return self.optimal_sets(np.asarray(rhs, dtype=float).reshape(1, -1))[0]
 
 
 def optimal_mixed_vertices(mixed: MixedSignLp, *, feas_tol: float = FEAS_TOL) -> tuple:
@@ -288,6 +379,8 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
                         verify_unique: bool = False) -> list:
     """Draw rhs noise and collect the optimal sets of the response LP.
 
+    Draws are made and solved in blocks of ``BLOCK``; sample ``i`` depends
+    only on the sampler and ``i``, not on ``n_draws`` or the block size.
     ``vertex_only`` swaps exact vertex enumeration for a single simplex
     solve per draw, for instances too large to enumerate.
     """
@@ -297,16 +390,17 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
     free = support(x_star)
     samples = []
     if vertex_only:
-        for i in range(n_draws):
-            g = sampler.draw(i)
-            point, value = solve_mixed(MixedSignLp(lp.A, g, lp.c, free))
-            samples.append(LimitSample(g=g, optimal_set=Polytope([point]), objective=value))
+        # split once; each draw re-solves the same program with a new rhs
+        split, free_order = split_free(MixedSignLp(lp.A, np.zeros(lp.k), lp.c, free))
+        for g in sampler.draws(n_draws):
+            point, value = _solve_split(split.with_rhs(g), free_order, lp.c)
+            samples.append(LimitSample(g=g, optimal_set=Polytope.single(point), objective=value))
         return samples
     enum = AuxVertexEnumerator(lp.A, lp.c, free)
-    for i in range(n_draws):
-        g = sampler.draw(i)
-        polytope, value = enum.optimal_set(g)
-        samples.append(LimitSample(g=g, optimal_set=polytope, objective=value))
+    for start in range(0, n_draws, BLOCK):
+        block = sampler.draw_block(start, min(BLOCK, n_draws - start))
+        for g, (polytope, value) in zip(block, enum.optimal_sets(block)):
+            samples.append(LimitSample(g=g, optimal_set=polytope, objective=value))
     return samples
 
 
@@ -314,7 +408,8 @@ def distance_statistic(sample: LimitSample) -> float:
     """Euclidean distance from the origin to the sampled optimal set."""
     verts = sample.optimal_set.vertices
     if len(verts) == 1:
-        return float(np.linalg.norm(verts[0]))
+        # what np.linalg.norm computes for a vector, without its dispatch
+        return math.sqrt(verts[0] @ verts[0])
     origin = np.zeros(verts.shape[1])
     _, dist = min_norm_point(sample.optimal_set, origin)
     return dist

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
 
-from .errors import Infeasible, InstanceTooLarge, SingularBasis
+from .errors import Infeasible, InstanceTooLarge, NonFiniteData, SingularBasis
 
 
 def quiet_lu(block: np.ndarray):
@@ -121,6 +121,8 @@ class StandardLp:
             raise ValueError(f"b has length {b.size}, expected {k}")
         if c.shape != (m,):
             raise ValueError(f"c has length {c.size}, expected {m}")
+        for name, arr in (("A", A), ("b", b), ("c", c)):
+            _check_finite(name, arr)
         if drop_redundant_rows:
             A, b = _independent_rows(A, b)
             k = A.shape[0]
@@ -145,6 +147,7 @@ class StandardLp:
         b = np.asarray(b, dtype=float).ravel()
         if b.shape != (self.k,):
             raise ValueError(f"b has length {b.size}, expected {self.k}")
+        _check_finite("b", b)
         lp = object.__new__(type(self))
         lp.__dict__.update(self.__dict__)
         lp.b = _frozen(b)
@@ -152,6 +155,12 @@ class StandardLp:
 
     def __repr__(self):
         return f"StandardLp(k={self.k}, m={self.m})"
+
+
+def _check_finite(name: str, arr: np.ndarray):
+    """Raise ``NonFiniteData`` unless every entry of ``arr`` is finite."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteData(f"{name} holds NaN or infinity")
 
 
 def _matrix_rank(A: np.ndarray, tol: float) -> int:
@@ -225,6 +234,24 @@ class Polytope:
         else:
             arr = np.zeros((0, arr.shape[1]))
         self.vertices = _frozen(arr)
+
+    @classmethod
+    def single(cls, vertex) -> "Polytope":
+        """``Polytope([vertex])`` without the deduplication pass.
+
+        ``vertex`` has shape ``(dim,)`` or ``(1, dim)``; a read-only float
+        array is kept as a view, anything else is copied.
+        """
+        vertices = np.asarray(vertex, dtype=float)
+        if vertices.ndim == 1:
+            vertices = vertices[None, :]
+        if vertices.ndim != 2 or len(vertices) != 1:
+            raise ValueError("a single vertex must have shape (dim,) or (1, dim)")
+        if vertices.flags.writeable:
+            vertices = _frozen(vertices)
+        poly = object.__new__(cls)
+        poly.vertices = vertices
+        return poly
 
     @property
     def dim(self) -> int:

@@ -61,11 +61,7 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray, *,
     tau = 0.0
     c1 = 0.0
     for combo in itertools.combinations(range(lp.m), lp.k):
-        sub = lp.A[:, combo]
-        try:
-            lu_piv = quiet_lu(sub)
-        except Exception:
-            continue
+        lu_piv = quiet_lu(lp.A[:, combo])
         if np.abs(np.diagonal(lu_piv[0])).min() <= lp.rank_tol:
             continue
         inv_norm = _operator_norm(lu_solve(lu_piv, np.eye(lp.k), check_finite=False))
@@ -106,11 +102,7 @@ def _dual_vertex_norm_max(lp: StandardLp) -> float:
     best = math.inf
     found = False
     for combo in itertools.combinations(range(lp.m), lp.k):
-        tight = lp.A[:, combo].T
-        try:
-            lu_piv = quiet_lu(tight)
-        except Exception:
-            continue
+        lu_piv = quiet_lu(lp.A[:, combo].T)
         if np.abs(np.diagonal(lu_piv[0])).min() <= lp.rank_tol:
             continue
         lam = lu_solve(lu_piv, lp.c[list(combo)], check_finite=False)

@@ -285,3 +285,33 @@ def test_coverage_logs_replicates_that_exhaust_the_pivot_budget(monkeypatch):
         if rec.error is None:
             assert rec == reference
     assert [row.replicates for row in short.rows] == [40, 40]
+
+
+def test_coverage_logs_replicates_whose_rhs_is_not_finite():
+    from dataclasses import replace
+
+    cfg = build_ot_2x2()
+    plain = run_coverage(cfg, n_values=(1, 10), replicates=20, keep_log=True)
+
+    class NanOnce:
+        """The built-in sampler, except that draw 24 (n = 10, replicate 3) is NaN."""
+
+        def __init__(self):
+            self.calls = 0
+
+        def sample(self, truth_b, n, rate, rng):
+            b = cfg.b_sampler.sample(truth_b, n, rate, rng)
+            self.calls += 1
+            if self.calls == 24:
+                b = np.array(b, dtype=float)
+                b[0] = np.nan
+            return b
+
+    report = run_coverage(replace(cfg, b_sampler=NanOnce()), n_values=(1, 10),
+                          replicates=20, keep_log=True)
+    failed = [rec for rec in report.log if rec.error is not None]
+    assert [(rec.n, rec.replicate) for rec in failed] == [(10, 3)]
+    assert "NaN" in failed[0].error and not failed[0].covered
+    assert [rec for rec in report.log if rec.error is None] == [
+        rec for rec in plain.log if (rec.n, rec.replicate) != (10, 3)]
+    assert [row.replicates for row in report.rows] == [20, 20]

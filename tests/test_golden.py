@@ -1,20 +1,31 @@
-"""Golden output of the coverage harness.
+"""Golden output of the coverage harness and the limit-law sampler.
 
-The digest covers every field of every ``run_coverage(..., keep_log=True)``
-record for both built-in experiments at two seeds.  It was recorded before
-the solver re-used factorizations across replicates; a speed-up of the
-coverage loop must reproduce it exactly, tie-breaking among face vertices
-included.
+The coverage digest covers every field of every ``run_coverage(...,
+keep_log=True)`` record for both built-in experiments at two seeds.  It was
+recorded before the solver re-used factorizations across replicates; a
+speed-up of the coverage loop must reproduce it exactly, tie-breaking among
+face vertices included.
+
+The limit digest covers the noise, the optimal value and the optimal vertex
+set of every ``sample_unique_limit`` draw on the transport instance at two
+seeds.  It was recorded while draws were still made and solved one at a
+time; 3000 draws cross the boundaries of the sampler's blocks.
 """
 import hashlib
 import json
+import struct
 from dataclasses import replace
 
+import numpy as np
+
 from lpdist.experiments import build_min_cost_flow, build_ot_2x2, run_coverage
+from lpdist.limits import sample_unique_limit
 
 GOLDEN_COVERAGE_LOG = "63b27fa7cf78376951a33540796a8d775f9d282d553f6797d87c09789f35b4f5"
+GOLDEN_LIMIT_DRAWS = "96ecf8f1634ddd94e9116d477f3a32fdf2333b2c8d98676a5e1bfd0998a03d85"
 RUNS = ((build_ot_2x2, 300), (build_min_cost_flow, 200))
 SEEDS = (0x5EED, 7)
+LIMIT_DRAWS = 3000
 
 
 def coverage_log_digest() -> str:
@@ -32,3 +43,22 @@ def coverage_log_digest() -> str:
 
 def test_coverage_log_matches_golden_digest():
     assert coverage_log_digest() == GOLDEN_COVERAGE_LOG
+
+
+def limit_draws_digest() -> str:
+    digest = hashlib.sha256()
+    config = build_ot_2x2()
+    for seed in (7, 0x5EED):
+        noise = config.b_sampler.limit_noise(seed, config.lp.k)
+        for sample in sample_unique_limit(config.lp, config.targets.vertices[0], noise,
+                                          LIMIT_DRAWS):
+            vertices = np.ascontiguousarray(sample.optimal_set.vertices, dtype=float)
+            digest.update(np.ascontiguousarray(sample.g, dtype=float).tobytes())
+            digest.update(struct.pack("<d", sample.objective))
+            digest.update(struct.pack("<2q", *vertices.shape))
+            digest.update(vertices.tobytes())
+    return digest.hexdigest()
+
+
+def test_limit_draws_match_golden_digest():
+    assert limit_draws_digest() == GOLDEN_LIMIT_DRAWS

@@ -1,0 +1,333 @@
+"""Block sampling of the limit law against per-draw references.
+
+The references below are the one-draw-at-a-time computations the block
+paths replace: a fresh Philox generator per draw index, and one scalar
+``lu_solve`` per candidate basis with the same feasibility test, objective
+and tie cutoff.
+"""
+import itertools
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+from scipy.linalg import lu_solve
+
+from lpdist import StandardLp
+from lpdist import limits
+from lpdist.errors import Infeasible, LpError, NonFiniteData
+from lpdist.experiments import build_min_cost_flow, build_ot_2x2
+from lpdist.limits import (
+    AuxVertexEnumerator,
+    MixedSignLp,
+    NoiseSampler,
+    sample_unique_limit,
+    solve_mixed,
+)
+from lpdist.problem import FEAS_TOL, Polytope, quiet_lu, support
+
+OT_TARGET = np.array([0.5, 0.0, 0.0, 0.5])
+INDICES = (0, 1, 2, 1023, 1024, 1025, 2047, 5000, 2**40)
+SIGMA = [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.7]]
+
+
+def reference_draw(sampler: NoiseSampler, index: int) -> np.ndarray:
+    """One draw from a generator built for its index alone."""
+    rng = np.random.Generator(np.random.Philox(key=sampler.seed, counter=[0, 0, 0, index]))
+    if sampler.kind == "gaussian":
+        chol = np.linalg.cholesky(sampler.sigma)
+        core = chol @ rng.standard_normal(chol.shape[0])
+        if sampler.support_indices is None:
+            return core
+        out = np.zeros(sampler.dim)
+        out[list(sampler.support_indices)] = core
+        return out
+    if sampler.kind == "multinomial_clt":
+        p = sampler.probabilities
+        z = rng.standard_normal(len(p))
+        root = np.sqrt(p)
+        out = np.zeros(sampler.pad_to)
+        out[: len(p)] = root * z - p * float(root @ z)
+        return out
+    return sampler.vectors[int(rng.integers(len(sampler.vectors)))].copy()
+
+
+SAMPLERS = {
+    "gaussian": lambda: NoiseSampler.gaussian(SIGMA, seed=3),
+    "gaussian_support": lambda: NoiseSampler.gaussian(SIGMA, seed=4, support_indices=(0, 2, 5),
+                                                      dim=6),
+    "multinomial_clt": lambda: NoiseSampler.multinomial_clt([0.1, 0.2, 0.3, 0.4], seed=5,
+                                                            pad_to=6),
+    "empirical": lambda: NoiseSampler.empirical(np.arange(12.0).reshape(4, 3) * 0.37, seed=6),
+    # a seed past 2**64 fills both words of the Philox key
+    "large_seed": lambda: NoiseSampler.multinomial_clt([0.5, 0.5], seed=2**100 + 2**64 + 7),
+}
+
+
+def test_seed_must_fit_the_philox_key():
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError):
+            NoiseSampler.multinomial_clt([0.5, 0.5], seed=seed)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_block_rows_equal_per_index_draws(name):
+    sampler = SAMPLERS[name]()
+    block = sampler.draw_block(1020, 10)
+    listed = sampler.draws(1030)
+    for row, index in enumerate(range(1020, 1030)):
+        assert block[row].tobytes() == reference_draw(sampler, index).tobytes()
+        assert listed[index].tobytes() == block[row].tobytes()
+    for index in INDICES:
+        assert sampler.draw(index).tobytes() == reference_draw(sampler, index).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_draws_do_not_depend_on_the_block_size(name, monkeypatch):
+    sampler = SAMPLERS[name]()
+    default = np.array(sampler.draws(40))
+    monkeypatch.setattr(limits, "BLOCK", 7)
+    assert np.array(sampler.draws(40)).tobytes() == default.tobytes()
+
+
+def test_threads_may_share_a_sampler():
+    sampler = SAMPLERS["gaussian_support"]()
+    expected = np.array(sampler.draws(300)).tobytes()
+    results = {}
+
+    def work(tag):
+        results[tag] = [np.array(sampler.draws(300)).tobytes() for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(tag,)) for tag in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    assert all(run == expected for runs in results.values() for run in runs)
+
+
+def _same_samples(a, b):
+    assert len(a) == len(b)
+    for sa, sb in zip(a, b):
+        assert sa.g.tobytes() == sb.g.tobytes()
+        assert sa.optimal_set.vertices.shape == sb.optimal_set.vertices.shape
+        assert sa.optimal_set.vertices.tobytes() == sb.optimal_set.vertices.tobytes()
+        assert np.float64(sa.objective).tobytes() == np.float64(sb.objective).tobytes()
+
+
+def test_limit_samples_are_prefix_stable():
+    config = build_ot_2x2()
+    noise = config.b_sampler.limit_noise(11, config.lp.k)
+    x_star = config.targets.vertices[0]
+    longest = sample_unique_limit(config.lp, x_star, noise, 1025)
+    for n in (1, 1023, 1024):
+        _same_samples(sample_unique_limit(config.lp, x_star, noise, n), longest[:n])
+
+
+def test_limit_samples_do_not_depend_on_the_block_size(monkeypatch):
+    config = build_ot_2x2()
+    noise = config.b_sampler.limit_noise(12, config.lp.k)
+    x_star = config.targets.vertices[0]
+    default = sample_unique_limit(config.lp, x_star, noise, 50)
+    monkeypatch.setattr(limits, "BLOCK", 7)
+    _same_samples(sample_unique_limit(config.lp, x_star, noise, 50), default)
+
+
+@pytest.mark.parametrize("build", [build_ot_2x2, build_min_cost_flow])
+def test_single_rhs_matches_its_row_of_a_block(build):
+    config = build()
+    enum = AuxVertexEnumerator(config.lp.A, config.lp.c, support(config.targets.vertices[0]))
+    rows = config.b_sampler.limit_noise(13, config.lp.k).draw_block(0, 300)
+    for row, (polytope, value) in zip(rows, enum.optimal_sets(rows)):
+        single, single_value = enum.optimal_set(row)
+        assert single.vertices.tobytes() == polytope.vertices.tobytes()
+        assert single_value == value
+
+
+# ------------------------------------------------- kernel against reference
+
+def reference_optimal_set(a, c, free, rhs, feas_tol=FEAS_TOL):
+    """The per-candidate scalar enumeration: one ``lu_solve`` per basis."""
+    k, m = a.shape
+    free = sorted(free)
+    others = [j for j in range(m) if j not in free]
+    rank_tol = 1e-10 * max(np.abs(a).max(initial=0.0), 1e-30)
+    best = math.inf
+    hits = []
+    for extra in itertools.combinations(others, k - len(free)):
+        cols = sorted(free + list(extra))
+        lu_piv = quiet_lu(a[:, cols])
+        if np.abs(np.diagonal(lu_piv[0])).min() <= rank_tol:
+            continue
+        x_cols = lu_solve(lu_piv, rhs, check_finite=False)
+        checked = x_cols[[j not in free for j in cols]]
+        if checked.size and checked.min() < -feas_tol:
+            continue
+        value = float(c[cols] @ x_cols)
+        hits.append((value, cols, x_cols))
+        best = min(best, value)
+    if not hits:
+        raise Infeasible("no feasible candidate")
+    points = []
+    for value, cols, x_cols in hits:
+        if value - best <= 1e-8 * (1.0 + abs(best)):
+            point = np.zeros(m)
+            point[cols] = x_cols
+            points.append(point)
+    return Polytope(points), best
+
+
+def _assert_close_sets(got, want):
+    (poly, value), (ref_poly, ref_value) = got, want
+    assert len(poly) == len(ref_poly)
+    scale = 1.0 + np.abs(ref_poly.vertices)
+    assert np.all(np.abs(poly.vertices - ref_poly.vertices) <= 1e-12 * scale)
+    assert abs(value - ref_value) <= 1e-12 * (1.0 + abs(ref_value))
+
+
+def _check_against_reference(a, c, free, rhs_rows):
+    enum = AuxVertexEnumerator(a, c, free)
+    expected = []
+    for rhs in rhs_rows:
+        try:
+            expected.append(reference_optimal_set(a, c, free, rhs))
+        except Infeasible:
+            expected.append(None)
+            with pytest.raises(Infeasible):
+                enum.optimal_set(rhs)
+        else:
+            _assert_close_sets(enum.optimal_set(rhs), expected[-1])
+    feasible = [rhs for rhs, want in zip(rhs_rows, expected) if want is not None]
+    if feasible:
+        for got, want in zip(enum.optimal_sets(np.array(feasible)),
+                             [want for want in expected if want is not None]):
+            _assert_close_sets(got, want)
+    if len(feasible) < len(rhs_rows):
+        with pytest.raises(Infeasible):
+            enum.optimal_sets(np.array(rhs_rows))
+    return expected
+
+
+def test_kernel_matches_reference_on_random_mixed_sign_programs():
+    rng = np.random.Generator(np.random.Philox(key=91, counter=[0, 0, 0, 0]))
+    checked = infeasible = 0
+    while checked < 80:
+        k = int(rng.integers(1, 5))
+        m = int(rng.integers(k + 1, 8))
+        a = rng.standard_normal((k, m))
+        if np.linalg.matrix_rank(a) < k:
+            continue
+        free = sorted(int(j) for j in rng.choice(m, size=int(rng.integers(0, k + 1)),
+                                                  replace=False))
+        if np.linalg.matrix_rank(a[:, free]) < len(free):
+            continue
+        c = rng.standard_normal(m)
+        if rng.random() < 0.3:
+            c[rng.integers(m)] = 0.0
+        rows = rng.standard_normal((int(rng.integers(1, 12)), k))
+        try:
+            AuxVertexEnumerator(a, c, free)
+        except Infeasible:
+            continue  # no invertible column set holds the free indices
+        expected = _check_against_reference(a, c, free, rows)
+        checked += 1
+        infeasible += sum(want is None for want in expected)
+    assert infeasible > 0
+
+
+def test_kernel_matches_reference_when_every_vertex_ties(ones_3x3_lp):
+    x_diag = np.zeros(9)
+    x_diag[[0, 4, 8]] = 1.0 / 3.0
+    rng = np.random.Generator(np.random.Philox(key=92, counter=[0, 0, 0, 0]))
+    rows = rng.standard_normal((20, ones_3x3_lp.k))
+    expected = _check_against_reference(ones_3x3_lp.A, ones_3x3_lp.c, sorted(support(x_diag)),
+                                        rows)
+    assert all(want is not None for want in expected)
+    assert max(len(want[0]) for want in expected) > 1
+
+
+def test_kernel_matches_reference_on_a_zero_cost_program():
+    a = np.array([[1.0, 1.0]])
+    rows = np.array([[0.7], [0.0], [-1e-10], [-1.0], [2.5]])
+    expected = _check_against_reference(a, np.zeros(2), [], rows)
+    assert [None if want is None else len(want[0]) for want in expected] == [2, 1, 1, None, 2]
+
+
+@pytest.mark.parametrize("base, gap, tied", [(0.0, 5e-9, True), (0.0, 5e-8, False),
+                                             (1000.0, 5e-6, True), (1000.0, 5e-5, False)])
+def test_tie_cutoff_is_1e_8_relative_to_the_best_value(base, gap, tied):
+    # the two columns reach rhs 1 alone, at objectives ``base`` and ``base + gap``
+    a = np.array([[1.0, 1.0]])
+    expected = _check_against_reference(a, np.array([base, base + gap]), [], np.array([[1.0]]))
+    assert len(expected[0][0]) == (2 if tied else 1)
+
+
+def test_kernel_rejects_non_finite_rows(ot_lp):
+    enum = AuxVertexEnumerator(ot_lp.A, ot_lp.c, support(OT_TARGET))
+    for bad in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0]):
+        with pytest.raises(NonFiniteData):
+            enum.optimal_set(np.array(bad))
+        with pytest.raises(NonFiniteData):
+            enum.optimal_sets(np.array([[0.1, -0.1, 0.0], bad]))
+    with pytest.raises(ValueError):
+        enum.optimal_sets(np.zeros((2, 4)))
+
+
+def test_kernel_rejects_an_overflowing_objective():
+    enum = AuxVertexEnumerator(np.array([[1.0, 1.0]]), np.array([4.0, 4.0]), [])
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteData):
+        enum.optimal_set(np.array([1e308]))
+
+
+# ------------------------------------------------------------ vertex only
+
+@pytest.mark.parametrize("build", [build_ot_2x2, build_min_cost_flow])
+def test_vertex_only_equals_per_draw_mixed_solves(build):
+    config = build()
+    noise = config.b_sampler.limit_noise(21, config.lp.k)
+    x_star = config.targets.vertices[0]
+    free = support(x_star)
+    samples = sample_unique_limit(config.lp, x_star, noise, 40, vertex_only=True)
+    for i, sample in enumerate(samples):
+        g = noise.draw(i)
+        point, value = solve_mixed(MixedSignLp(config.lp.A, g, config.lp.c, free))
+        assert sample.g.tobytes() == g.tobytes()
+        assert sample.optimal_set.vertices.tobytes() == point[None, :].tobytes()
+        assert sample.objective == value
+
+
+# ------------------------------------------------------- non-finite data
+
+def test_programs_reject_non_finite_data(ot_lp):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteData):
+            ot_lp.with_rhs([bad, 0.5, 0.5])
+        with pytest.raises(NonFiniteData):
+            StandardLp([[1.0, bad]], [1.0], [0.0, 0.0])
+        with pytest.raises(NonFiniteData):
+            StandardLp([[1.0, 1.0]], [bad], [0.0, 0.0])
+        with pytest.raises(NonFiniteData):
+            StandardLp([[1.0, 1.0]], [1.0], [bad, 0.0])
+    assert issubclass(NonFiniteData, LpError) and issubclass(NonFiniteData, ValueError)
+
+
+def test_single_vertex_polytope():
+    point = np.array([0.5, -0.0, 2.0])
+    single = Polytope.single(point)
+    assert single.vertices.tobytes() == Polytope([point]).vertices.tobytes()
+    assert not single.vertices.flags.writeable
+    point[0] = 9.0
+    assert single.vertices[0, 0] == 0.5
+    frozen = np.array([[1.0, 2.0]])
+    frozen.setflags(write=False)
+    assert Polytope.single(frozen).vertices is frozen
+    with pytest.raises(ValueError):
+        Polytope.single(np.zeros((2, 3)))

@@ -1,0 +1,53 @@
+"""Property test: the block optimal-set kernel against the scalar reference.
+
+Integer data keep every basic point rational with a small denominator, so
+feasibility, ties and duplicate vertices are decided far from the
+tolerances and both computations must agree exactly on them.
+"""
+import numpy as np
+import pytest
+
+from lpdist.errors import Infeasible
+from lpdist.limits import AuxVertexEnumerator
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from test_limit_blocks import _assert_close_sets, reference_optimal_set  # noqa: E402
+
+
+@st.composite
+def programs(draw):
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(k + 1, 6))
+    ints = st.integers(-3, 3)
+    a = np.array(draw(st.lists(ints, min_size=k * m, max_size=k * m)), dtype=float)
+    c = np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=float)
+    free = sorted(draw(st.sets(st.integers(0, m - 1), max_size=k)))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k),
+                         min_size=1, max_size=6))
+    return a.reshape(k, m), c, free, np.array(rows, dtype=float) / 2.0
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None)
+@hypothesis.given(programs())
+def test_block_kernel_agrees_with_scalar_enumeration(program):
+    a, c, free, rows = program
+    try:
+        enum = AuxVertexEnumerator(a, c, free)
+    except Infeasible:
+        hypothesis.assume(False)
+    expected = []
+    for rhs in rows:
+        try:
+            expected.append(reference_optimal_set(a, c, free, rhs))
+        except Infeasible:
+            expected.append(None)
+    if any(want is None for want in expected):
+        with pytest.raises(Infeasible):
+            enum.optimal_sets(rows)
+    feasible = [i for i, want in enumerate(expected) if want is not None]
+    if feasible:
+        for i, got in zip(feasible, enum.optimal_sets(rows[feasible])):
+            _assert_close_sets(got, expected[i])
+            assert np.array_equal(got[0].vertices, enum.optimal_set(rows[i])[0].vertices)
