@@ -31,7 +31,7 @@ from .experiments import (
 )
 from .geometry import SphereGrid, hausdorff, support_function
 from .limits import NoiseSampler, distance_statistic, sample_unique_limit
-from .problem import Polytope, load_lp, lp_to_dict
+from .problem import Polytope, load_lp, lp_to_dict, spec_args
 from .simplex import solve, verify_kkt
 from .stability import stability_report
 
@@ -71,17 +71,16 @@ def _emit(text: str, out_path):
 
 
 def _noise_from_spec(spec: dict, seed: int, dim: int) -> NoiseSampler:
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
+    kind = spec.get("kind")
     if kind == "gaussian":
-        return NoiseSampler.gaussian(spec["sigma"], seed,
-                                     support_indices=spec.get("support_indices"),
-                                     dim=dim)
+        args = spec_args(spec, "gaussian sampler", ("sigma",), ("support_indices",))
+        return NoiseSampler.gaussian(args["sigma"], seed, args.get("support_indices"), dim)
     if kind == "multinomial_clt":
-        return NoiseSampler.multinomial_clt(spec["probabilities"], seed,
-                                            pad_to=spec.get("pad_to", dim))
+        args = spec_args(spec, "multinomial_clt sampler", ("probabilities",), ("pad_to",))
+        return NoiseSampler.multinomial_clt(args["probabilities"], seed, args.get("pad_to", dim))
     if kind == "empirical":
-        return NoiseSampler.empirical(spec["vectors"], seed)
+        args = spec_args(spec, "empirical sampler", ("vectors",))
+        return NoiseSampler.empirical(args["vectors"], seed)
     raise ValueError(f"unknown sampler kind {kind!r}")
 
 

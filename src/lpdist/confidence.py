@@ -16,7 +16,8 @@ from scipy.linalg import solve_triangular
 
 from .errors import SingularCovariance
 from .geometry import min_norm_point
-from .problem import Basis, StandardLp, basic_solution, factor_columns, optimal_vertices
+from .problem import (Basis, StandardLp, basic_solution, factor_columns, optimal_vertices,
+                      spec_args)
 from .quantiles import chi_square_quantile
 from .simplex import SolveResult
 
@@ -78,14 +79,15 @@ class SegmentFamilyRegion:
 
 def region_from_dict(data: dict):
     """Build a region from a JSON-shaped description keyed by ``kind``."""
-    spec = dict(data)
-    kind = spec.pop("kind", None)
+    kind = data.get("kind")
     if kind == "ellipsoid":
-        return EllipsoidRegion(**spec)
+        args = spec_args(data, "ellipsoid region", ("sigma", "level"), ("support_indices", "q"))
+        return EllipsoidRegion(**args)
     if kind == "segment":
-        return SegmentFamilyRegion(**spec)
+        args = spec_args(data, "segment region", ("direction", "half_width"), ("coverage_target",))
+        return SegmentFamilyRegion(**args)
     if kind == "box":
-        return BoxRegion(**spec)
+        return BoxRegion(**spec_args(data, "box region", ("lower", "upper"), ("coverage_target",)))
     raise ValueError(f"unknown region kind {kind!r}")
 
 

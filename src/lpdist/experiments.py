@@ -30,11 +30,13 @@ from .problem import (
     Basis,
     Polytope,
     StandardLp,
+    _matrix_rank,
     basic_solution,
     cached_factors,
     optimal_vertices,
     read_only,
     solve_lu,
+    spec_args,
     support,
 )
 from .simplex import ratio_test, solve
@@ -152,7 +154,7 @@ def selection_basis(lp: StandardLp, x: np.ndarray, *, tol: float = None) -> Basi
 
 def _complete_support(lp: StandardLp, sup: tuple) -> Basis:
     chosen = list(sup)
-    rank = _column_rank(lp.A[:, chosen]) if chosen else 0
+    rank = _matrix_rank(lp.A[:, chosen], 0.0)
     if rank < len(chosen):
         raise SingularBasis("support columns are linearly dependent")
     for j in range(lp.m):
@@ -161,19 +163,12 @@ def _complete_support(lp: StandardLp, sup: tuple) -> Basis:
         if j in chosen:
             continue
         trial = sorted(chosen + [j])
-        if _column_rank(lp.A[:, trial]) > rank:
+        if _matrix_rank(lp.A[:, trial], 0.0) > rank:
             chosen = trial
             rank += 1
     if rank < lp.k:
         raise SingularBasis("could not complete the support to a basis")
     return Basis(tuple(chosen))
-
-
-def _column_rank(block: np.ndarray) -> int:
-    if block.size == 0:
-        return 0
-    sv = np.linalg.svd(block, compute_uv=False)
-    return int(np.sum(sv > sv[0] * max(block.shape) * np.finfo(float).eps))
 
 
 def build_ot_2x2() -> ExperimentConfig:
@@ -445,12 +440,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     lp = load_lp(data["lp"])
     truth_b = np.array(data.get("truth_b", lp.b), dtype=float)
     lp = lp.with_rhs(truth_b)
-    sampler_spec = dict(data["b_sampler"])
-    kind = sampler_spec.pop("kind")
+    sampler_spec = data["b_sampler"]
+    kind = sampler_spec.get("kind")
     if kind == "multinomial_marginal":
-        sampler = MultinomialMarginalSampler(**sampler_spec)
+        sampler = MultinomialMarginalSampler(**spec_args(
+            sampler_spec, "multinomial_marginal b_sampler", ("probabilities",), ("tail",)))
     elif kind == "gaussian":
-        sampler = GaussianRhsSampler(**sampler_spec)
+        sampler = GaussianRhsSampler(**spec_args(
+            sampler_spec, "gaussian b_sampler", ("sigma",), ("support_indices",)))
     else:
         raise ValueError(f"unknown b_sampler kind {kind!r}")
     from .confidence import region_from_dict

@@ -8,7 +8,6 @@ enumeration, samplers for noise laws, and difference-quotient checks.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Infeasible, InstanceTooLarge, NonFiniteData, NotUnique, Unbounded
+from .errors import Infeasible, NonFiniteData, NotUnique, Unbounded
 from .geometry import (
     TIE_TOL,
     SphereGrid,
@@ -26,13 +25,12 @@ from .geometry import (
 )
 from .problem import (
     _GETRS,
-    ENUM_CAP,
     FEAS_TOL,
     Polytope,
     StandardLp,
+    iter_bases,
     optimal_vertices,
     support,
-    quiet_lu,
 )
 from .simplex import solve as simplex_solve
 
@@ -262,25 +260,12 @@ class AuxVertexEnumerator:
         self.c = np.asarray(c, dtype=float)
         self.free = sorted(int(i) for i in free_indices)
         self.feas_tol = feas_tol
-        k, m = self.a.shape
-        if len(self.free) > k:
-            raise ValueError("free set is larger than the number of rows")
-        free = set(self.free)
-        others = [j for j in range(m) if j not in free]
-        if math.comb(len(others), k - len(self.free)) > ENUM_CAP:
-            raise InstanceTooLarge("candidate basis count exceeds the enumeration cap")
-        rank_tol = 1e-10 * max(np.abs(self.a).max(initial=0.0), 1e-30)
-        candidates = []
-        self._factors = []
-        for extra in itertools.combinations(others, k - len(self.free)):
-            cols = sorted(self.free + list(extra))
-            lu, piv = quiet_lu(self.a[:, cols])
-            if np.abs(np.diagonal(lu)).min() <= rank_tol:
-                continue
-            candidates.append(cols)
-            self._factors.append((lu, piv))
-        if not candidates:
+        bases = list(iter_bases(self.a, fixed=self.free))
+        if not bases:
             raise Infeasible("no invertible column set contains the free indices")
+        candidates = [cols for cols, _ in bases]
+        self._factors = [lu_piv for _, lu_piv in bases]
+        free = set(self.free)
         # per candidate: its columns, their costs, and which of them are held
         # to the sign constraint
         self._cols = np.array(candidates, dtype=np.intp)
@@ -426,7 +411,7 @@ def limit_support_function(lp: StandardLp, g: np.ndarray, grid: SphereGrid, *,
     """
     polytope, _ = optimal_vertices(lp)
     g = np.asarray(g, dtype=float)
-    enumerators = {}
+    responses = {}
     pairs = []
     excluded = []
     for direction in grid.directions:
@@ -434,11 +419,11 @@ def limit_support_function(lp: StandardLp, g: np.ndarray, grid: SphereGrid, *,
         if not unique:
             excluded.append(direction)
             continue
+        # the response set depends on the direction only through the support key
         key = support(vertex)
-        if key not in enumerators:
-            enumerators[key] = AuxVertexEnumerator(lp.A, lp.c, key)
-        response, _ = enumerators[key].optimal_set(g)
-        pairs.append((direction, support_function(response, direction)))
+        if key not in responses:
+            responses[key], _ = AuxVertexEnumerator(lp.A, lp.c, key).optimal_set(g)
+        pairs.append((direction, support_function(responses[key], direction)))
     return pairs, excluded
 
 

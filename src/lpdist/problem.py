@@ -54,6 +54,7 @@ __all__ = [
     "Polytope",
     "basic_solution",
     "support",
+    "iter_bases",
     "enumerate_feasible_bases",
     "optimal_vertices",
     "load_lp",
@@ -128,7 +129,7 @@ class StandardLp:
             k = A.shape[0]
         if k > m:
             raise ValueError(f"more rows ({k}) than columns ({m})")
-        self.rank_tol = 1e-10 * (np.abs(A).max() if A.size else 0.0)
+        self.rank_tol = _pivot_tol(A)
         if _matrix_rank(A, self.rank_tol) < k:
             raise ValueError("A does not have full row rank")
         self.A = _frozen(A)
@@ -161,6 +162,16 @@ def _check_finite(name: str, arr: np.ndarray):
     """Raise ``NonFiniteData`` unless every entry of ``arr`` is finite."""
     if not np.isfinite(arr).all():
         raise NonFiniteData(f"{name} holds NaN or infinity")
+
+
+def _pivot_tol(A: np.ndarray) -> float:
+    """``1e-10 * max|A|``: a block of ``A`` is invertible when every LU pivot
+    exceeds this in magnitude."""
+    return 1e-10 * np.abs(A).max(initial=0.0)
+
+
+def _invertible(lu: np.ndarray, tol: float) -> bool:
+    return bool(np.abs(np.diagonal(lu)).min() > tol)
 
 
 def _matrix_rank(A: np.ndarray, tol: float) -> int:
@@ -270,7 +281,7 @@ def factor_columns(lp: StandardLp, indices) -> tuple:
     if sub.shape[0] != sub.shape[1]:
         raise SingularBasis(f"column set {tuple(indices)} is not square")
     lu, piv = quiet_lu(sub)
-    if np.abs(np.diag(lu)).min() <= lp.rank_tol:
+    if not _invertible(lu, lp.rank_tol):
         raise SingularBasis(f"columns {tuple(indices)} are singular")
     return lu, piv
 
@@ -304,28 +315,48 @@ def support(x, tol: float = FEAS_TOL) -> frozenset:
     return frozenset(int(i) for i in np.flatnonzero(np.abs(x) > tol))
 
 
-def _check_enum_size(n: int, k: int, enum_cap: int):
-    total = math.comb(n, k)
+def iter_bases(A, *, pool=None, fixed=(), enum_cap: int = ENUM_CAP):
+    """``(cols, lu_piv)`` for every invertible square block of ``A`` made of
+    the ``fixed`` columns plus ``k - len(fixed)`` columns of ``pool``.
+
+    ``pool`` defaults to every column; columns in ``fixed`` are left out of
+    it.  Combinations of the pool columns come in lexicographic order (of
+    ``pool`` as given), each merged with ``fixed`` into the sorted tuple
+    ``cols``.  A block is invertible when every LU pivot exceeds
+    ``1e-10 * max|A|`` in magnitude, the rule ``factor_columns`` applies.
+    Raises ``InstanceTooLarge`` before factoring anything when more than
+    ``enum_cap`` blocks would be tried.
+    """
+    A = np.asarray(A, dtype=float)
+    k, m = A.shape
+    fixed = sorted(int(j) for j in fixed)
+    if len(fixed) > k:
+        raise ValueError(f"{len(fixed)} fixed columns exceed the {k} rows")
+    pool = [j for j in (range(m) if pool is None else pool) if j not in fixed]
+    total = math.comb(len(pool), k - len(fixed))
     if total > enum_cap:
         raise InstanceTooLarge(f"{total} candidate bases exceed the cap of {enum_cap}")
-    return total
+    tol = _pivot_tol(A)
+    for extra in itertools.combinations(pool, k - len(fixed)):
+        cols = tuple(sorted(fixed + list(extra)))
+        lu_piv = quiet_lu(A[:, cols])
+        if _invertible(lu_piv[0], tol):
+            yield cols, lu_piv
+
+
+def _feasible_points(lp: StandardLp, feas_tol: float, enum_cap: int):
+    """``(cols, x_B)`` for every basis whose basic point is nonnegative."""
+    for cols, lu_piv in iter_bases(lp.A, enum_cap=enum_cap):
+        x_b = solve_lu(lu_piv, lp.b)
+        if x_b.min(initial=0.0) >= -feas_tol:
+            yield cols, x_b
 
 
 def enumerate_feasible_bases(
     lp: StandardLp, *, feas_tol: float = FEAS_TOL, enum_cap: int = ENUM_CAP
 ) -> list[Basis]:
     """All bases whose basic point is nonnegative, in lexicographic order."""
-    _check_enum_size(lp.m, lp.k, enum_cap)
-    out = []
-    for combo in itertools.combinations(range(lp.m), lp.k):
-        try:
-            lu_piv = factor_columns(lp, combo)
-        except SingularBasis:
-            continue
-        x_b = solve_lu(lu_piv, lp.b)
-        if x_b.min(initial=0.0) >= -feas_tol:
-            out.append(Basis(combo))
-    return out
+    return [Basis(cols) for cols, _ in _feasible_points(lp, feas_tol, enum_cap)]
 
 
 def optimal_vertices(
@@ -341,10 +372,15 @@ def optimal_vertices(
     minimum ``f`` over feasible bases.  Raises ``Infeasible`` when no feasible
     basis exists.
     """
-    bases = enumerate_feasible_bases(lp, feas_tol=feas_tol, enum_cap=enum_cap)
+    bases = []
+    points = []
+    for cols, x_b in _feasible_points(lp, feas_tol, enum_cap):
+        x = np.zeros(lp.m)
+        x[list(cols)] = x_b
+        bases.append(Basis(cols))
+        points.append(x)
     if not bases:
         raise Infeasible("no feasible basis")
-    points = [basic_solution(lp, basis, feas_tol=feas_tol).x for basis in bases]
     objectives = [float(lp.c @ x) for x in points]
     f = min(objectives)
     obj_tol = 1e-8 * (1 + abs(f))
@@ -355,6 +391,20 @@ def optimal_vertices(
 
 def lp_to_dict(lp: StandardLp) -> dict:
     return {"A": lp.A.tolist(), "b": lp.b.tolist(), "c": lp.c.tolist()}
+
+
+def spec_args(spec: dict, what: str, required, optional=()) -> dict:
+    """The entries of a JSON-shaped ``spec`` other than ``kind``.
+
+    Raises ``ValueError`` naming the keys that are missing from
+    ``required`` or are in neither ``required`` nor ``optional``.
+    """
+    args = {key: value for key, value in spec.items() if key != "kind"}
+    missing = sorted(set(required) - set(args))
+    unknown = sorted(set(args) - set(required) - set(optional))
+    if missing or unknown:
+        raise ValueError(f"{what} spec: missing keys {missing}, unknown keys {unknown}")
+    return args
 
 
 def load_lp(source) -> StandardLp:

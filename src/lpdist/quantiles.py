@@ -1,11 +1,9 @@
-"""Chi-square and two-sided normal quantiles via bisection on the gamma CDF."""
+"""Chi-square and two-sided normal quantiles from the gamma CDF and its inverse."""
 from __future__ import annotations
 
 import math
 
-from scipy.special import gammainc
-
-QUANTILE_ATOL = 1e-12
+from scipy.special import chdtri, gammainc
 
 
 def chi_square_cdf(x: float, dof: int) -> float:
@@ -15,27 +13,17 @@ def chi_square_cdf(x: float, dof: int) -> float:
 
 
 def chi_square_quantile(p: float, dof: int) -> float:
-    """Smallest x with P(chi2_dof <= x) = p, bisected to ``QUANTILE_ATOL``."""
+    """The x with P(chi2_dof <= x) = p: the inverse of the upper tail at ``1 - p``."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if dof < 1:
         raise ValueError(f"dof must be a positive integer, got {dof}")
-    lo, hi = 0.0, float(dof + 10.0 * math.sqrt(dof) + 10.0)
-    while chi_square_cdf(hi, dof) < p:
-        hi *= 2.0
-    while hi - lo > QUANTILE_ATOL:
-        mid = 0.5 * (lo + hi)
-        if chi_square_cdf(mid, dof) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(chdtri(dof, 1.0 - p))
 
 
 def two_sided_normal_quantile(alpha: float) -> float:
     """z with P(|Z| <= z) = 1 - alpha for a standard normal Z.
 
-    Uses the identity Z^2 ~ chi2 with one degree of freedom, so the same
-    bisection machinery serves both quantile needs.
+    Uses the identity Z^2 ~ chi2 with one degree of freedom.
     """
     return math.sqrt(chi_square_quantile(1.0 - alpha, 1))

@@ -7,22 +7,14 @@ can compute them exactly by enumeration.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve
 
-from .errors import DegenerateDenominator, InstanceTooLarge, NotSlater
+from .errors import DegenerateDenominator, NotSlater
 from .geometry import hausdorff
-from .problem import (
-    ENUM_CAP,
-    FEAS_TOL,
-    StandardLp,
-    optimal_vertices,
-    quiet_lu,
-)
+from .problem import FEAS_TOL, StandardLp, iter_bases, optimal_vertices, solve_lu
 
 
 @dataclass(frozen=True)
@@ -53,20 +45,18 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray, *,
     if x0.min() <= 0.0:
         raise NotSlater("point is not strictly positive")
 
-    if math.comb(lp.m, lp.k) > ENUM_CAP:
-        raise InstanceTooLarge(f"C({lp.m},{lp.k}) bases exceed the enumeration cap")
-
     delta_b0 = math.inf
     delta_b1 = math.inf
     tau = 0.0
     c1 = 0.0
-    for combo in itertools.combinations(range(lp.m), lp.k):
-        lu_piv = quiet_lu(lp.A[:, combo])
-        if np.abs(np.diagonal(lu_piv[0])).min() <= lp.rank_tol:
-            continue
-        inv_norm = _operator_norm(lu_solve(lu_piv, np.eye(lp.k), check_finite=False))
+    # c2 is the largest norm among vertices of {lam : A'lam <= c}: a basis
+    # whose dual solution A_B' lam = c_B satisfies every inequality
+    slack_tol = 1e-9 * (1.0 + np.abs(lp.c).max(initial=0.0))
+    dual_norms = []
+    for cols, lu_piv in iter_bases(lp.A):
+        inv_norm = _operator_norm(solve_lu(lu_piv, np.eye(lp.k)))
         c1 = max(c1, inv_norm)
-        x_basis = lu_solve(lu_piv, lp.b, check_finite=False)
+        x_basis = solve_lu(lu_piv, lp.b)
         strictly_negative = x_basis[x_basis < -feas_tol]
         if strictly_negative.size:
             delta_b0 = min(delta_b0, float(np.abs(strictly_negative).min()) / inv_norm)
@@ -77,8 +67,11 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray, *,
             positive = x_basis[x_basis > feas_tol]
             if positive.size:
                 tau = max(tau, float(positive.min()))
+        lam = solve_lu(lu_piv, lp.c[list(cols)], trans=1)
+        if (lp.A.T @ lam - lp.c).max() <= slack_tol:
+            dual_norms.append(float(np.linalg.norm(lam)))
 
-    c2 = _dual_vertex_norm_max(lp)
+    c2 = max(dual_norms, default=math.inf)
     delta_star = min(delta_b0, delta_b1, tau / c1 if c1 > 0 else math.inf)
     return StabilityReport(
         delta_b0=delta_b0,
@@ -88,29 +81,6 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray, *,
         c2=c2,
         delta_star=delta_star,
     )
-
-
-def _dual_vertex_norm_max(lp: StandardLp) -> float:
-    """Largest Euclidean norm among vertices of {lam : A'lam <= c}.
-
-    Vertices sit where k of the m inequalities are tight with an invertible
-    tight block; infeasible candidate points are discarded.
-    """
-    if math.comb(lp.m, lp.k) > ENUM_CAP:
-        raise InstanceTooLarge(f"C({lp.m},{lp.k}) dual subsets exceed the enumeration cap")
-    slack_tol = 1e-9 * (1.0 + np.abs(lp.c).max(initial=0.0))
-    best = math.inf
-    found = False
-    for combo in itertools.combinations(range(lp.m), lp.k):
-        lu_piv = quiet_lu(lp.A[:, combo].T)
-        if np.abs(np.diagonal(lu_piv[0])).min() <= lp.rank_tol:
-            continue
-        lam = lu_solve(lu_piv, lp.c[list(combo)], check_finite=False)
-        if (lp.A.T @ lam - lp.c).max() <= slack_tol:
-            norm = float(np.linalg.norm(lam))
-            best = norm if not found else max(best, norm)
-            found = True
-    return best if found else math.inf
 
 
 def check_basis_inclusion(lp: StandardLp, b_prime: np.ndarray) -> bool:

@@ -188,3 +188,65 @@ def test_console_script_is_installed(ot_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kkt_ok"] is True
+
+
+BOX_REGION = {"kind": "box", "lower": [-1.0, -1.0, -1.0], "upper": [1.0, 1.0, 1.0]}
+
+
+def test_confidence_with_documented_box_region(ot_file, write_json, capsys):
+    region = write_json("box.json", BOX_REGION)
+    assert main(["confidence", "--lp", ot_file, "--region", region,
+                 "--b", "0.55,0.45,0.5", "--n", "20"]) == 0
+    assert capsys.readouterr().out.startswith("coordinate,lower,upper")
+
+
+def test_unknown_region_key_is_an_input_error_without_traceback(ot_file, write_json):
+    region = write_json("box.json", {"kind": "box", "half_widths": [1.0, 1.0, 1.0]})
+    proc = subprocess.run([sys.executable, "-m", "lpdist.cli", "confidence", "--lp", ot_file,
+                           "--region", region, "--b", "0.55,0.45,0.5", "--n", "20"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "half_widths" in proc.stderr and "lower" in proc.stderr
+
+
+@pytest.mark.parametrize("region", [
+    {**BOX_REGION, "colour": "red"},
+    {"kind": "segment", "direction": [1.0, -1.0, 0.0], "half_width": 0.5, "extra": 1},
+    {"kind": "ellipsoid", "sigma": [[1.0]]},
+])
+def test_bad_region_spec_exits_2(ot_file, write_json, capsys, region):
+    path = write_json("region.json", region)
+    assert main(["confidence", "--lp", ot_file, "--region", path,
+                 "--b", "0.55,0.45,0.5", "--n", "20"]) == 2
+    assert "spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sampler", [
+    {"kind": "multinomial_clt", "probabilities": [0.5, 0.5], "pad_to": 3, "seed": 1},
+    {"kind": "gaussian", "sigma": [[1.0]], "support": [0]},
+    {"kind": "empirical"},
+])
+def test_bad_noise_spec_exits_2(ot_file, write_json, capsys, sampler):
+    path = write_json("sampler.json", sampler)
+    assert main(["limit-sample", "--lp", ot_file, "--sampler", path, "--draws", "3"]) == 2
+    assert "spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part, spec", [
+    ("b_sampler", {"kind": "multinomial_marginal", "probabilities": [0.5, 0.5],
+                   "tail": [0.5], "n": 10}),
+    ("b_sampler", {"kind": "gaussian"}),
+    ("region", {"kind": "segment", "direction": [1.0, -1.0, 0.0], "width": 1.0}),
+])
+def test_bad_custom_config_spec_exits_2(write_json, capsys, part, spec):
+    cfg = {
+        "lp": OT_DATA,
+        "b_sampler": {"kind": "multinomial_marginal", "probabilities": [0.5, 0.5],
+                      "tail": [0.5]},
+        "region": {"kind": "segment", "direction": [1.0, -1.0, 0.0], "half_width": 1.0},
+        "replicates": 5,
+    }
+    path = write_json("custom.json", {**cfg, part: spec})
+    assert main(["coverage", "--experiment", "custom", "--config", path]) == 2
+    assert "spec" in capsys.readouterr().err

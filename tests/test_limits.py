@@ -4,7 +4,7 @@ import scipy.optimize
 
 from lpdist import StandardLp
 from lpdist.errors import Infeasible, NotUnique, Unbounded
-from lpdist.geometry import SphereGrid, support_function
+from lpdist.geometry import TIE_TOL, SphereGrid, argmax_vertex, support_function
 from lpdist.limits import (
     AuxVertexEnumerator,
     MixedSignLp,
@@ -20,7 +20,9 @@ from lpdist.limits import (
     solve_mixed,
     split_free,
 )
-from lpdist.problem import support
+from lpdist.problem import optimal_vertices, support
+
+from conftest import transport_lp
 
 OT_TARGET = np.array([0.5, 0.0, 0.0, 0.5])
 MEAN_LIMIT_DISTANCE = 0.5641895835477563  # 1/sqrt(pi), closed form for this law
@@ -269,6 +271,31 @@ def test_limit_support_function_excludes_ties():
     pairs, excluded = limit_support_function(lp, np.array([0.1]), grid)
     assert len(excluded) == 2  # the diagonal directions +-(1,1)/sqrt(2)
     assert len(pairs) == 62
+
+
+@pytest.mark.parametrize("lp, g", [
+    (transport_lp([0.5, 0.5], [0.5, 0.5], [0.0, 1.0, 1.0, 0.0]), np.array([0.25, -0.25, 0.0])),
+    (StandardLp([[1.0, 1.0]], [1.0], [0.0, 0.0]), np.array([0.1])),  # two optimal vertices
+])
+def test_limit_support_function_solves_once_per_support_key(monkeypatch, lp, g):
+    grid = SphereGrid(lp.m, 64)
+    polytope, _ = optimal_vertices(lp)
+    keys = set()
+    for direction in grid.directions:
+        vertex, unique = argmax_vertex(polytope, direction, tie_tol=TIE_TOL)
+        if unique:
+            keys.add(support(vertex))
+    calls = []
+    solve_one = AuxVertexEnumerator.optimal_set
+
+    def counting(self, rhs):
+        calls.append(self.free)
+        return solve_one(self, rhs)
+
+    monkeypatch.setattr(AuxVertexEnumerator, "optimal_set", counting)
+    pairs, _ = limit_support_function(lp, g, grid)
+    assert len(calls) == len(keys) == len({tuple(free) for free in calls})
+    assert len(pairs) > len(keys)
 
 
 def test_hadamard_quotient_is_exact_inside_radius(ot_lp):
