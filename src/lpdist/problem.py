@@ -315,15 +315,14 @@ def support(x, tol: float = FEAS_TOL) -> frozenset:
     return frozenset(int(i) for i in np.flatnonzero(np.abs(x) > tol))
 
 
-def iter_bases(A, *, pool=None, fixed=(), enum_cap: int = ENUM_CAP):
+def iter_bases(A, *, fixed=(), enum_cap: int = ENUM_CAP):
     """``(cols, lu_piv)`` for every invertible square block of ``A`` made of
-    the ``fixed`` columns plus ``k - len(fixed)`` columns of ``pool``.
+    the ``fixed`` columns plus ``k - len(fixed)`` of the other columns.
 
-    ``pool`` defaults to every column; columns in ``fixed`` are left out of
-    it.  Combinations of the pool columns come in lexicographic order (of
-    ``pool`` as given), each merged with ``fixed`` into the sorted tuple
-    ``cols``.  A block is invertible when every LU pivot exceeds
-    ``1e-10 * max|A|`` in magnitude, the rule ``factor_columns`` applies.
+    Combinations of the other columns come in lexicographic order, each
+    merged with ``fixed`` into the sorted tuple ``cols``.  A block is
+    invertible when every LU pivot exceeds ``1e-10 * max|A|`` in magnitude,
+    the rule ``factor_columns`` applies.
     Raises ``InstanceTooLarge`` before factoring anything when more than
     ``enum_cap`` blocks would be tried.
     """
@@ -332,12 +331,12 @@ def iter_bases(A, *, pool=None, fixed=(), enum_cap: int = ENUM_CAP):
     fixed = sorted(int(j) for j in fixed)
     if len(fixed) > k:
         raise ValueError(f"{len(fixed)} fixed columns exceed the {k} rows")
-    pool = [j for j in (range(m) if pool is None else pool) if j not in fixed]
-    total = math.comb(len(pool), k - len(fixed))
+    others = [j for j in range(m) if j not in fixed]
+    total = math.comb(len(others), k - len(fixed))
     if total > enum_cap:
         raise InstanceTooLarge(f"{total} candidate bases exceed the cap of {enum_cap}")
     tol = _pivot_tol(A)
-    for extra in itertools.combinations(pool, k - len(fixed)):
+    for extra in itertools.combinations(others, k - len(fixed)):
         cols = tuple(sorted(fixed + list(extra)))
         lu_piv = quiet_lu(A[:, cols])
         if _invertible(lu_piv[0], tol):

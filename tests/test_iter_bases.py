@@ -1,7 +1,7 @@
 """The one basis enumerator against the loops it replaced.
 
 ``reference_bases`` is the loop that used to be written out in each
-enumerator: combinations of the pool columns, an LU factorization of each
+enumerator: combinations of the free columns, an LU factorization of each
 block, and the pivot test.  ``iter_bases`` must reproduce it exactly,
 order and factors included, because the order breaks ties downstream.
 """
@@ -26,17 +26,14 @@ from lpdist.problem import (
     quiet_lu,
 )
 
-hypothesis = pytest.importorskip("hypothesis")
-st = pytest.importorskip("hypothesis.strategies")
 
-
-def reference_bases(A, pool=None, fixed=()):
+def reference_bases(A, fixed=()):
     k, m = A.shape
     fixed = sorted(fixed)
-    pool = [j for j in (range(m) if pool is None else pool) if j not in fixed]
+    others = [j for j in range(m) if j not in fixed]
     tol = 1e-10 * np.abs(A).max(initial=0.0)
     out = []
-    for extra in itertools.combinations(pool, k - len(fixed)):
+    for extra in itertools.combinations(others, k - len(fixed)):
         cols = tuple(sorted(fixed + list(extra)))
         lu, piv = quiet_lu(A[:, list(cols)])
         if np.abs(np.diagonal(lu)).min() <= tol:
@@ -47,28 +44,6 @@ def reference_bases(A, pool=None, fixed=()):
 
 def _as_bytes(bases):
     return [(tuple(cols), lu.tobytes(), piv.tobytes()) for cols, lu, piv in bases]
-
-
-@st.composite
-def matrices(draw):
-    k = draw(st.integers(1, 4))
-    m = draw(st.integers(k, 7))
-    if draw(st.booleans()):
-        entries = st.integers(-2, 2).map(float)
-    else:
-        entries = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
-    A = np.array(draw(st.lists(entries, min_size=k * m, max_size=k * m))).reshape(k, m)
-    fixed = sorted(draw(st.sets(st.integers(0, m - 1), max_size=k)))
-    pool = draw(st.none() | st.sets(st.integers(0, m - 1)).map(sorted))
-    return A, pool, fixed
-
-
-@hypothesis.settings(max_examples=200, deadline=None, database=None)
-@hypothesis.given(matrices())
-def test_iter_bases_matches_reference_loop(case):
-    A, pool, fixed = case
-    got = [(cols, lu, piv) for cols, (lu, piv) in iter_bases(A, pool=pool, fixed=fixed)]
-    assert _as_bytes(got) == _as_bytes(reference_bases(A, pool, fixed))
 
 
 def _slater(lp):
@@ -91,6 +66,13 @@ def _programs():
 
 
 PROGRAMS = _programs()
+
+
+@pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS])
+@pytest.mark.parametrize("fixed", [(), (0,), (1, 2)])
+def test_iter_bases_matches_reference_loop_on_programs(lp, fixed):
+    got = [(cols, lu, piv) for cols, (lu, piv) in iter_bases(lp.A, fixed=fixed)]
+    assert _as_bytes(got) == _as_bytes(reference_bases(lp.A, fixed))
 
 
 @pytest.mark.parametrize("enumerate_all", [
