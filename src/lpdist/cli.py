@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .experiments import (
 )
 from .geometry import SphereGrid, hausdorff, support_function
 from .limits import NoiseSampler, distance_statistic, sample_unique_limit
-from .problem import Polytope, load_lp, lp_to_dict, spec_args
+from .problem import Polytope, build_from_spec, json_object, load_lp, lp_to_dict
 from .simplex import solve, verify_kkt
 from .stability import stability_report
 
@@ -71,16 +72,16 @@ def _emit(text: str, out_path):
 
 
 def _noise_from_spec(spec: dict, seed: int, dim: int) -> NoiseSampler:
-    kind = spec.get("kind")
+    kind = json_object(spec, "sampler spec").get("kind")
     if kind == "gaussian":
-        args = spec_args(spec, "gaussian sampler", ("sigma",), ("support_indices",))
-        return NoiseSampler.gaussian(args["sigma"], seed, args.get("support_indices"), dim)
+        return build_from_spec(partial(NoiseSampler.gaussian, seed=seed, dim=dim), spec,
+                               "gaussian sampler", ("sigma",), ("support_indices",))
     if kind == "multinomial_clt":
-        args = spec_args(spec, "multinomial_clt sampler", ("probabilities",), ("pad_to",))
-        return NoiseSampler.multinomial_clt(args["probabilities"], seed, args.get("pad_to", dim))
+        return build_from_spec(partial(NoiseSampler.multinomial_clt, seed=seed, pad_to=dim), spec,
+                               "multinomial_clt sampler", ("probabilities",), ("pad_to",))
     if kind == "empirical":
-        args = spec_args(spec, "empirical sampler", ("vectors",))
-        return NoiseSampler.empirical(args["vectors"], seed)
+        return build_from_spec(partial(NoiseSampler.empirical, seed=seed), spec,
+                               "empirical sampler", ("vectors",))
     raise ValueError(f"unknown sampler kind {kind!r}")
 
 

@@ -16,8 +16,8 @@ from scipy.linalg import solve_triangular
 
 from .errors import SingularCovariance
 from .geometry import min_norm_point
-from .problem import (Basis, StandardLp, basic_solution, factor_columns, optimal_vertices,
-                      spec_args)
+from .problem import (Basis, StandardLp, basic_solution, build_from_spec, factor_columns,
+                      json_object, optimal_vertices)
 from .quantiles import chi_square_quantile
 from .simplex import SolveResult
 
@@ -37,16 +37,16 @@ class EllipsoidRegion:
         self.sigma = np.array(sigma, dtype=float)
         if self.sigma.ndim != 2 or self.sigma.shape[0] != self.sigma.shape[1]:
             raise ValueError("covariance must be a square matrix")
-        if not 0.0 < level < 1.0:
-            raise ValueError("level must lie in (0,1)")
         self.level = float(level)
+        if not 0.0 < self.level < 1.0:
+            raise ValueError("level must lie in (0,1)")
         self.coverage_target = self.level
         self.support_indices = None
         if support_indices is not None:
             self.support_indices = tuple(int(i) for i in support_indices)
             if len(self.support_indices) != self.sigma.shape[0]:
                 raise ValueError("support size does not match the covariance")
-        self.q = float(q) if q is not None else chi_square_quantile(level, self.sigma.shape[0])
+        self.q = float(q) if q is not None else chi_square_quantile(self.level, self.sigma.shape[0])
 
 
 class BoxRegion:
@@ -59,7 +59,7 @@ class BoxRegion:
             raise ValueError("bounds must be vectors of equal length")
         if (self.lower > 0).any() or (self.upper < 0).any():
             raise ValueError("box must contain the origin")
-        self.coverage_target = coverage_target
+        self.coverage_target = None if coverage_target is None else float(coverage_target)
 
 
 class SegmentFamilyRegion:
@@ -71,23 +71,24 @@ class SegmentFamilyRegion:
         self.direction = np.array(direction, dtype=float)
         if self.direction.ndim != 1 or not np.linalg.norm(self.direction) > 0:
             raise ValueError("direction must be a nonzero vector")
-        if half_width < 0:
-            raise ValueError("half_width must be nonnegative")
         self.half_width = float(half_width)
-        self.coverage_target = coverage_target
+        if self.half_width < 0:
+            raise ValueError("half_width must be nonnegative")
+        self.coverage_target = None if coverage_target is None else float(coverage_target)
 
 
 def region_from_dict(data: dict):
     """Build a region from a JSON-shaped description keyed by ``kind``."""
-    kind = data.get("kind")
+    kind = json_object(data, "region spec").get("kind")
     if kind == "ellipsoid":
-        args = spec_args(data, "ellipsoid region", ("sigma", "level"), ("support_indices", "q"))
-        return EllipsoidRegion(**args)
+        return build_from_spec(EllipsoidRegion, data, "ellipsoid region", ("sigma", "level"),
+                               ("support_indices", "q"))
     if kind == "segment":
-        args = spec_args(data, "segment region", ("direction", "half_width"), ("coverage_target",))
-        return SegmentFamilyRegion(**args)
+        return build_from_spec(SegmentFamilyRegion, data, "segment region",
+                               ("direction", "half_width"), ("coverage_target",))
     if kind == "box":
-        return BoxRegion(**spec_args(data, "box region", ("lower", "upper"), ("coverage_target",)))
+        return build_from_spec(BoxRegion, data, "box region", ("lower", "upper"),
+                               ("coverage_target",))
     raise ValueError(f"unknown region kind {kind!r}")
 
 

@@ -32,11 +32,12 @@ from .problem import (
     StandardLp,
     _matrix_rank,
     basic_solution,
+    build_from_spec,
     cached_factors,
+    json_object,
     optimal_vertices,
     read_only,
     solve_lu,
-    spec_args,
     support,
 )
 from .simplex import ratio_test, solve
@@ -437,17 +438,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Assemble a custom experiment from a JSON-shaped description."""
     from .problem import load_lp
 
+    data = json_object(data, "experiment config")
     lp = load_lp(data["lp"])
     truth_b = np.array(data.get("truth_b", lp.b), dtype=float)
     lp = lp.with_rhs(truth_b)
     sampler_spec = data["b_sampler"]
-    kind = sampler_spec.get("kind")
+    kind = json_object(sampler_spec, "b_sampler spec").get("kind")
     if kind == "multinomial_marginal":
-        sampler = MultinomialMarginalSampler(**spec_args(
-            sampler_spec, "multinomial_marginal b_sampler", ("probabilities",), ("tail",)))
+        sampler = build_from_spec(MultinomialMarginalSampler, sampler_spec,
+                                  "multinomial_marginal b_sampler", ("probabilities",), ("tail",))
     elif kind == "gaussian":
-        sampler = GaussianRhsSampler(**spec_args(
-            sampler_spec, "gaussian b_sampler", ("sigma",), ("support_indices",)))
+        sampler = build_from_spec(GaussianRhsSampler, sampler_spec, "gaussian b_sampler",
+                                  ("sigma",), ("support_indices",))
     else:
         raise ValueError(f"unknown b_sampler kind {kind!r}")
     from .confidence import region_from_dict

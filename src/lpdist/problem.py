@@ -11,23 +11,25 @@ import itertools
 import json
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
+from scipy.linalg import get_lapack_funcs
 
 from .errors import Infeasible, InstanceTooLarge, NonFiniteData, SingularBasis
 
+_GETRF = get_lapack_funcs("getrf", (np.zeros((1, 1)),))
+_GETRS = get_lapack_funcs("getrs", (np.zeros((1, 1)),))
+
 
 def quiet_lu(block: np.ndarray):
-    """LU-factor without the singular-matrix warning (callers test the diagonal)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(block, check_finite=False)
-
-
-_GETRS = get_lapack_funcs("getrs", (np.zeros((1, 1)),))
+    """``scipy.linalg.lu_factor(block, check_finite=False)`` for a float64
+    block, minus the wrapper and its singular-matrix warning: the same
+    LAPACK ``getrf`` call, so the same bits.  Callers test the diagonal."""
+    if block.size == 0:  # LAPACK rejects an empty matrix; lu_factor does this
+        return np.empty_like(block), np.arange(0, dtype=np.int32)
+    lu, piv, _ = _GETRF(block)
+    return lu, piv
 
 
 def solve_lu(lu_piv, rhs, trans: int = 0) -> np.ndarray:
@@ -55,6 +57,7 @@ __all__ = [
     "basic_solution",
     "support",
     "iter_bases",
+    "program_bases",
     "enumerate_feasible_bases",
     "optimal_vertices",
     "load_lp",
@@ -83,6 +86,7 @@ class BasisCache:
     that only changes the right-hand side factors each visited basis once.
     Values are computed exactly as without the cache and stored read-only;
     failures are not stored.  Past ``CACHE_SIZE`` entries the oldest goes.
+    The two enumeration memos are not entries and are never dropped.
     """
 
     def __init__(self):
@@ -90,6 +94,11 @@ class BasisCache:
         self._lock = threading.Lock()
         self.lookups = 0
         self.misses = 0
+        # memos of the all-column enumeration, kept apart from the bounded
+        # entries: the invertible column sets, one row each in enumeration
+        # order (see ``program_bases``), and ``stability_report``'s b-free half
+        self.invertible = None
+        self.stability = None
 
     def __len__(self):
         return len(self._entries)
@@ -332,20 +341,47 @@ def iter_bases(A, *, fixed=(), enum_cap: int = ENUM_CAP):
     if len(fixed) > k:
         raise ValueError(f"{len(fixed)} fixed columns exceed the {k} rows")
     others = [j for j in range(m) if j not in fixed]
-    total = math.comb(len(others), k - len(fixed))
-    if total > enum_cap:
-        raise InstanceTooLarge(f"{total} candidate bases exceed the cap of {enum_cap}")
+    _check_cap(math.comb(len(others), k - len(fixed)), enum_cap)
     tol = _pivot_tol(A)
     for extra in itertools.combinations(others, k - len(fixed)):
         cols = tuple(sorted(fixed + list(extra)))
-        lu_piv = quiet_lu(A[:, cols])
+        lu_piv = quiet_lu(A.take(cols, axis=1))
         if _invertible(lu_piv[0], tol):
             yield cols, lu_piv
 
 
+def _check_cap(total: int, enum_cap: int):
+    if total > enum_cap:
+        raise InstanceTooLarge(f"{total} candidate bases exceed the cap of {enum_cap}")
+
+
+def program_bases(lp: StandardLp, enum_cap: int = ENUM_CAP):
+    """``iter_bases(lp.A, enum_cap=enum_cap)`` through the program's memo.
+
+    The first pass that runs to its end records the invertible column sets
+    in ``lp.basis_cache.invertible`` while it streams their factors; later
+    passes, by this program or any program sharing its cache through
+    ``with_rhs``, factor only those sets, in the same order, with the same
+    bits.  A pass stopped early records nothing.  The cap is checked first
+    on every pass.
+    """
+    memo = lp.basis_cache
+    if memo.invertible is None:
+        found = []
+        for cols, lu_piv in iter_bases(lp.A, enum_cap=enum_cap):
+            found.append(cols)
+            yield cols, lu_piv
+        # an index array: less memory than the tuples, and quicker to take
+        memo.invertible = read_only(np.array(found, dtype=np.intp).reshape(len(found), lp.k))[0]
+        return
+    _check_cap(math.comb(lp.m, lp.k), enum_cap)
+    for row in memo.invertible:
+        yield tuple(row.tolist()), quiet_lu(lp.A.take(row, axis=1))
+
+
 def _feasible_points(lp: StandardLp, feas_tol: float, enum_cap: int):
     """``(cols, x_B)`` for every basis whose basic point is nonnegative."""
-    for cols, lu_piv in iter_bases(lp.A, enum_cap=enum_cap):
+    for cols, lu_piv in program_bases(lp, enum_cap):
         x_b = solve_lu(lu_piv, lp.b)
         if x_b.min(initial=0.0) >= -feas_tol:
             yield cols, x_b
@@ -392,18 +428,32 @@ def lp_to_dict(lp: StandardLp) -> dict:
     return {"A": lp.A.tolist(), "b": lp.b.tolist(), "c": lp.c.tolist()}
 
 
-def spec_args(spec: dict, what: str, required, optional=()) -> dict:
-    """The entries of a JSON-shaped ``spec`` other than ``kind``.
+def json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object (a dict); ``ValueError`` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
 
-    Raises ``ValueError`` naming the keys that are missing from
-    ``required`` or are in neither ``required`` nor ``optional``.
+
+def build_from_spec(build, spec: dict, what: str, required, optional=()):
+    """``build(**args)``, where ``args`` are the entries of the JSON-shaped
+    ``spec`` other than ``kind``.
+
+    Raises ``ValueError`` when ``spec`` is not a JSON object, when keys are
+    missing from ``required`` or are in neither ``required`` nor
+    ``optional`` (naming them), and when ``build`` raises ``TypeError``:
+    with the keys checked, that comes from a value of the wrong type.
     """
-    args = {key: value for key, value in spec.items() if key != "kind"}
+    args = {key: value for key, value in json_object(spec, f"{what} spec").items()
+            if key != "kind"}
     missing = sorted(set(required) - set(args))
     unknown = sorted(set(args) - set(required) - set(optional))
     if missing or unknown:
         raise ValueError(f"{what} spec: missing keys {missing}, unknown keys {unknown}")
-    return args
+    try:
+        return build(**args)
+    except TypeError as exc:
+        raise ValueError(f"{what} spec: {exc}") from exc
 
 
 def load_lp(source) -> StandardLp:

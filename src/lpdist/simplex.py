@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor
 
 from .errors import Infeasible, NoConvergence, Unbounded
 from .problem import (
@@ -20,6 +19,7 @@ from .problem import (
     BasisCache,
     StandardLp,
     basic_solution,
+    quiet_lu,
     read_only,
     solve_lu,
 )
@@ -60,7 +60,7 @@ class _Pivot:
 def _pivot(A: np.ndarray, c: np.ndarray, basis: list) -> _Pivot:
     enter_tol = 1e-9 * (1.0 + np.abs(c).max(initial=0.0))
     pivot_tol = 1e-10 * (1.0 + np.abs(A).max(initial=0.0))
-    lu_piv = read_only(*lu_factor(A[:, basis], check_finite=False))
+    lu_piv = read_only(*quiet_lu(A[:, basis]))
     y = solve_lu(lu_piv, c[basis], trans=1)
     reduced = c - A.T @ y
     reduced[basis] = 0.0
@@ -176,7 +176,7 @@ def _evict_artificials(A_art: np.ndarray, basis: np.ndarray, m: int) -> tuple:
     for row in range(len(basis)):
         if basis[row] < m:
             continue
-        lu_piv = lu_factor(A_art[:, basis], check_finite=False)
+        lu_piv = quiet_lu(A_art[:, basis])
         for j in range(m):
             if j in basis:
                 continue

@@ -7,14 +7,15 @@ can compute them exactly by enumeration.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NotSlater
+from .errors import DegenerateDenominator, NonFiniteData, NotSlater
 from .geometry import hausdorff
-from .problem import FEAS_TOL, StandardLp, iter_bases, optimal_vertices, solve_lu
+from .problem import FEAS_TOL, StandardLp, optimal_vertices, program_bases, solve_lu
 
 
 @dataclass(frozen=True)
@@ -27,51 +28,72 @@ class StabilityReport:
     delta_star: float
 
 
-def _operator_norm(matrix: np.ndarray) -> float:
-    return float(np.linalg.norm(matrix, 2))
+# bases per block; bounds the transient arrays at NORM_BLOCK basic points
+# and k x k inverses
+NORM_BLOCK = 64
 
 
 def stability_report(lp: StandardLp, slater_point: np.ndarray, *,
                      feas_tol: float = FEAS_TOL) -> StabilityReport:
     """Compute the perturbation radii and Lipschitz constants by enumeration.
 
-    ``slater_point`` must be strictly positive and satisfy the equality
-    constraints; it anchors the feasibility-preservation radius.
+    ``slater_point`` must be finite, strictly positive and satisfy the
+    equality constraints; it anchors the feasibility-preservation radius.
+    The b-free half (each basis's ``||A_B^{-1}||_2``, ``c1`` and ``c2``) is
+    computed by a program's first call and kept in its basis cache, which
+    ``with_rhs`` shares; later calls only solve for each basic point.
     """
     x0 = np.asarray(slater_point, dtype=float)
+    if not np.isfinite(x0).all():
+        raise NonFiniteData("slater point holds NaN or infinity")
     residual_tol = 1e-7 * (1.0 + np.abs(lp.b).max(initial=0.0))
     if x0.shape != (lp.m,) or np.abs(lp.A @ x0 - lp.b).max() > residual_tol:
         raise NotSlater("point does not satisfy the equality constraints")
     if x0.min() <= 0.0:
         raise NotSlater("point is not strictly positive")
 
-    delta_b0 = math.inf
-    delta_b1 = math.inf
-    tau = 0.0
-    c1 = 0.0
+    known = lp.basis_cache.stability
+    eye = np.eye(lp.k)
     # c2 is the largest norm among vertices of {lam : A'lam <= c}: a basis
     # whose dual solution A_B' lam = c_B satisfies every inequality
     slack_tol = 1e-9 * (1.0 + np.abs(lp.c).max(initial=0.0))
+    norm_blocks = [np.zeros(0)]
     dual_norms = []
-    for cols, lu_piv in iter_bases(lp.A):
-        inv_norm = _operator_norm(solve_lu(lu_piv, np.eye(lp.k)))
-        c1 = max(c1, inv_norm)
-        x_basis = solve_lu(lu_piv, lp.b)
-        strictly_negative = x_basis[x_basis < -feas_tol]
-        if strictly_negative.size:
-            delta_b0 = min(delta_b0, float(np.abs(strictly_negative).min()) / inv_norm)
-        if x_basis.min() >= -feas_tol:
-            if math.isinf(delta_b1):
-                # first feasible basis in lexicographic order anchors delta_b1
-                delta_b1 = float(x0.min()) / inv_norm
-            positive = x_basis[x_basis > feas_tol]
-            if positive.size:
-                tau = max(tau, float(positive.min()))
-        lam = solve_lu(lu_piv, lp.c[list(cols)], trans=1)
-        if (lp.A.T @ lam - lp.c).max() <= slack_tol:
-            dual_norms.append(float(np.linalg.norm(lam)))
+    done = 0
+    delta_b0 = math.inf
+    delta_b1 = math.inf
+    tau = 0.0
+    bases = program_bases(lp)
+    while block := list(itertools.islice(bases, NORM_BLOCK)):
+        if known is None:
+            # the same gesdd call per inverse as np.linalg.norm(inverse, 2)
+            inverses = np.array([solve_lu(lu_piv, eye) for _, lu_piv in block])
+            norms = np.linalg.svd(inverses, compute_uv=False)[:, 0]
+            norm_blocks.append(norms)
+            for cols, lu_piv in block:
+                lam = solve_lu(lu_piv, lp.c[list(cols)], trans=1)
+                if (lp.A.T @ lam - lp.c).max() <= slack_tol:
+                    dual_norms.append(float(np.linalg.norm(lam)))
+        else:
+            norms = known[0][done:done + len(block)]
+        done += len(block)
+        X = np.array([solve_lu(lu_piv, lp.b) for _, lu_piv in block])
+        negative = X < -feas_tol
+        delta_b0 = min(delta_b0, float((np.where(negative, -X, np.inf).min(axis=1) / norms).min()))
+        feasible = X.min(axis=1) >= -feas_tol
+        if math.isinf(delta_b1) and feasible.any():
+            # the first feasible basis in lexicographic order anchors delta_b1
+            delta_b1 = float(x0.min()) / float(norms[feasible.argmax()])
+        positive = X > feas_tol
+        smallest = np.where(positive, X, np.inf)[feasible & positive.any(axis=1)].min(axis=1)
+        tau = max(tau, float(smallest.max(initial=0.0)))
 
-    c2 = max(dual_norms, default=math.inf)
+    if known is None:
+        inv_norms = np.concatenate(norm_blocks)
+        inv_norms.setflags(write=False)
+        known = lp.basis_cache.stability = (
+            inv_norms, float(inv_norms.max(initial=0.0)), max(dual_norms, default=math.inf))
+    _, c1, c2 = known
     delta_star = min(delta_b0, delta_b1, tau / c1 if c1 > 0 else math.inf)
     return StabilityReport(
         delta_b0=delta_b0,

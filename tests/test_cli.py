@@ -250,3 +250,97 @@ def test_bad_custom_config_spec_exits_2(write_json, capsys, part, spec):
     path = write_json("custom.json", {**cfg, part: spec})
     assert main(["coverage", "--experiment", "custom", "--config", path]) == 2
     assert "spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slater", ["nan,0.25,0.25,0.25", "0.25,inf,0.25,0.25"])
+def test_stability_rejects_non_finite_point(ot_file, capsys, slater):
+    assert main(["stability", "--lp", ot_file, "--slater", slater]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NaN or infinity" in captured.err
+
+
+@pytest.mark.parametrize("spec", [[1, 2], "box", 3, None])
+def test_region_spec_that_is_not_an_object_exits_2(ot_file, write_json, capsys, spec):
+    path = write_json("region.json", spec)
+    assert main(["confidence", "--lp", ot_file, "--region", path,
+                 "--b", "0.55,0.45,0.5", "--n", "20"]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [[1, 2], "gaussian"])
+def test_noise_spec_that_is_not_an_object_exits_2(ot_file, write_json, capsys, spec):
+    path = write_json("sampler.json", spec)
+    assert main(["limit-sample", "--lp", ot_file, "--sampler", path, "--draws", "3"]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+CUSTOM_CONFIG = {
+    "lp": OT_DATA,
+    "b_sampler": {"kind": "multinomial_marginal", "probabilities": [0.5, 0.5], "tail": [0.5]},
+    "region": {"kind": "segment", "direction": [1.0, -1.0, 0.0], "half_width": 1.0},
+    "replicates": 5,
+}
+
+
+@pytest.mark.parametrize("config", [
+    [CUSTOM_CONFIG],
+    {**CUSTOM_CONFIG, "b_sampler": [0.5, 0.5]},
+    {**CUSTOM_CONFIG, "region": [1, 2]},
+])
+def test_custom_config_part_that_is_not_an_object_exits_2(write_json, capsys, config):
+    path = write_json("custom.json", config)
+    assert main(["coverage", "--experiment", "custom", "--config", path]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("region", [
+    {"kind": "ellipsoid", "sigma": [[1.0, 0.0], [0.0, 1.0]], "level": "high",
+     "support_indices": [0, 1]},
+    {"kind": "ellipsoid", "sigma": [[1.0, 0.0], [0.0, 1.0]], "level": [0.9],
+     "support_indices": [0, 1]},
+    {"kind": "segment", "direction": [1.0, -1.0, 0.0], "half_width": "wide"},
+    {"kind": "segment", "direction": [1.0, -1.0, 0.0], "half_width": None},
+    {**BOX_REGION, "lower": {"a": 1}},
+    {**BOX_REGION, "coverage_target": [0.9]},
+])
+def test_region_value_of_the_wrong_type_exits_2(ot_file, write_json, capsys, region):
+    path = write_json("region.json", region)
+    assert main(["confidence", "--lp", ot_file, "--region", path,
+                 "--b", "0.55,0.45,0.5", "--n", "20"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("sampler", [
+    {"kind": "gaussian", "sigma": {"a": 1}},
+    {"kind": "gaussian", "sigma": [[1.0]], "support_indices": True},
+    {"kind": "multinomial_clt", "probabilities": [0.5, 0.5], "pad_to": [3]},
+    {"kind": "multinomial_clt", "probabilities": None},
+    {"kind": "empirical", "vectors": {"a": [1.0]}},
+])
+def test_noise_value_of_the_wrong_type_exits_2(ot_file, write_json, capsys, sampler):
+    path = write_json("sampler.json", sampler)
+    assert main(["limit-sample", "--lp", ot_file, "--sampler", path, "--draws", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("part, spec", [
+    ("b_sampler", {"kind": "gaussian", "sigma": [[1.0]], "support_indices": 2}),
+    ("b_sampler", {"kind": "multinomial_marginal", "probabilities": {"a": 1}}),
+    ("region", {"kind": "segment", "direction": [1.0, -1.0, 0.0], "half_width": [1.0]}),
+])
+def test_custom_config_value_of_the_wrong_type_exits_2(write_json, capsys, part, spec):
+    path = write_json("custom.json", {**CUSTOM_CONFIG, part: spec})
+    assert main(["coverage", "--experiment", "custom", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_wrong_type_region_value_exits_2_without_traceback(ot_file, write_json):
+    region = write_json("region.json", {"kind": "ellipsoid", "sigma": [[1.0, 0.0], [0.0, 1.0]],
+                                        "level": "high", "support_indices": [0, 1]})
+    proc = subprocess.run([sys.executable, "-m", "lpdist.cli", "confidence", "--lp", ot_file,
+                           "--region", region, "--b", "0.55,0.45,0.5", "--n", "20"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "high" in proc.stderr

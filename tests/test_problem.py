@@ -1,7 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning, lu_factor
 
 from lpdist import Basis, Polytope, StandardLp
 from lpdist.errors import Infeasible, InstanceTooLarge, SingularBasis
@@ -12,6 +14,7 @@ from lpdist.problem import (
     load_lp,
     lp_to_dict,
     optimal_vertices,
+    quiet_lu,
     support,
 )
 from conftest import transport_lp
@@ -183,3 +186,35 @@ def test_degenerate_vertex_has_multiple_bases(ot_lp):
     assert np.allclose(target.x, other.x)
     assert target.degenerate and other.degenerate
     assert support(target.x) == frozenset({0, 3})
+
+
+def _lu_blocks():
+    """Random real blocks, 0/±1 integer blocks (some exactly singular) and
+    blocks with an exact zero pivot."""
+    rng = np.random.Generator(np.random.Philox(key=23))
+    for k in (1, 2, 3, 5, 8, 13):
+        for _ in range(4):
+            yield rng.standard_normal((k, k))
+    for k in (2, 3, 4, 6):
+        for _ in range(12):
+            yield rng.integers(-1, 2, (k, k)).astype(float)
+    yield np.zeros((0, 0))
+    yield np.zeros((3, 3))
+    yield np.array([[0.0, 1.0], [0.0, 1.0]])  # zero first pivot
+    yield np.array([[1.0, 2.0], [2.0, 4.0]])  # zero last pivot
+    yield np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])  # zero middle pivot
+
+
+def test_quiet_lu_equals_scipy_lu_factor_byte_for_byte():
+    singular = 0
+    for block in _lu_blocks():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            want_lu, want_piv = lu_factor(block, check_finite=False)
+        for layout in (block, np.asfortranarray(block)):
+            lu, piv = quiet_lu(layout)
+            assert lu.dtype == want_lu.dtype and piv.dtype == want_piv.dtype
+            assert lu.tobytes() == want_lu.tobytes()
+            assert piv.tobytes() == want_piv.tobytes()
+        singular += bool((np.diagonal(want_lu) == 0.0).any())
+    assert singular >= 5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lpdist import StandardLp, stability_report
-from lpdist.errors import DegenerateDenominator, InstanceTooLarge, NotSlater
+from lpdist.errors import DegenerateDenominator, InstanceTooLarge, NonFiniteData, NotSlater
 from lpdist.problem import basic_solution, enumerate_feasible_bases, optimal_vertices
 from lpdist.stability import check_basis_inclusion, check_hausdorff_lipschitz
 from conftest import transport_lp
@@ -170,3 +170,13 @@ def test_hausdorff_lipschitz_multi_optimum(ones_3x3_lp):
 def test_identical_rhs_rejected(ot_lp):
     with pytest.raises(DegenerateDenominator):
         check_hausdorff_lipschitz(ot_lp, ot_lp.b, ot_lp.b.copy())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_slater_point_is_rejected(ot_lp, bad):
+    """A NaN passes every comparison check, so it is rejected before them."""
+    point = np.full(4, 0.25)
+    point[1] = bad
+    with pytest.raises(NonFiniteData):
+        stability_report(ot_lp, point)
+    assert len(ot_lp.basis_cache) == 0
