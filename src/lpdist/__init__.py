@@ -9,13 +9,11 @@ from .confidence import (
     BoxRegion,
     ConfidenceSet,
     EllipsoidRegion,
-    MappedSet,
     SegmentFamilyRegion,
     confidence_set,
     contains,
     coordinate_interval,
     map_region,
-    project_to_optimal,
     region_from_dict,
 )
 from .errors import (
@@ -38,8 +36,6 @@ from .experiments import (
     CoverageReport,
     CoverageRow,
     ExperimentConfig,
-    GaussianRhsSampler,
-    MultinomialMarginalSampler,
     build_min_cost_flow,
     build_ot_2x2,
     config_from_dict,
@@ -58,16 +54,17 @@ from .geometry import (
 )
 from .limits import (
     AuxVertexEnumerator,
+    EmpiricalLaw,
+    GaussianLaw,
     LimitSample,
     MixedSignLp,
+    MultinomialLaw,
     NoiseSampler,
-    aux_lp_directional,
     aux_lp_unique,
     distance_statistic,
     hadamard_quotient_check,
     has_recession_ray,
     limit_support_function,
-    optimal_mixed_vertices,
     sample_unique_limit,
     solve_mixed,
 )
@@ -83,8 +80,8 @@ from .problem import (
     optimal_vertices,
     support,
 )
-from .quantiles import chi_square_cdf, chi_square_quantile, two_sided_normal_quantile
-from .simplex import LpStatus, SolveResult, solve, verify_kkt
+from .quantiles import chi_square_quantile, two_sided_normal_quantile
+from .simplex import SolveResult, solve, verify_kkt
 from .stability import (
     StabilityReport,
     check_basis_inclusion,

@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .experiments import (
     selection_basis,
 )
 from .geometry import SphereGrid, hausdorff, support_function
-from .limits import NoiseSampler, distance_statistic, sample_unique_limit
-from .problem import Polytope, build_from_spec, json_object, load_lp, lp_to_dict
+from .limits import LAWS, distance_statistic, sample_unique_limit
+from .problem import Polytope, build_kind, load_lp, lp_to_dict
 from .simplex import solve, verify_kkt
 from .stability import stability_report
 
@@ -71,20 +71,6 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _noise_from_spec(spec: dict, seed: int, dim: int) -> NoiseSampler:
-    kind = json_object(spec, "sampler spec").get("kind")
-    if kind == "gaussian":
-        return build_from_spec(partial(NoiseSampler.gaussian, seed=seed, dim=dim), spec,
-                               "gaussian sampler", ("sigma",), ("support_indices",))
-    if kind == "multinomial_clt":
-        return build_from_spec(partial(NoiseSampler.multinomial_clt, seed=seed, pad_to=dim), spec,
-                               "multinomial_clt sampler", ("probabilities",), ("pad_to",))
-    if kind == "empirical":
-        return build_from_spec(partial(NoiseSampler.empirical, seed=seed), spec,
-                               "empirical sampler", ("vectors",))
-    raise ValueError(f"unknown sampler kind {kind!r}")
-
-
 def _experiment_config(args):
     if args.experiment == "ot2x2":
         config = build_ot_2x2()
@@ -120,22 +106,14 @@ def cmd_solve(args) -> int:
 def cmd_stability(args) -> int:
     lp = load_lp(args.lp)
     report = stability_report(lp, _parse_vector(args.slater))
-    payload = {
-        "delta_b0": report.delta_b0,
-        "delta_b1": report.delta_b1,
-        "tau": report.tau,
-        "c1": report.c1,
-        "c2": report.c2,
-        "delta_star": report.delta_star,
-    }
-    print(json.dumps(_sanitize(payload)))
+    print(json.dumps(_sanitize(asdict(report))))
     return 0
 
 
 def cmd_limit_sample(args) -> int:
     lp = load_lp(args.lp)
     result = solve(lp)
-    sampler = _noise_from_spec(_load_json(args.sampler), args.seed, lp.k)
+    sampler = build_kind(LAWS, _load_json(args.sampler), "sampler").limit_noise(args.seed, lp.k)
     samples = sample_unique_limit(lp, result.x_hat, sampler, args.draws,
                                   verify_unique=args.verify_unique)
     lines = ["draw,objective,distance," + ",".join(f"g_{i}" for i in range(lp.k))]
@@ -172,20 +150,11 @@ def cmd_confidence(args) -> int:
     if args.mapped_out:
         payload = {
             "basis": list(basis.indices),
-            "kind": mapped.kind,
+            "kind": region.kind,
             "rate": rate,
             "center": result.x_hat.tolist(),
+            **mapped.to_dict(),
         }
-        if mapped.kind == "ellipsoid":
-            payload["q"] = mapped.q
-            if mapped.quadratic is not None:
-                payload["quadratic"] = mapped.quadratic.tolist()
-            payload["generator"] = mapped.t_matrix.tolist()
-        elif mapped.kind == "segment":
-            payload["generator"] = mapped.v_seg.tolist()
-            payload["half_width"] = mapped.half_width
-        else:
-            payload["inverse_basis"] = mapped.inv_basis.tolist()
         with open(args.mapped_out, "w") as fh:
             json.dump(_sanitize(payload), fh)
     return 0

@@ -5,6 +5,10 @@ image of ``G`` is the basic-solution displacement ``x(I;G)``, and the
 confidence set collects ``x_hat - image/rate``.  Coordinates off the basis
 are pinned, which is what produces singleton intervals in degenerate
 problems.
+
+Each region class declares its spec keys and maps itself through a basis
+block into an image with ``accepts``, ``interval`` and ``to_dict``; a new
+region kind is one such class plus its entry in ``REGIONS``.
 """
 from __future__ import annotations
 
@@ -15,9 +19,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import SingularCovariance
-from .geometry import min_norm_point
-from .problem import (Basis, StandardLp, basic_solution, build_from_spec, factor_columns,
-                      json_object, optimal_vertices)
+from .problem import Basis, StandardLp, build_kind, factor_columns, spec_to_dict
 from .quantiles import chi_square_quantile
 from .simplex import SolveResult
 
@@ -32,6 +34,8 @@ class EllipsoidRegion:
     """
 
     kind = "ellipsoid"
+    spec_keys = {kind: (("sigma", "level"), ("support_indices", "q"))}
+    to_dict = spec_to_dict
 
     def __init__(self, sigma, level: float, support_indices=None, q: Optional[float] = None):
         self.sigma = np.array(sigma, dtype=float)
@@ -48,9 +52,14 @@ class EllipsoidRegion:
                 raise ValueError("support size does not match the covariance")
         self.q = float(q) if q is not None else chi_square_quantile(self.level, self.sigma.shape[0])
 
+    def map(self, a_basis: np.ndarray) -> "EllipsoidImage":
+        return EllipsoidImage(self, a_basis)
+
 
 class BoxRegion:
     kind = "box"
+    spec_keys = {kind: (("lower", "upper"), ("coverage_target",))}
+    to_dict = spec_to_dict
 
     def __init__(self, lower, upper, coverage_target: Optional[float] = None):
         self.lower = np.array(lower, dtype=float)
@@ -61,11 +70,16 @@ class BoxRegion:
             raise ValueError("box must contain the origin")
         self.coverage_target = None if coverage_target is None else float(coverage_target)
 
+    def map(self, a_basis: np.ndarray) -> "BoxImage":
+        return BoxImage(self, a_basis)
+
 
 class SegmentFamilyRegion:
     """Segment {t * direction: |t| <= half_width}, for rank-one noise laws."""
 
     kind = "segment"
+    spec_keys = {kind: (("direction", "half_width"), ("coverage_target",))}
+    to_dict = spec_to_dict
 
     def __init__(self, direction, half_width: float, coverage_target: Optional[float] = None):
         self.direction = np.array(direction, dtype=float)
@@ -76,120 +90,139 @@ class SegmentFamilyRegion:
             raise ValueError("half_width must be nonnegative")
         self.coverage_target = None if coverage_target is None else float(coverage_target)
 
+    def map(self, a_basis: np.ndarray) -> "SegmentImage":
+        return SegmentImage(self, a_basis)
+
+
+REGIONS = {name: cls for cls in (EllipsoidRegion, BoxRegion, SegmentFamilyRegion)
+           for name in cls.spec_keys}
+
 
 def region_from_dict(data: dict):
     """Build a region from a JSON-shaped description keyed by ``kind``."""
-    kind = json_object(data, "region spec").get("kind")
-    if kind == "ellipsoid":
-        return build_from_spec(EllipsoidRegion, data, "ellipsoid region", ("sigma", "level"),
-                               ("support_indices", "q"))
-    if kind == "segment":
-        return build_from_spec(SegmentFamilyRegion, data, "segment region",
-                               ("direction", "half_width"), ("coverage_target",))
-    if kind == "box":
-        return build_from_spec(BoxRegion, data, "box region", ("lower", "upper"),
-                               ("coverage_target",))
-    raise ValueError(f"unknown region kind {kind!r}")
+    return build_kind(REGIONS, data, "region")
 
 
-@dataclass
-class MappedSet:
-    """Image of an rhs region under G -> x(I;G), plus test machinery.
+class EllipsoidImage:
+    """``t_matrix`` maps the unit ball onto the image; ``quadratic`` is the
+    basis-coordinate form A_I' Sigma^{-1} A_I, only for full-support
+    ellipsoids."""
 
-    ``quadratic`` is the basis-coordinate quadratic form A_I' Sigma^{-1} A_I
-    and is only available for full-support ellipsoids.
-    """
-
-    basis: Basis
-    kind: str
-    region: object
-    a_basis: np.ndarray
-    dim: int
-    t_matrix: Optional[np.ndarray] = None
-    chol: Optional[np.ndarray] = None
-    q: Optional[float] = None
-    quadratic: Optional[np.ndarray] = None
-    inv_basis: Optional[np.ndarray] = None
-    v_seg: Optional[np.ndarray] = None
-    half_width: Optional[float] = None
-
-
-def map_region(lp: StandardLp, I: Basis, region) -> MappedSet:
-    """Represent {x(I;G): G in region} for membership and projection tests."""
-    cols = list(I.indices)
-    factor_columns(lp, cols)
-    a_basis = lp.A[:, cols].copy()
-    k = lp.k
-    if region.kind == "ellipsoid":
+    def __init__(self, region: EllipsoidRegion, a_basis: np.ndarray):
+        self.region, self.a_basis = region, a_basis
+        k = len(a_basis)
         sup = region.support_indices
         r = region.sigma.shape[0]
         if sup is None and r != k:
             raise ValueError("full-support covariance must be k x k")
         try:
-            chol = np.linalg.cholesky(region.sigma)
+            self.chol = np.linalg.cholesky(region.sigma)
         except np.linalg.LinAlgError as exc:
             raise SingularCovariance("covariance is not positive definite") from exc
         pad = np.zeros((k, r))
         pad[list(sup) if sup is not None else range(k), range(r)] = 1.0
-        t_matrix = np.linalg.solve(a_basis, pad @ chol)
-        quadratic = None
+        self.t_matrix = np.linalg.solve(a_basis, pad @ self.chol)
+        self.quadratic = None
         if r == k:
             inv_sigma = np.linalg.inv(region.sigma)
-            quadratic = a_basis.T @ inv_sigma @ a_basis
-        return MappedSet(basis=I, kind="ellipsoid", region=region, a_basis=a_basis,
-                         dim=lp.m, t_matrix=t_matrix, chol=chol, q=region.q,
-                         quadratic=quadratic)
-    if region.kind == "box":
+            self.quadratic = a_basis.T @ inv_sigma @ a_basis
+        self.q = region.q
+        # the noise's coordinates, and a mask of any others
+        self.support = slice(None) if sup is None else list(sup)
+        off = np.ones(k, dtype=bool)
+        off[self.support] = False
+        self.off_support = off if off.any() else None
+
+    def accepts(self, g: np.ndarray, tol: float) -> bool:
+        if self.off_support is not None and np.abs(g[self.off_support]).max() > tol:
+            return False
+        u = solve_triangular(self.chol, g[self.support], lower=True, check_finite=False)
+        return float(u @ u) <= self.q + tol
+
+    def interval(self, pos: int) -> tuple:
+        half = float(np.sqrt(self.q)) * float(np.linalg.norm(self.t_matrix[pos]))
+        return (-half, half)
+
+    def to_dict(self) -> dict:
+        quadratic = {} if self.quadratic is None else {"quadratic": self.quadratic.tolist()}
+        return {"q": self.q, **quadratic, "generator": self.t_matrix.tolist()}
+
+
+class BoxImage:
+    def __init__(self, region: BoxRegion, a_basis: np.ndarray):
+        self.region, self.a_basis = region, a_basis
+        k = len(a_basis)
         if region.lower.shape != (k,):
             raise ValueError("box bounds must have one entry per constraint row")
-        inv_basis = np.linalg.solve(a_basis, np.eye(k))
-        return MappedSet(basis=I, kind="box", region=region, a_basis=a_basis,
-                         dim=lp.m, inv_basis=inv_basis)
-    if region.kind == "segment":
-        if region.direction.shape != (k,):
+        self.inv_basis = np.linalg.solve(a_basis, np.eye(k))
+
+    def accepts(self, g: np.ndarray, tol: float) -> bool:
+        region = self.region
+        return bool((g >= region.lower - tol).all() and (g <= region.upper + tol).all())
+
+    def interval(self, pos: int) -> tuple:
+        row = self.inv_basis[pos]
+        lower, upper = self.region.lower, self.region.upper
+        return (float(np.where(row > 0, row * lower, row * upper).sum()),
+                float(np.where(row > 0, row * upper, row * lower).sum()))
+
+    def to_dict(self) -> dict:
+        return {"inverse_basis": self.inv_basis.tolist()}
+
+
+class SegmentImage:
+    """``v_seg`` is the image of the segment's direction."""
+
+    def __init__(self, region: SegmentFamilyRegion, a_basis: np.ndarray):
+        self.region, self.a_basis = region, a_basis
+        if region.direction.shape != (len(a_basis),):
             raise ValueError("direction must have one entry per constraint row")
-        v_seg = np.linalg.solve(a_basis, region.direction)
-        return MappedSet(basis=I, kind="segment", region=region, a_basis=a_basis,
-                         dim=lp.m, v_seg=v_seg, half_width=region.half_width)
-    raise ValueError(f"unknown region kind {region.kind!r}")
+        self.v_seg = np.linalg.solve(a_basis, region.direction)
+        self.half_width = region.half_width
+
+    def accepts(self, g: np.ndarray, tol: float) -> bool:
+        direction = self.region.direction
+        t = float(g @ direction) / float(direction @ direction)
+        if np.abs(g - t * direction).max() > tol:
+            return False
+        return abs(t) <= self.half_width + tol
+
+    def interval(self, pos: int) -> tuple:
+        half = self.half_width * abs(float(self.v_seg[pos]))
+        return (-half, half)
+
+    def to_dict(self) -> dict:
+        return {"generator": self.v_seg.tolist(), "half_width": self.half_width}
+
+
+def map_region(lp: StandardLp, I: Basis, region):
+    """Represent {x(I;G): G in region} for membership and projection tests.
+
+    This is the region's image under ``g -> A_I^{-1} g``: ``accepts(g,
+    tol)`` tests a realized rhs value, ``interval(pos)`` bounds basis
+    coordinate ``pos`` and ``to_dict()`` is what ``--mapped-out`` writes.
+    It also gets ``basis`` and ``off``, the mask of the non-basic columns.
+    """
+    cols = list(I.indices)
+    factor_columns(lp, cols)
+    image = region.map(lp.A[:, cols].copy())
+    image.basis, image.off = I, np.ones(lp.m, dtype=bool)
+    image.off[cols] = False
+    return image
 
 
 @dataclass
 class ConfidenceSet:
     center: np.ndarray
     rate: float
-    mapped: MappedSet
+    mapped: object  # the image ``map_region`` returns
 
 
-def confidence_set(result: SolveResult, rate: float, mapped: MappedSet) -> ConfidenceSet:
+def confidence_set(result: SolveResult, rate: float, mapped) -> ConfidenceSet:
     if not rate > 0:
         raise ValueError("rate must be positive")
     return ConfidenceSet(center=np.array(result.x_hat, dtype=float), rate=float(rate),
                          mapped=mapped)
-
-
-def _region_accepts(mapped: MappedSet, g: np.ndarray, tol: float) -> bool:
-    """Closed membership test of a realized rhs value in the region."""
-    if mapped.kind == "ellipsoid":
-        region = mapped.region
-        if region.support_indices is not None:
-            mask = np.ones(len(g), dtype=bool)
-            mask[list(region.support_indices)] = False
-            if mask.any() and np.abs(g[mask]).max() > tol:
-                return False
-            g_sup = g[list(region.support_indices)]
-        else:
-            g_sup = g
-        u = solve_triangular(mapped.chol, g_sup, lower=True, check_finite=False)
-        return float(u @ u) <= mapped.q + tol
-    if mapped.kind == "box":
-        region = mapped.region
-        return bool((g >= region.lower - tol).all() and (g <= region.upper + tol).all())
-    direction = mapped.region.direction
-    t = float(g @ direction) / float(direction @ direction)
-    if np.abs(g - t * direction).max() > tol:
-        return False
-    return abs(t) <= mapped.half_width + tol
 
 
 def contains(cs: ConfidenceSet, x: np.ndarray) -> bool:
@@ -197,13 +230,11 @@ def contains(cs: ConfidenceSet, x: np.ndarray) -> bool:
     x = np.asarray(x, dtype=float)
     y = cs.rate * (cs.center - x)
     tol = 1e-7 * (1.0 + cs.rate)
-    cols = list(cs.mapped.basis.indices)
-    off = np.ones(cs.mapped.dim, dtype=bool)
-    off[cols] = False
-    if off.any() and np.abs(y[off]).max() > tol:
+    mapped = cs.mapped
+    if mapped.off.any() and np.abs(y[mapped.off]).max() > tol:
         return False
-    g = cs.mapped.a_basis @ y[cols]
-    return _region_accepts(cs.mapped, g, tol)
+    g = mapped.a_basis @ y[list(mapped.basis.indices)]
+    return mapped.accepts(g, tol)
 
 
 def coordinate_interval(cs: ConfidenceSet, i: int) -> tuple:
@@ -212,27 +243,5 @@ def coordinate_interval(cs: ConfidenceSet, i: int) -> tuple:
     cols = cs.mapped.basis.indices
     if i not in cols:
         return (center, center)
-    pos = cols.index(i)
-    if cs.mapped.kind == "ellipsoid":
-        half = float(np.sqrt(cs.mapped.q)) * float(np.linalg.norm(cs.mapped.t_matrix[pos]))
-    elif cs.mapped.kind == "segment":
-        half = cs.mapped.half_width * abs(float(cs.mapped.v_seg[pos]))
-    else:
-        row = cs.mapped.inv_basis[pos]
-        region = cs.mapped.region
-        hi = float(np.where(row > 0, row * region.upper, row * region.lower).sum())
-        lo = float(np.where(row > 0, row * region.lower, row * region.upper).sum())
-        return (center - hi / cs.rate, center - lo / cs.rate)
-    return (center - half / cs.rate, center + half / cs.rate)
-
-
-def project_to_optimal(lp: StandardLp, I: Basis) -> np.ndarray:
-    """Closest optimal solution to the basic solution x(I;b).
-
-    This is the coverage oracle's target: it needs the true optimal set and
-    therefore only makes sense in simulations where ``lp`` holds the truth.
-    """
-    anchor = basic_solution(lp, I).x
-    polytope, _ = optimal_vertices(lp)
-    point, _ = min_norm_point(polytope, anchor)
-    return point
+    lo, hi = cs.mapped.interval(cols.index(i))
+    return (center - hi / cs.rate, center - lo / cs.rate)

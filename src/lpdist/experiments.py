@@ -22,10 +22,11 @@ from .confidence import (
     contains,
     coordinate_interval,
     map_region,
+    region_from_dict,
 )
 from .errors import InstanceMismatch, LpError, SingularBasis
 from .geometry import hausdorff, min_norm_point
-from .limits import NoiseSampler, distance_statistic, sample_unique_limit
+from .limits import LAWS, GaussianLaw, MultinomialLaw, distance_statistic, sample_unique_limit
 from .problem import (
     Basis,
     Polytope,
@@ -33,8 +34,9 @@ from .problem import (
     _matrix_rank,
     basic_solution,
     build_from_spec,
+    build_kind,
     cached_factors,
-    json_object,
+    load_lp,
     optimal_vertices,
     read_only,
     solve_lu,
@@ -43,61 +45,6 @@ from .problem import (
 from .simplex import ratio_test, solve
 
 DEFAULT_SEED = 0x5EED
-
-
-class MultinomialMarginalSampler:
-    """Finite-n rhs: empirical frequencies of a multinomial, fixed tail.
-
-    The sampled coordinates are counts/n for one margin of the transport
-    problem; the remaining rhs coordinates stay at their known values.
-    """
-
-    kind = "multinomial_marginal"
-
-    def __init__(self, probabilities, tail=()):
-        self.probabilities = np.array(probabilities, dtype=float)
-        self.tail = np.array(tail, dtype=float)
-
-    def sample(self, truth_b, n, rate, rng) -> np.ndarray:
-        counts = rng.multinomial(int(n), self.probabilities)
-        return np.concatenate([counts / float(n), self.tail])
-
-    def limit_noise(self, seed, dim) -> NoiseSampler:
-        return NoiseSampler.multinomial_clt(self.probabilities, seed, pad_to=dim)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "probabilities": self.probabilities.tolist(),
-                "tail": self.tail.tolist()}
-
-
-class GaussianRhsSampler:
-    """Finite-n rhs: truth plus Gaussian noise over selected coordinates,
-    shrunk by the rate — the finite-sample law matches the limit law exactly."""
-
-    kind = "gaussian"
-
-    def __init__(self, sigma, support_indices=None):
-        self.sigma = np.array(sigma, dtype=float)
-        self._chol = np.linalg.cholesky(self.sigma)
-        self.support_indices = (tuple(int(i) for i in support_indices)
-                                if support_indices is not None else None)
-
-    def sample(self, truth_b, n, rate, rng) -> np.ndarray:
-        core = self._chol @ rng.standard_normal(self._chol.shape[0])
-        shift = np.zeros(len(truth_b))
-        idx = (list(self.support_indices) if self.support_indices is not None
-               else list(range(self._chol.shape[0])))
-        shift[idx] = core
-        return np.asarray(truth_b, dtype=float) + shift / rate
-
-    def limit_noise(self, seed, dim) -> NoiseSampler:
-        return NoiseSampler.gaussian(self.sigma, seed,
-                                     support_indices=self.support_indices, dim=dim)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "sigma": self.sigma.tolist(),
-                "support_indices": (list(self.support_indices)
-                                    if self.support_indices is not None else None)}
 
 
 @dataclass
@@ -192,7 +139,7 @@ def build_ot_2x2() -> ExperimentConfig:
 
     half_width = two_sided_normal_quantile(0.05) / 2.0
     region = SegmentFamilyRegion((1.0, -1.0, 0.0), half_width, coverage_target=0.95)
-    sampler = MultinomialMarginalSampler((0.5, 0.5), tail=(0.5,))
+    sampler = MultinomialLaw((0.5, 0.5), tail=(0.5,))
     return ExperimentConfig(lp=lp, truth_b=truth_b, b_sampler=sampler, region=region,
                             targets=targets, n_values=(1, 10, 100, 10000),
                             name="ot2x2")
@@ -248,7 +195,7 @@ def build_min_cost_flow() -> ExperimentConfig:
             raise InstanceMismatch("a known optimal flow is not optimal for the encoding")
     sigma = np.diag([4.0, 1.0, 1.0, 3.0])
     region = EllipsoidRegion(sigma, level=0.95, support_indices=(0, 1, 2, 3))
-    sampler = GaussianRhsSampler(sigma, support_indices=(0, 1, 2, 3))
+    sampler = GaussianLaw(sigma, support_indices=(0, 1, 2, 3))
     return ExperimentConfig(lp=lp, truth_b=b, b_sampler=sampler, region=region,
                             targets=targets, n_values=(50, 500), name="mcf")
 
@@ -355,6 +302,8 @@ def run_coverage(config: ExperimentConfig, *, n_values=None, replicates=None,
     """
     n_values = list(config.n_values if n_values is None else n_values)
     replicates = int(config.replicates if replicates is None else replicates)
+    if replicates < 1 or min(n_values, default=1) < 1:
+        raise ValueError("replicates and sample sizes must be positive")
     rows = []
     log = []
     parts: dict = {}
@@ -435,32 +384,29 @@ def singleton_coordinates(cs) -> list:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Assemble a custom experiment from a JSON-shaped description."""
-    from .problem import load_lp
+    """Assemble a custom experiment from a JSON-shaped description, whose keys
+    and values are checked like a nested spec's (see ``build_from_spec``)."""
+    return build_from_spec(_custom_config, data, "experiment config",
+                           ("lp", "b_sampler", "region"),
+                           ("truth_b", "rate_exponent", "n_values", "replicates", "seed", "name"))
 
-    data = json_object(data, "experiment config")
-    lp = load_lp(data["lp"])
-    truth_b = np.array(data.get("truth_b", lp.b), dtype=float)
+
+def _custom_config(lp, b_sampler, region, truth_b=None, rate_exponent=0.5, n_values=(100,),
+                   replicates=1000, seed=DEFAULT_SEED, name="custom") -> ExperimentConfig:
+    if not isinstance(n_values, (list, tuple)):
+        raise TypeError(f"n_values must be a list, not {type(n_values).__name__}")
+    if not isinstance(name, str):
+        raise TypeError(f"name must be a string, not {type(name).__name__}")
+    lp = load_lp(lp)
+    truth_b = np.array(lp.b if truth_b is None else truth_b, dtype=float)
     lp = lp.with_rhs(truth_b)
-    sampler_spec = data["b_sampler"]
-    kind = json_object(sampler_spec, "b_sampler spec").get("kind")
-    if kind == "multinomial_marginal":
-        sampler = build_from_spec(MultinomialMarginalSampler, sampler_spec,
-                                  "multinomial_marginal b_sampler", ("probabilities",), ("tail",))
-    elif kind == "gaussian":
-        sampler = build_from_spec(GaussianRhsSampler, sampler_spec, "gaussian b_sampler",
-                                  ("sigma",), ("support_indices",))
-    else:
-        raise ValueError(f"unknown b_sampler kind {kind!r}")
-    from .confidence import region_from_dict
-
-    region = region_from_dict(data["region"])
+    sampler = build_kind(LAWS, b_sampler, "b_sampler")
+    if not hasattr(sampler, "sample"):
+        raise ValueError(f"{sampler.kind} b_sampler spec: the law has no finite-sample form")
+    region = region_from_dict(region)
     targets, _ = optimal_vertices(lp)
     return ExperimentConfig(
         lp=lp, truth_b=truth_b, b_sampler=sampler, region=region, targets=targets,
-        rate_exponent=float(data.get("rate_exponent", 0.5)),
-        n_values=tuple(int(v) for v in data.get("n_values", (100,))),
-        replicates=int(data.get("replicates", 1000)),
-        seed=int(data.get("seed", DEFAULT_SEED)),
-        name=str(data.get("name", "custom")),
+        rate_exponent=float(rate_exponent), n_values=tuple(int(v) for v in n_values),
+        replicates=int(replicates), seed=int(seed), name=name,
     )

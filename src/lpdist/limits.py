@@ -4,7 +4,9 @@ The central objects are small linear programs that share the constraint
 matrix of a base LP but relax nonnegativity on the support of a chosen
 optimal vertex.  Their optimal sets are the limiting objects for scaled
 perturbations of the right-hand side, so we provide exact vertex
-enumeration, samplers for noise laws, and difference-quotient checks.
+enumeration, noise laws with a sampler for their limit form, and
+difference-quotient checks.  Each law class declares its spec keys; a new
+noise kind is one such class plus its entry in ``LAWS``.
 """
 from __future__ import annotations
 
@@ -28,8 +30,11 @@ from .problem import (
     FEAS_TOL,
     Polytope,
     StandardLp,
+    _check_finite,
+    _independent_rows,
     iter_bases,
     optimal_vertices,
+    spec_to_dict,
     support,
 )
 from .simplex import solve as simplex_solve
@@ -49,6 +54,8 @@ class MixedSignLp:
         object.__setattr__(self, "rhs", np.array(self.rhs, dtype=float))
         object.__setattr__(self, "c", np.array(self.c, dtype=float))
         object.__setattr__(self, "free_indices", frozenset(int(i) for i in self.free_indices))
+        for name in ("a", "rhs", "c"):
+            _check_finite(name, getattr(self, name))
         k, m = self.a.shape
         if self.rhs.shape != (k,) or self.c.shape != (m,):
             raise ValueError("rhs/cost dimensions do not match the matrix")
@@ -86,62 +93,153 @@ def _philox_key(seed: int) -> np.ndarray:
     return np.array([seed & (2**64 - 1), seed >> 64], dtype=np.uint64)
 
 
-class NoiseSampler:
-    """Deterministic per-index noise draws for the rhs perturbation law.
+class GaussianLaw:
+    """Centred Gaussian noise with covariance ``sigma``, placed on the
+    ``support_indices`` of a rhs (of ``dim`` coordinates in a limit row).
+    The finite-sample rhs is the truth plus the noise over the rate, so it
+    matches the limit law exactly."""
 
-    Draw ``i`` comes from a Philox stream keyed by the seed at counter
-    ``[0, 0, 0, i]``, so a draw depends only on its index and results are
-    independent of order, block size or parallelism.  Draws run on a
-    generator owned by the calling thread, so threads may share a sampler.
+    kind = "gaussian"
+    spec_keys = {kind: (("sigma",), ("support_indices",))}
+    to_dict = spec_to_dict
+
+    def __init__(self, sigma, support_indices=None, dim=None):
+        self.sigma = np.array(sigma, dtype=float)
+        self._chol = np.linalg.cholesky(self.sigma)
+        r = self.sigma.shape[0]
+        self.dim = int(dim) if dim is not None else r
+        self.support_indices = None
+        if support_indices is not None:
+            self.support_indices = tuple(int(i) for i in support_indices)
+            if len(self.support_indices) != r:
+                raise ValueError("support size must match the covariance")
+        elif self.dim != r:
+            raise ValueError("dim without support_indices must match the covariance")
+        self._place = list(self.support_indices or range(r))
+
+    def sample(self, truth_b, n, rate, rng) -> np.ndarray:
+        shift = np.zeros(len(truth_b))
+        shift[self._place] = self._chol @ rng.standard_normal(self._chol.shape[0])
+        return np.asarray(truth_b, dtype=float) + shift / rate
+
+    def limit_rows(self, streams, out: np.ndarray):
+        r = self._chol.shape[0]
+        core = np.empty((len(out), r))
+        for row, rng in enumerate(streams):
+            core[row] = self._chol @ rng.standard_normal(r)
+        out[:, self._place] = core
+
+    def limit_noise(self, seed, dim) -> "NoiseSampler":
+        return NoiseSampler(GaussianLaw(self.sigma, self.support_indices, dim), seed)
+
+
+class MultinomialLaw:
+    """Frequencies ``counts / n`` of a multinomial(n, p) draw, then the fixed
+    coordinates ``tail``.  The limit of sqrt(n) * (frequencies - p) is a
+    centred Gaussian with covariance diag(p) - p p^T, zero on the tail, in
+    ``dim`` coordinates: ``pad_to`` if given, else ``len(p) + len(tail)``.
+    A "multinomial_marginal" spec names the tail, a "multinomial_clt" spec
+    ``pad_to``; ``kind`` is the latter exactly when ``pad_to`` is set."""
+
+    spec_keys = {"multinomial_marginal": (("probabilities",), ("tail",)),
+                 "multinomial_clt": (("probabilities",), ("pad_to",))}
+    to_dict = spec_to_dict
+
+    def __init__(self, probabilities, tail=(), pad_to=None):
+        self.probabilities = np.array(probabilities, dtype=float)
+        if self.probabilities.min() < 0 or abs(self.probabilities.sum() - 1.0) > 1e-12:
+            raise ValueError("probabilities must be nonnegative and sum to one")
+        self.tail = np.array(tail, dtype=float)
+        self.pad_to = None if pad_to is None else int(pad_to)
+        if self.pad_to is not None and len(self.tail):
+            raise ValueError("give the tail or pad_to, not both")
+        self.dim = len(self.probabilities) + len(self.tail) if pad_to is None else self.pad_to
+        if self.dim < len(self.probabilities):
+            raise ValueError("pad_to is smaller than the probability vector")
+        self._root = np.sqrt(self.probabilities)
+
+    @property
+    def kind(self) -> str:
+        return "multinomial_marginal" if self.pad_to is None else "multinomial_clt"
+
+    def sample(self, truth_b, n, rate, rng) -> np.ndarray:
+        counts = rng.multinomial(int(n), self.probabilities)
+        return np.concatenate([counts / float(n), self.tail])
+
+    def limit_rows(self, streams, out: np.ndarray):
+        # root * z - p * (root @ z) for iid normals z has the limit covariance; each
+        # row's dot product is its own, as a matrix product would round differently
+        p, root = self.probabilities, self._root
+        z = np.empty((len(out), len(p)))
+        dots = np.empty((len(out), 1))
+        for row, rng in enumerate(streams):
+            rng.standard_normal(out=z[row])
+            dots[row] = float(root @ z[row])
+        out[:, : len(p)] = root * z - p * dots
+
+    def limit_noise(self, seed, dim) -> "NoiseSampler":
+        pad_to = dim if self.pad_to is None else self.pad_to
+        return NoiseSampler(MultinomialLaw(self.probabilities, pad_to=pad_to), seed)
+
+
+class EmpiricalLaw:
+    """Noise drawn uniformly from the rows of ``vectors``, with no finite-sample form."""
+
+    kind = "empirical"
+    spec_keys = {kind: (("vectors",), ())}
+    to_dict = spec_to_dict
+
+    def __init__(self, vectors):
+        self.vectors = np.array(vectors, dtype=float)
+        if self.vectors.ndim != 2 or not len(self.vectors):
+            raise ValueError("empirical sampler needs a nonempty 2-d array")
+        self.dim = self.vectors.shape[1]
+
+    def limit_rows(self, streams, out: np.ndarray):
+        out[:] = self.vectors[[int(rng.integers(len(self.vectors))) for rng in streams]]
+
+    def limit_noise(self, seed, dim) -> "NoiseSampler":
+        return NoiseSampler(self, seed)
+
+
+LAWS = {name: cls for cls in (GaussianLaw, MultinomialLaw, EmpiricalLaw)
+        for name in cls.spec_keys}
+
+
+class NoiseSampler:
+    """Deterministic per-index draws from the limit form of a noise law.
+
+    The law's ``limit_rows(streams, out)`` fills row ``i`` of a block from
+    the ``i``-th stream alone; draw ``i``'s stream is Philox keyed by the
+    seed at counter ``[0, 0, 0, i]``, so a draw depends only on its index,
+    not on order, block size or parallelism.  Threads may share a sampler:
+    each draws on a generator of its own.  The law's attributes (``kind``,
+    ``sigma``, ...) read as the sampler's own.
     """
 
-    def __init__(self, kind, seed, *, sigma=None, probabilities=None,
-                 pad_to=None, vectors=None, support_indices=None, dim=None):
-        if kind not in ("gaussian", "multinomial_clt", "empirical"):
-            raise ValueError(f"unknown sampler kind {kind!r}")
-        self.kind = kind
+    def __init__(self, law, seed):
+        if not hasattr(law, "limit_rows"):
+            raise ValueError(f"not a noise law: {law!r}")
+        self.law = law
         self.seed = int(seed)
-        self._chol = None
-        self.sigma = None
-        self.probabilities = None
-        self.pad_to = None
-        self.vectors = None
-        self.support_indices = None
-        self.dim = None
-        if kind == "gaussian":
-            self.sigma = np.array(sigma, dtype=float)
-            self._chol = np.linalg.cholesky(self.sigma)
-            self.dim = int(dim) if dim is not None else self.sigma.shape[0]
-            if support_indices is not None:
-                self.support_indices = tuple(int(i) for i in support_indices)
-                if len(self.support_indices) != self.sigma.shape[0]:
-                    raise ValueError("support size must match the covariance")
-            elif self.dim != self.sigma.shape[0]:
-                raise ValueError("dim without support_indices must match the covariance")
-        elif kind == "multinomial_clt":
-            self.probabilities = np.array(probabilities, dtype=float)
-            if self.probabilities.min() < 0 or abs(self.probabilities.sum() - 1.0) > 1e-12:
-                raise ValueError("probabilities must be nonnegative and sum to one")
-            self.pad_to = int(pad_to) if pad_to is not None else len(self.probabilities)
-            if self.pad_to < len(self.probabilities):
-                raise ValueError("pad_to is smaller than the probability vector")
-        else:
-            self.vectors = np.array(vectors, dtype=float)
-            if self.vectors.ndim != 2 or not len(self.vectors):
-                raise ValueError("empirical sampler needs a nonempty 2-d array")
         self._key = _philox_key(self.seed)
+
+    def __getattr__(self, name):
+        if name == "law":  # not set yet
+            raise AttributeError(name)
+        return getattr(self.law, name)
 
     @classmethod
     def gaussian(cls, sigma, seed, support_indices=None, dim=None):
-        return cls("gaussian", seed, sigma=sigma, support_indices=support_indices, dim=dim)
+        return cls(GaussianLaw(sigma, support_indices, dim), seed)
 
     @classmethod
     def multinomial_clt(cls, probabilities, seed, pad_to=None):
-        return cls("multinomial_clt", seed, probabilities=probabilities, pad_to=pad_to)
+        return MultinomialLaw(probabilities, pad_to=pad_to).limit_noise(seed, len(probabilities))
 
     @classmethod
     def empirical(cls, vectors, seed):
-        return cls("empirical", seed, vectors=vectors)
+        return cls(EmpiricalLaw(vectors), seed)
 
     def _streams(self, start: int, count: int):
         """This thread's generator, reset to the stream of each index in turn.
@@ -159,33 +257,8 @@ class NoiseSampler:
 
     def draw_block(self, start: int, count: int) -> np.ndarray:
         """Draws ``start, ..., start + count - 1`` as the rows of an array."""
-        if self.kind == "empirical":
-            picks = [int(rng.integers(len(self.vectors)))
-                     for rng in self._streams(start, count)]
-            return self.vectors[picks]
-        if self.kind == "gaussian":
-            chol = self._chol
-            core = np.empty((count, chol.shape[0]))
-            for row, rng in enumerate(self._streams(start, count)):
-                core[row] = chol @ rng.standard_normal(chol.shape[0])
-            if self.support_indices is None:
-                return core
-            out = np.zeros((count, self.dim))
-            out[:, list(self.support_indices)] = core
-            return out
-        # limit of sqrt(n) * (empirical frequencies - p): a centered Gaussian
-        # with covariance diag(p) - p p^T, realized from iid normals without
-        # forming the covariance matrix; each row's ``root @ z`` is its own
-        # dot product, as a matrix product would round differently
-        p = self.probabilities
-        root = np.sqrt(p)
-        z = np.empty((count, len(p)))
-        dots = np.empty((count, 1))
-        for row, rng in enumerate(self._streams(start, count)):
-            rng.standard_normal(out=z[row])
-            dots[row] = float(root @ z[row])
-        out = np.zeros((count, self.pad_to))
-        out[:, : len(p)] = root * z - p * dots
+        out = np.zeros((count, self.law.dim))
+        self.law.limit_rows(self._streams(start, count), out)
         return out
 
     def draw(self, index: int) -> np.ndarray:
@@ -211,11 +284,6 @@ def aux_lp_unique(lp: StandardLp, x_star: np.ndarray, g: np.ndarray, *,
         if np.abs(polytope.vertices[0] - x_star).max() > 1e-7 * (1.0 + np.abs(x_star).max()):
             raise NotUnique("x_star is not the optimal vertex of the LP")
     return MixedSignLp(lp.A, g, lp.c, support(x_star))
-
-
-def aux_lp_directional(lp: StandardLp, v: np.ndarray, g: np.ndarray) -> MixedSignLp:
-    """Response LP at an optimal vertex v: nonnegativity is relaxed on S(v)."""
-    return MixedSignLp(lp.A, g, lp.c, support(np.asarray(v, dtype=float)))
 
 
 def split_free(mixed: MixedSignLp) -> tuple:
@@ -330,11 +398,6 @@ class AuxVertexEnumerator:
         return self.optimal_sets(np.asarray(rhs, dtype=float).reshape(1, -1))[0]
 
 
-def optimal_mixed_vertices(mixed: MixedSignLp, *, feas_tol: float = FEAS_TOL) -> tuple:
-    enum = AuxVertexEnumerator(mixed.a, mixed.c, mixed.free_indices, feas_tol=feas_tol)
-    return enum.optimal_set(mixed.rhs)
-
-
 def has_recession_ray(mixed: MixedSignLp) -> bool:
     """Whether the optimal set of the mixed-sign LP recedes to infinity.
 
@@ -344,14 +407,15 @@ def has_recession_ray(mixed: MixedSignLp) -> bool:
     unbounded exactly when a ray exists.
     """
     stacked = np.vstack([mixed.a, mixed.c[None, :]])
-    rhs = np.zeros(stacked.shape[0])
-    homogeneous = StandardLp(stacked, rhs, np.zeros(stacked.shape[1]),
-                             drop_redundant_rows=True)
+    rows, rhs = _independent_rows(stacked, np.zeros(len(stacked)))
     m = mixed.a.shape[1]
     objective = np.zeros(m)
     signed = [i for i in range(m) if i not in mixed.free_indices]
+    if not len(rows):
+        # nothing constrains d: any signed coordinate is a ray
+        return bool(signed)
     objective[signed] = -1.0
-    probe = MixedSignLp(homogeneous.A, homogeneous.b, objective, mixed.free_indices)
+    probe = MixedSignLp(rows, rhs, objective, mixed.free_indices)
     try:
         solve_mixed(probe)
     except Unbounded:

@@ -136,6 +136,8 @@ class StandardLp:
         if drop_redundant_rows:
             A, b = _independent_rows(A, b)
             k = A.shape[0]
+        if k == 0:
+            raise ValueError("A has no rows")
         if k > m:
             raise ValueError(f"more rows ({k}) than columns ({m})")
         self.rank_tol = _pivot_tol(A)
@@ -454,6 +456,25 @@ def build_from_spec(build, spec: dict, what: str, required, optional=()):
         return build(**args)
     except TypeError as exc:
         raise ValueError(f"{what} spec: {exc}") from exc
+
+
+def build_kind(table: dict, spec: dict, what: str):
+    """The object ``spec`` describes: ``table[spec["kind"]]`` built by
+    ``build_from_spec`` with the keys its ``spec_keys`` declare for that
+    kind.  Raises ``ValueError`` for an unknown kind."""
+    kind = json_object(spec, f"{what} spec").get("kind")
+    cls = table.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    return build_from_spec(cls, spec, f"{kind} {what}", *cls.spec_keys[kind])
+
+
+def spec_to_dict(obj) -> dict:
+    """The JSON-shaped spec ``build_kind`` turns back into ``obj``: its
+    ``kind`` and the attributes named by the keys its class declares."""
+    required, optional = obj.spec_keys[obj.kind]
+    return {"kind": obj.kind, **{key: np.asarray(getattr(obj, key)).tolist()
+                                 for key in required + optional}}
 
 
 def load_lp(source) -> StandardLp:

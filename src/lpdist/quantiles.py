@@ -1,15 +1,9 @@
-"""Chi-square and two-sided normal quantiles from the gamma CDF and its inverse."""
+"""Chi-square and two-sided normal quantiles from the inverse chi-square tail."""
 from __future__ import annotations
 
 import math
 
-from scipy.special import chdtri, gammainc
-
-
-def chi_square_cdf(x: float, dof: int) -> float:
-    if x <= 0:
-        return 0.0
-    return float(gammainc(dof / 2.0, x / 2.0))
+from scipy.special import chdtri
 
 
 def chi_square_quantile(p: float, dof: int) -> float:

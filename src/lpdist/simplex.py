@@ -6,7 +6,6 @@ and makes every solve a deterministic function of the input data.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,12 +24,6 @@ from .problem import (
 )
 
 
-class LpStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
 @dataclass(frozen=True)
 class SolveResult:
     x_hat: np.ndarray
@@ -38,7 +31,6 @@ class SolveResult:
     objective: float
     dual: np.ndarray
     slack: np.ndarray
-    status: LpStatus = LpStatus.OPTIMAL
 
     def __post_init__(self):
         for name in ("x_hat", "dual", "slack"):

@@ -344,3 +344,97 @@ def test_wrong_type_region_value_exits_2_without_traceback(ot_file, write_json):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "high" in proc.stderr
+
+
+# --mapped-out payloads and intervals at b = (0.55, 0.45, 0.5), n = 20, for one
+# region of each shape; recorded before regions became classes
+MAPPED_CASES = {
+    "ellipsoid": (
+        {"kind": "ellipsoid", "sigma": [[0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.1]],
+         "level": 0.9},
+        {"q": 6.251388631170327,
+         "quadratic": [[14.0, 4.0, 0.0], [4.0, 4.0, 0.0], [0.0, 0.0, 4.0]],
+         "generator": [[0.0, 0.0, 0.31622776601683794], [0.5, -0.0, -0.31622776601683794],
+                       [0.0, 0.5, 0.0]]},
+        [[0.3232036675837091, 0.6767963324162909], [-0.28075565156997795, 0.38075565156997804],
+         [0.0, 0.0], [0.17046045380013036, 0.7295395461998697]],
+    ),
+    "ellipsoid_support": (
+        {"kind": "ellipsoid", "sigma": [[1.0, 0.5], [0.5, 2.0]], "level": 0.95,
+         "support_indices": [0, 1]},
+        {"q": 5.991464547107979,
+         "generator": [[0.0, 0.0], [1.0, -0.0], [0.5, 1.3228756555322954]]},
+        [[0.5, 0.5], [-0.49733283051119714, 0.5973328305111972], [0.0, 0.0],
+         [-0.3240455120409897, 1.2240455120409897]],
+    ),
+    "box": (
+        {"kind": "box", "lower": [-1.0, -0.5, -2.0], "upper": [1.0, 1.5, 0.25]},
+        {"inverse_basis": [[0.0, 0.0, 1.0], [1.0, -0.0, -1.0], [0.0, 1.0, 0.0]]},
+        [[0.44409830056250527, 0.9472135954999579], [-0.6208203932499369, 0.32950849718747377],
+         [0.0, 0.0], [0.11458980337503155, 0.5618033988749895]],
+    ),
+    "segment": (
+        {"kind": "segment", "direction": [1.0, -1.0, 0.0], "half_width": 0.5},
+        {"generator": [0.0, 1.0, -1.0], "half_width": 0.5},
+        [[0.5, 0.5], [-0.06180339887498944, 0.1618033988749895], [0.0, 0.0],
+         [0.33819660112501054, 0.5618033988749895]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAPPED_CASES))
+def test_mapped_out_payload_for_each_region_shape(ot_file, write_json, tmp_path, capsys, name):
+    region, mapped_part, intervals = MAPPED_CASES[name]
+    mapped_path = tmp_path / "mapped.json"
+    out = tmp_path / "intervals.csv"
+    assert main(["confidence", "--lp", ot_file, "--region", write_json("region.json", region),
+                 "--b", "0.55,0.45,0.5", "--n", "20", "--mapped-out", str(mapped_path),
+                 "--out", str(out)]) == 0
+    mapped = json.loads(mapped_path.read_text())
+    # the keys in their written order, then the values
+    assert list(mapped) == ["basis", "kind", "rate", "center", *mapped_part]
+    assert mapped["basis"] == [0, 1, 3] and mapped["kind"] == region["kind"]
+    expected = {"rate": 20.0 ** 0.5, "center": [0.5, 0.05, 0.0, 0.45], **mapped_part}
+    for key, value in expected.items():
+        np.testing.assert_allclose(mapped[key], value, rtol=1e-12, atol=1e-15, err_msg=key)
+    rows = out.read_text().strip().splitlines()[1:]
+    got = [[float(v) for v in row.split(",")[1:]] for row in rows]
+    np.testing.assert_allclose(got, intervals, rtol=1e-12, atol=1e-15)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("change", [
+    {"replicates": [5]},
+    {"replicates": 0},
+    {"n_values": 7},
+    {"n_values": "10"},
+    {"n_values": [[10]]},
+    {"n_values": [0, 10]},
+    {"seed": [1]},
+    {"rate_exponent": "fast"},
+    {"name": ["run"]},
+    {"truth_b": {"a": 1}},
+    {"truth_b": [0.5, 0.5]},
+    {"replicate": 5},
+    {"b_sampler": {"kind": "empirical", "vectors": [[0.1, -0.1, 0.0]]}},
+], ids=lambda change: next(iter(change)))
+def test_bad_custom_config_top_level_value_exits_2(write_json, capsys, change):
+    path = write_json("custom.json", {**CUSTOM_CONFIG, **change})
+    assert main(["coverage", "--experiment", "custom", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_wrong_type_top_level_value_exits_2_without_traceback(write_json):
+    path = write_json("custom.json", {**CUSTOM_CONFIG, "replicates": [5]})
+    proc = subprocess.run([sys.executable, "-m", "lpdist.cli", "coverage", "--experiment",
+                           "custom", "--config", path], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "experiment config spec" in proc.stderr
+
+
+def test_custom_config_without_lp_names_the_missing_key(write_json, capsys):
+    config = {key: value for key, value in CUSTOM_CONFIG.items() if key != "lp"}
+    assert main(["coverage", "--experiment", "custom",
+                 "--config", write_json("custom.json", config)]) == 2
+    assert "lp" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,11 @@ from lpdist.confidence import (
     contains,
     coordinate_interval,
     map_region,
-    project_to_optimal,
     region_from_dict,
 )
 from lpdist.errors import SingularBasis, SingularCovariance
+from lpdist.geometry import min_norm_point
+from lpdist.problem import basic_solution, optimal_vertices
 from lpdist.quantiles import chi_square_quantile, two_sided_normal_quantile
 
 # frozen interval endpoints for the reported 2x2 run (n=20, marginals 0.55/0.45)
@@ -75,6 +78,23 @@ def test_region_round_trip_from_dict():
     assert isinstance(box, BoxRegion)
     with pytest.raises(ValueError):
         region_from_dict({"kind": "banana"})
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "ellipsoid", "sigma": [[1.0, 0.2], [0.2, 2.0]], "level": 0.9},
+    {"kind": "ellipsoid", "sigma": [[1.0]], "level": 0.95, "support_indices": [2], "q": 4.0},
+    {"kind": "box", "lower": [-1.0, 0.0], "upper": [0.5, 2.0], "coverage_target": 0.8},
+    {"kind": "box", "lower": [-1.0], "upper": [1.0]},
+    {"kind": "segment", "direction": [1.0, -1.0, 0.0], "half_width": 0.5},
+], ids=lambda spec: spec["kind"])
+def test_region_to_dict_rebuilds_an_equal_region(spec):
+    region = region_from_dict(spec)
+    again = region_from_dict(json.loads(json.dumps(region.to_dict())))
+    assert type(again) is type(region)
+    assert vars(again).keys() == vars(region).keys()
+    for key, value in vars(region).items():
+        assert np.array_equal(vars(again)[key], value), key
+    assert {key: value for key, value in region.to_dict().items() if key in spec} == spec
 
 
 # ----------------------------------------------------------- the reported run
@@ -262,9 +282,16 @@ def test_confidence_set_requires_positive_rate(ot_lp):
 
 # ------------------------------------------------------------------ projection
 
+def _projection(lp, basis):
+    """The basic point of ``basis`` projected onto the optimal set, as the
+    coverage harness computes it per selection basis."""
+    point, _ = min_norm_point(optimal_vertices(lp)[0], basic_solution(lp, basis).x)
+    return point
+
+
 def test_project_to_optimal_cases(ot_lp):
     target = np.array([0.5, 0.0, 0.0, 0.5])
-    assert np.allclose(project_to_optimal(ot_lp, Basis((0, 1, 3))), target, atol=1e-9)
-    assert np.allclose(project_to_optimal(ot_lp, Basis((0, 2, 3))), target, atol=1e-9)
+    assert np.allclose(_projection(ot_lp, Basis((0, 1, 3))), target, atol=1e-9)
+    assert np.allclose(_projection(ot_lp, Basis((0, 2, 3))), target, atol=1e-9)
     # a non-optimal basis projects onto the (unique) optimal plan as well
-    assert np.allclose(project_to_optimal(ot_lp, Basis((0, 1, 2))), target, atol=1e-9)
+    assert np.allclose(_projection(ot_lp, Basis((0, 1, 2))), target, atol=1e-9)

@@ -7,11 +7,9 @@ from lpdist.confidence import confidence_set, map_region
 from lpdist.errors import InstanceMismatch, SingularBasis
 from lpdist.experiments import (
     DEFAULT_SEED,
-    GaussianRhsSampler,
     MCF_CAPACITIES,
     MCF_SOLUTION_1,
     MCF_SOLUTION_2,
-    MultinomialMarginalSampler,
     build_min_cost_flow,
     build_ot_2x2,
     config_from_dict,
@@ -22,6 +20,7 @@ from lpdist.experiments import (
     selection_basis,
     singleton_coordinates,
 )
+from lpdist.limits import GaussianLaw, MultinomialLaw
 from lpdist.problem import lp_to_dict, support
 
 SOL1_BASIS = (0, 1, 2, 3, 5, 6, 7, 9, 11, 13, 15, 16, 17)
@@ -169,7 +168,7 @@ def test_network_coverage_alternates_between_optima():
 # ---------------------------------------------------------------- samplers
 
 def test_multinomial_marginal_sampler():
-    sampler = MultinomialMarginalSampler((0.5, 0.5), tail=(0.5,))
+    sampler = MultinomialLaw((0.5, 0.5), tail=(0.5,))
     rng = np.random.Generator(np.random.Philox(key=2, counter=[0, 0, 0, 0]))
     b = sampler.sample(np.array([0.5, 0.5, 0.5]), 10, np.sqrt(10.0), rng)
     assert b.shape == (3,)
@@ -185,7 +184,7 @@ def test_multinomial_marginal_sampler():
 
 def test_gaussian_rhs_sampler():
     sigma = np.diag([4.0, 1.0])
-    sampler = GaussianRhsSampler(sigma, support_indices=(0, 2))
+    sampler = GaussianLaw(sigma, support_indices=(0, 2))
     truth = np.array([1.0, 2.0, 3.0])
     rng = np.random.Generator(np.random.Philox(key=4, counter=[0, 0, 0, 0]))
     draws = np.array([sampler.sample(truth, 100, 10.0, rng) for _ in range(4000)])

@@ -1,26 +1,29 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.optimize
 
 from lpdist import StandardLp
-from lpdist.errors import Infeasible, NotUnique, Unbounded
+from lpdist.errors import Infeasible, NonFiniteData, NotUnique, Unbounded
 from lpdist.geometry import TIE_TOL, SphereGrid, argmax_vertex, support_function
 from lpdist.limits import (
+    LAWS,
     AuxVertexEnumerator,
+    GaussianLaw,
     MixedSignLp,
+    MultinomialLaw,
     NoiseSampler,
-    aux_lp_directional,
     aux_lp_unique,
     distance_statistic,
     hadamard_quotient_check,
     has_recession_ray,
     limit_support_function,
-    optimal_mixed_vertices,
     sample_unique_limit,
     solve_mixed,
     split_free,
 )
-from lpdist.problem import optimal_vertices, support
+from lpdist.problem import build_kind, optimal_vertices, support
 
 from conftest import transport_lp
 
@@ -153,7 +156,7 @@ def test_aux_construction_from_plan(ot_lp):
     assert mixed.free_indices == support(OT_TARGET)
     assert np.array_equal(mixed.a, ot_lp.A)
     assert np.array_equal(mixed.c, ot_lp.c)
-    mixed2 = aux_lp_directional(ot_lp, OT_TARGET, np.zeros(3))
+    mixed2 = MixedSignLp(ot_lp.A, np.zeros(3), ot_lp.c, support(OT_TARGET))
     assert mixed2.free_indices == frozenset({0, 3})
 
 
@@ -176,11 +179,14 @@ def test_transport_response_case_analysis(ot_lp):
         (-0.2, np.array([-0.2, 0.0, 0.2, 0.0])),
     ]:
         g = np.array([gamma, -gamma, 0.0])
-        poly, value = optimal_mixed_vertices(aux_lp_unique(ot_lp, OT_TARGET, g))
+        mixed = aux_lp_unique(ot_lp, OT_TARGET, g)
+        enum = AuxVertexEnumerator(mixed.a, mixed.c, mixed.free_indices)
+        poly, value = enum.optimal_set(mixed.rhs)
         assert len(poly) == 1
         assert np.allclose(poly.vertices[0], expected, atol=1e-12)
         assert abs(value - abs(gamma)) < 1e-12
-    poly, value = optimal_mixed_vertices(aux_lp_unique(ot_lp, OT_TARGET, np.zeros(3)))
+    mixed = aux_lp_unique(ot_lp, OT_TARGET, np.zeros(3))
+    poly, value = AuxVertexEnumerator(mixed.a, mixed.c, mixed.free_indices).optimal_set(mixed.rhs)
     assert len(poly) == 1
     assert np.allclose(poly.vertices[0], 0.0)
     assert value == 0.0
@@ -218,6 +224,72 @@ def test_recession_ray_classification(ot_lp, ones_3x3_lp):
     assert has_recession_ray(aux_lp_unique(ones_3x3_lp, x_diag, np.zeros(5)))
     lp_id = StandardLp(np.eye(2), [1.0, 2.0], [1.0, 1.0])
     assert not has_recession_ray(aux_lp_unique(lp_id, np.array([1.0, 2.0]), np.zeros(2)))
+
+
+def test_recession_ray_when_every_row_is_redundant():
+    # A = 0 and c = 0 leave no row in the homogeneous system: any signed
+    # coordinate spans a ray, and with every coordinate free there is none
+    zero = np.zeros((2, 3))
+    assert has_recession_ray(MixedSignLp(zero, np.zeros(2), np.zeros(3), frozenset()))
+    assert has_recession_ray(MixedSignLp(zero, np.zeros(2), np.zeros(3), frozenset({0, 2})))
+    assert not has_recession_ray(MixedSignLp(zero, np.zeros(2), np.zeros(3), frozenset({0, 1, 2})))
+
+
+def test_mixed_sign_lp_rejects_non_finite_data():
+    with pytest.raises(NonFiniteData):
+        MixedSignLp([[np.nan, 1.0]], [1.0], [0.0, 0.0], frozenset())
+    with pytest.raises(NonFiniteData):
+        MixedSignLp([[1.0, 1.0]], [np.inf], [0.0, 0.0], frozenset())
+
+
+# ------------------------------------------------------------------ noise laws
+
+LAW_SPECS = [
+    {"kind": "gaussian", "sigma": [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.7]],
+     "support_indices": None},
+    {"kind": "gaussian", "sigma": [[2.0]], "support_indices": [1]},
+    {"kind": "multinomial_marginal", "probabilities": [0.25, 0.75], "tail": [0.5]},
+    {"kind": "multinomial_clt", "probabilities": [0.25, 0.75], "pad_to": 3},
+    {"kind": "empirical", "vectors": [[1.0, 0.0, 0.5], [0.0, 2.0, 0.5]]},
+]
+
+
+def _same_object(a, b):
+    assert type(a) is type(b)
+    assert vars(a).keys() == vars(b).keys()
+    for key, value in vars(a).items():
+        assert np.array_equal(value, vars(b)[key]), key
+
+
+@pytest.mark.parametrize("spec", LAW_SPECS, ids=lambda spec: spec["kind"])
+def test_law_to_dict_rebuilds_an_equal_law(spec):
+    law = build_kind(LAWS, spec, "sampler")
+    assert law.kind == spec["kind"]
+    assert law.to_dict() == spec
+    again = build_kind(LAWS, json.loads(json.dumps(law.to_dict())), "sampler")
+    _same_object(law, again)
+    first, second = law.limit_noise(5, 3), again.limit_noise(5, 3)
+    assert first.kind == second.kind and first.seed == 5
+    assert first.draw_block(0, 4).tobytes() == second.draw_block(0, 4).tobytes()
+
+
+def test_laws_reject_bad_parameters():
+    with pytest.raises(ValueError):
+        MultinomialLaw([0.5, 0.5], tail=[0.5], pad_to=3)  # to_dict could not keep both
+    with pytest.raises(ValueError):
+        NoiseSampler("gaussian", seed=0)  # a kind is not a law
+    with pytest.raises(ValueError, match="unknown sampler kind"):
+        build_kind(LAWS, {"kind": ["gaussian"]}, "sampler")
+
+
+def test_finite_gaussian_rhs_is_the_limit_row_over_the_rate():
+    law = GaussianLaw([[4.0, 1.0], [1.0, 2.0]], support_indices=(2, 0))
+    truth = np.array([1.0, 2.0, 3.0])
+    rng = np.random.Generator(np.random.Philox(key=8, counter=[0, 0, 0, 0]))
+    b = law.sample(truth, 100, 10.0, rng)
+    row = law.limit_noise(8, 3).draw(0)
+    assert b.tobytes() == (truth + row / 10.0).tobytes()
+    assert row[1] == 0.0
 
 
 # ------------------------------------------------------------ sampling paths

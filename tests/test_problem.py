@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning, lu_factor
 
-from lpdist import Basis, Polytope, StandardLp
+from lpdist import Basis, Polytope, StandardLp, solve
 from lpdist.errors import Infeasible, InstanceTooLarge, SingularBasis
 from lpdist.problem import (
     basic_solution,
@@ -33,6 +33,17 @@ def test_standard_lp_shapes_and_rank():
     # more rows than columns
     with pytest.raises(ValueError):
         StandardLp(np.eye(3)[:, :2], [1.0, 1.0, 1.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("call", [solve, optimal_vertices])
+def test_program_without_rows_is_rejected_at_construction(call):
+    # numpy used to fail inside solve and optimal_vertices on such a program
+    c = [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="no rows"):
+        call(StandardLp(np.zeros((0, 3)), [], c))
+    # every row of an all-zero system is redundant
+    with pytest.raises(ValueError, match="no rows"):
+        call(StandardLp(np.zeros((2, 3)), [0.0, 0.0], c, drop_redundant_rows=True))
 
 
 def test_arrays_are_frozen():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import chdtr
 
-from lpdist.quantiles import chi_square_cdf, chi_square_quantile, two_sided_normal_quantile
+from lpdist.quantiles import chi_square_quantile, two_sided_normal_quantile
 
 # frozen from scipy.stats: chi2.ppf(0.95, 1), chi2.ppf(0.95, 4), norm.ppf(0.975)
 CHI2_95_1 = 3.841458820694124
@@ -27,13 +28,7 @@ def test_against_scipy_sweep():
 def test_cdf_quantile_inverse():
     for dof in (1, 4, 9):
         for p in (0.05, 0.5, 0.95):
-            assert abs(chi_square_cdf(chi_square_quantile(p, dof), dof) - p) < 1e-10
-
-
-def test_cdf_edge_cases():
-    assert chi_square_cdf(0.0, 3) == 0.0
-    assert chi_square_cdf(-1.0, 3) == 0.0
-    assert 0.999 < chi_square_cdf(1e4, 1) <= 1.0
+            assert abs(chdtr(dof, chi_square_quantile(p, dof)) - p) < 1e-10
 
 
 def test_quantile_monotone_in_p():
