@@ -81,7 +81,7 @@ from .problem import (
     support,
 )
 from .quantiles import chi_square_quantile, two_sided_normal_quantile
-from .simplex import SolveResult, solve, verify_kkt
+from .simplex import SolveResult, solve, solve_rows, verify_kkt
 from .stability import (
     StabilityReport,
     check_basis_inclusion,

@@ -164,8 +164,7 @@ def cmd_coverage(args) -> int:
     config = _experiment_config(args)
     n_values = ([int(part) for part in args.n_values.split(",")]
                 if args.n_values else None)
-    report = run_coverage(config, n_values=n_values, replicates=args.replicates,
-                          threads=args.threads)
+    report = run_coverage(config, n_values=n_values, replicates=args.replicates)
     lines = ["n,replicates,covered,coverage,std_error"]
     for row in report.rows:
         lines.append(f"{row.n},{row.replicates},{row.covered},{row.coverage},{row.std_error}")
@@ -240,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--n-values", help="comma-separated sample sizes override")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; replicates run one after another")
     p.add_argument("--out", help="report CSV path (default stdout)")
     p.set_defaults(func=cmd_coverage)
 

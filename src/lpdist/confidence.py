@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import SingularCovariance
-from .problem import Basis, StandardLp, build_kind, factor_columns, spec_to_dict
+from .problem import Basis, StandardLp, build_kind, check_support, factor_columns, spec_to_dict
 from .quantiles import chi_square_quantile
 from .simplex import SolveResult
 
@@ -115,6 +114,7 @@ class EllipsoidImage:
         r = region.sigma.shape[0]
         if sup is None and r != k:
             raise ValueError("full-support covariance must be k x k")
+        check_support(sup, k)
         try:
             self.chol = np.linalg.cholesky(region.sigma)
         except np.linalg.LinAlgError as exc:
@@ -133,11 +133,12 @@ class EllipsoidImage:
         off[self.support] = False
         self.off_support = off if off.any() else None
 
-    def accepts(self, g: np.ndarray, tol: float) -> bool:
-        if self.off_support is not None and np.abs(g[self.off_support]).max() > tol:
-            return False
-        u = solve_triangular(self.chol, g[self.support], lower=True, check_finite=False)
-        return float(u @ u) <= self.q + tol
+    def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
+        u = _forward_substitution(self.chol, g[:, self.support])
+        inside = _row_sums(u * u) <= self.q + tol
+        if self.off_support is not None:
+            inside &= np.abs(g[:, self.off_support]).max(axis=1) <= tol
+        return inside
 
     def interval(self, pos: int) -> tuple:
         half = float(np.sqrt(self.q)) * float(np.linalg.norm(self.t_matrix[pos]))
@@ -156,9 +157,9 @@ class BoxImage:
             raise ValueError("box bounds must have one entry per constraint row")
         self.inv_basis = np.linalg.solve(a_basis, np.eye(k))
 
-    def accepts(self, g: np.ndarray, tol: float) -> bool:
+    def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
         region = self.region
-        return bool((g >= region.lower - tol).all() and (g <= region.upper + tol).all())
+        return (g >= region.lower - tol).all(axis=1) & (g <= region.upper + tol).all(axis=1)
 
     def interval(self, pos: int) -> tuple:
         row = self.inv_basis[pos]
@@ -180,12 +181,11 @@ class SegmentImage:
         self.v_seg = np.linalg.solve(a_basis, region.direction)
         self.half_width = region.half_width
 
-    def accepts(self, g: np.ndarray, tol: float) -> bool:
+    def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
         direction = self.region.direction
-        t = float(g @ direction) / float(direction @ direction)
-        if np.abs(g - t * direction).max() > tol:
-            return False
-        return abs(t) <= self.half_width + tol
+        t = _row_sums(g * direction) / float(direction @ direction)
+        on_line = np.abs(g - t[:, None] * direction).max(axis=1) <= tol
+        return on_line & (np.abs(t) <= self.half_width + tol)
 
     def interval(self, pos: int) -> tuple:
         half = self.half_width * abs(float(self.v_seg[pos]))
@@ -199,7 +199,8 @@ def map_region(lp: StandardLp, I: Basis, region):
     """Represent {x(I;G): G in region} for membership and projection tests.
 
     This is the region's image under ``g -> A_I^{-1} g``: ``accepts(g,
-    tol)`` tests a realized rhs value, ``interval(pos)`` bounds basis
+    tol)`` tests each row of an ``(N, k)`` block of realized rhs values
+    and returns a mask, ``interval(pos)`` bounds basis
     coordinate ``pos`` and ``to_dict()`` is what ``--mapped-out`` writes.
     It also gets ``basis`` and ``off``, the mask of the non-basic columns.
     """
@@ -227,14 +228,41 @@ def confidence_set(result: SolveResult, rate: float, mapped) -> ConfidenceSet:
 
 def contains(cs: ConfidenceSet, x: np.ndarray) -> bool:
     """Exact membership: rate*(center - x) must land in the mapped image."""
-    x = np.asarray(x, dtype=float)
-    y = cs.rate * (cs.center - x)
-    tol = 1e-7 * (1.0 + cs.rate)
-    mapped = cs.mapped
-    if mapped.off.any() and np.abs(y[mapped.off]).max() > tol:
-        return False
-    g = mapped.a_basis @ y[list(mapped.basis.indices)]
-    return mapped.accepts(g, tol)
+    return bool(contains_rows(cs.mapped, cs.rate, cs.center[None, :], x)[0])
+
+
+def contains_rows(mapped, rate: float, centers: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``contains`` for the confidence sets with image ``mapped`` and
+    ``rate`` centred at each row of ``centers``, as a mask.
+
+    Every sum runs over a row's own entries in a fixed order, so a row's
+    answer does not depend on the block it came in.
+    """
+    y = rate * (centers - np.asarray(x, dtype=float))
+    tol = 1e-7 * (1.0 + rate)
+    inside = mapped.accepts(_row_sums(y[:, None, mapped.basis.indices] * mapped.a_basis), tol)
+    if mapped.off.any():
+        inside &= np.abs(y[:, mapped.off]).max(axis=1) <= tol
+    return inside
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of ``terms``, added up in index order; a
+    BLAS product or ``sum`` would pick its order by the array's shape."""
+    total = terms[..., 0].copy()
+    for j in range(1, terms.shape[-1]):
+        total += terms[..., j]
+    return total
+
+
+def _forward_substitution(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``solve(lower, row)`` for each row of ``rhs``, with ``lower`` lower
+    triangular; each row's entries are computed in index order."""
+    u = np.empty_like(rhs)
+    for i in range(len(lower)):
+        u[:, i] = (rhs[:, i] - _row_sums(u[:, :i] * lower[i, :i])
+                   if i else rhs[:, i]) / lower[i, i]
+    return u
 
 
 def coordinate_interval(cs: ConfidenceSet, i: int) -> tuple:

@@ -15,19 +15,28 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .confidence import (
-    ConfidenceSet,
     EllipsoidRegion,
     SegmentFamilyRegion,
-    confidence_set,
-    contains,
+    contains_rows,
     coordinate_interval,
     map_region,
     region_from_dict,
 )
 from .errors import InstanceMismatch, LpError, SingularBasis
 from .geometry import hausdorff, min_norm_point
-from .limits import LAWS, GaussianLaw, MultinomialLaw, distance_statistic, sample_unique_limit
+from .limits import (
+    BLOCK,
+    LAWS,
+    GaussianLaw,
+    MultinomialLaw,
+    _philox_key,
+    _thread_philox,
+    distance_statistic,
+    philox_streams,
+    sample_unique_limit,
+)
 from .problem import (
+    FEAS_TOL,
     Basis,
     Polytope,
     StandardLp,
@@ -36,13 +45,16 @@ from .problem import (
     build_from_spec,
     build_kind,
     cached_factors,
+    check_support,
+    group_rows,
     load_lp,
     optimal_vertices,
     read_only,
     solve_lu,
+    solve_lu_rows,
     support,
 )
-from .simplex import ratio_test, solve
+from .simplex import dual_certificate, ratio_test, solve_block, solve_rows
 
 DEFAULT_SEED = 0x5EED
 
@@ -96,7 +108,11 @@ def selection_basis(lp: StandardLp, x: np.ndarray, *, tol: float = None) -> Basi
     The completion depends on the support only and is kept in the program's
     basis cache.
     """
-    sup = tuple(sorted(support(x, tol) if tol is not None else support(x)))
+    return _selection(lp, tuple(sorted(support(x, tol) if tol is not None else support(x))))
+
+
+def _selection(lp: StandardLp, sup: tuple) -> Basis:
+    """``selection_basis`` of a point with support ``sup`` (sorted)."""
     return lp.basis_cache.get(("selection", sup), lambda: _complete_support(lp, sup))
 
 
@@ -200,10 +216,6 @@ def build_min_cost_flow() -> ExperimentConfig:
                             targets=targets, n_values=(50, 500), name="mcf")
 
 
-def _replicate_stream(seed: int, n_index: int, replicate: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, n_index, replicate]))
-
-
 def optimal_face_vertices(lp: StandardLp, result) -> list:
     """The solved vertex plus its optimal neighbors, as (x, objective-equal) pairs.
 
@@ -211,27 +223,61 @@ def optimal_face_vertices(lp: StandardLp, result) -> list:
     pivoting that column in moves along the optimal face to an adjacent
     optimal basic solution.  Returns ``[(basis_indices, x), ...]`` with the
     solved vertex first; a single entry means the solution is unique against
-    one-pivot moves.
+    one-pivot moves.  This is ``_face_walk`` on a block of one row.
     """
-    out = [(result.basis.indices, result.x_hat)]
     cols = result.basis.indices
+    moves, errors = _face_walk(lp, cols, result.slack, result.x_hat[None, list(cols)],
+                               lp.b[None, :])
+    if errors:
+        raise errors[0]
+    return [(cols, result.x_hat)] + [(new_cols, x[0]) for new_cols, _, x in moves]
+
+
+def _face_walk(lp: StandardLp, cols: tuple, slack: np.ndarray, x_b: np.ndarray,
+               rhs: np.ndarray) -> tuple:
+    """The feasible one-pivot neighbors of the optimal basis ``cols`` along
+    its optimal face, for a block of rows at which ``cols`` is optimal:
+    ``x_b`` holds their basic coordinates and ``rhs`` their right-hand sides.
+
+    Returns ``(moves, errors)``.  ``moves`` lists ``(new_cols, rows, x)``:
+    the rows (indices into the block) where basis ``new_cols`` is feasible,
+    with their vertices there, in the order each row meets its neighbors.
+    One ``getrs`` solves every row that moves to the same neighbor.  A row
+    whose neighbor fails to factor gets that ``LpError`` in ``errors`` and
+    no further moves.
+    """
     zero_tol = 1e-9 * (1.0 + np.abs(lp.c).max(initial=0.0))
-    loose = tuple(int(j) for j in np.flatnonzero(np.abs(result.slack) <= zero_tol)
+    loose = tuple(int(j) for j in np.flatnonzero(np.abs(slack) <= zero_tol)
                   if j not in cols)
     if not loose:
-        return out
+        return [], {}
     lu_piv = cached_factors(lp, cols)
-    moves = lp.basis_cache.get(("face", cols, loose), lambda: _face_moves(lp, lu_piv, loose))
-    x_b = solve_lu(lu_piv, lp.b)
-    for j, rows, direction in moves:
+    steps = lp.basis_cache.get(("face", cols, loose), lambda: _face_moves(lp, lu_piv, loose))
+    live = np.ones(len(x_b), dtype=bool)
+    moves, errors = [], {}
+    for j, rows, direction in steps:
         if rows.size == 0:
             continue
-        leaving_row = ratio_test(x_b, rows, direction, cols)
-        new_cols = tuple(sorted(cols[:leaving_row] + cols[leaving_row + 1:] + (j,)))
-        point = basic_solution(lp, Basis(new_cols), cached=True)
-        if point.feasible and new_cols not in (basis for basis, _ in out):
-            out.append((new_cols, point.x))
-    return out
+        # each neighbor has its own entering column j, so none repeats a vertex
+        leaving = ratio_test(x_b, rows, direction)  # rows ascend, and so do cols
+        for pos in sorted(set(leaving.tolist())):
+            at = np.flatnonzero((leaving == pos) & live)
+            if not at.size:
+                continue
+            new_cols = tuple(sorted(cols[:pos] + cols[pos + 1:] + (j,)))
+            try:
+                new_lu = cached_factors(lp, new_cols)
+            except LpError as exc:
+                errors.update(dict.fromkeys(at.tolist(), exc))
+                live[at] = False
+                continue
+            x_new = solve_lu_rows(new_lu, rhs, at)
+            feasible = x_new.min(axis=1, initial=0.0) >= -FEAS_TOL
+            x = np.zeros((np.count_nonzero(feasible), lp.m))
+            x[:, new_cols] = x_new[feasible]
+            if len(x):
+                moves.append((new_cols, at[feasible], x))
+    return moves, errors
 
 
 def _face_moves(lp: StandardLp, lu_piv, loose: tuple) -> tuple:
@@ -246,32 +292,96 @@ def _face_moves(lp: StandardLp, lu_piv, loose: tuple) -> tuple:
     return tuple(moves)
 
 
-def _run_one(config: ExperimentConfig, n: int, n_index: int, replicate: int,
-             parts: dict) -> ReplicateRecord:
-    rng = _replicate_stream(config.seed, n_index, replicate)
+def _sample_rows(config: ExperimentConfig, n: int, n_index: int, rate: float,
+                 replicates: range) -> tuple:
+    """Each replicate's rhs, drawn from its own Philox stream at counter
+    ``[0, 0, n_index, replicate]``, and the state of that stream after the
+    draw, from which the replicate goes on to pick its face vertex."""
+    rhs, states = [], []
+    for rng in philox_streams(_philox_key(config.seed), (0, 0, n_index), replicates):
+        rhs.append(config.b_sampler.sample(config.truth_b, n, rate, rng))
+        states.append(rng.bit_generator.state)
+    return _rhs_block(config.lp, rhs), states
+
+
+def _rhs_block(lp: StandardLp, rhs: list) -> np.ndarray:
+    """The right-hand sides ``rhs`` as the rows of an ``(N, k)`` array;
+    ``ValueError`` for one of the wrong length, as ``with_rhs`` raises."""
+    block = np.empty((len(rhs), lp.k))
+    for row, b in zip(block, rhs):
+        b = np.asarray(b, dtype=float).ravel()
+        if b.shape != row.shape:
+            raise ValueError(f"b has length {b.size}, expected {lp.k}")
+        row[:] = b
+    return block
+
+
+def _coverage_block(config: ExperimentConfig, n: int, n_index: int, replicates: range,
+                    parts: dict) -> list:
+    """The ``ReplicateRecord`` of each of ``replicates`` at sample size ``n``.
+
+    The block is solved with ``solve_block``, walked along the optimal face
+    once per optimal basis, and tested for coverage once per selection
+    basis; each record is the one the replicate gets on its own from
+    ``solve``, ``optimal_face_vertices``, ``selection_basis``,
+    ``map_region`` and ``contains``.
+    """
     rate = float(n) ** config.rate_exponent
-    b_n = config.b_sampler.sample(config.truth_b, n, rate, rng)
-    try:
-        lp_n = config.lp.with_rhs(b_n)
-        result = solve(lp_n)
-        # practical solvers select arbitrarily among multiply-optimal
-        # vertices; model that selection by drawing uniformly over the
-        # face candidates from the replicate's own stream
-        candidates = optimal_face_vertices(lp_n, result)
-        _, x_hat = candidates[int(rng.integers(len(candidates)))]
-        basis = selection_basis(config.lp, x_hat)
-        mapped, projection = _basis_parts(config, basis, parts)
-        cs = ConfidenceSet(center=np.array(x_hat, dtype=float), rate=rate, mapped=mapped)
-        covered_targets = tuple(
-            i for i, v in enumerate(config.targets.vertices) if contains(cs, v)
-        )
-        covered = bool(covered_targets) or contains(cs, projection)
-        return ReplicateRecord(n=n, replicate=replicate, covered=covered,
-                               covered_targets=covered_targets,
-                               basis=basis.indices)
-    except LpError as exc:
-        return ReplicateRecord(n=n, replicate=replicate, covered=False,
-                               covered_targets=(), basis=(), error=str(exc))
+    rhs, states = _sample_rows(config, n, n_index, rate, replicates)
+    x_hat, errors = _reported_vertices(config.lp, rhs, states)
+    records = {}
+    ok = np.array([row for row in range(len(rhs)) if row not in errors], dtype=np.intp)
+    for mask, at in group_rows(np.abs(x_hat[ok]) > FEAS_TOL, ok):
+        try:
+            basis = _selection(config.lp, tuple(np.flatnonzero(mask).tolist()))
+            mapped, projection = _basis_parts(config, basis, parts)
+        except LpError as exc:
+            errors.update(dict.fromkeys(at.tolist(), exc))
+            continue
+        centers = x_hat[at]
+        hits = np.array([contains_rows(mapped, rate, centers, v)
+                         for v in config.targets.vertices]).reshape(-1, len(at))
+        covered = hits.any(axis=0)
+        if not covered.all():
+            covered[~covered] = contains_rows(mapped, rate, centers[~covered], projection)
+        for row, hit, inside in zip(at.tolist(), hits.T.tolist(), covered.tolist()):
+            records[row] = ReplicateRecord(
+                n=n, replicate=replicates[row], covered=inside,
+                covered_targets=tuple(t for t, h in enumerate(hit) if h), basis=basis.indices)
+    return [records[row] if row in records else
+            ReplicateRecord(n=n, replicate=rep, covered=False, covered_targets=(), basis=(),
+                            error=str(errors[row]))
+            for row, rep in enumerate(replicates)]
+
+
+def _reported_vertices(lp: StandardLp, rhs: np.ndarray, states: list) -> tuple:
+    """``(x_hat, errors)``: the vertex each row of ``rhs`` reports, as the
+    rows of ``x_hat``, and the ``LpError`` of each row that has none.
+
+    Practical solvers select arbitrarily among multiply-optimal vertices;
+    this models that selection by drawing uniformly over the solved vertex
+    and its optimal neighbors from the row's own stream, set back to the
+    state in ``states``.
+    """
+    groups, errors = solve_block(lp, rhs)
+    x_hat = np.zeros((len(rhs), lp.m))
+    bitgen, rng, _ = _thread_philox()
+    for cols, (at, x) in groups.items():
+        x_hat[at] = x
+        moves, failed = _face_walk(lp, cols, dual_certificate(lp, cols)[1], x[:, cols],
+                                   rhs[at])
+        errors.update({int(at[row]): exc for row, exc in failed.items()})
+        neighbors: dict = {}
+        for _, rows, points in moves:
+            for row, point in zip(at[rows].tolist(), points):
+                neighbors.setdefault(row, []).append(point)
+        for row, points in neighbors.items():
+            if row not in errors:
+                bitgen.state = states[row]
+                pick = int(rng.integers(len(points) + 1))
+                if pick:
+                    x_hat[row] = points[pick - 1]
+    return x_hat, errors
 
 
 def _basis_parts(config: ExperimentConfig, basis: Basis, parts: dict) -> tuple:
@@ -288,7 +398,7 @@ def _basis_parts(config: ExperimentConfig, basis: Basis, parts: dict) -> tuple:
 
 
 def run_coverage(config: ExperimentConfig, *, n_values=None, replicates=None,
-                 keep_log: bool = False, threads: int = 1) -> CoverageReport:
+                 keep_log: bool = False) -> CoverageReport:
     """Coverage of the target optimal set across replicates, per sample size.
 
     A replicate counts as covered when the confidence set contains any
@@ -296,9 +406,11 @@ def run_coverage(config: ExperimentConfig, *, n_values=None, replicates=None,
     solution onto the target set.  Solver failures are logged and counted
     as non-covered.
 
-    ``threads`` is accepted for compatibility and ignored: replicates run
-    in this thread, one after another.  Each replicate has its own random
-    stream, so the report is the same either way.
+    The replicates of one sample size are sampled, solved and tested as
+    blocks of up to ``BLOCK`` rows.  Each replicate has its own random
+    stream, and each step treats a row as it would treat it alone, so a
+    replicate's record depends neither on ``replicates`` nor on the block
+    it ran in.
     """
     n_values = list(config.n_values if n_values is None else n_values)
     replicates = int(config.replicates if replicates is None else replicates)
@@ -308,7 +420,10 @@ def run_coverage(config: ExperimentConfig, *, n_values=None, replicates=None,
     log = []
     parts: dict = {}
     for n_index, n in enumerate(n_values):
-        records = [_run_one(config, n, n_index, rep, parts) for rep in range(replicates)]
+        records = [record for start in range(0, replicates, BLOCK)
+                   for record in _coverage_block(
+                       config, n, n_index, range(start, min(start + BLOCK, replicates)),
+                       parts)]
         covered = sum(1 for rec in records if rec.covered)
         coverage = covered / replicates
         rows.append(CoverageRow(
@@ -344,15 +459,18 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
         raise InstanceMismatch("limit comparison needs a unique target optimum")
     seed = config.seed if seed is None else int(seed)
     rate = float(n) ** config.rate_exponent
+    # draw i comes from its own Philox stream at counter [1, 0, 0, i]
+    rhs = [config.b_sampler.sample(config.truth_b, n, rate, rng)
+           for rng in philox_streams(_philox_key(seed), (1, 0, 0), range(draws))]
     finite = np.empty(draws)
-    for i in range(draws):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[1, 0, 0, i]))
-        b_n = config.b_sampler.sample(config.truth_b, n, rate, rng)
-        if statistic == "distance":
-            result = solve(config.lp.with_rhs(b_n))
+    if statistic == "distance":
+        for i, result in enumerate(solve_rows(config.lp, _rhs_block(config.lp, rhs))):
+            if isinstance(result, LpError):
+                raise result
             _, dist = min_norm_point(config.targets, result.x_hat)
             finite[i] = rate * dist
-        else:
+    else:
+        for i, b_n in enumerate(rhs):
             shifted, _ = optimal_vertices(config.lp.with_rhs(b_n))
             finite[i] = rate * hausdorff(shifted, config.targets)
     x_star = config.targets.vertices[0]
@@ -404,6 +522,8 @@ def _custom_config(lp, b_sampler, region, truth_b=None, rate_exponent=0.5, n_val
     if not hasattr(sampler, "sample"):
         raise ValueError(f"{sampler.kind} b_sampler spec: the law has no finite-sample form")
     region = region_from_dict(region)
+    for part in (sampler, region):
+        check_support(getattr(part, "support_indices", None), lp.k)
     targets, _ = optimal_vertices(lp)
     return ExperimentConfig(
         lp=lp, truth_b=truth_b, b_sampler=sampler, region=region, targets=targets,

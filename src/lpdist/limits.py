@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Infeasible, NonFiniteData, NotUnique, Unbounded
+from .errors import Infeasible, LpError, NonFiniteData, NotUnique, Unbounded
 from .geometry import (
     TIE_TOL,
     SphereGrid,
@@ -32,12 +32,14 @@ from .problem import (
     StandardLp,
     _check_finite,
     _independent_rows,
+    check_support,
     iter_bases,
     optimal_vertices,
     spec_to_dict,
     support,
 )
 from .simplex import solve as simplex_solve
+from .simplex import solve_rows
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,25 @@ def _philox_key(seed: int) -> np.ndarray:
     return np.array([seed & (2**64 - 1), seed >> 64], dtype=np.uint64)
 
 
+def philox_streams(key: np.ndarray, lead: tuple, indices):
+    """This thread's generator, reset in turn to the stream of each index.
+
+    The stream of index ``i`` is ``Philox(key=seed, counter=[*lead, i])``
+    for the seed whose ``_philox_key`` is ``key``; setting the state equals
+    building that generator afresh, at a fraction of the cost.  The
+    generator's ``bit_generator.state`` may be saved and set back later to
+    go on drawing from a stream.
+    """
+    bitgen, rng, fresh = _thread_philox()
+    counter = np.zeros(4, dtype=np.uint64)
+    counter[:3] = lead
+    state = dict(fresh, state={"counter": counter, "key": key})
+    for index in indices:
+        counter[3] = index
+        bitgen.state = state
+        yield rng
+
+
 class GaussianLaw:
     """Centred Gaussian noise with covariance ``sigma``, placed on the
     ``support_indices`` of a rhs (of ``dim`` coordinates in a limit row).
@@ -113,6 +134,8 @@ class GaussianLaw:
             self.support_indices = tuple(int(i) for i in support_indices)
             if len(self.support_indices) != r:
                 raise ValueError("support size must match the covariance")
+            if dim is not None:
+                check_support(self.support_indices, self.dim)
         elif self.dim != r:
             raise ValueError("dim without support_indices must match the covariance")
         self._place = list(self.support_indices or range(r))
@@ -242,18 +265,8 @@ class NoiseSampler:
         return cls(EmpiricalLaw(vectors), seed)
 
     def _streams(self, start: int, count: int):
-        """This thread's generator, reset to the stream of each index in turn.
-
-        Setting the state equals building ``Philox(key=seed, counter=[0, 0,
-        0, i])`` afresh, at a fraction of the cost.
-        """
-        bitgen, rng, fresh = _thread_philox()
-        counter = np.zeros(4, dtype=np.uint64)
-        state = dict(fresh, state={"counter": counter, "key": self._key})
-        for index in range(start, start + count):
-            counter[3] = index
-            bitgen.state = state
-            yield rng
+        """Generators for draws ``start, ..., start + count - 1``."""
+        return philox_streams(self._key, (0, 0, 0), range(start, start + count))
 
     def draw_block(self, start: int, count: int) -> np.ndarray:
         """Draws ``start, ..., start + count - 1`` as the rows of an array."""
@@ -306,7 +319,14 @@ def solve_mixed(mixed: MixedSignLp) -> tuple:
 
 def _solve_split(lp: StandardLp, free: list, c: np.ndarray) -> tuple:
     """``solve_mixed`` on a program already split by ``split_free``."""
-    result = simplex_solve(lp)
+    return _unsplit(simplex_solve(lp), free, c)
+
+
+def _unsplit(result, free: list, c: np.ndarray) -> tuple:
+    """The mixed-sign point behind a solve of the split program and its
+    objective; ``result`` is a ``SolveResult`` or the error to raise."""
+    if isinstance(result, LpError):
+        raise result
     m = len(c)
     point = result.x_hat[:m].copy()
     if free:
@@ -431,24 +451,26 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
     Draws are made and solved in blocks of ``BLOCK``; sample ``i`` depends
     only on the sampler and ``i``, not on ``n_draws`` or the block size.
     ``vertex_only`` swaps exact vertex enumeration for a single simplex
-    solve per draw, for instances too large to enumerate.
+    solve per draw (each block in one ``solve_rows`` call), for instances
+    too large to enumerate.
     """
     x_star = np.asarray(x_star, dtype=float)
     if verify_unique:
         aux_lp_unique(lp, x_star, np.zeros(lp.k), verify_unique=True)
     free = support(x_star)
-    samples = []
     if vertex_only:
-        # split once; each draw re-solves the same program with a new rhs
         split, free_order = split_free(MixedSignLp(lp.A, np.zeros(lp.k), lp.c, free))
-        for g in sampler.draws(n_draws):
-            point, value = _solve_split(split.with_rhs(g), free_order, lp.c)
-            samples.append(LimitSample(g=g, optimal_set=Polytope.single(point), objective=value))
-        return samples
-    enum = AuxVertexEnumerator(lp.A, lp.c, free)
+    else:
+        enum = AuxVertexEnumerator(lp.A, lp.c, free)
+    samples = []
     for start in range(0, n_draws, BLOCK):
         block = sampler.draw_block(start, min(BLOCK, n_draws - start))
-        for g, (polytope, value) in zip(block, enum.optimal_sets(block)):
+        if vertex_only:
+            solved = [_unsplit(result, free_order, lp.c) for result in solve_rows(split, block)]
+            sets = [(Polytope.single(point), value) for point, value in solved]
+        else:
+            sets = enum.optimal_sets(block)
+        for g, (polytope, value) in zip(block, sets):
             samples.append(LimitSample(g=g, optimal_set=polytope, objective=value))
     return samples
 

@@ -40,6 +40,21 @@ def solve_lu(lu_piv, rhs, trans: int = 0) -> np.ndarray:
     return x
 
 
+def solve_lu_rows(lu_piv, rhs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``solve_lu`` for each row of the ``(N, k)`` array ``rhs`` that
+    ``rows`` names, as the rows of a ``(len(rows), k)`` array, in one
+    LAPACK ``getrs`` call.
+
+    OpenBLAS solves a lone column with another kernel than a block, so a
+    single row goes in twice: a row's result then does not depend on the
+    block it came in.
+    """
+    block = rhs.take(rows if len(rows) > 1 else rows.tolist() * 2, axis=0)
+    # the transpose is the Fortran-ordered block getrs solves in place
+    x, _ = _GETRS(lu_piv[0], lu_piv[1], block.T, 0, 1)  # trans=0, overwrite_b=1
+    return x.T[:len(rows)]
+
+
 FEAS_TOL = 1e-9
 DEDUP_TOL = 1e-8
 ENUM_CAP = 10**6
@@ -173,6 +188,14 @@ def _check_finite(name: str, arr: np.ndarray):
     """Raise ``NonFiniteData`` unless every entry of ``arr`` is finite."""
     if not np.isfinite(arr).all():
         raise NonFiniteData(f"{name} holds NaN or infinity")
+
+
+def check_support(indices, dim: int):
+    """Raise ``ValueError`` unless every entry of ``indices`` (a region's or
+    noise law's ``support_indices``, or ``None``) is a row of ``dim`` rows."""
+    outside = [i for i in indices or () if not 0 <= i < dim]
+    if outside:
+        raise ValueError(f"support_indices {outside} are not rows of a {dim}-row program")
 
 
 def _pivot_tol(A: np.ndarray) -> float:
@@ -379,6 +402,16 @@ def program_bases(lp: StandardLp, enum_cap: int = ENUM_CAP):
     _check_cap(math.comb(lp.m, lp.k), enum_cap)
     for row in memo.invertible:
         yield tuple(row.tolist()), quiet_lu(lp.A.take(row, axis=1))
+
+
+def group_rows(keys: np.ndarray, rows: np.ndarray) -> list:
+    """``(key, rows with that key)`` for each distinct row of the 2-d
+    ``keys``, whose rows label the entries of ``rows`` one for one; groups
+    come in order of first appearance, entries in their own order."""
+    groups: dict = {}
+    for i, key in enumerate(map(bytes, np.ascontiguousarray(keys))):
+        groups.setdefault(key, []).append(i)
+    return [(keys[at[0]], rows[at]) for at in groups.values()]
 
 
 def _feasible_points(lp: StandardLp, feas_tol: float, enum_cap: int):

@@ -11,16 +11,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Infeasible, NoConvergence, Unbounded
+from .errors import Infeasible, LpError, NoConvergence, NonFiniteData, Unbounded
 from .problem import (
     FEAS_TOL,
     Basis,
     BasisCache,
     StandardLp,
-    basic_solution,
+    cached_factors,
+    group_rows,
     quiet_lu,
     read_only,
     solve_lu,
+    solve_lu_rows,
 )
 
 
@@ -45,13 +47,13 @@ class _Pivot:
 
     lu_piv: tuple  # read-only factors of the basis block
     entering: Optional[int]  # lowest improving column; None when optimal
-    rows: Optional[np.ndarray]  # rows where the entering column is positive
+    rows: Optional[np.ndarray]  # rows where the entering column is positive,
+    # ordered by their basic column, so a tie goes to the first
     direction: Optional[np.ndarray]  # the entering column's coefficients on ``rows``
 
 
-def _pivot(A: np.ndarray, c: np.ndarray, basis: list) -> _Pivot:
-    enter_tol = 1e-9 * (1.0 + np.abs(c).max(initial=0.0))
-    pivot_tol = 1e-10 * (1.0 + np.abs(A).max(initial=0.0))
+def _pivot(A: np.ndarray, c: np.ndarray, basis: list, tols: tuple) -> _Pivot:
+    enter_tol, pivot_tol = tols
     lu_piv = read_only(*quiet_lu(A[:, basis]))
     y = solve_lu(lu_piv, c[basis], trans=1)
     reduced = c - A.T @ y
@@ -61,39 +63,77 @@ def _pivot(A: np.ndarray, c: np.ndarray, basis: list) -> _Pivot:
         return _Pivot(lu_piv, None, None, None)
     entering = int(candidates[0])
     direction = solve_lu(lu_piv, A[:, entering])
-    rows = np.flatnonzero(direction > pivot_tol)
+    rows = np.array(sorted(np.flatnonzero(direction > pivot_tol).tolist(),
+                           key=basis.__getitem__), dtype=np.intp)
     return _Pivot(lu_piv, entering, *read_only(rows, direction[rows]))
 
 
-def ratio_test(x_b: np.ndarray, rows: np.ndarray, direction: np.ndarray, order) -> int:
-    """Leaving row: least ratio ``x_b / direction`` over ``rows``, ties to the
-    row whose ``order`` entry (its basic column) is lowest."""
-    ratios = np.maximum(x_b[rows], 0.0) / direction
-    best = ratios.min()
-    ties = rows[(ratios <= best + 1e-12 * (1.0 + best)).nonzero()[0]]
-    return int(min(ties, key=order.__getitem__))
+def ratio_test(x_b: np.ndarray, rows: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Leaving row for each row of the ``(N, k)`` block ``x_b``: least ratio
+    ``x_b / direction`` over ``rows``, ties to the first of ``rows``.
+
+    With ``rows`` ordered by their basic columns, a tie goes to the lowest
+    basic column, which is Bland's rule.
+    """
+    ratios = np.maximum(x_b[:, rows], 0.0) / direction
+    best = np.minimum.reduce(ratios, axis=1, keepdims=True)
+    return rows[(ratios <= best + 1e-12 * (1.0 + best)).argmax(axis=1)]
 
 
-def _bland(cache: BasisCache, phase: tuple, A: np.ndarray, b: np.ndarray, c: np.ndarray,
-           basis: list):
-    """Run Bland-rule pivots from ``basis`` until optimal or unbounded.
+def _bland(cache: BasisCache, phase: tuple, A: np.ndarray, c: np.ndarray, rhs: np.ndarray,
+           frontier: dict, errors: dict, m: int) -> list:
+    """Run Bland-rule pivots on a block of right-hand sides until each row
+    is optimal or unbounded.
 
-    ``b`` must be nonnegative and ``basis`` must index a feasible square
-    block.  Each basis's factors and pivot decision come from ``cache``
-    under ``phase``, which names ``A`` and ``c``; only ``x_B`` and the ratio
-    test depend on ``b``.
+    ``frontier`` maps a basis (a tuple of columns in row order) to the
+    indices of the rows of ``rhs`` that start there; the rows must be
+    nonnegative and each basis must index a feasible square block.  Each
+    basis's factors and pivot decision come from ``cache`` under ``phase``,
+    which names ``A`` and ``c``; only ``x_B`` and the ratio test depend on
+    the rows, and all rows at one basis are solved in one ``getrs``.
+    Returns ``[(final basis, rows, x_B), ...]``, where ``x_B`` is solved
+    only at a basis that keeps an artificial column (one of index ``m`` or
+    more) and is ``None`` elsewhere; a row that fails gets its ``LpError``
+    in ``errors`` instead.  Every row takes the pivots it would take alone,
+    so the block changes no row's path.
     """
     k, n = A.shape
-    basis = list(basis)
+    tols = (1e-9 * (1.0 + np.abs(c).max(initial=0.0)),  # entering, pivot
+            1e-10 * (1.0 + np.abs(A).max(initial=0.0)))
+    done = []
     for _ in range(_pivot_budget(k, n)):
-        step = cache.get((phase, tuple(basis)), lambda: _pivot(A, c, basis))
-        x_b = solve_lu(step.lu_piv, b)
-        if step.entering is None:
-            return basis, x_b
-        if step.rows.size == 0:
-            raise Unbounded(f"column {step.entering} has no blocking row")
-        basis[ratio_test(x_b, step.rows, step.direction, basis)] = step.entering
-    raise NoConvergence("pivot budget exhausted; the instance may be ill-conditioned")
+        moved: dict = {}
+        for basis, rows in frontier.items():
+            step = cache.get((phase, basis), lambda: _pivot(A, c, list(basis), tols))
+            if step.entering is None:
+                x_b = solve_lu_rows(step.lu_piv, rhs, rows) if max(basis) >= m else None
+                done.append((basis, rows, x_b))
+            elif step.rows.size == 0:
+                _fail(errors, rows, Unbounded, f"column {step.entering} has no blocking row")
+            else:
+                x_b = solve_lu_rows(step.lu_piv, rhs, rows)
+                leaving = ratio_test(x_b, step.rows, step.direction)
+                positions = set(leaving.tolist())
+                for pos in positions:
+                    after = basis[:pos] + (step.entering,) + basis[pos + 1:]
+                    moved.setdefault(after, []).append(
+                        rows if len(positions) == 1 else rows[leaving == pos])
+        if not moved:
+            return done
+        frontier = {basis: _joined(parts) for basis, parts in moved.items()}
+    for rows in frontier.values():
+        _fail(errors, rows, NoConvergence,
+              "pivot budget exhausted; the instance may be ill-conditioned")
+    return done
+
+
+def _joined(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _fail(errors: dict, rows, kind, message: str):
+    for row in np.asarray(rows).tolist():
+        errors[row] = kind(message)
 
 
 def _pivot_budget(k: int, n: int) -> int:
@@ -113,10 +153,95 @@ def _sign_pattern(cache: BasisCache, lp: StandardLp, negative: np.ndarray):
     return cache.get(("signs", negative.tobytes()), build)
 
 
-def _certificate(lp: StandardLp, indices: tuple):
-    dual = np.linalg.solve(lp.A[:, indices].T, lp.c[list(indices)])
-    slack = lp.c - lp.A.T @ dual
-    return read_only(dual, slack)
+def dual_certificate(lp: StandardLp, cols: tuple) -> tuple:
+    """``(dual, slack)`` of the basis ``cols``: the duals and the reduced
+    costs, kept in the program's basis cache."""
+
+    def build():
+        dual = np.linalg.solve(lp.A[:, cols].T, lp.c[list(cols)])
+        return read_only(dual, lp.c - lp.A.T @ dual)
+
+    return lp.basis_cache.get(("certificate", cols), build)
+
+
+def solve_block(lp: StandardLp, rhs: np.ndarray, *, feas_tol: float = FEAS_TOL) -> tuple:
+    """Optimal bases and vertices of ``lp`` at each row of the ``(N, k)``
+    block ``rhs``, grouped by basis.
+
+    Returns ``(groups, errors)``: ``groups`` maps each optimal basis (sorted
+    columns) to ``(rows, X)``, the indices of its rows and their optimal
+    vertices as the rows of ``X``; ``errors`` maps each other row to its
+    ``LpError``.  A row's result is the one ``solve`` gives at that rhs.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    k, m = lp.k, lp.m
+    if rhs.ndim != 2 or rhs.shape[1] != k:
+        raise ValueError(f"rhs rows must have length {k}")
+    cache = lp.basis_cache
+    errors: dict = {}
+    finite = np.isfinite(rhs).all(axis=1)
+    if not finite.all():
+        _fail(errors, np.flatnonzero(~finite), NonFiniteData, "b holds NaN or infinity")
+    finite = np.flatnonzero(finite)
+    finals: dict = {}
+    for pattern, rows in group_rows(rhs[finite] < 0, finite):
+        signs = pattern.tobytes()
+        flip, A1, A_art, c_art = _sign_pattern(cache, lp, pattern)
+        b1 = rhs * flip
+        # phase one: minimize the total artificial mass
+        phase2: dict = {}
+        for basis, at, x_b in _bland(cache, ("phase1", signs), A_art, c_art, b1,
+                                     {tuple(range(m, m + k)): rows}, errors, m):
+            if x_b is not None:
+                mass = x_b[:, np.asarray(basis) >= m].sum(axis=1)
+                _fail(errors, at[mass > feas_tol], Infeasible,
+                      "phase one terminated with positive artificial mass")
+                at = at[mass <= feas_tol]
+                if not at.size:
+                    continue
+                try:
+                    basis = cache.get(("evict", signs, basis),
+                                      lambda: _evict_artificials(A_art, np.array(basis), m))
+                except LpError as exc:
+                    _fail(errors, at, type(exc), str(exc))
+                    continue
+            phase2.setdefault(basis, []).append(at)
+        phase2 = {basis: _joined(parts) for basis, parts in phase2.items()}
+        for basis, at, _ in _bland(cache, ("phase2", signs), A1, lp.c, b1, phase2, errors, m):
+            finals.setdefault(tuple(sorted(basis)), []).append(at)
+    groups = {}
+    for cols, parts in finals.items():
+        at = _joined(parts)
+        try:
+            lu_piv = cached_factors(lp, cols)
+        except LpError as exc:
+            _fail(errors, at, type(exc), str(exc))
+            continue
+        x = np.zeros((len(at), m))
+        x[:, cols] = solve_lu_rows(lu_piv, rhs, at)
+        groups[cols] = (at, x)
+    return groups, errors
+
+
+def solve_rows(lp: StandardLp, rows, *, feas_tol: float = FEAS_TOL) -> list:
+    """``solve`` at each row of the ``(N, k)`` block ``rows``: a list with
+    each row's ``SolveResult``, or the ``LpError`` that row raised.
+
+    Rows at the same basis are solved together, one ``getrs`` call per
+    basis visited, and a failing row leaves the others unaffected.  A row's
+    result, bit for bit, depends neither on the other rows nor on their
+    order.
+    """
+    rows = np.asarray(rows, dtype=float)
+    groups, errors = solve_block(lp, rows, feas_tol=feas_tol)
+    out = [errors.get(i) for i in range(len(rows))]
+    for cols, (at, x) in groups.items():
+        basis = Basis(cols)
+        dual, slack = dual_certificate(lp, cols)
+        for row, point in zip(at.tolist(), x):
+            out[row] = SolveResult(x_hat=point, basis=basis, objective=float(lp.c @ point),
+                                   dual=dual, slack=slack)
+    return out
 
 
 def solve(lp: StandardLp, *, feas_tol: float = FEAS_TOL) -> SolveResult:
@@ -124,37 +249,15 @@ def solve(lp: StandardLp, *, feas_tol: float = FEAS_TOL) -> SolveResult:
 
     Raises ``Infeasible`` when phase one cannot clear the artificial
     variables, ``Unbounded`` when phase two detects a descent ray, and
-    ``NoConvergence`` when the pivot budget runs out.  Programs sharing a
+    ``NoConvergence`` when the pivot budget runs out.  This is
+    ``solve_rows`` on the block of ``lp.b`` alone.  Programs sharing a
     basis cache (see ``StandardLp.with_rhs``) re-use each other's factors;
     the result is bit for bit the one a fresh program gives.
     """
-    k, m = lp.k, lp.m
-    cache = lp.basis_cache
-    negative = lp.b < 0
-    signs = negative.tobytes()
-    flip, A1, A_art, c_art = _sign_pattern(cache, lp, negative)
-    b1 = lp.b * flip
-
-    # phase one: minimize the total artificial mass
-    basis, x_b = _bland(cache, ("phase1", signs), A_art, b1, c_art, range(m, m + k))
-    if float(x_b[np.asarray(basis) >= m].sum(initial=0.0)) > feas_tol:
-        raise Infeasible("phase one terminated with positive artificial mass")
-    if max(basis) >= m:
-        basis = cache.get(("evict", signs, tuple(basis)),
-                          lambda: _evict_artificials(A_art, np.array(basis), m))
-
-    basis, _ = _bland(cache, ("phase2", signs), A1, b1, lp.c, basis)
-    final = Basis(tuple(sorted(basis)))
-    point = basic_solution(lp, final, feas_tol=feas_tol, cached=True)
-    dual, slack = cache.get(("certificate", final.indices),
-                            lambda: _certificate(lp, final.indices))
-    return SolveResult(
-        x_hat=point.x,
-        basis=final,
-        objective=float(lp.c @ point.x),
-        dual=dual,
-        slack=slack,
-    )
+    result, = solve_rows(lp, lp.b[None, :], feas_tol=feas_tol)
+    if isinstance(result, LpError):
+        raise result
+    return result
 
 
 def _evict_artificials(A_art: np.ndarray, basis: np.ndarray, m: int) -> tuple:

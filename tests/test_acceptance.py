@@ -36,7 +36,7 @@ MEAN_LIMIT_DISTANCE = 0.5641895835477563  # closed form for the transport limit
 
 def test_transport_coverage_matches_reference_table():
     """2x2 transport: empirical coverage per sample size inside the reference windows."""
-    report = run_coverage(replace(build_ot_2x2(), seed=7), threads=4)
+    report = run_coverage(replace(build_ot_2x2(), seed=7))
     windows = {1: (0.480, 0.048), 10: (0.981, 0.013),
                100: (0.922, 0.026), 10000: (0.950, 0.021)}
     for row in report.rows:
@@ -64,7 +64,7 @@ def test_network_flow_coverage_splits_across_tied_optima():
     assert len(config.targets) == 2
     for vertex in config.targets.vertices:
         assert abs(config.lp.c @ vertex - 150.0) <= 1e-8 * 151.0
-    report = run_coverage(config, keep_log=True, threads=4)
+    report = run_coverage(config, keep_log=True)
     for row in report.rows:
         assert row.coverage >= 0.92, (row.n, row.coverage)
     records = [rec for rec in report.log if rec.n == 500]

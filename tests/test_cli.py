@@ -438,3 +438,26 @@ def test_custom_config_without_lp_names_the_missing_key(write_json, capsys):
     assert main(["coverage", "--experiment", "custom",
                  "--config", write_json("custom.json", config)]) == 2
     assert "lp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["limit-sample", "confidence"])
+def test_support_index_past_the_rows_exits_2_without_traceback(ot_file, write_json, command):
+    spec = {"sigma": [[1.0]], "support_indices": [5]}
+    if command == "limit-sample":
+        path = write_json("sampler.json", {"kind": "gaussian", **spec})
+        args = ["--sampler", path, "--draws", "3"]
+    else:
+        path = write_json("region.json", {"kind": "ellipsoid", "level": 0.95, **spec})
+        args = ["--region", path, "--b", "0.55,0.45,0.5", "--n", "20"]
+    proc = subprocess.run([sys.executable, "-m", "lpdist.cli", command, "--lp", ot_file, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "support_indices [5]" in proc.stderr
+
+
+def test_custom_config_support_index_past_the_rows_exits_2(write_json, capsys):
+    sampler = {"kind": "gaussian", "sigma": [[1.0]], "support_indices": [3]}
+    path = write_json("custom.json", {**CUSTOM_CONFIG, "b_sampler": sampler})
+    assert main(["coverage", "--experiment", "custom", "--config", path]) == 2
+    assert "support_indices [3]" in capsys.readouterr().err

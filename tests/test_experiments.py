@@ -119,12 +119,14 @@ def test_coverage_report_schema_and_determinism():
     assert rep2.log == []
 
 
-def test_coverage_thread_invariance():
-    cfg = build_ot_2x2()
-    serial = run_coverage(cfg, n_values=(1, 10), replicates=40)
-    threaded = run_coverage(cfg, n_values=(1, 10), replicates=40, threads=3)
-    assert [(r.n, r.covered) for r in serial.rows] == \
-        [(r.n, r.covered) for r in threaded.rows]
+@pytest.mark.parametrize("build", [build_ot_2x2, build_min_cost_flow])
+def test_coverage_records_do_not_depend_on_the_block(build):
+    cfg = build()
+    short = run_coverage(cfg, replicates=10, keep_log=True)
+    long = run_coverage(cfg, replicates=75, keep_log=True)
+    for n in cfg.n_values:
+        assert [rec for rec in short.log if rec.n == n] == \
+            [rec for rec in long.log if rec.n == n and rec.replicate < 10]
 
 
 def test_coverage_seed_sensitivity():
