@@ -49,9 +49,10 @@ from .problem import (
     group_rows,
     load_lp,
     optimal_vertices,
+    program_family,
     read_only,
+    solve_factored,
     solve_lu,
-    solve_lu_rows,
     support,
 )
 from .simplex import dual_certificate, ratio_test, solve_block, solve_rows
@@ -271,7 +272,7 @@ def _face_walk(lp: StandardLp, cols: tuple, slack: np.ndarray, x_b: np.ndarray,
                 errors.update(dict.fromkeys(at.tolist(), exc))
                 live[at] = False
                 continue
-            x_new = solve_lu_rows(new_lu, rhs, at)
+            x_new = solve_factored((new_lu,), rhs, at)[0]
             feasible = x_new.min(axis=1, initial=0.0) >= -FEAS_TOL
             x = np.zeros((np.count_nonzero(feasible), lp.m))
             x[:, new_cols] = x_new[feasible]
@@ -455,6 +456,9 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
     """
     if statistic not in ("distance", "hausdorff"):
         raise ValueError("statistic must be 'distance' or 'hausdorff'")
+    for name, value in (("n", n), ("draws", draws)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, not {value}")
     if len(config.targets) != 1:
         raise InstanceMismatch("limit comparison needs a unique target optimum")
     seed = config.seed if seed is None else int(seed)
@@ -462,16 +466,17 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
     # draw i comes from its own Philox stream at counter [1, 0, 0, i]
     rhs = [config.b_sampler.sample(config.truth_b, n, rate, rng)
            for rng in philox_streams(_philox_key(seed), (1, 0, 0), range(draws))]
+    block = _rhs_block(config.lp, rhs)
     finite = np.empty(draws)
     if statistic == "distance":
-        for i, result in enumerate(solve_rows(config.lp, _rhs_block(config.lp, rhs))):
+        for i, result in enumerate(solve_rows(config.lp, block)):
             if isinstance(result, LpError):
                 raise result
             _, dist = min_norm_point(config.targets, result.x_hat)
             finite[i] = rate * dist
     else:
-        for i, b_n in enumerate(rhs):
-            shifted, _ = optimal_vertices(config.lp.with_rhs(b_n))
+        sets = program_family(config.lp).optimal_sets(config.lp.c, block)
+        for i, (shifted, _) in enumerate(sets):
             finite[i] = rate * hausdorff(shifted, config.targets)
     x_star = config.targets.vertices[0]
     noise = config.b_sampler.limit_noise(seed, config.lp.k)

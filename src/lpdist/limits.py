@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Infeasible, LpError, NonFiniteData, NotUnique, Unbounded
+from .errors import LpError, NotUnique, Unbounded
 from .geometry import (
     TIE_TOL,
     SphereGrid,
@@ -26,14 +26,13 @@ from .geometry import (
     support_function,
 )
 from .problem import (
-    _GETRS,
     FEAS_TOL,
+    BasisFamily,
     Polytope,
     StandardLp,
     _check_finite,
     _independent_rows,
     check_support,
-    iter_bases,
     optimal_vertices,
     spec_to_dict,
     support,
@@ -314,12 +313,7 @@ def split_free(mixed: MixedSignLp) -> tuple:
 def solve_mixed(mixed: MixedSignLp) -> tuple:
     """One optimal point of the mixed-sign LP and its objective value."""
     lp, free = split_free(mixed)
-    return _solve_split(lp, free, mixed.c)
-
-
-def _solve_split(lp: StandardLp, free: list, c: np.ndarray) -> tuple:
-    """``solve_mixed`` on a program already split by ``split_free``."""
-    return _unsplit(simplex_solve(lp), free, c)
+    return _unsplit(simplex_solve(lp), free, mixed.c)
 
 
 def _unsplit(result, free: list, c: np.ndarray) -> tuple:
@@ -337,81 +331,24 @@ def _unsplit(result, free: list, c: np.ndarray) -> tuple:
 class AuxVertexEnumerator:
     """Exact optimal-vertex sets of a mixed-sign LP, reusable across rhs.
 
-    Vertices are basic solutions at column sets J of size k that contain
-    every free index; the factorizations depend only on the matrix, so one
-    instance serves many right-hand sides cheaply.
+    Vertices are basic solutions at column sets of size k that contain every
+    free index: the ``BasisFamily`` of ``a`` with the free indices fixed.
+    The factorizations depend only on the matrix, so one instance serves
+    many right-hand sides cheaply.
     """
 
     def __init__(self, a: np.ndarray, c: np.ndarray, free_indices, *,
                  feas_tol: float = FEAS_TOL):
-        self.a = np.asarray(a, dtype=float)
+        self.family = BasisFamily(a, fixed=free_indices)
+        self.a = self.family.A
         self.c = np.asarray(c, dtype=float)
-        self.free = sorted(int(i) for i in free_indices)
+        self.free = self.family.fixed
         self.feas_tol = feas_tol
-        bases = list(iter_bases(self.a, fixed=self.free))
-        if not bases:
-            raise Infeasible("no invertible column set contains the free indices")
-        candidates = [cols for cols, _ in bases]
-        self._factors = [lu_piv for _, lu_piv in bases]
-        free = set(self.free)
-        # per candidate: its columns, their costs, and which of them are held
-        # to the sign constraint
-        self._cols = np.array(candidates, dtype=np.intp)
-        self._costs = self.c[self._cols][:, None, :]
-        self._signed = np.array([[[j not in free] for j in cols] for cols in candidates])
-        # index pair placing a (candidates, rows, k) block at the columns of each candidate
-        self._take = (np.arange(len(candidates))[:, None, None], self._cols[:, None, :])
 
     def optimal_sets(self, rhs_rows: np.ndarray) -> list:
-        """``optimal_set`` for every row of a ``(N, k)`` block of right-hand sides.
-
-        Each candidate basis is solved for the whole block in one LAPACK
-        ``getrs`` call.  A candidate is feasible for a row when its signed
-        coordinates are at least ``-feas_tol``; the optimal value is the
-        first smallest objective among feasible candidates, and the optimal
-        set holds every feasible candidate within ``1e-8 * (1 + |best|)`` of
-        it.  Raises ``Infeasible`` when some row has no feasible candidate and
-        ``NonFiniteData`` when a row holds NaN or infinity.
-        """
-        rhs_rows = np.asarray(rhs_rows, dtype=float)
-        k, m = self.a.shape
-        if rhs_rows.ndim != 2 or rhs_rows.shape[1] != k:
-            raise ValueError(f"rhs rows must have length {k}")
-        if not np.isfinite(rhs_rows).all():
-            raise NonFiniteData("rhs holds NaN or infinity")
-        count = len(rhs_rows)
-        # one (width, k) slab per candidate, solved in place: its transpose is
-        # the Fortran-ordered block getrs takes.  OpenBLAS solves a lone column
-        # with another kernel than a block, so a single rhs goes in twice; a
-        # row's result then does not depend on the block it came in.
-        slabs = np.empty((len(self._factors), max(count, 2), k))
-        slabs[:] = rhs_rows
-        for (lu, piv), slab in zip(self._factors, slabs):
-            _GETRS(lu, piv, slab.T, 0, 1)  # trans=0, overwrite_b=1
-        x = slabs[:, :count]
-        # a sign-checked coordinate below -feas_tol makes the candidate infeasible
-        infeasible = np.matmul(x < -self.feas_tol, self._signed)[:, :, 0]
-        values = np.add.reduce(x * self._costs, axis=2)  # objectives
-        values[infeasible] = math.inf
-        rows = np.arange(count)
-        winner = values.argmin(axis=0)
-        best = values[winner, rows]
-        best_list = best.tolist()
-        if not all(map(math.isfinite, best_list)):
-            if infeasible.all(axis=0).any():
-                raise Infeasible("mixed-sign LP has no basic feasible point")
-            raise NonFiniteData("an objective value overflowed")
-        tied = values - best <= 1e-8 * (1.0 + np.abs(best))
-        # every candidate's basic point, then each row's winner
-        full = np.zeros((len(self._factors), count, m))
-        full[self._take[0], rows[:, None], self._take[1]] = x
-        points = full[winner, rows]
-        points.setflags(write=False)
-        out = list(zip(map(Polytope.single, points[:, None, :]), best_list))
-        if np.count_nonzero(tied) > count:
-            for row in np.flatnonzero(tied.sum(axis=0) > 1):
-                out[row] = (Polytope(full[tied[:, row], row]), out[row][1])
-        return out
+        """``optimal_set`` for every row of a ``(N, k)`` block of right-hand
+        sides: ``BasisFamily.optimal_sets``, one ``getrs`` call per basis."""
+        return self.family.optimal_sets(self.c, rhs_rows, self.feas_tol)
 
     def optimal_set(self, rhs: np.ndarray) -> tuple:
         """(Polytope of optimal vertices, optimal value) for this rhs."""
@@ -454,6 +391,8 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
     solve per draw (each block in one ``solve_rows`` call), for instances
     too large to enumerate.
     """
+    if n_draws < 0:
+        raise ValueError(f"n_draws must be nonnegative, not {n_draws}")
     x_star = np.asarray(x_star, dtype=float)
     if verify_unique:
         aux_lp_unique(lp, x_star, np.zeros(lp.k), verify_unique=True)

@@ -32,27 +32,36 @@ def quiet_lu(block: np.ndarray):
     return lu, piv
 
 
-def solve_lu(lu_piv, rhs, trans: int = 0) -> np.ndarray:
-    """``scipy.linalg.lu_solve(lu_piv, rhs, trans, check_finite=False)`` for
-    float64 factors, minus the wrapper: the same LAPACK ``getrs`` call on the
-    same data, so the same bits."""
-    x, _ = _GETRS(lu_piv[0], lu_piv[1], rhs, trans=trans)
-    return x
-
-
-def solve_lu_rows(lu_piv, rhs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``solve_lu`` for each row of the ``(N, k)`` array ``rhs`` that
-    ``rows`` names, as the rows of a ``(len(rows), k)`` array, in one
-    LAPACK ``getrs`` call.
-
-    OpenBLAS solves a lone column with another kernel than a block, so a
-    single row goes in twice: a row's result then does not depend on the
-    block it came in.
+def solve_factored(factors, rhs: np.ndarray, at=None, trans: int = 0) -> np.ndarray:
+    """Solve each factored block of ``factors`` (``(lu, piv)`` pairs from
+    ``quiet_lu``) for the rows ``at`` of the ``(N, k)`` array ``rhs`` (all
+    rows when ``at`` is None): entry ``[i, j]`` of the result is
+    ``A_i^{-1} rhs[at[j]]``, or ``A_i^{-T} rhs[at[j]]`` with ``trans=1``.
+    Every LU solve of the package comes here, one LAPACK ``getrs`` call per
+    block.  OpenBLAS solves a lone column with another kernel than a block,
+    so a lone row goes in twice and its result does not depend on its block.
     """
-    block = rhs.take(rows if len(rows) > 1 else rows.tolist() * 2, axis=0)
-    # the transpose is the Fortran-ordered block getrs solves in place
-    x, _ = _GETRS(lu_piv[0], lu_piv[1], block.T, 0, 1)  # trans=0, overwrite_b=1
-    return x.T[:len(rows)]
+    rows = rhs if at is None else rhs.take(at, axis=0)
+    count = len(rows)
+    # one (width, k) slab per block, solved in place: its transpose is the
+    # Fortran-ordered block getrs takes; rows taken for one block already are
+    if at is not None and count > 1 and len(factors) == 1:
+        slabs = rows[None]
+    else:
+        slabs = np.empty((len(factors), max(count, 2), rows.shape[1]))
+        slabs[:] = rows
+    for (lu, piv), slab in zip(factors, slabs):
+        _GETRS(lu, piv, slab.T, trans, 1)  # overwrite_b=1
+    return slabs[:, :count]
+
+
+def solve_lu(lu_piv, rhs, trans: int = 0) -> np.ndarray:
+    """``scipy.linalg.lu_solve(lu_piv, rhs, trans)`` for a vector or a
+    ``(k, n)`` matrix ``rhs``, through ``solve_factored``."""
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim == 1:
+        return solve_factored((lu_piv,), rhs[None, :], trans=trans)[0, 0]
+    return solve_factored((lu_piv,), rhs.T, trans=trans)[0].T
 
 
 FEAS_TOL = 1e-9
@@ -72,7 +81,8 @@ __all__ = [
     "basic_solution",
     "support",
     "iter_bases",
-    "program_bases",
+    "BasisFamily",
+    "program_family",
     "enumerate_feasible_bases",
     "optimal_vertices",
     "load_lp",
@@ -110,9 +120,9 @@ class BasisCache:
         self.lookups = 0
         self.misses = 0
         # memos of the all-column enumeration, kept apart from the bounded
-        # entries: the invertible column sets, one row each in enumeration
-        # order (see ``program_bases``), and ``stability_report``'s b-free half
-        self.invertible = None
+        # entries: the program's ``BasisFamily`` (see ``program_family``) and
+        # ``stability_report``'s b-free half
+        self.family = None
         self.stability = None
 
     def __len__(self):
@@ -205,7 +215,7 @@ def _pivot_tol(A: np.ndarray) -> float:
 
 
 def _invertible(lu: np.ndarray, tol: float) -> bool:
-    return bool(np.abs(np.diagonal(lu)).min() > tol)
+    return all(abs(pivot) > tol for pivot in lu.diagonal().tolist())
 
 
 def _matrix_rank(A: np.ndarray, tol: float) -> int:
@@ -325,17 +335,12 @@ def cached_factors(lp: StandardLp, indices: tuple) -> tuple:
     return lp.basis_cache.get(("lu", indices), lambda: read_only(*factor_columns(lp, indices)))
 
 
-def basic_solution(lp: StandardLp, basis: Basis, *, feas_tol: float = FEAS_TOL,
-                   cached: bool = False) -> BasicSolution:
-    """Solve for the basic point of ``basis``: x_B = A_B^{-1} b, zero elsewhere.
-
-    With ``cached`` the factors come from, and go into, the program's basis
-    cache; enumeration leaves it off so the cache holds only visited bases.
-    """
+def basic_solution(lp: StandardLp, basis: Basis, *,
+                   feas_tol: float = FEAS_TOL) -> BasicSolution:
+    """Solve for the basic point of ``basis``: x_B = A_B^{-1} b, zero elsewhere."""
     if len(basis) != lp.k:
         raise SingularBasis(f"basis size {len(basis)} != row count {lp.k}")
-    lu_piv = (cached_factors if cached else factor_columns)(lp, basis.indices)
-    x_b = solve_lu(lu_piv, lp.b)
+    x_b = solve_lu(factor_columns(lp, basis.indices), lp.b)
     x = np.zeros(lp.m)
     x[list(basis.indices)] = x_b
     feasible = bool(x_b.min(initial=0.0) >= -feas_tol)
@@ -380,28 +385,99 @@ def _check_cap(total: int, enum_cap: int):
         raise InstanceTooLarge(f"{total} candidate bases exceed the cap of {enum_cap}")
 
 
-def program_bases(lp: StandardLp, enum_cap: int = ENUM_CAP):
-    """``iter_bases(lp.A, enum_cap=enum_cap)`` through the program's memo.
+# bases times rows ``BasisFamily.optimal_sets`` solves in one block at most
+SOLVE_CELLS = 2**15
 
-    The first pass that runs to its end records the invertible column sets
-    in ``lp.basis_cache.invertible`` while it streams their factors; later
-    passes, by this program or any program sharing its cache through
-    ``with_rhs``, factor only those sets, in the same order, with the same
-    bits.  A pass stopped early records nothing.  The cap is checked first
-    on every pass.
+
+class BasisFamily:
+    """The invertible bases of ``A`` that hold the ``fixed`` columns, in the
+    order of ``iter_bases``: their sorted columns as the rows of the index
+    array ``cols``, and their ``(lu, piv)`` pairs in ``factors``.  They
+    depend on ``A`` alone, so one family serves every right-hand side and
+    objective.  Raises ``Infeasible`` when no basis holds the fixed columns.
     """
-    memo = lp.basis_cache
-    if memo.invertible is None:
-        found = []
-        for cols, lu_piv in iter_bases(lp.A, enum_cap=enum_cap):
-            found.append(cols)
-            yield cols, lu_piv
-        # an index array: less memory than the tuples, and quicker to take
-        memo.invertible = read_only(np.array(found, dtype=np.intp).reshape(len(found), lp.k))[0]
-        return
+
+    def __init__(self, A, fixed=(), *, enum_cap: int = ENUM_CAP):
+        self.A = np.asarray(A, dtype=float)
+        self.fixed = sorted(int(j) for j in fixed)
+        bases = list(iter_bases(self.A, fixed=self.fixed, enum_cap=enum_cap))
+        if not bases:
+            raise Infeasible("no invertible column set contains the fixed columns")
+        self.cols = read_only(np.array([cols for cols, _ in bases], dtype=np.intp))[0]
+        self.factors = [lu_piv for _, lu_piv in bases]
+        # which coordinates of each basis are held to the sign constraint
+        self._signed = (self.cols[:, :, None] != self.fixed).all(axis=2, keepdims=True)
+
+    def __len__(self):
+        return len(self.factors)
+
+    def solve(self, rows: np.ndarray, trans: int = 0) -> np.ndarray:
+        """``solve_factored`` over every basis of the family."""
+        return solve_factored(self.factors, rows, trans=trans)
+
+    def optimal_sets(self, c, rows, feas_tol: float = FEAS_TOL) -> list:
+        """(Polytope of optimal vertices, optimal value) of
+        ``min <c, x>  s.t.  A x = r``, the ``fixed`` coordinates of ``x`` free
+        in sign and the others nonnegative, at each row ``r`` of the
+        ``(N, k)`` block ``rows``.
+
+        A basis is feasible for a row when its signed coordinates are at
+        least ``-feas_tol``; the optimal value is the first smallest
+        objective among feasible bases, and the optimal set holds every
+        feasible basis within ``1e-8 * (1 + |best|)`` of it.  Raises
+        ``Infeasible`` when some row has no feasible basis and
+        ``NonFiniteData`` when a row holds NaN or infinity.
+        """
+        rows = np.asarray(rows, dtype=float)
+        k = self.A.shape[0]
+        if rows.ndim != 2 or rows.shape[1] != k:
+            raise ValueError(f"rhs rows must have length {k}")
+        if not np.isfinite(rows).all():
+            raise NonFiniteData("rhs holds NaN or infinity")
+        c, step = np.asarray(c, dtype=float), max(1, SOLVE_CELLS // len(self))
+        return [entry for at in range(0, len(rows), step)
+                for entry in self._optimal_block(c, rows[at:at + step], feas_tol)[0]]
+
+    def _optimal_block(self, c, rows: np.ndarray, feas_tol: float) -> tuple:
+        """``(optimal_sets(c, rows, feas_tol), tied)`` for finite ``rows``:
+        column ``r`` of the ``(len(self), N)`` mask ``tied`` marks the bases
+        in row ``r``'s optimal set."""
+        x = self.solve(rows)
+        # a signed coordinate below -feas_tol makes the basis infeasible
+        infeasible = np.matmul(x < -feas_tol, self._signed)[:, :, 0]
+        values = np.add.reduce(x * c[self.cols][:, None, :], axis=2)  # objectives
+        values[infeasible] = math.inf
+        winner = values.argmin(axis=0)
+        best = values.min(axis=0)
+        best_list = best.tolist()
+        if not all(map(math.isfinite, best_list)):
+            if infeasible.all(axis=0).any():
+                raise Infeasible("no feasible basis")
+            raise NonFiniteData("an objective value overflowed")
+        tied = values - best <= 1e-8 * (1.0 + np.abs(best))
+
+        def vertices(bases, at):
+            out = np.zeros((len(bases), self.A.shape[1]))
+            out[np.arange(len(bases))[:, None], self.cols[bases]] = x[bases, at]
+            return read_only(out)[0]
+
+        points = vertices(winner, np.arange(len(rows)))
+        sets = list(zip(map(Polytope.single, points[:, None, :]), best_list))
+        if np.count_nonzero(tied) > len(rows):
+            for row in np.flatnonzero(tied.sum(axis=0) > 1):
+                sets[row] = (Polytope(vertices(np.flatnonzero(tied[:, row]), row)), best_list[row])
+        return sets, tied
+
+
+def program_family(lp: StandardLp, enum_cap: int = ENUM_CAP) -> BasisFamily:
+    """The ``BasisFamily`` of every basis of ``lp``, built by the program's
+    first call and kept in ``lp.basis_cache``, which ``with_rhs`` shares; a
+    build that raises keeps nothing.  The cap is checked on every call."""
     _check_cap(math.comb(lp.m, lp.k), enum_cap)
-    for row in memo.invertible:
-        yield tuple(row.tolist()), quiet_lu(lp.A.take(row, axis=1))
+    memo = lp.basis_cache
+    if memo.family is None:
+        memo.family = BasisFamily(lp.A, enum_cap=enum_cap)
+    return memo.family
 
 
 def group_rows(keys: np.ndarray, rows: np.ndarray) -> list:
@@ -414,49 +490,24 @@ def group_rows(keys: np.ndarray, rows: np.ndarray) -> list:
     return [(keys[at[0]], rows[at]) for at in groups.values()]
 
 
-def _feasible_points(lp: StandardLp, feas_tol: float, enum_cap: int):
-    """``(cols, x_B)`` for every basis whose basic point is nonnegative."""
-    for cols, lu_piv in program_bases(lp, enum_cap):
-        x_b = solve_lu(lu_piv, lp.b)
-        if x_b.min(initial=0.0) >= -feas_tol:
-            yield cols, x_b
-
-
 def enumerate_feasible_bases(
     lp: StandardLp, *, feas_tol: float = FEAS_TOL, enum_cap: int = ENUM_CAP
 ) -> list[Basis]:
     """All bases whose basic point is nonnegative, in lexicographic order."""
-    return [Basis(cols) for cols, _ in _feasible_points(lp, feas_tol, enum_cap)]
+    family = program_family(lp, enum_cap)
+    feasible = family.solve(lp.b[None, :])[:, 0].min(axis=1, initial=0.0) >= -feas_tol
+    return [Basis(cols) for cols in family.cols[feasible].tolist()]
 
 
 def optimal_vertices(
-    lp: StandardLp,
-    *,
-    feas_tol: float = FEAS_TOL,
-    dedup_tol: float = DEDUP_TOL,
-    enum_cap: int = ENUM_CAP,
+    lp: StandardLp, *, feas_tol: float = FEAS_TOL, enum_cap: int = ENUM_CAP
 ) -> tuple[Polytope, list[Basis]]:
-    """The optimal vertex set and every basis attaining the optimal value.
-
-    Bases are kept when their objective is within ``1e-8 * (1 + |f|)`` of the
-    minimum ``f`` over feasible bases.  Raises ``Infeasible`` when no feasible
-    basis exists.
-    """
-    bases = []
-    points = []
-    for cols, x_b in _feasible_points(lp, feas_tol, enum_cap):
-        x = np.zeros(lp.m)
-        x[list(cols)] = x_b
-        bases.append(Basis(cols))
-        points.append(x)
-    if not bases:
-        raise Infeasible("no feasible basis")
-    objectives = [float(lp.c @ x) for x in points]
-    f = min(objectives)
-    obj_tol = 1e-8 * (1 + abs(f))
-    chosen = [i for i, val in enumerate(objectives) if val - f <= obj_tol]
-    poly = Polytope([points[i] for i in chosen], dedup_tol=dedup_tol)
-    return poly, [bases[i] for i in chosen]
+    """The optimal vertex set and every basis attaining the optimal value:
+    ``BasisFamily.optimal_sets`` of the program's family at ``lp.b``.
+    Raises ``Infeasible`` when no feasible basis exists."""
+    family = program_family(lp, enum_cap)
+    ((polytope, _),), tied = family._optimal_block(lp.c, lp.b[None, :], feas_tol)
+    return polytope, [Basis(cols) for cols in family.cols[tied[:, 0]].tolist()]
 
 
 def lp_to_dict(lp: StandardLp) -> dict:

@@ -21,8 +21,8 @@ from .problem import (
     group_rows,
     quiet_lu,
     read_only,
+    solve_factored,
     solve_lu,
-    solve_lu_rows,
 )
 
 
@@ -106,12 +106,12 @@ def _bland(cache: BasisCache, phase: tuple, A: np.ndarray, c: np.ndarray, rhs: n
         for basis, rows in frontier.items():
             step = cache.get((phase, basis), lambda: _pivot(A, c, list(basis), tols))
             if step.entering is None:
-                x_b = solve_lu_rows(step.lu_piv, rhs, rows) if max(basis) >= m else None
+                x_b = solve_factored((step.lu_piv,), rhs, rows)[0] if max(basis) >= m else None
                 done.append((basis, rows, x_b))
             elif step.rows.size == 0:
                 _fail(errors, rows, Unbounded, f"column {step.entering} has no blocking row")
             else:
-                x_b = solve_lu_rows(step.lu_piv, rhs, rows)
+                x_b = solve_factored((step.lu_piv,), rhs, rows)[0]
                 leaving = ratio_test(x_b, step.rows, step.direction)
                 positions = set(leaving.tolist())
                 for pos in positions:
@@ -218,7 +218,7 @@ def solve_block(lp: StandardLp, rhs: np.ndarray, *, feas_tol: float = FEAS_TOL) 
             _fail(errors, at, type(exc), str(exc))
             continue
         x = np.zeros((len(at), m))
-        x[:, cols] = solve_lu_rows(lu_piv, rhs, at)
+        x[:, cols] = solve_factored((lu_piv,), rhs, at)[0]
         groups[cols] = (at, x)
     return groups, errors
 

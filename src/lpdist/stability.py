@@ -7,7 +7,6 @@ can compute them exactly by enumeration.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +14,14 @@ import numpy as np
 
 from .errors import DegenerateDenominator, NonFiniteData, NotSlater
 from .geometry import hausdorff
-from .problem import FEAS_TOL, StandardLp, optimal_vertices, program_bases, solve_lu
+from .problem import (
+    FEAS_TOL,
+    StandardLp,
+    optimal_vertices,
+    program_family,
+    solve_factored,
+    solve_lu,
+)
 
 
 @dataclass(frozen=True)
@@ -28,8 +34,7 @@ class StabilityReport:
     delta_star: float
 
 
-# bases per block; bounds the transient arrays at NORM_BLOCK basic points
-# and k x k inverses
+# bases per block of k x k inverses, which bounds the transient arrays
 NORM_BLOCK = 64
 
 
@@ -41,7 +46,8 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray, *,
     equality constraints; it anchors the feasibility-preservation radius.
     The b-free half (each basis's ``||A_B^{-1}||_2``, ``c1`` and ``c2``) is
     computed by a program's first call and kept in its basis cache, which
-    ``with_rhs`` shares; later calls only solve for each basic point.
+    ``with_rhs`` shares; later calls only solve for every basic point at
+    once on the program's ``BasisFamily``.
     """
     x0 = np.asarray(slater_point, dtype=float)
     if not np.isfinite(x0).all():
@@ -52,48 +58,20 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray, *,
     if x0.min() <= 0.0:
         raise NotSlater("point is not strictly positive")
 
+    family = program_family(lp)
     known = lp.basis_cache.stability
-    eye = np.eye(lp.k)
-    # c2 is the largest norm among vertices of {lam : A'lam <= c}: a basis
-    # whose dual solution A_B' lam = c_B satisfies every inequality
-    slack_tol = 1e-9 * (1.0 + np.abs(lp.c).max(initial=0.0))
-    norm_blocks = [np.zeros(0)]
-    dual_norms = []
-    done = 0
-    delta_b0 = math.inf
-    delta_b1 = math.inf
-    tau = 0.0
-    bases = program_bases(lp)
-    while block := list(itertools.islice(bases, NORM_BLOCK)):
-        if known is None:
-            # the same gesdd call per inverse as np.linalg.norm(inverse, 2)
-            inverses = np.array([solve_lu(lu_piv, eye) for _, lu_piv in block])
-            norms = np.linalg.svd(inverses, compute_uv=False)[:, 0]
-            norm_blocks.append(norms)
-            for cols, lu_piv in block:
-                lam = solve_lu(lu_piv, lp.c[list(cols)], trans=1)
-                if (lp.A.T @ lam - lp.c).max() <= slack_tol:
-                    dual_norms.append(float(np.linalg.norm(lam)))
-        else:
-            norms = known[0][done:done + len(block)]
-        done += len(block)
-        X = np.array([solve_lu(lu_piv, lp.b) for _, lu_piv in block])
-        negative = X < -feas_tol
-        delta_b0 = min(delta_b0, float((np.where(negative, -X, np.inf).min(axis=1) / norms).min()))
-        feasible = X.min(axis=1) >= -feas_tol
-        if math.isinf(delta_b1) and feasible.any():
-            # the first feasible basis in lexicographic order anchors delta_b1
-            delta_b1 = float(x0.min()) / float(norms[feasible.argmax()])
-        positive = X > feas_tol
-        smallest = np.where(positive, X, np.inf)[feasible & positive.any(axis=1)].min(axis=1)
-        tau = max(tau, float(smallest.max(initial=0.0)))
-
     if known is None:
-        inv_norms = np.concatenate(norm_blocks)
-        inv_norms.setflags(write=False)
-        known = lp.basis_cache.stability = (
-            inv_norms, float(inv_norms.max(initial=0.0)), max(dual_norms, default=math.inf))
-    _, c1, c2 = known
+        known = lp.basis_cache.stability = _b_free_half(lp, family)
+    norms, c1, c2 = known
+    X = family.solve(lp.b[None, :])[:, 0]
+    negative = X < -feas_tol
+    delta_b0 = float((np.where(negative, -X, np.inf).min(axis=1) / norms).min())
+    feasible = X.min(axis=1) >= -feas_tol
+    # the first feasible basis in lexicographic order anchors delta_b1
+    delta_b1 = float(x0.min()) / float(norms[feasible.argmax()]) if feasible.any() else math.inf
+    positive = X > feas_tol
+    smallest = np.where(positive, X, np.inf)[feasible & positive.any(axis=1)].min(axis=1)
+    tau = float(smallest.max(initial=0.0))
     delta_star = min(delta_b0, delta_b1, tau / c1 if c1 > 0 else math.inf)
     return StabilityReport(
         delta_b0=delta_b0,
@@ -103,6 +81,30 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray, *,
         c2=c2,
         delta_star=delta_star,
     )
+
+
+def _b_free_half(lp: StandardLp, family) -> tuple:
+    """``(inverse norms, c1, c2)``: ``||A_B^{-1}||_2`` of every basis of the
+    family, their largest, and the largest dual vertex norm."""
+    eye = np.eye(lp.k)
+    # c2 is the largest norm among vertices of {lam : A'lam <= c}: a basis
+    # whose dual solution A_B' lam = c_B satisfies every inequality
+    slack_tol = 1e-9 * (1.0 + np.abs(lp.c).max(initial=0.0))
+    norm_blocks = [np.zeros(0)]
+    dual_norms = []
+    for start in range(0, len(family), NORM_BLOCK):
+        block = family.factors[start:start + NORM_BLOCK]
+        # row r of a slab solves e_r, so its transpose is the inverse; the
+        # same gesdd call per inverse as np.linalg.norm(inverse, 2)
+        inverses = solve_factored(block, eye).transpose(0, 2, 1)
+        norm_blocks.append(np.linalg.svd(inverses, compute_uv=False)[:, 0])
+        for cols, lu_piv in zip(family.cols[start:start + NORM_BLOCK], block):
+            lam = solve_lu(lu_piv, lp.c[cols], trans=1)
+            if (lp.A.T @ lam - lp.c).max() <= slack_tol:
+                dual_norms.append(float(np.linalg.norm(lam)))
+    inv_norms = np.concatenate(norm_blocks)
+    inv_norms.setflags(write=False)
+    return inv_norms, float(inv_norms.max(initial=0.0)), max(dual_norms, default=math.inf)
 
 
 def check_basis_inclusion(lp: StandardLp, b_prime: np.ndarray) -> bool:

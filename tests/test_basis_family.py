@@ -1,0 +1,130 @@
+"""The one basis family against the per-basis, per-row paths it replaced.
+
+``BasisFamily.solve`` solves every basis of a family for a block of
+right-hand sides.  Each row of the result must carry the bits of that basis
+solved for that row alone, so neither the block nor the caller moves a bit.
+On that rests the rest: ``optimal_vertices`` is the family's optimal set
+with no sign-free columns, and the Hausdorff limit comparison solves all of
+its draws in one ``optimal_sets`` call.
+"""
+import numpy as np
+import pytest
+
+from lpdist import (
+    AuxVertexEnumerator,
+    ExperimentConfig,
+    GaussianLaw,
+    Polytope,
+    build_ot_2x2,
+    hausdorff,
+    kolmogorov_smirnov,
+    optimal_vertices,
+    run_limit_comparison,
+    sample_unique_limit,
+)
+from lpdist import problem
+from lpdist.errors import Infeasible, NonFiniteData
+from lpdist.problem import BasisFamily, iter_bases, program_family, solve_factored, solve_lu
+
+from test_iter_bases import PROGRAMS
+
+
+def _rows(lp, count, seed):
+    """``count`` right-hand sides near ``lp.b``."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, 0]))
+    return lp.b + 0.1 * rng.standard_normal((count, lp.k))
+
+
+def assert_rows_match_lone_solves(family, rows, trans=0):
+    x = family.solve(rows, trans)
+    assert x.shape == (len(family), len(rows), rows.shape[1])
+    backwards = np.arange(len(rows))[::-1]
+    for lu_piv, block in zip(family.factors, x):
+        # the rows a single basis takes from a larger array, in any order
+        taken = solve_factored((lu_piv,), rows, backwards, trans)[0]
+        for row, got, got_taken in zip(rows, block, taken[::-1]):
+            want = solve_lu(lu_piv, row, trans).tobytes()
+            assert got.tobytes() == want and got_taken.tobytes() == want
+
+
+@pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS])
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_family_rows_equal_single_basis_solves(lp, count):
+    family = BasisFamily(lp.A)
+    assert [tuple(cols) for cols in family.cols.tolist()] == [cols for cols, _ in
+                                                              iter_bases(lp.A)]
+    for trans in (0, 1):
+        assert_rows_match_lone_solves(family, _rows(lp, count, count), trans)
+
+
+@pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS])
+def test_optimal_vertices_is_the_family_optimal_set_without_free_columns(lp):
+    polytope, optimal = optimal_vertices(lp)
+    aux, value = AuxVertexEnumerator(lp.A, lp.c, ()).optimal_set(lp.b)
+    assert polytope.vertices.tobytes() == aux.vertices.tobytes()
+    assert min(float(lp.c @ v) for v in polytope.vertices) == pytest.approx(value, abs=1e-12)
+    assert optimal and all(
+        any(np.array_equal(v[list(basis.indices)], solve_lu(problem.factor_columns(
+            lp, basis.indices), lp.b)) for v in polytope.vertices) for basis in optimal)
+
+
+@pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS])
+def test_block_optimal_sets_equal_lone_row_sets(monkeypatch, lp):
+    rows = _rows(lp, 9, 4)
+    family = program_family(lp)
+    lone = [family.optimal_sets(lp.c, row[None, :]) for row in rows]
+    monkeypatch.setattr(problem, "SOLVE_CELLS", 2 * len(family))  # two rows per block
+    block = family.optimal_sets(lp.c, rows)
+    assert len(block) == len(rows)
+    for (got, got_value), ((want, want_value),) in zip(block, lone):
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert repr(got_value) == repr(want_value)
+
+
+def test_family_rejects_bad_rows_and_empty_blocks_give_no_sets(ot_lp):
+    family = program_family(ot_lp)
+    with pytest.raises(NonFiniteData):
+        family.optimal_sets(ot_lp.c, np.array([[np.nan, 0.5, 0.5]]))
+    with pytest.raises(ValueError):
+        family.optimal_sets(ot_lp.c, np.zeros((2, 4)))
+    assert family.optimal_sets(ot_lp.c, np.zeros((0, 3))) == []
+    with pytest.raises(Infeasible):
+        family.optimal_sets(ot_lp.c, np.array([[-1.0, 0.5, 0.5]]))
+
+
+def reference_hausdorff_comparison(config, n, draws):
+    """``run_limit_comparison(statistic="hausdorff")`` as it was written before
+    the family: ``optimal_vertices`` on a ``with_rhs`` program per draw."""
+    rate = float(n) ** config.rate_exponent
+    finite = []
+    for i in range(draws):
+        rng = np.random.Generator(np.random.Philox(key=config.seed, counter=[1, 0, 0, i]))
+        b_n = config.b_sampler.sample(config.truth_b, n, rate, rng)
+        shifted, _ = optimal_vertices(config.lp.with_rhs(b_n))
+        finite.append(rate * hausdorff(shifted, config.targets))
+    noise = config.b_sampler.limit_noise(config.seed, config.lp.k)
+    samples = sample_unique_limit(config.lp, config.targets.vertices[0], noise, draws)
+    origin = Polytope([np.zeros(config.lp.m)])
+    limit = np.array([hausdorff(s.optimal_set, origin) for s in samples])
+    finite = np.array(finite)
+    return {"n": n, "draws": draws, "statistic": "hausdorff",
+            "ks_distance": kolmogorov_smirnov(finite, limit),
+            "finite_mean": float(finite.mean()), "limit_mean": float(limit.mean())}
+
+
+def _gaussian_config(lp, seed):
+    targets, _ = optimal_vertices(lp)
+    return ExperimentConfig(lp=lp, truth_b=lp.b, b_sampler=GaussianLaw(np.eye(lp.k)),
+                            region=None, targets=targets, seed=seed)
+
+
+@pytest.mark.parametrize("cells", [problem.SOLVE_CELLS, 40, 7])
+@pytest.mark.parametrize("make", [
+    lambda: build_ot_2x2(),
+    *[lambda lp=lp: _gaussian_config(lp, 5) for lp, _ in PROGRAMS[2:8]],
+])
+def test_hausdorff_comparison_equals_per_draw_reference(monkeypatch, make, cells):
+    config = make()
+    monkeypatch.setattr(problem, "SOLVE_CELLS", cells)
+    want = reference_hausdorff_comparison(config, 400, 30)
+    assert repr(run_limit_comparison(config, 400, 30, statistic="hausdorff")) == repr(want)

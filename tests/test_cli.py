@@ -461,3 +461,25 @@ def test_custom_config_support_index_past_the_rows_exits_2(write_json, capsys):
     path = write_json("custom.json", {**CUSTOM_CONFIG, "b_sampler": sampler})
     assert main(["coverage", "--experiment", "custom", "--config", path]) == 2
     assert "support_indices [3]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "200", "--draws", "0"], "draws must be positive, not 0"),
+    (["--n", "200", "--draws", "-3"], "draws must be positive, not -3"),
+    (["--n", "0", "--draws", "20"], "n must be positive, not 0"),
+])
+def test_bad_limit_compare_sizes_exit_2(args, message, capsys, recwarn):
+    assert main(["limit-compare", "--experiment", "ot2x2", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert not recwarn.list
+
+
+def test_negative_limit_sample_draws_exit_2(ot_file, write_json, capsys):
+    sampler = write_json("sampler.json", {"kind": "multinomial_clt",
+                                          "probabilities": [0.5, 0.5], "pad_to": 3})
+    assert main(["limit-sample", "--lp", ot_file, "--sampler", sampler, "--draws", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "n_draws must be nonnegative, not -3" in err

@@ -1,8 +1,8 @@
 """The per-program enumeration memo against fresh programs, byte for byte.
 
-A program's first complete pass over its column blocks records the
-invertible ones, and ``stability_report`` keeps its b-free half (inverse
-norms, ``c1``, ``c2``).  Both live in the basis cache that ``with_rhs``
+A program's first enumeration builds its ``BasisFamily`` (the invertible
+column blocks with their factors), and ``stability_report`` keeps its
+b-free half (inverse norms, ``c1``, ``c2``).  Both live in the basis cache that ``with_rhs``
 shares.  The memo must not change an output bit, so every check here
 compares bytes or reprs, and counts the factorizations and SVDs it saves.
 """
@@ -19,7 +19,7 @@ from lpdist.problem import (
     enumerate_feasible_bases,
     iter_bases,
     optimal_vertices,
-    program_bases,
+    program_family,
     quiet_lu,
     solve_lu,
 )
@@ -62,7 +62,7 @@ def test_warm_programs_and_their_siblings_match_fresh_programs(lp, slater):
     before = program.with_rhs(b1)
     stability_report(before, slater1)  # a sibling fills both memos
     memo = program.basis_cache
-    assert memo.invertible is not None and memo.stability is not None
+    assert memo.family is not None and memo.stability is not None
     after = program.with_rhs(b1)
     assert _outputs(lambda: program, slater, b1, b2) == want
     assert _outputs(lambda: before, slater1, b2, lp.b) == want_shifted
@@ -163,40 +163,46 @@ def test_only_the_first_pass_factors_every_block(counters, index, report_first):
         assert _counted(counters, lambda: stability_report(program, slater)) == (total, svds)
     else:
         assert _counted(counters, lambda: enumerate_feasible_bases(program)) == (total, 0)
-        assert _counted(counters, lambda: stability_report(program, slater)) == (invertible, svds)
+        assert _counted(counters, lambda: stability_report(program, slater)) == (0, svds)
+    assert len(program.basis_cache.family) == invertible
     for call in (lambda: stability_report(program, slater),
                  lambda: stability_report(sibling, slater1),
                  lambda: stability_report(program.with_rhs(b1), slater1),
                  lambda: optimal_vertices(program),
                  lambda: optimal_vertices(sibling),
                  lambda: enumerate_feasible_bases(sibling)):
-        assert _counted(counters, call) == (invertible, 0)
+        assert _counted(counters, call) == (0, 0)
 
 
-def test_a_pass_stopped_early_records_nothing(counters):
+def test_a_build_that_raises_leaves_no_family(monkeypatch, counters):
     lp, _ = PROGRAMS[1]
     program = _fresh(lp)
-    bases = program_bases(program)
-    next(bases)
-    bases.close()
-    assert program.basis_cache.invertible is None
+    factored, _ = counters
+    counting_lu = problem.quiet_lu
+
+    def failing_lu(block):
+        if len(factored) == 5:
+            raise RuntimeError("factorization failed")
+        return counting_lu(block)
+
+    monkeypatch.setattr(problem, "quiet_lu", failing_lu)
     with pytest.raises(RuntimeError):
-        for _ in program_bases(program):
-            raise RuntimeError("consumer failed")
-    assert program.basis_cache.invertible is None
+        optimal_vertices(program)
+    assert program.basis_cache.family is None
+    monkeypatch.setattr(problem, "quiet_lu", counting_lu)
     assert _counted(counters, lambda: optimal_vertices(program))[0] == math.comb(lp.m, lp.k)
-    assert program.basis_cache.invertible is not None
+    assert program.basis_cache.family is not None
 
 
 @pytest.mark.parametrize("enumerate_all", [
-    lambda lp: list(program_bases(lp, 3)),
+    lambda lp: program_family(lp, 3),
     lambda lp: enumerate_feasible_bases(lp, enum_cap=3),
     lambda lp: optimal_vertices(lp, enum_cap=3),
 ])
 def test_cap_is_checked_before_any_factorization_on_a_warm_program(counters, ot_lp,
                                                                    enumerate_all):
     stability_report(ot_lp, np.full(4, 0.25))
-    assert ot_lp.basis_cache.invertible is not None
+    assert ot_lp.basis_cache.family is not None
     factored, _ = counters
     factored.clear()
     with pytest.raises(InstanceTooLarge):
