@@ -40,9 +40,15 @@ from .stability import stability_report
 def _parse_vector(text: str) -> np.ndarray:
     """Accept '0.5,0.5,0.5' inline or '@path' pointing at a JSON list."""
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return np.array(json.load(fh), dtype=float)
+        return _float_array(_load_json(text[1:]), text[1:])
     return np.array([float(part) for part in text.split(",")], dtype=float)
+
+
+def _float_array(data, path: str) -> np.ndarray:
+    try:
+        return np.array(data, dtype=float)
+    except TypeError as exc:  # JSON that is not numbers, such as an object
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_json(path: str):
@@ -137,6 +143,8 @@ def cmd_confidence(args) -> int:
     lp = load_lp(args.lp)
     b_n = _parse_vector(args.b)
     region = region_from_dict(_load_json(args.region))
+    if args.n < 1:
+        raise ValueError(f"--n must be positive, not {args.n}")
     rate = float(args.n) ** args.rate_exponent
     result = solve(lp.with_rhs(b_n))
     basis = selection_basis(lp, result.x_hat)
@@ -184,7 +192,7 @@ def _read_polytope(path: str) -> Polytope:
     data = _load_json(path)
     if isinstance(data, dict):
         data = data["vertices"]
-    return Polytope(data)
+    return Polytope(_float_array(data, path))
 
 
 def cmd_hausdorff(args) -> int:

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import problem
 from .errors import SingularCovariance
 from .problem import Basis, StandardLp, build_kind, check_support, factor_columns, spec_to_dict
 from .quantiles import chi_square_quantile
@@ -239,7 +240,7 @@ def contains_rows(mapped, rate: float, centers: np.ndarray, x: np.ndarray) -> np
     answer does not depend on the block it came in.
     """
     y = rate * (centers - np.asarray(x, dtype=float))
-    tol = 1e-7 * (1.0 + rate)
+    tol = problem.residual_tol(rate)
     inside = mapped.accepts(_row_sums(y[:, None, mapped.basis.indices] * mapped.a_basis), tol)
     if mapped.off.any():
         inside &= np.abs(y[:, mapped.off]).max(axis=1) <= tol

@@ -35,8 +35,8 @@ from .limits import (
     philox_streams,
     sample_unique_limit,
 )
+from . import problem
 from .problem import (
-    FEAS_TOL,
     Basis,
     Polytope,
     StandardLp,
@@ -99,7 +99,7 @@ class CoverageReport:
     log: list = field(default_factory=list)
 
 
-def selection_basis(lp: StandardLp, x: np.ndarray, *, tol: float = None) -> Basis:
+def selection_basis(lp: StandardLp, x: np.ndarray) -> Basis:
     """Deterministic reporting basis: the support of ``x`` completed by the
     smallest-index columns that keep the block invertible.
 
@@ -109,7 +109,7 @@ def selection_basis(lp: StandardLp, x: np.ndarray, *, tol: float = None) -> Basi
     The completion depends on the support only and is kept in the program's
     basis cache.
     """
-    return _selection(lp, tuple(sorted(support(x, tol) if tol is not None else support(x))))
+    return _selection(lp, tuple(sorted(support(x))))
 
 
 def _selection(lp: StandardLp, sup: tuple) -> Basis:
@@ -208,7 +208,7 @@ def build_min_cost_flow() -> ExperimentConfig:
     expected = [with_slacks(MCF_SOLUTION_1), with_slacks(MCF_SOLUTION_2)]
     for point in expected:
         gaps = np.abs(targets.vertices - point).max(axis=1) if len(targets) else [np.inf]
-        if min(gaps) > 1e-7:
+        if min(gaps) > problem.residual_tol():
             raise InstanceMismatch("a known optimal flow is not optimal for the encoding")
     sigma = np.diag([4.0, 1.0, 1.0, 3.0])
     region = EllipsoidRegion(sigma, level=0.95, support_indices=(0, 1, 2, 3))
@@ -247,7 +247,7 @@ def _face_walk(lp: StandardLp, cols: tuple, slack: np.ndarray, x_b: np.ndarray,
     whose neighbor fails to factor gets that ``LpError`` in ``errors`` and
     no further moves.
     """
-    zero_tol = 1e-9 * (1.0 + np.abs(lp.c).max(initial=0.0))
+    zero_tol = problem.reduced_cost_tol(lp.c)
     loose = tuple(int(j) for j in np.flatnonzero(np.abs(slack) <= zero_tol)
                   if j not in cols)
     if not loose:
@@ -273,7 +273,7 @@ def _face_walk(lp: StandardLp, cols: tuple, slack: np.ndarray, x_b: np.ndarray,
                 live[at] = False
                 continue
             x_new = solve_factored((new_lu,), rhs, at)[0]
-            feasible = x_new.min(axis=1, initial=0.0) >= -FEAS_TOL
+            feasible = x_new.min(axis=1, initial=0.0) >= -problem.FEAS_TOL
             x = np.zeros((np.count_nonzero(feasible), lp.m))
             x[:, new_cols] = x_new[feasible]
             if len(x):
@@ -284,11 +284,11 @@ def _face_walk(lp: StandardLp, cols: tuple, slack: np.ndarray, x_b: np.ndarray,
 def _face_moves(lp: StandardLp, lu_piv, loose: tuple) -> tuple:
     """``(j, rows, direction)`` per loose column ``j``: the rows where its
     coordinates in the basis exceed the pivot tolerance, and those coordinates."""
-    pivot_tol = 1e-10 * (1.0 + np.abs(lp.A).max(initial=0.0))
+    tol = problem.pivot_tol(lp.A)
     moves = []
     for j in loose:
         direction = solve_lu(lu_piv, lp.A[:, j])
-        rows = np.flatnonzero(direction > pivot_tol)
+        rows = np.flatnonzero(direction > tol)
         moves.append((j, *read_only(rows, direction[rows])))
     return tuple(moves)
 
@@ -332,7 +332,7 @@ def _coverage_block(config: ExperimentConfig, n: int, n_index: int, replicates: 
     x_hat, errors = _reported_vertices(config.lp, rhs, states)
     records = {}
     ok = np.array([row for row in range(len(rhs)) if row not in errors], dtype=np.intp)
-    for mask, at in group_rows(np.abs(x_hat[ok]) > FEAS_TOL, ok):
+    for mask, at in group_rows(np.abs(x_hat[ok]) > problem.FEAS_TOL, ok):
         try:
             basis = _selection(config.lp, tuple(np.flatnonzero(mask).tolist()))
             mapped, projection = _basis_parts(config, basis, parts)

@@ -18,17 +18,6 @@ from .problem import Polytope
 TIE_TOL = 1e-9
 WOLFE_TOL = 1e-9
 
-__all__ = [
-    "TIE_TOL",
-    "WOLFE_TOL",
-    "Direction",
-    "SphereGrid",
-    "support_function",
-    "argmax_vertex",
-    "min_norm_point",
-    "hausdorff",
-]
-
 
 @dataclass(frozen=True)
 class Direction:
@@ -111,8 +100,8 @@ def support_function(polytope: Polytope, direction) -> float:
     return float(np.max(verts @ _as_alpha(direction)))
 
 
-def argmax_vertex(polytope: Polytope, direction, *, tie_tol: float = TIE_TOL):
-    """The maximizing vertex and whether it is unique within ``tie_tol``.
+def argmax_vertex(polytope: Polytope, direction):
+    """The maximizing vertex and whether it is unique within ``TIE_TOL``.
 
     Ties return the lexicographically smallest of the near-maximal vertices
     (vertices are stored lexicographically sorted, so that is the first hit).
@@ -120,7 +109,7 @@ def argmax_vertex(polytope: Polytope, direction, *, tie_tol: float = TIE_TOL):
     verts = _require_vertices(polytope)
     values = verts @ _as_alpha(direction)
     best = values.max()
-    hits = np.flatnonzero(values >= best - tie_tol)
+    hits = np.flatnonzero(values >= best - TIE_TOL)
     return verts[hits[0]].copy(), bool(hits.size == 1)
 
 
@@ -139,30 +128,34 @@ def _affine_minimizer(points: np.ndarray):
     return coeff @ points, coeff
 
 
-def min_norm_point(polytope: Polytope, z, *, tol: float = WOLFE_TOL, max_iter: int | None = None):
+def _wolfe_budget(n: int, dim: int) -> int:
+    """Major iterations ``min_norm_point`` may take on ``n`` vertices in ``dim`` dimensions."""
+    return 10 * n * max(dim, 1)
+
+
+def min_norm_point(polytope: Polytope, z):
     """Nearest point of the polytope to ``z`` by Wolfe's algorithm.
 
     Returns ``(point, distance)``.  Termination requires the duality gap
-    ``<x-z, x-v>`` maximized over vertices ``v`` to fall below ``tol``;
-    exceeding the iteration budget raises ``NoConvergence``.
+    ``<x-z, x-v>`` maximized over vertices ``v`` to fall below
+    ``WOLFE_TOL``; exceeding ``_wolfe_budget`` raises ``NoConvergence``.
     """
     verts = _require_vertices(polytope)
     z = np.asarray(z, dtype=float).ravel()
     if z.shape != (polytope.dim,):
         raise ValueError(f"query point has dimension {z.size}, expected {polytope.dim}")
     q = verts - z
-    if max_iter is None:
-        max_iter = 10 * len(polytope) * max(polytope.dim, 1)
+    budget = _wolfe_budget(len(polytope), polytope.dim)
 
     start = int(np.argmin(np.einsum("ij,ij->i", q, q)))
     corral = [start]
     coeff = np.array([1.0])
     x = q[start].copy()
 
-    for _ in range(max_iter):
+    for _ in range(budget):
         scores = q @ x
         gap = float(x @ x - scores.min())
-        if gap <= tol:
+        if gap <= WOLFE_TOL:
             return x + z, float(np.linalg.norm(x))
         new = int(np.argmin(scores))
         if new not in corral:
@@ -184,7 +177,7 @@ def min_norm_point(polytope: Polytope, z, *, tol: float = WOLFE_TOL, max_iter: i
             coeff = coeff[keep]
             coeff = coeff / coeff.sum()
             x = coeff @ q[corral]
-    raise NoConvergence(f"minimum-norm point did not converge in {max_iter} iterations")
+    raise NoConvergence(f"minimum-norm point did not converge in {budget} iterations")
 
 
 def hausdorff(p1: Polytope, p2: Polytope) -> float:

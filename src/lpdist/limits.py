@@ -17,16 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
+from . import problem
 from .errors import LpError, NotUnique, Unbounded
 from .geometry import (
-    TIE_TOL,
     SphereGrid,
     argmax_vertex,
     min_norm_point,
     support_function,
 )
 from .problem import (
-    FEAS_TOL,
     BasisFamily,
     Polytope,
     StandardLp,
@@ -293,7 +292,7 @@ def aux_lp_unique(lp: StandardLp, x_star: np.ndarray, g: np.ndarray, *,
         polytope, _ = optimal_vertices(lp)
         if len(polytope) != 1:
             raise NotUnique(f"optimal set has {len(polytope)} vertices")
-        if np.abs(polytope.vertices[0] - x_star).max() > 1e-7 * (1.0 + np.abs(x_star).max()):
+        if np.abs(polytope.vertices[0] - x_star).max() > problem.residual_tol(x_star):
             raise NotUnique("x_star is not the optimal vertex of the LP")
     return MixedSignLp(lp.A, g, lp.c, support(x_star))
 
@@ -337,18 +336,16 @@ class AuxVertexEnumerator:
     many right-hand sides cheaply.
     """
 
-    def __init__(self, a: np.ndarray, c: np.ndarray, free_indices, *,
-                 feas_tol: float = FEAS_TOL):
+    def __init__(self, a: np.ndarray, c: np.ndarray, free_indices):
         self.family = BasisFamily(a, fixed=free_indices)
         self.a = self.family.A
         self.c = np.asarray(c, dtype=float)
         self.free = self.family.fixed
-        self.feas_tol = feas_tol
 
     def optimal_sets(self, rhs_rows: np.ndarray) -> list:
         """``optimal_set`` for every row of a ``(N, k)`` block of right-hand
         sides: ``BasisFamily.optimal_sets``, one ``getrs`` call per basis."""
-        return self.family.optimal_sets(self.c, rhs_rows, self.feas_tol)
+        return self.family.optimal_sets(self.c, rhs_rows)
 
     def optimal_set(self, rhs: np.ndarray) -> tuple:
         """(Polytope of optimal vertices, optimal value) for this rhs."""
@@ -425,12 +422,11 @@ def distance_statistic(sample: LimitSample) -> float:
     return dist
 
 
-def limit_support_function(lp: StandardLp, g: np.ndarray, grid: SphereGrid, *,
-                           tie_tol: float = TIE_TOL) -> tuple:
+def limit_support_function(lp: StandardLp, g: np.ndarray, grid: SphereGrid) -> tuple:
     """Support values of the directional response sets over a sphere grid.
 
     Directions where the base LP's maximizing vertex is tied (within
-    ``tie_tol``) are excluded and returned separately; elsewhere the value
+    ``geometry.TIE_TOL``) are excluded and returned separately; elsewhere the value
     is the support function of the optimal set of the response LP at the
     tie-free vertex.
     """
@@ -440,7 +436,7 @@ def limit_support_function(lp: StandardLp, g: np.ndarray, grid: SphereGrid, *,
     pairs = []
     excluded = []
     for direction in grid.directions:
-        vertex, unique = argmax_vertex(polytope, direction, tie_tol=tie_tol)
+        vertex, unique = argmax_vertex(polytope, direction)
         if not unique:
             excluded.append(direction)
             continue

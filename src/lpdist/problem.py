@@ -64,30 +64,40 @@ def solve_lu(lu_piv, rhs, trans: int = 0) -> np.ndarray:
     return solve_factored((lu_piv,), rhs.T, trans=trans)[0].T
 
 
-FEAS_TOL = 1e-9
-DEDUP_TOL = 1e-8
-ENUM_CAP = 10**6
+# The LP tolerances and the enumeration cap, each written once here and read
+# when a call runs, never bound as a default.  The constants are absolute;
+# each function scales with the magnitudes it is given.
+FEAS_TOL = 1e-9  # a coordinate >= -FEAS_TOL is feasible, one above it in the support
+DEDUP_TOL = 1e-8  # vertices this close in the max norm are one vertex
+ENUM_CAP = 10**6  # most column blocks one enumeration may try
+
+
+def invertible_tol(A) -> float:
+    """A block of ``A`` is invertible when every LU pivot exceeds this."""
+    return 1e-10 * np.abs(A).max(initial=0.0)
+
+
+def pivot_tol(A) -> float:
+    """A column's coordinate in a basis of ``A`` above this can pivot."""
+    return 1e-10 * (1.0 + np.abs(A).max(initial=0.0))
+
+
+def reduced_cost_tol(c) -> float:
+    """A reduced cost below minus this improves; one within it of zero ties."""
+    return 1e-9 * (1.0 + np.abs(c).max(initial=0.0))
+
+
+def residual_tol(*arrays) -> float:
+    """The residual an equality or a membership test may keep; the largest
+    magnitudes of ``arrays`` are added to 1 left to right."""
+    total = 1.0
+    for arr in arrays:
+        total += np.abs(arr).max(initial=0.0)
+    return 1e-7 * total
+
+
 # entries one basis cache keeps; the oldest is dropped past this
 CACHE_SIZE = 512
-
-__all__ = [
-    "FEAS_TOL",
-    "DEDUP_TOL",
-    "ENUM_CAP",
-    "StandardLp",
-    "Basis",
-    "BasicSolution",
-    "Polytope",
-    "basic_solution",
-    "support",
-    "iter_bases",
-    "BasisFamily",
-    "program_family",
-    "enumerate_feasible_bases",
-    "optimal_vertices",
-    "load_lp",
-    "lp_to_dict",
-]
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -165,7 +175,7 @@ class StandardLp:
             raise ValueError("A has no rows")
         if k > m:
             raise ValueError(f"more rows ({k}) than columns ({m})")
-        self.rank_tol = _pivot_tol(A)
+        self.rank_tol = invertible_tol(A)
         if _matrix_rank(A, self.rank_tol) < k:
             raise ValueError("A does not have full row rank")
         self.A = _frozen(A)
@@ -206,12 +216,6 @@ def check_support(indices, dim: int):
     outside = [i for i in indices or () if not 0 <= i < dim]
     if outside:
         raise ValueError(f"support_indices {outside} are not rows of a {dim}-row program")
-
-
-def _pivot_tol(A: np.ndarray) -> float:
-    """``1e-10 * max|A|``: a block of ``A`` is invertible when every LU pivot
-    exceeds this in magnitude."""
-    return 1e-10 * np.abs(A).max(initial=0.0)
 
 
 def _invertible(lu: np.ndarray, tol: float) -> bool:
@@ -271,9 +275,9 @@ class BasicSolution:
 
 
 class Polytope:
-    """A finite vertex set; duplicates within ``dedup_tol`` are merged."""
+    """A finite vertex set; duplicates within ``DEDUP_TOL`` are merged."""
 
-    def __init__(self, vertices, *, dedup_tol: float = DEDUP_TOL):
+    def __init__(self, vertices):
         arr = np.asarray(vertices, dtype=float)
         if arr.size == 0:
             arr = arr.reshape(0, arr.shape[-1] if arr.ndim == 2 else 0)
@@ -281,7 +285,7 @@ class Polytope:
             raise ValueError("vertices must form a 2-d array")
         kept: list[np.ndarray] = []
         for v in arr:
-            if not any(np.max(np.abs(v - u)) <= dedup_tol for u in kept):
+            if not any(np.max(np.abs(v - u)) <= DEDUP_TOL for u in kept):
                 kept.append(v)
         if kept:
             order = np.lexsort(np.array(kept).T[::-1])
@@ -335,35 +339,34 @@ def cached_factors(lp: StandardLp, indices: tuple) -> tuple:
     return lp.basis_cache.get(("lu", indices), lambda: read_only(*factor_columns(lp, indices)))
 
 
-def basic_solution(lp: StandardLp, basis: Basis, *,
-                   feas_tol: float = FEAS_TOL) -> BasicSolution:
+def basic_solution(lp: StandardLp, basis: Basis) -> BasicSolution:
     """Solve for the basic point of ``basis``: x_B = A_B^{-1} b, zero elsewhere."""
     if len(basis) != lp.k:
         raise SingularBasis(f"basis size {len(basis)} != row count {lp.k}")
     x_b = solve_lu(factor_columns(lp, basis.indices), lp.b)
     x = np.zeros(lp.m)
     x[list(basis.indices)] = x_b
-    feasible = bool(x_b.min(initial=0.0) >= -feas_tol)
-    degenerate = feasible and bool(np.any(np.abs(x_b) <= feas_tol))
+    feasible = bool(x_b.min(initial=0.0) >= -FEAS_TOL)
+    degenerate = feasible and bool(np.any(np.abs(x_b) <= FEAS_TOL))
     return BasicSolution(basis=basis, x=x, feasible=feasible, degenerate=degenerate)
 
 
-def support(x, tol: float = FEAS_TOL) -> frozenset:
-    """Indices whose magnitude exceeds ``tol``."""
+def support(x) -> frozenset:
+    """Indices whose magnitude exceeds ``FEAS_TOL``."""
     x = np.asarray(x, dtype=float)
-    return frozenset(int(i) for i in np.flatnonzero(np.abs(x) > tol))
+    return frozenset(int(i) for i in np.flatnonzero(np.abs(x) > FEAS_TOL))
 
 
-def iter_bases(A, *, fixed=(), enum_cap: int = ENUM_CAP):
+def iter_bases(A, *, fixed=()):
     """``(cols, lu_piv)`` for every invertible square block of ``A`` made of
     the ``fixed`` columns plus ``k - len(fixed)`` of the other columns.
 
     Combinations of the other columns come in lexicographic order, each
     merged with ``fixed`` into the sorted tuple ``cols``.  A block is
-    invertible when every LU pivot exceeds ``1e-10 * max|A|`` in magnitude,
-    the rule ``factor_columns`` applies.
+    invertible when every LU pivot exceeds ``invertible_tol(A)`` in
+    magnitude, the rule ``factor_columns`` applies.
     Raises ``InstanceTooLarge`` before factoring anything when more than
-    ``enum_cap`` blocks would be tried.
+    ``ENUM_CAP`` blocks would be tried.
     """
     A = np.asarray(A, dtype=float)
     k, m = A.shape
@@ -371,8 +374,8 @@ def iter_bases(A, *, fixed=(), enum_cap: int = ENUM_CAP):
     if len(fixed) > k:
         raise ValueError(f"{len(fixed)} fixed columns exceed the {k} rows")
     others = [j for j in range(m) if j not in fixed]
-    _check_cap(math.comb(len(others), k - len(fixed)), enum_cap)
-    tol = _pivot_tol(A)
+    _check_cap(math.comb(len(others), k - len(fixed)))
+    tol = invertible_tol(A)
     for extra in itertools.combinations(others, k - len(fixed)):
         cols = tuple(sorted(fixed + list(extra)))
         lu_piv = quiet_lu(A.take(cols, axis=1))
@@ -380,9 +383,9 @@ def iter_bases(A, *, fixed=(), enum_cap: int = ENUM_CAP):
             yield cols, lu_piv
 
 
-def _check_cap(total: int, enum_cap: int):
-    if total > enum_cap:
-        raise InstanceTooLarge(f"{total} candidate bases exceed the cap of {enum_cap}")
+def _check_cap(total: int):
+    if total > ENUM_CAP:
+        raise InstanceTooLarge(f"{total} candidate bases exceed the cap of {ENUM_CAP}")
 
 
 # bases times rows ``BasisFamily.optimal_sets`` solves in one block at most
@@ -397,10 +400,10 @@ class BasisFamily:
     objective.  Raises ``Infeasible`` when no basis holds the fixed columns.
     """
 
-    def __init__(self, A, fixed=(), *, enum_cap: int = ENUM_CAP):
+    def __init__(self, A, fixed=()):
         self.A = np.asarray(A, dtype=float)
         self.fixed = sorted(int(j) for j in fixed)
-        bases = list(iter_bases(self.A, fixed=self.fixed, enum_cap=enum_cap))
+        bases = list(iter_bases(self.A, fixed=self.fixed))
         if not bases:
             raise Infeasible("no invertible column set contains the fixed columns")
         self.cols = read_only(np.array([cols for cols, _ in bases], dtype=np.intp))[0]
@@ -415,14 +418,14 @@ class BasisFamily:
         """``solve_factored`` over every basis of the family."""
         return solve_factored(self.factors, rows, trans=trans)
 
-    def optimal_sets(self, c, rows, feas_tol: float = FEAS_TOL) -> list:
+    def optimal_sets(self, c, rows) -> list:
         """(Polytope of optimal vertices, optimal value) of
         ``min <c, x>  s.t.  A x = r``, the ``fixed`` coordinates of ``x`` free
         in sign and the others nonnegative, at each row ``r`` of the
         ``(N, k)`` block ``rows``.
 
         A basis is feasible for a row when its signed coordinates are at
-        least ``-feas_tol``; the optimal value is the first smallest
+        least ``-FEAS_TOL``; the optimal value ``best`` is the first smallest
         objective among feasible bases, and the optimal set holds every
         feasible basis within ``1e-8 * (1 + |best|)`` of it.  Raises
         ``Infeasible`` when some row has no feasible basis and
@@ -436,15 +439,15 @@ class BasisFamily:
             raise NonFiniteData("rhs holds NaN or infinity")
         c, step = np.asarray(c, dtype=float), max(1, SOLVE_CELLS // len(self))
         return [entry for at in range(0, len(rows), step)
-                for entry in self._optimal_block(c, rows[at:at + step], feas_tol)[0]]
+                for entry in self._optimal_block(c, rows[at:at + step])[0]]
 
-    def _optimal_block(self, c, rows: np.ndarray, feas_tol: float) -> tuple:
-        """``(optimal_sets(c, rows, feas_tol), tied)`` for finite ``rows``:
+    def _optimal_block(self, c, rows: np.ndarray) -> tuple:
+        """``(optimal_sets(c, rows), tied)`` for finite ``rows``:
         column ``r`` of the ``(len(self), N)`` mask ``tied`` marks the bases
         in row ``r``'s optimal set."""
         x = self.solve(rows)
-        # a signed coordinate below -feas_tol makes the basis infeasible
-        infeasible = np.matmul(x < -feas_tol, self._signed)[:, :, 0]
+        # a signed coordinate below -FEAS_TOL makes the basis infeasible
+        infeasible = np.matmul(x < -FEAS_TOL, self._signed)[:, :, 0]
         values = np.add.reduce(x * c[self.cols][:, None, :], axis=2)  # objectives
         values[infeasible] = math.inf
         winner = values.argmin(axis=0)
@@ -469,14 +472,14 @@ class BasisFamily:
         return sets, tied
 
 
-def program_family(lp: StandardLp, enum_cap: int = ENUM_CAP) -> BasisFamily:
+def program_family(lp: StandardLp) -> BasisFamily:
     """The ``BasisFamily`` of every basis of ``lp``, built by the program's
     first call and kept in ``lp.basis_cache``, which ``with_rhs`` shares; a
     build that raises keeps nothing.  The cap is checked on every call."""
-    _check_cap(math.comb(lp.m, lp.k), enum_cap)
+    _check_cap(math.comb(lp.m, lp.k))
     memo = lp.basis_cache
     if memo.family is None:
-        memo.family = BasisFamily(lp.A, enum_cap=enum_cap)
+        memo.family = BasisFamily(lp.A)
     return memo.family
 
 
@@ -490,23 +493,19 @@ def group_rows(keys: np.ndarray, rows: np.ndarray) -> list:
     return [(keys[at[0]], rows[at]) for at in groups.values()]
 
 
-def enumerate_feasible_bases(
-    lp: StandardLp, *, feas_tol: float = FEAS_TOL, enum_cap: int = ENUM_CAP
-) -> list[Basis]:
+def enumerate_feasible_bases(lp: StandardLp) -> list[Basis]:
     """All bases whose basic point is nonnegative, in lexicographic order."""
-    family = program_family(lp, enum_cap)
-    feasible = family.solve(lp.b[None, :])[:, 0].min(axis=1, initial=0.0) >= -feas_tol
+    family = program_family(lp)
+    feasible = family.solve(lp.b[None, :])[:, 0].min(axis=1, initial=0.0) >= -FEAS_TOL
     return [Basis(cols) for cols in family.cols[feasible].tolist()]
 
 
-def optimal_vertices(
-    lp: StandardLp, *, feas_tol: float = FEAS_TOL, enum_cap: int = ENUM_CAP
-) -> tuple[Polytope, list[Basis]]:
+def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
     """The optimal vertex set and every basis attaining the optimal value:
     ``BasisFamily.optimal_sets`` of the program's family at ``lp.b``.
     Raises ``Infeasible`` when no feasible basis exists."""
-    family = program_family(lp, enum_cap)
-    ((polytope, _),), tied = family._optimal_block(lp.c, lp.b[None, :], feas_tol)
+    family = program_family(lp)
+    ((polytope, _),), tied = family._optimal_block(lp.c, lp.b[None, :])
     return polytope, [Basis(cols) for cols in family.cols[tied[:, 0]].tolist()]
 
 
@@ -562,7 +561,8 @@ def spec_to_dict(obj) -> dict:
 
 
 def load_lp(source) -> StandardLp:
-    """Build a program from a dict, a JSON string, or a path to a JSON file."""
+    """Build a program from a dict, a JSON string, or a path to a JSON file;
+    keys other than ``A``, ``b`` and ``c`` are ignored."""
     if isinstance(source, StandardLp):
         return source
     if isinstance(source, dict):
@@ -574,7 +574,10 @@ def load_lp(source) -> StandardLp:
         else:
             with open(text) as fh:
                 data = json.load(fh)
-    missing = {"A", "b", "c"} - set(data)
+    missing = {"A", "b", "c"} - set(json_object(data, "problem JSON"))
     if missing:
         raise ValueError(f"problem JSON is missing keys: {sorted(missing)}")
-    return StandardLp(data["A"], data["b"], data["c"])
+    try:
+        return StandardLp(data["A"], data["b"], data["c"])
+    except TypeError as exc:  # the keys are there, so a value has the wrong type
+        raise ValueError(f"problem JSON: {exc}") from exc

@@ -11,9 +11,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import problem
 from .errors import Infeasible, LpError, NoConvergence, NonFiniteData, Unbounded
 from .problem import (
-    FEAS_TOL,
     Basis,
     BasisCache,
     StandardLp,
@@ -98,8 +98,7 @@ def _bland(cache: BasisCache, phase: tuple, A: np.ndarray, c: np.ndarray, rhs: n
     so the block changes no row's path.
     """
     k, n = A.shape
-    tols = (1e-9 * (1.0 + np.abs(c).max(initial=0.0)),  # entering, pivot
-            1e-10 * (1.0 + np.abs(A).max(initial=0.0)))
+    tols = (problem.reduced_cost_tol(c), problem.pivot_tol(A))  # entering, pivot
     done = []
     for _ in range(_pivot_budget(k, n)):
         moved: dict = {}
@@ -164,7 +163,7 @@ def dual_certificate(lp: StandardLp, cols: tuple) -> tuple:
     return lp.basis_cache.get(("certificate", cols), build)
 
 
-def solve_block(lp: StandardLp, rhs: np.ndarray, *, feas_tol: float = FEAS_TOL) -> tuple:
+def solve_block(lp: StandardLp, rhs: np.ndarray) -> tuple:
     """Optimal bases and vertices of ``lp`` at each row of the ``(N, k)``
     block ``rhs``, grouped by basis.
 
@@ -194,9 +193,9 @@ def solve_block(lp: StandardLp, rhs: np.ndarray, *, feas_tol: float = FEAS_TOL) 
                                      {tuple(range(m, m + k)): rows}, errors, m):
             if x_b is not None:
                 mass = x_b[:, np.asarray(basis) >= m].sum(axis=1)
-                _fail(errors, at[mass > feas_tol], Infeasible,
+                _fail(errors, at[mass > problem.FEAS_TOL], Infeasible,
                       "phase one terminated with positive artificial mass")
-                at = at[mass <= feas_tol]
+                at = at[mass <= problem.FEAS_TOL]
                 if not at.size:
                     continue
                 try:
@@ -223,7 +222,7 @@ def solve_block(lp: StandardLp, rhs: np.ndarray, *, feas_tol: float = FEAS_TOL) 
     return groups, errors
 
 
-def solve_rows(lp: StandardLp, rows, *, feas_tol: float = FEAS_TOL) -> list:
+def solve_rows(lp: StandardLp, rows) -> list:
     """``solve`` at each row of the ``(N, k)`` block ``rows``: a list with
     each row's ``SolveResult``, or the ``LpError`` that row raised.
 
@@ -233,7 +232,7 @@ def solve_rows(lp: StandardLp, rows, *, feas_tol: float = FEAS_TOL) -> list:
     order.
     """
     rows = np.asarray(rows, dtype=float)
-    groups, errors = solve_block(lp, rows, feas_tol=feas_tol)
+    groups, errors = solve_block(lp, rows)
     out = [errors.get(i) for i in range(len(rows))]
     for cols, (at, x) in groups.items():
         basis = Basis(cols)
@@ -244,7 +243,7 @@ def solve_rows(lp: StandardLp, rows, *, feas_tol: float = FEAS_TOL) -> list:
     return out
 
 
-def solve(lp: StandardLp, *, feas_tol: float = FEAS_TOL) -> SolveResult:
+def solve(lp: StandardLp) -> SolveResult:
     """Optimal vertex, basis, and dual certificate for a standard-form LP.
 
     Raises ``Infeasible`` when phase one cannot clear the artificial
@@ -254,7 +253,7 @@ def solve(lp: StandardLp, *, feas_tol: float = FEAS_TOL) -> SolveResult:
     basis cache (see ``StandardLp.with_rhs``) re-use each other's factors;
     the result is bit for bit the one a fresh program gives.
     """
-    result, = solve_rows(lp, lp.b[None, :], feas_tol=feas_tol)
+    result, = solve_rows(lp, lp.b[None, :])
     if isinstance(result, LpError):
         raise result
     return result
@@ -267,7 +266,7 @@ def _evict_artificials(A_art: np.ndarray, basis: np.ndarray, m: int) -> tuple:
     zero; full row rank of the real columns guarantees a replacement pivot.
     """
     basis = basis.copy()
-    pivot_tol = 1e-10 * (1.0 + np.abs(A_art).max(initial=0.0))
+    tol = problem.pivot_tol(A_art)
     for row in range(len(basis)):
         if basis[row] < m:
             continue
@@ -276,7 +275,7 @@ def _evict_artificials(A_art: np.ndarray, basis: np.ndarray, m: int) -> tuple:
             if j in basis:
                 continue
             column = solve_lu(lu_piv, A_art[:, j])
-            if abs(column[row]) > pivot_tol:
+            if abs(column[row]) > tol:
                 basis[row] = j
                 break
         else:
@@ -284,16 +283,16 @@ def _evict_artificials(A_art: np.ndarray, basis: np.ndarray, m: int) -> tuple:
     return tuple(int(j) for j in basis)
 
 
-def verify_kkt(lp: StandardLp, result: SolveResult, *, feas_tol: float = FEAS_TOL) -> bool:
+def verify_kkt(lp: StandardLp, result: SolveResult) -> bool:
     """Check stationarity, primal/dual feasibility, and complementary slackness."""
-    kkt_tol = 1e-7 * (1.0 + np.abs(lp.c).max(initial=0.0) + np.abs(lp.b).max(initial=0.0))
+    kkt_tol = problem.residual_tol(lp.c, lp.b)
     x, lam, s = result.x_hat, result.dual, result.slack
     if np.abs(lp.A.T @ lam + s - lp.c).max() > kkt_tol:
         return False
     if np.abs(lp.A @ x - lp.b).max() > kkt_tol:
         return False
-    if x.min(initial=0.0) < -feas_tol:
+    if x.min(initial=0.0) < -problem.FEAS_TOL:
         return False
-    if s.min(initial=0.0) < -feas_tol:
+    if s.min(initial=0.0) < -problem.FEAS_TOL:
         return False
     return bool(abs(float(x @ s)) <= kkt_tol)

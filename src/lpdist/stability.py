@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DegenerateDenominator, NonFiniteData, NotSlater
 from .geometry import hausdorff
+from . import problem
 from .problem import (
-    FEAS_TOL,
     StandardLp,
     optimal_vertices,
     program_family,
@@ -38,8 +38,7 @@ class StabilityReport:
 NORM_BLOCK = 64
 
 
-def stability_report(lp: StandardLp, slater_point: np.ndarray, *,
-                     feas_tol: float = FEAS_TOL) -> StabilityReport:
+def stability_report(lp: StandardLp, slater_point: np.ndarray) -> StabilityReport:
     """Compute the perturbation radii and Lipschitz constants by enumeration.
 
     ``slater_point`` must be finite, strictly positive and satisfy the
@@ -52,8 +51,7 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray, *,
     x0 = np.asarray(slater_point, dtype=float)
     if not np.isfinite(x0).all():
         raise NonFiniteData("slater point holds NaN or infinity")
-    residual_tol = 1e-7 * (1.0 + np.abs(lp.b).max(initial=0.0))
-    if x0.shape != (lp.m,) or np.abs(lp.A @ x0 - lp.b).max() > residual_tol:
+    if x0.shape != (lp.m,) or np.abs(lp.A @ x0 - lp.b).max() > problem.residual_tol(lp.b):
         raise NotSlater("point does not satisfy the equality constraints")
     if x0.min() <= 0.0:
         raise NotSlater("point is not strictly positive")
@@ -64,12 +62,12 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray, *,
         known = lp.basis_cache.stability = _b_free_half(lp, family)
     norms, c1, c2 = known
     X = family.solve(lp.b[None, :])[:, 0]
-    negative = X < -feas_tol
+    negative = X < -problem.FEAS_TOL
     delta_b0 = float((np.where(negative, -X, np.inf).min(axis=1) / norms).min())
-    feasible = X.min(axis=1) >= -feas_tol
+    feasible = X.min(axis=1) >= -problem.FEAS_TOL
     # the first feasible basis in lexicographic order anchors delta_b1
     delta_b1 = float(x0.min()) / float(norms[feasible.argmax()]) if feasible.any() else math.inf
-    positive = X > feas_tol
+    positive = X > problem.FEAS_TOL
     smallest = np.where(positive, X, np.inf)[feasible & positive.any(axis=1)].min(axis=1)
     tau = float(smallest.max(initial=0.0))
     delta_star = min(delta_b0, delta_b1, tau / c1 if c1 > 0 else math.inf)
@@ -89,7 +87,7 @@ def _b_free_half(lp: StandardLp, family) -> tuple:
     eye = np.eye(lp.k)
     # c2 is the largest norm among vertices of {lam : A'lam <= c}: a basis
     # whose dual solution A_B' lam = c_B satisfies every inequality
-    slack_tol = 1e-9 * (1.0 + np.abs(lp.c).max(initial=0.0))
+    slack_tol = problem.reduced_cost_tol(lp.c)
     norm_blocks = [np.zeros(0)]
     dual_norms = []
     for start in range(0, len(family), NORM_BLOCK):

@@ -483,3 +483,35 @@ def test_negative_limit_sample_draws_exit_2(ot_file, write_json, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "n_draws must be nonnegative, not -3" in err
+
+
+@pytest.mark.parametrize("n", ["-4", "0"])
+def test_confidence_sample_size_below_one_exits_2_without_traceback(ot_file, write_json, n):
+    region = write_json("region.json", BOX_REGION)
+    proc = subprocess.run([sys.executable, "-m", "lpdist.cli", "confidence", "--lp", ot_file,
+                           "--region", region, "--b", "0.55,0.45,0.5", "--n", n],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"--n must be positive, not {n}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command, payload", [
+    (["solve", "--lp"], [[1, 2], [3]]),
+    (["solve", "--lp"], 5),
+    (["solve", "--lp"], {"A": {"x": 1}, "b": [1.0], "c": [1.0]}),
+    (["confidence", "--region", "box", "--n", "20", "--lp", "ot", "--b"], {"x": 1}),
+    (["stability", "--lp", "ot", "--slater"], {"x": 1}),
+    (["hausdorff", "--p2", "square", "--p1"], {"vertices": {"x": 1}}),
+])
+def test_json_input_of_the_wrong_type_exits_2(ot_file, write_json, capsys, command, payload):
+    files = {"ot": ot_file, "box": write_json("box.json", BOX_REGION),
+             "square": write_json("square.json", [[0.0, 0.0], [1.0, 1.0]])}
+    path = write_json("input.json", payload)
+    args = [files.get(arg, arg) for arg in command]
+    args.append("@" + path if args[-1] in ("--b", "--slater") else path)
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")

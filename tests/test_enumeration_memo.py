@@ -25,7 +25,7 @@ from lpdist.problem import (
 )
 from lpdist.stability import NORM_BLOCK, check_basis_inclusion, check_hausdorff_lipschitz
 
-from test_iter_bases import PROGRAMS
+from test_iter_bases import CAPPED, PROGRAMS
 
 
 def _fresh(lp, b=None):
@@ -114,12 +114,19 @@ def test_report_equals_the_one_pass_loop_cold_and_warm(lp, slater):
     assert program.basis_cache.stability[0].tobytes() == np.array(norms).tobytes()
 
 
-def test_feasibility_tolerance_is_applied_on_warm_calls(ot_lp):
-    """Only the b-free half is kept: a later call with another ``feas_tol``
-    gets that tolerance's radii."""
+def test_feasibility_tolerance_is_applied_on_warm_calls(monkeypatch, ot_lp):
+    """Only the b-free half is kept: warm calls at two ``with_rhs``
+    right-hand sides get a fresh program's radii, under ``FEAS_TOL`` as it
+    stands when they run."""
+    cases = [(np.full(3, 0.5), np.full(4, 0.25)),
+             (np.array([0.55, 0.45, 0.5]), np.array([0.3, 0.25, 0.2, 0.25]))]
     for feas_tol in (FEAS_TOL, 0.3, FEAS_TOL):
-        want = stability_report(_fresh(ot_lp), np.full(4, 0.25), feas_tol=feas_tol)
-        assert stability_report(ot_lp, np.full(4, 0.25), feas_tol=feas_tol) == want
+        monkeypatch.setattr(problem, "FEAS_TOL", feas_tol)
+        for b, slater in cases + cases[::-1]:
+            want = stability_report(_fresh(ot_lp, b), slater)
+            assert stability_report(ot_lp.with_rhs(b), slater) == want
+            assert repr(_fields(want)) == repr(reference_report(ot_lp.with_rhs(b), slater,
+                                                                feas_tol))
 
 
 @pytest.fixture
@@ -194,17 +201,14 @@ def test_a_build_that_raises_leaves_no_family(monkeypatch, counters):
     assert program.basis_cache.family is not None
 
 
-@pytest.mark.parametrize("enumerate_all", [
-    lambda lp: program_family(lp, 3),
-    lambda lp: enumerate_feasible_bases(lp, enum_cap=3),
-    lambda lp: optimal_vertices(lp, enum_cap=3),
-])
-def test_cap_is_checked_before_any_factorization_on_a_warm_program(counters, ot_lp,
-                                                                   enumerate_all):
+@pytest.mark.parametrize("enumerate_all", [program_family] + CAPPED)
+def test_cap_is_checked_before_any_factorization_on_a_warm_program(monkeypatch, counters,
+                                                                   ot_lp, enumerate_all):
     stability_report(ot_lp, np.full(4, 0.25))
     assert ot_lp.basis_cache.family is not None
     factored, _ = counters
     factored.clear()
+    monkeypatch.setattr(problem, "ENUM_CAP", 3)
     with pytest.raises(InstanceTooLarge):
         enumerate_all(ot_lp)
     assert factored == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lpdist import Polytope
+from lpdist import Polytope, geometry
 from lpdist.errors import EmptyPolytope, NoConvergence
 from lpdist.geometry import (
     Direction,
@@ -66,9 +66,10 @@ def test_min_norm_point_validates_dimension():
         min_norm_point(SQUARE, [1.0, 2.0, 3.0])
 
 
-def test_min_norm_point_iteration_budget():
+def test_min_norm_point_iteration_budget(monkeypatch):
+    monkeypatch.setattr(geometry, "_wolfe_budget", lambda n, dim: 0)
     with pytest.raises(NoConvergence):
-        min_norm_point(SQUARE, [5.0, 5.0], max_iter=0)
+        min_norm_point(SQUARE, [5.0, 5.0])
 
 
 def test_min_norm_certificates_on_random_polytopes():

@@ -16,8 +16,10 @@ from lpdist import StandardLp, stability_report
 from lpdist import problem
 from lpdist.errors import Infeasible, InstanceTooLarge
 from lpdist.experiments import build_min_cost_flow, build_ot_2x2
-from lpdist.limits import AuxVertexEnumerator
+from lpdist.geometry import SphereGrid
+from lpdist.limits import AuxVertexEnumerator, limit_support_function
 from lpdist.problem import (
+    BasisFamily,
     Polytope,
     basic_solution,
     enumerate_feasible_bases,
@@ -25,6 +27,7 @@ from lpdist.problem import (
     optimal_vertices,
     quiet_lu,
 )
+from lpdist.stability import check_basis_inclusion
 
 
 def reference_bases(A, fixed=()):
@@ -75,11 +78,21 @@ def test_iter_bases_matches_reference_loop_on_programs(lp, fixed):
     assert _as_bytes(got) == _as_bytes(reference_bases(lp.A, fixed))
 
 
-@pytest.mark.parametrize("enumerate_all", [
-    lambda lp: list(iter_bases(lp.A, enum_cap=3)),
-    lambda lp: enumerate_feasible_bases(lp, enum_cap=3),
-    lambda lp: optimal_vertices(lp, enum_cap=3),
-])
+# every entry point that enumerates the bases of a 3 x 4 program: with
+# ``problem.ENUM_CAP`` at 3 each must raise before factoring a block
+CAPPED = [
+    lambda lp: list(iter_bases(lp.A)),
+    lambda lp: enumerate_feasible_bases(lp),
+    lambda lp: optimal_vertices(lp),
+    lambda lp: BasisFamily(lp.A),
+    lambda lp: AuxVertexEnumerator(lp.A, lp.c, ()),
+    lambda lp: stability_report(lp, np.full(4, 0.25)),
+    lambda lp: check_basis_inclusion(lp, lp.b),
+    lambda lp: limit_support_function(lp, np.zeros(lp.k), SphereGrid(lp.m, 8)),
+]
+
+
+@pytest.mark.parametrize("enumerate_all", CAPPED)
 def test_cap_is_checked_before_any_factorization(monkeypatch, ot_lp, enumerate_all):
     calls = []
 
@@ -88,9 +101,12 @@ def test_cap_is_checked_before_any_factorization(monkeypatch, ot_lp, enumerate_a
         return quiet_lu(block)
 
     monkeypatch.setattr(problem, "quiet_lu", counting_lu)
+    cap = problem.ENUM_CAP
+    monkeypatch.setattr(problem, "ENUM_CAP", 3)
     with pytest.raises(InstanceTooLarge):
         enumerate_all(ot_lp)
     assert calls == []
+    monkeypatch.setattr(problem, "ENUM_CAP", cap)
     assert len(enumerate_feasible_bases(ot_lp)) > 0
     assert len(calls) == math.comb(ot_lp.m, ot_lp.k)
 

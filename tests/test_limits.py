@@ -6,7 +6,7 @@ import scipy.optimize
 
 from lpdist import StandardLp
 from lpdist.errors import Infeasible, NonFiniteData, NotUnique, Unbounded
-from lpdist.geometry import TIE_TOL, SphereGrid, argmax_vertex, support_function
+from lpdist.geometry import SphereGrid, argmax_vertex, support_function
 from lpdist.limits import (
     LAWS,
     AuxVertexEnumerator,
@@ -354,7 +354,7 @@ def test_limit_support_function_solves_once_per_support_key(monkeypatch, lp, g):
     polytope, _ = optimal_vertices(lp)
     keys = set()
     for direction in grid.directions:
-        vertex, unique = argmax_vertex(polytope, direction, tie_tol=TIE_TOL)
+        vertex, unique = argmax_vertex(polytope, direction)
         if unique:
             keys.add(support(vertex))
     calls = []

