@@ -191,6 +191,8 @@ def cmd_limit_compare(args) -> int:
 def _read_polytope(path: str) -> Polytope:
     data = _load_json(path)
     if isinstance(data, dict):
+        if "vertices" not in data:
+            raise ValueError(f"{path}: polytope JSON object has no 'vertices' key")
         data = data["vertices"]
     return Polytope(_float_array(data, path))
 

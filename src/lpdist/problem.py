@@ -184,12 +184,16 @@ class StandardLp:
         self.k = k
         self.m = m
         self.basis_cache = BasisCache()
+        # the family's basic points at this b, made by the first
+        # ``basic_points`` call; never shared, since they depend on b
+        self.points_at_b: np.ndarray | None = None
 
     def with_rhs(self, b) -> "StandardLp":
         """Same constraint matrix and objective, different right-hand side.
 
         The new program shares this one's ``A``, ``c``, rank check and basis
-        cache, so the rank is not computed again.
+        cache, so the rank is not computed again; its ``points_at_b`` starts
+        empty.
         """
         b = np.asarray(b, dtype=float).ravel()
         if b.shape != (self.k,):
@@ -198,6 +202,7 @@ class StandardLp:
         lp = object.__new__(type(self))
         lp.__dict__.update(self.__dict__)
         lp.b = _frozen(b)
+        lp.points_at_b = None
         return lp
 
     def __repr__(self):
@@ -439,13 +444,12 @@ class BasisFamily:
             raise NonFiniteData("rhs holds NaN or infinity")
         c, step = np.asarray(c, dtype=float), max(1, SOLVE_CELLS // len(self))
         return [entry for at in range(0, len(rows), step)
-                for entry in self._optimal_block(c, rows[at:at + step])[0]]
+                for entry in self._optimal_block(c, self.solve(rows[at:at + step]))[0]]
 
-    def _optimal_block(self, c, rows: np.ndarray) -> tuple:
-        """``(optimal_sets(c, rows), tied)`` for finite ``rows``:
-        column ``r`` of the ``(len(self), N)`` mask ``tied`` marks the bases
-        in row ``r``'s optimal set."""
-        x = self.solve(rows)
+    def _optimal_block(self, c, x: np.ndarray) -> tuple:
+        """``(optimal_sets(c, rows), tied)`` for finite ``rows`` solved into
+        ``x = self.solve(rows)``: column ``r`` of the ``(len(self), N)`` mask
+        ``tied`` marks the bases in row ``r``'s optimal set."""
         # a signed coordinate below -FEAS_TOL makes the basis infeasible
         infeasible = np.matmul(x < -FEAS_TOL, self._signed)[:, :, 0]
         values = np.add.reduce(x * c[self.cols][:, None, :], axis=2)  # objectives
@@ -464,9 +468,9 @@ class BasisFamily:
             out[np.arange(len(bases))[:, None], self.cols[bases]] = x[bases, at]
             return read_only(out)[0]
 
-        points = vertices(winner, np.arange(len(rows)))
+        points = vertices(winner, np.arange(x.shape[1]))
         sets = list(zip(map(Polytope.single, points[:, None, :]), best_list))
-        if np.count_nonzero(tied) > len(rows):
+        if np.count_nonzero(tied) > x.shape[1]:
             for row in np.flatnonzero(tied.sum(axis=0) > 1):
                 sets[row] = (Polytope(vertices(np.flatnonzero(tied[:, row]), row)), best_list[row])
         return sets, tied
@@ -493,11 +497,21 @@ def group_rows(keys: np.ndarray, rows: np.ndarray) -> list:
     return [(keys[at[0]], rows[at]) for at in groups.values()]
 
 
+def basic_points(lp: StandardLp) -> np.ndarray:
+    """The ``(N, k)`` block whose row ``i`` is ``A_B^{-1} b`` for basis ``i``
+    of ``program_family(lp)``, at ``lp.b``.  The program's first call
+    solves it and keeps a read-only copy in ``lp.points_at_b``."""
+    if lp.points_at_b is None:
+        # a copy, so the (N, 2, k) slab of the solve is not kept alive
+        solved = program_family(lp).solve(lp.b[None, :])[:, 0].copy()
+        lp.points_at_b = read_only(solved)[0]
+    return lp.points_at_b
+
+
 def enumerate_feasible_bases(lp: StandardLp) -> list[Basis]:
     """All bases whose basic point is nonnegative, in lexicographic order."""
-    family = program_family(lp)
-    feasible = family.solve(lp.b[None, :])[:, 0].min(axis=1, initial=0.0) >= -FEAS_TOL
-    return [Basis(cols) for cols in family.cols[feasible].tolist()]
+    feasible = basic_points(lp).min(axis=1, initial=0.0) >= -FEAS_TOL
+    return [Basis(cols) for cols in program_family(lp).cols[feasible].tolist()]
 
 
 def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
@@ -505,7 +519,7 @@ def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
     ``BasisFamily.optimal_sets`` of the program's family at ``lp.b``.
     Raises ``Infeasible`` when no feasible basis exists."""
     family = program_family(lp)
-    ((polytope, _),), tied = family._optimal_block(lp.c, lp.b[None, :])
+    ((polytope, _),), tied = family._optimal_block(lp.c, basic_points(lp)[:, None, :])
     return polytope, [Basis(cols) for cols in family.cols[tied[:, 0]].tolist()]
 
 
@@ -562,14 +576,15 @@ def spec_to_dict(obj) -> dict:
 
 def load_lp(source) -> StandardLp:
     """Build a program from a dict, a JSON string, or a path to a JSON file;
-    keys other than ``A``, ``b`` and ``c`` are ignored."""
+    text that starts with ``{`` or ``[`` is JSON, any other is a path.  Keys
+    other than ``A``, ``b`` and ``c`` are ignored."""
     if isinstance(source, StandardLp):
         return source
     if isinstance(source, dict):
         data = source
     else:
         text = str(source)
-        if text.lstrip().startswith("{"):
+        if text.lstrip().startswith(("{", "[")):
             data = json.loads(text)
         else:
             with open(text) as fh:

@@ -17,6 +17,7 @@ from .geometry import hausdorff
 from . import problem
 from .problem import (
     StandardLp,
+    basic_points,
     optimal_vertices,
     program_family,
     solve_factored,
@@ -45,13 +46,15 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray) -> StabilityRepor
     equality constraints; it anchors the feasibility-preservation radius.
     The b-free half (each basis's ``||A_B^{-1}||_2``, ``c1`` and ``c2``) is
     computed by a program's first call and kept in its basis cache, which
-    ``with_rhs`` shares; later calls only solve for every basic point at
-    once on the program's ``BasisFamily``.
+    ``with_rhs`` shares.  The basic points come from ``basic_points``,
+    which solves them once per program.
     """
     x0 = np.asarray(slater_point, dtype=float)
     if not np.isfinite(x0).all():
         raise NonFiniteData("slater point holds NaN or infinity")
-    if x0.shape != (lp.m,) or np.abs(lp.A @ x0 - lp.b).max() > problem.residual_tol(lp.b):
+    if x0.shape != (lp.m,):
+        raise NotSlater(f"slater point has shape {x0.shape}, expected ({lp.m},)")
+    if np.abs(lp.A @ x0 - lp.b).max() > problem.residual_tol(lp.b):
         raise NotSlater("point does not satisfy the equality constraints")
     if x0.min() <= 0.0:
         raise NotSlater("point is not strictly positive")
@@ -61,7 +64,7 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray) -> StabilityRepor
     if known is None:
         known = lp.basis_cache.stability = _b_free_half(lp, family)
     norms, c1, c2 = known
-    X = family.solve(lp.b[None, :])[:, 0]
+    X = basic_points(lp)
     negative = X < -problem.FEAS_TOL
     delta_b0 = float((np.where(negative, -X, np.inf).min(axis=1) / norms).min())
     feasible = X.min(axis=1) >= -problem.FEAS_TOL

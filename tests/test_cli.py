@@ -183,6 +183,15 @@ def test_hausdorff_command(write_json, capsys):
     assert float(capsys.readouterr().out) == 0.0
 
 
+def test_hausdorff_names_a_polytope_file_without_vertices(write_json, capsys):
+    p1 = write_json("f.json", {"x": 1})
+    p2 = write_json("g.json", [[0.0, 0.0]])
+    assert main(["hausdorff", "--p1", p1, "--p2", p2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p1}: polytope JSON object has no 'vertices' key\n"
+
+
 def test_console_script_is_installed(ot_file):
     proc = subprocess.run([sys.executable, "-m", "lpdist.cli", "solve", "--lp", ot_file],
                           capture_output=True, text=True)
@@ -250,6 +259,13 @@ def test_bad_custom_config_spec_exits_2(write_json, capsys, part, spec):
     path = write_json("custom.json", {**cfg, part: spec})
     assert main(["coverage", "--experiment", "custom", "--config", path]) == 2
     assert "spec" in capsys.readouterr().err
+
+
+def test_stability_names_both_lengths_of_a_slater_point_of_the_wrong_length(ot_file, capsys):
+    assert main(["stability", "--lp", ot_file, "--slater", "0.25,0.25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: slater point has shape (2,), expected (4,)\n"
 
 
 @pytest.mark.parametrize("slater", ["nan,0.25,0.25,0.25", "0.25,inf,0.25,0.25"])

@@ -180,6 +180,14 @@ def test_serialization_round_trip(ot_lp, tmp_path):
         load_lp({"A": [[1.0]], "b": [1.0]})
 
 
+def test_load_lp_rejects_a_json_array_as_text_and_as_a_file(tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[[1, 2]]")
+    for source in ("[[1,2]]", "  [[1, 2]]", str(path)):
+        with pytest.raises(ValueError, match="^problem JSON must be a JSON object, not list$"):
+            load_lp(source)
+
+
 def test_transport_builder_matches_hand_matrix(ot_lp):
     expected = np.array([
         [1.0, 1.0, 0.0, 0.0],

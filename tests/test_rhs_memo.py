@@ -1,0 +1,149 @@
+"""The per-program memo of basic points, byte for byte.
+
+``basic_points`` solves every basis of a program's family at the
+program's own ``b`` once and keeps the block in ``lp.points_at_b``.
+Unlike the basis cache, the memo depends on ``b``, so a ``with_rhs``
+sibling must start without it.  Every check compares a memoised result
+with the same call on a fresh program.
+"""
+import numpy as np
+import pytest
+
+from lpdist import StandardLp, stability_report
+from lpdist.errors import LpError
+from lpdist.problem import (
+    BasisFamily,
+    basic_points,
+    enumerate_feasible_bases,
+    optimal_vertices,
+    program_family,
+)
+from lpdist.stability import check_basis_inclusion
+
+from test_iter_bases import PROGRAMS
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+
+def _outcome(call):
+    """``call()``, or the type and message of the ``LpError`` it raises."""
+    try:
+        return call()
+    except LpError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _optimal(lp):
+    polytope, optimal = optimal_vertices(lp)
+    return polytope.vertices.tobytes(), [basis.indices for basis in optimal]
+
+
+# each entry point that reads the memo, as bytes or reprs of its result
+ENTRY_POINTS = {
+    "optimal_vertices": lambda lp, x0: _outcome(lambda: _optimal(lp)),
+    "enumerate_feasible_bases": lambda lp, x0: _outcome(
+        lambda: [basis.indices for basis in enumerate_feasible_bases(lp)]),
+    "stability_report": lambda lp, x0: _outcome(lambda: repr(stability_report(lp, x0))),
+}
+
+
+def _fresh(lp, b):
+    return StandardLp(lp.A, b, lp.c)
+
+
+def _shifted(lp, slater, weights):
+    """A right-hand side ``A x`` near ``lp.b`` and its Slater point ``x``."""
+    x = slater * weights
+    return lp.A @ x, x
+
+
+@pytest.mark.parametrize("order", [list(ENTRY_POINTS), list(ENTRY_POINTS)[::-1]])
+@pytest.mark.parametrize("sibling_first", [False, True])
+@pytest.mark.parametrize("lp, slater", PROGRAMS)
+def test_sibling_never_sees_its_parents_points(lp, slater, sibling_first, order):
+    b2, x2 = _shifted(lp, slater, np.linspace(0.9, 1.1, lp.m))
+    fresh = _fresh(lp, b2)
+    want = {name: ENTRY_POINTS[name](fresh, x2) for name in order}
+    parent = _fresh(lp, lp.b)
+    early = parent.with_rhs(b2)
+    optimal_vertices(parent)
+    sibling = early if sibling_first else parent.with_rhs(b2)
+    assert sibling.points_at_b is None and parent.points_at_b is not None
+    assert {name: ENTRY_POINTS[name](sibling, x2) for name in order} == want
+    assert basic_points(sibling).tobytes() == basic_points(fresh).tobytes()
+    assert basic_points(parent).tobytes() == basic_points(_fresh(lp, lp.b)).tobytes()
+
+
+@pytest.fixture
+def family_solves(monkeypatch):
+    """The number of ``BasisFamily.solve`` calls made so far."""
+    calls = []
+    original = BasisFamily.solve
+
+    def counting(self, rows, trans=0):
+        calls.append(len(rows))
+        return original(self, rows, trans)
+
+    monkeypatch.setattr(BasisFamily, "solve", counting)
+    return lambda: len(calls)
+
+
+@pytest.mark.parametrize("first", list(ENTRY_POINTS))
+@pytest.mark.parametrize("lp, slater", PROGRAMS[:3])
+def test_a_program_is_solved_at_its_own_rhs_once(lp, slater, first, family_solves):
+    program = _fresh(lp, lp.b)
+    ENTRY_POINTS[first](program, slater)
+    assert family_solves() == 1
+    for call in ENTRY_POINTS.values():
+        call(program, slater)
+    assert family_solves() == 1
+    b2, _ = _shifted(lp, slater, np.linspace(1.05, 0.95, lp.m))
+    assert check_basis_inclusion(program, b2) == check_basis_inclusion(_fresh(lp, lp.b), b2)
+    assert family_solves() == 1 + 1 + 2  # this program's b2, then a fresh program's b and b2
+
+
+def test_memoised_points_are_a_read_only_copy(ot_lp):
+    points = basic_points(ot_lp)
+    family = program_family(ot_lp)
+    assert points.shape == (len(family), ot_lp.k)
+    assert not points.flags.writeable and points.flags.owndata
+    with pytest.raises(ValueError):
+        points[0, 0] = 1.0
+    assert basic_points(ot_lp) is points
+    assert points.tobytes() == family.solve(ot_lp.b[None, :])[:, 0].tobytes()
+
+
+@st.composite
+def rhs_sequences(draw):
+    """A program of ``PROGRAMS`` and steps ``(weights, sign, parent, names)``:
+    the right-hand side ``sign * A (slater * weights)``, whether it is
+    derived from the root program or from the previous step's program, and
+    the entry points to call on it in order."""
+    index = draw(st.integers(0, len(PROGRAMS) - 1))
+    m = PROGRAMS[index][0].m
+    step = st.tuples(
+        st.lists(st.floats(0.5, 1.5), min_size=m, max_size=m),
+        st.sampled_from([1.0, 1.0, 1.0, -1.0]),
+        st.booleans(),
+        st.lists(st.sampled_from(list(ENTRY_POINTS)), min_size=1, max_size=4),
+    )
+    return index, draw(st.lists(step, min_size=1, max_size=4))
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(rhs_sequences())
+def test_memoised_results_equal_fresh_programs(case):
+    index, steps = case
+    lp, slater = PROGRAMS[index]
+    root = previous = _fresh(lp, lp.b)
+    for weights, sign, from_root, names in steps:
+        b, x = _shifted(lp, slater, np.array(weights))
+        program = (root if from_root else previous).with_rhs(sign * b)
+        fresh = _fresh(lp, sign * b)
+        for name in names + names + ["optimal_vertices"]:
+            assert ENTRY_POINTS[name](program, x) == ENTRY_POINTS[name](fresh, x)
+        for name in names:
+            assert ENTRY_POINTS[name](root, slater) == ENTRY_POINTS[name](_fresh(lp, lp.b), slater)
+        previous = program
+
