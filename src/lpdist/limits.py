@@ -332,8 +332,8 @@ class AuxVertexEnumerator:
 
     Vertices are basic solutions at column sets of size k that contain every
     free index: the ``BasisFamily`` of ``a`` with the free indices fixed.
-    The factorizations depend only on the matrix, so one instance serves
-    many right-hand sides cheaply.
+    Its inverses depend only on the matrix, so one instance serves many
+    right-hand sides cheaply.
     """
 
     def __init__(self, a: np.ndarray, c: np.ndarray, free_indices):
@@ -344,7 +344,8 @@ class AuxVertexEnumerator:
 
     def optimal_sets(self, rhs_rows: np.ndarray) -> list:
         """``optimal_set`` for every row of a ``(N, k)`` block of right-hand
-        sides: ``BasisFamily.optimal_sets``, one ``getrs`` call per basis."""
+        sides: ``BasisFamily.optimal_sets``, one product over the family's
+        stack of inverses per block of rows."""
         return self.family.optimal_sets(self.c, rhs_rows)
 
     def optimal_set(self, rhs: np.ndarray) -> tuple:

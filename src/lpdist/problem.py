@@ -37,9 +37,10 @@ def solve_factored(factors, rhs: np.ndarray, at=None, trans: int = 0) -> np.ndar
     ``quiet_lu``) for the rows ``at`` of the ``(N, k)`` array ``rhs`` (all
     rows when ``at`` is None): entry ``[i, j]`` of the result is
     ``A_i^{-1} rhs[at[j]]``, or ``A_i^{-T} rhs[at[j]]`` with ``trans=1``.
-    Every LU solve of the package comes here, one LAPACK ``getrs`` call per
-    block.  OpenBLAS solves a lone column with another kernel than a block,
-    so a lone row goes in twice and its result does not depend on its block.
+    Every ``getrs`` call of the package comes here, one per block; a
+    ``BasisFamily`` solves through its stack of inverses instead.  OpenBLAS
+    solves a lone column with another kernel than a block, so a lone row goes
+    in twice and its result does not depend on its block.
     """
     rows = rhs if at is None else rhs.take(at, axis=0)
     count = len(rows)
@@ -73,8 +74,9 @@ ENUM_CAP = 10**6  # most column blocks one enumeration may try
 
 
 def invertible_tol(A) -> float:
-    """A block of ``A`` is invertible when every LU pivot exceeds this."""
-    return 1e-10 * np.abs(A).max(initial=0.0)
+    """A block of ``A`` is invertible when every LU pivot exceeds this; the
+    floor at the smallest normal float keeps each pivot's reciprocal finite."""
+    return max(1e-10 * np.abs(A).max(initial=0.0), np.finfo(float).tiny)
 
 
 def pivot_tol(A) -> float:
@@ -395,33 +397,55 @@ def _check_cap(total: int):
 
 # bases times rows ``BasisFamily.optimal_sets`` solves in one block at most
 SOLVE_CELLS = 2**15
+# bases whose inverses one identity solve makes while a family is built
+INVERSE_BLOCK = 64
 
 
 class BasisFamily:
     """The invertible bases of ``A`` that hold the ``fixed`` columns, in the
     order of ``iter_bases``: their sorted columns as the rows of the index
-    array ``cols``, and their ``(lu, piv)`` pairs in ``factors``.  They
-    depend on ``A`` alone, so one family serves every right-hand side and
-    objective.  Raises ``Infeasible`` when no basis holds the fixed columns.
+    array ``cols``, and their inverses in the read-only ``(N, k, k)`` stack
+    ``inverses``.  Each inverse is ``solve_factored`` of its LU factors on
+    the identity, and the factors are dropped; the stack is laid out so that
+    column ``j`` of every inverse, ``inverses[:, :, j]``, is one contiguous
+    ``(N, k)`` block.  The bases depend on ``A`` alone, so one family serves
+    every right-hand side and objective.  Raises ``Infeasible`` when no basis
+    holds the fixed columns.
     """
 
     def __init__(self, A, fixed=()):
         self.A = np.asarray(A, dtype=float)
         self.fixed = sorted(int(j) for j in fixed)
-        bases = list(iter_bases(self.A, fixed=self.fixed))
-        if not bases:
+        eye = np.eye(self.A.shape[0])
+        bases = iter_bases(self.A, fixed=self.fixed)
+        cols, blocks = [], []
+        while block := list(itertools.islice(bases, INVERSE_BLOCK)):
+            cols += [basis for basis, _ in block]
+            # row j of a slab solves e_j, so it is column j of the inverse
+            blocks.append(solve_factored([lu_piv for _, lu_piv in block], eye).transpose(1, 0, 2))
+        if not cols:
             raise Infeasible("no invertible column set contains the fixed columns")
-        self.cols = read_only(np.array([cols for cols, _ in bases], dtype=np.intp))[0]
-        self.factors = [lu_piv for _, lu_piv in bases]
+        self.cols = read_only(np.array(cols, dtype=np.intp))[0]
+        self.inverses = read_only(np.concatenate(blocks, axis=1))[0].transpose(1, 2, 0)
         # which coordinates of each basis are held to the sign constraint
         self._signed = (self.cols[:, :, None] != self.fixed).all(axis=2, keepdims=True)
 
     def __len__(self):
-        return len(self.factors)
+        return len(self.cols)
 
     def solve(self, rows: np.ndarray, trans: int = 0) -> np.ndarray:
-        """``solve_factored`` over every basis of the family."""
-        return solve_factored(self.factors, rows, trans=trans)
+        """Entry ``[i, r]`` of the result is ``A_i^{-1} rows[r]``, or
+        ``A_i^{-T} rows[r]`` with ``trans=1``, for basis ``i`` and row ``r``
+        of the ``(R, k)`` array ``rows``: the products of ``rows[r, j]`` and
+        column ``j`` of the inverse (row ``j`` with ``trans=1``), added in
+        the order of ``j``.  Each entry is its own sequence of rounded
+        products and sums, so its bits do not depend on the other rows."""
+        rows = np.asarray(rows, dtype=float)
+        inverses = self.inverses.transpose(0, 2, 1) if trans else self.inverses
+        out = rows[:, 0, None, None] * inverses[:, :, 0]
+        for j in range(1, rows.shape[1]):
+            out += rows[:, j, None, None] * inverses[:, :, j]
+        return out.transpose(1, 0, 2)
 
     def optimal_sets(self, c, rows) -> list:
         """(Polytope of optimal vertices, optimal value) of
@@ -502,7 +526,7 @@ def basic_points(lp: StandardLp) -> np.ndarray:
     of ``program_family(lp)``, at ``lp.b``.  The program's first call
     solves it and keeps a read-only copy in ``lp.points_at_b``."""
     if lp.points_at_b is None:
-        # a copy, so the (N, 2, k) slab of the solve is not kept alive
+        # a copy, so no writable array sits under the read-only memo
         solved = program_family(lp).solve(lp.b[None, :])[:, 0].copy()
         lp.points_at_b = read_only(solved)[0]
     return lp.points_at_b

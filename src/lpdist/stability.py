@@ -20,8 +20,6 @@ from .problem import (
     basic_points,
     optimal_vertices,
     program_family,
-    solve_factored,
-    solve_lu,
 )
 
 
@@ -33,10 +31,6 @@ class StabilityReport:
     c1: float
     c2: float
     delta_star: float
-
-
-# bases per block of k x k inverses, which bounds the transient arrays
-NORM_BLOCK = 64
 
 
 def stability_report(lp: StandardLp, slater_point: np.ndarray) -> StabilityReport:
@@ -86,26 +80,17 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray) -> StabilityRepor
 
 def _b_free_half(lp: StandardLp, family) -> tuple:
     """``(inverse norms, c1, c2)``: ``||A_B^{-1}||_2`` of every basis of the
-    family, their largest, and the largest dual vertex norm."""
-    eye = np.eye(lp.k)
-    # c2 is the largest norm among vertices of {lam : A'lam <= c}: a basis
-    # whose dual solution A_B' lam = c_B satisfies every inequality
-    slack_tol = problem.reduced_cost_tol(lp.c)
-    norm_blocks = [np.zeros(0)]
-    dual_norms = []
-    for start in range(0, len(family), NORM_BLOCK):
-        block = family.factors[start:start + NORM_BLOCK]
-        # row r of a slab solves e_r, so its transpose is the inverse; the
-        # same gesdd call per inverse as np.linalg.norm(inverse, 2)
-        inverses = solve_factored(block, eye).transpose(0, 2, 1)
-        norm_blocks.append(np.linalg.svd(inverses, compute_uv=False)[:, 0])
-        for cols, lu_piv in zip(family.cols[start:start + NORM_BLOCK], block):
-            lam = solve_lu(lu_piv, lp.c[cols], trans=1)
-            if (lp.A.T @ lam - lp.c).max() <= slack_tol:
-                dual_norms.append(float(np.linalg.norm(lam)))
-    inv_norms = np.concatenate(norm_blocks)
+    family, their largest, and the largest dual vertex norm, all read from
+    the family's stack of inverses."""
+    # the same gesdd call per inverse as np.linalg.norm(inverse, 2)
+    inv_norms = np.linalg.svd(family.inverses, compute_uv=False)[:, 0].copy()
     inv_norms.setflags(write=False)
-    return inv_norms, float(inv_norms.max(initial=0.0)), max(dual_norms, default=math.inf)
+    # c2 is the largest norm among vertices of {lam : A'lam <= c}: a basis
+    # whose dual solution lam' = c_B' A_B^{-1} satisfies every inequality
+    duals = (lp.c[family.cols][:, None, :] @ family.inverses)[:, 0]
+    vertices = duals[(duals @ lp.A - lp.c).max(axis=1) <= problem.reduced_cost_tol(lp.c)]
+    c2 = max((float(np.linalg.norm(lam)) for lam in vertices), default=math.inf)
+    return inv_norms, float(inv_norms.max(initial=0.0)), c2
 
 
 def check_basis_inclusion(lp: StandardLp, b_prime: np.ndarray) -> bool:

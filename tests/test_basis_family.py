@@ -1,9 +1,10 @@
 """The one basis family against the per-basis, per-row paths it replaced.
 
 ``BasisFamily.solve`` solves every basis of a family for a block of
-right-hand sides.  Each row of the result must carry the bits of that basis
-solved for that row alone, so neither the block nor the caller moves a bit.
-On that rests the rest: ``optimal_vertices`` is the family's optimal set
+right-hand sides through its stack of inverses.  Each row of the result must
+carry the bits of that row solved alone, so neither the block nor the caller
+moves a bit, and must agree with ``getrs`` on the basis's LU factors within
+``ORACLE_BOUND``.  On that rests the rest: ``optimal_vertices`` is the family's optimal set
 with no sign-free columns, and the Hausdorff limit comparison solves all of
 its draws in one ``optimal_sets`` call.
 """
@@ -15,6 +16,7 @@ from lpdist import (
     ExperimentConfig,
     GaussianLaw,
     Polytope,
+    StandardLp,
     build_ot_2x2,
     hausdorff,
     kolmogorov_smirnov,
@@ -24,9 +26,9 @@ from lpdist import (
 )
 from lpdist import problem
 from lpdist.errors import Infeasible, NonFiniteData
-from lpdist.problem import BasisFamily, iter_bases, program_family, solve_factored, solve_lu
+from lpdist.problem import BasisFamily, iter_bases, program_family, solve_lu
 
-from test_iter_bases import PROGRAMS
+from test_iter_bases import PROGRAMS, near
 
 
 def _rows(lp, count, seed):
@@ -36,15 +38,16 @@ def _rows(lp, count, seed):
 
 
 def assert_rows_match_lone_solves(family, rows, trans=0):
+    """Each row of a block solve carries the bits of its lone-row solve, in
+    any row order, and agrees with ``getrs`` on each basis's LU factors."""
     x = family.solve(rows, trans)
     assert x.shape == (len(family), len(rows), rows.shape[1])
-    backwards = np.arange(len(rows))[::-1]
-    for lu_piv, block in zip(family.factors, x):
-        # the rows a single basis takes from a larger array, in any order
-        taken = solve_factored((lu_piv,), rows, backwards, trans)[0]
-        for row, got, got_taken in zip(rows, block, taken[::-1]):
-            want = solve_lu(lu_piv, row, trans).tobytes()
-            assert got.tobytes() == want and got_taken.tobytes() == want
+    assert family.solve(rows[::-1], trans)[:, ::-1].tobytes() == x.tobytes()
+    for r, row in enumerate(rows):
+        assert family.solve(row[None, :], trans)[:, 0].tobytes() == x[:, r].tobytes()
+    for (_, lu_piv), block in zip(iter_bases(family.A, fixed=family.fixed), x):
+        for row, got in zip(rows, block):
+            assert near(got, solve_lu(lu_piv, row, trans))
 
 
 @pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS])
@@ -64,8 +67,9 @@ def test_optimal_vertices_is_the_family_optimal_set_without_free_columns(lp):
     assert polytope.vertices.tobytes() == aux.vertices.tobytes()
     assert min(float(lp.c @ v) for v in polytope.vertices) == pytest.approx(value, abs=1e-12)
     assert optimal and all(
-        any(np.array_equal(v[list(basis.indices)], solve_lu(problem.factor_columns(
-            lp, basis.indices), lp.b)) for v in polytope.vertices) for basis in optimal)
+        any(near(v[list(basis.indices)], solve_lu(problem.factor_columns(lp, basis.indices),
+                                                  lp.b)) for v in polytope.vertices)
+        for basis in optimal)
 
 
 @pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS])
@@ -90,6 +94,15 @@ def test_family_rejects_bad_rows_and_empty_blocks_give_no_sets(ot_lp):
     assert family.optimal_sets(ot_lp.c, np.zeros((0, 3))) == []
     with pytest.raises(Infeasible):
         family.optimal_sets(ot_lp.c, np.array([[-1.0, 0.5, 0.5]]))
+
+
+def test_a_subnormal_pivot_is_not_invertible():
+    """The reciprocal of a subnormal pivot overflows, so the invertibility
+    floor rejects the block: in the rank check and in the enumeration."""
+    with pytest.raises(ValueError, match="full row rank"):
+        StandardLp([[1e-310]], [0.0], [0.0])
+    with pytest.raises(Infeasible):
+        BasisFamily(np.array([[1e-310]]))
 
 
 def reference_hausdorff_comparison(config, n, draws):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from lpdist.errors import Infeasible
-from lpdist.problem import BasisFamily, solve_lu
+from lpdist.problem import BasisFamily
+
+from test_basis_family import assert_rows_match_lone_solves
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -42,10 +44,7 @@ def families(draw):
 @hypothesis.given(families(), st.sampled_from([0, 1]))
 def test_block_solve_rows_equal_single_basis_solves(case, trans):
     family, _, rows = case
-    x = family.solve(rows, trans)
-    for lu_piv, block in zip(family.factors, x):
-        for row, got in zip(rows, block):
-            assert got.tobytes() == solve_lu(lu_piv, row, trans).tobytes()
+    assert_rows_match_lone_solves(family, rows, trans)
 
 
 @hypothesis.settings(max_examples=200, deadline=None, database=None)

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -192,11 +193,17 @@ def test_hausdorff_names_a_polytope_file_without_vertices(write_json, capsys):
     assert captured.err == f"error: {p1}: polytope JSON object has no 'vertices' key\n"
 
 
-def test_console_script_is_installed(ot_file):
-    proc = subprocess.run([sys.executable, "-m", "lpdist.cli", "solve", "--lp", ot_file],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["kkt_ok"] is True
+def test_module_entry_point_and_any_installed_script_solve(ot_file):
+    """``python -m lpdist.cli`` always runs; the ``lpdist`` console script
+    runs on the same input too when an installed one is on ``PATH``."""
+    commands = [[sys.executable, "-m", "lpdist.cli"]]
+    script = shutil.which("lpdist")
+    if script is not None:
+        commands.append([script])
+    for command in commands:
+        proc = subprocess.run(command + ["solve", "--lp", ot_file], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["kkt_ok"] is True
 
 
 BOX_REGION = {"kind": "box", "lower": [-1.0, -1.0, -1.0], "upper": [1.0, 1.0, 1.0]}

@@ -1,10 +1,12 @@
 """The per-program enumeration memo against fresh programs, byte for byte.
 
 A program's first enumeration builds its ``BasisFamily`` (the invertible
-column blocks with their factors), and ``stability_report`` keeps its
+column blocks with their inverses), and ``stability_report`` keeps its
 b-free half (inverse norms, ``c1``, ``c2``).  Both live in the basis cache that ``with_rhs``
-shares.  The memo must not change an output bit, so every check here
-compares bytes or reprs, and counts the factorizations and SVDs it saves.
+shares.  The memo must not change an output bit, so every check of a warm
+program against a fresh one compares bytes or reprs; the one-pass ``getrs``
+loop is the oracle for the report's floats, within ``ORACLE_BOUND``.  The
+checks also count the factorizations and SVDs the memo saves.
 """
 import math
 
@@ -23,9 +25,9 @@ from lpdist.problem import (
     quiet_lu,
     solve_lu,
 )
-from lpdist.stability import NORM_BLOCK, check_basis_inclusion, check_hausdorff_lipschitz
+from lpdist.stability import check_basis_inclusion, check_hausdorff_lipschitz
 
-from test_iter_bases import CAPPED, PROGRAMS
+from test_iter_bases import CAPPED, PROGRAMS, near
 
 
 def _fresh(lp, b=None):
@@ -109,7 +111,7 @@ def test_report_equals_the_one_pass_loop_cold_and_warm(lp, slater):
     sibling = program.with_rhs(b1)
     for _ in range(2):
         for prog, point in ((program, slater), (sibling, slater1)):
-            assert repr(_fields(stability_report(prog, point))) == repr(reference_report(prog, point))
+            assert near(_fields(stability_report(prog, point)), reference_report(prog, point))
     norms = [np.linalg.norm(solve_lu(lu_piv, np.eye(lp.k)), 2) for _, lu_piv in iter_bases(lp.A)]
     assert program.basis_cache.stability[0].tobytes() == np.array(norms).tobytes()
 
@@ -125,8 +127,7 @@ def test_feasibility_tolerance_is_applied_on_warm_calls(monkeypatch, ot_lp):
         for b, slater in cases + cases[::-1]:
             want = stability_report(_fresh(ot_lp, b), slater)
             assert stability_report(ot_lp.with_rhs(b), slater) == want
-            assert repr(_fields(want)) == repr(reference_report(ot_lp.with_rhs(b), slater,
-                                                                feas_tol))
+            assert near(_fields(want), reference_report(ot_lp.with_rhs(b), slater, feas_tol))
 
 
 @pytest.fixture
@@ -165,7 +166,7 @@ def test_only_the_first_pass_factors_every_block(counters, index, report_first):
     sibling = program.with_rhs(b1)
     total = math.comb(lp.m, lp.k)
     invertible = sum(1 for _ in iter_bases(lp.A))
-    svds = math.ceil(invertible / NORM_BLOCK)
+    svds = 1  # one call over the family's stack of inverses
     if report_first:
         assert _counted(counters, lambda: stability_report(program, slater)) == (total, svds)
     else:

@@ -19,6 +19,7 @@ from lpdist.experiments import build_min_cost_flow, build_ot_2x2
 from lpdist.geometry import SphereGrid
 from lpdist.limits import AuxVertexEnumerator, limit_support_function
 from lpdist.problem import (
+    Basis,
     BasisFamily,
     Polytope,
     basic_solution,
@@ -43,6 +44,29 @@ def reference_bases(A, fixed=()):
             continue
         out.append((cols, lu, piv))
     return out
+
+
+# a family-kernel float may sit this far, relative to 1 + |x|, from its
+# getrs oracle: the kernel rounds a k-term product sum, getrs a substitution
+ORACLE_BOUND = 1e-12
+
+
+def near(got, want) -> bool:
+    """Whether the float arrays ``got`` and ``want`` have one shape and agree
+    entry by entry within ``ORACLE_BOUND``; equal infinities agree."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    with np.errstate(invalid="ignore"):
+        close = (got == want) | (np.abs(got - want) <= ORACLE_BOUND * (1.0 + np.abs(want)))
+    return got.shape == want.shape and bool(close.all())
+
+
+def same_vertex_set(got, want) -> bool:
+    """Whether the rows of ``got`` and ``want`` pair off one to one as
+    ``near`` rows, in any order."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    pairs = np.array([[near(g, w) for w in want] for g in got], dtype=bool).reshape(len(got), -1)
+    return (got.shape == want.shape and bool((pairs.sum(axis=0) == 1).all())
+            and bool((pairs.sum(axis=1) == 1).all()))
 
 
 def _as_bytes(bases):
@@ -137,13 +161,15 @@ def test_no_invertible_block_with_the_free_columns():
 @pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS])
 def test_optimal_vertices_equals_feasible_bases_and_basic_solutions(lp):
     bases = enumerate_feasible_bases(lp)
+    assert bases == [basis for basis in map(Basis, (cols for cols, _ in iter_bases(lp.A)))
+                     if basic_solution(lp, basis).feasible]
     points = [basic_solution(lp, basis).x for basis in bases]
     objectives = [float(lp.c @ x) for x in points]
     best = min(objectives)
     chosen = [i for i, value in enumerate(objectives) if value - best <= 1e-8 * (1 + abs(best))]
     polytope, optimal = optimal_vertices(lp)
     assert optimal == [bases[i] for i in chosen]
-    assert polytope.vertices.tobytes() == Polytope([points[i] for i in chosen]).vertices.tobytes()
+    assert same_vertex_set(polytope.vertices, Polytope([points[i] for i in chosen]).vertices)
 
 
 def reference_c2(lp):
