@@ -344,8 +344,7 @@ class AuxVertexEnumerator:
 
     def optimal_sets(self, rhs_rows: np.ndarray) -> list:
         """``optimal_set`` for every row of a ``(N, k)`` block of right-hand
-        sides: ``BasisFamily.optimal_sets``, one product over the family's
-        stack of inverses per block of rows."""
+        sides: ``BasisFamily.optimal_sets``, one product per block of rows."""
         return self.family.optimal_sets(self.c, rhs_rows)
 
     def optimal_set(self, rhs: np.ndarray) -> tuple:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import mmap
 import threading
 from dataclasses import dataclass
 
@@ -37,8 +38,7 @@ def solve_factored(factors, rhs: np.ndarray, at=None, trans: int = 0) -> np.ndar
     ``quiet_lu``) for the rows ``at`` of the ``(N, k)`` array ``rhs`` (all
     rows when ``at`` is None): entry ``[i, j]`` of the result is
     ``A_i^{-1} rhs[at[j]]``, or ``A_i^{-T} rhs[at[j]]`` with ``trans=1``.
-    Every ``getrs`` call of the package comes here, one per block; a
-    ``BasisFamily`` solves through its stack of inverses instead.  OpenBLAS
+    Every ``getrs`` call of the package comes here, one per block.  OpenBLAS
     solves a lone column with another kernel than a block, so a lone row goes
     in twice and its result does not depend on its block.
     """
@@ -75,8 +75,8 @@ ENUM_CAP = 10**6  # most column blocks one enumeration may try
 
 def invertible_tol(A) -> float:
     """A block of ``A`` is invertible when every LU pivot exceeds this; the
-    floor at the smallest normal float keeps each pivot's reciprocal finite."""
-    return max(1e-10 * np.abs(A).max(initial=0.0), np.finfo(float).tiny)
+    floor, the smallest normal float, keeps each pivot's reciprocal finite."""
+    return max(1e-10 * np.abs(A).max(initial=0.0), 2.2250738585072014e-308)
 
 
 def pivot_tol(A) -> float:
@@ -399,18 +399,19 @@ def _check_cap(total: int):
 SOLVE_CELLS = 2**15
 # bases whose inverses one identity solve makes while a family is built
 INVERSE_BLOCK = 64
+# a stack of inverses this large gets a memory map of its own, which leaves no
+# hole in the heap when the family goes; a smaller one costs less than a map
+MAPPED_BYTES = 2**20
 
 
 class BasisFamily:
     """The invertible bases of ``A`` that hold the ``fixed`` columns, in the
     order of ``iter_bases``: their sorted columns as the rows of the index
     array ``cols``, and their inverses in the read-only ``(N, k, k)`` stack
-    ``inverses``.  Each inverse is ``solve_factored`` of its LU factors on
-    the identity, and the factors are dropped; the stack is laid out so that
-    column ``j`` of every inverse, ``inverses[:, :, j]``, is one contiguous
-    ``(N, k)`` block.  The bases depend on ``A`` alone, so one family serves
-    every right-hand side and objective.  Raises ``Infeasible`` when no basis
-    holds the fixed columns.
+    ``inverses``, each ``solve_factored`` of its LU factors on the identity,
+    laid out so that each ``inverses[:, :, j]`` is one contiguous block.  They
+    depend on ``A`` alone, so one family serves every right-hand side and
+    objective.  Raises ``Infeasible`` when no basis holds the fixed columns.
     """
 
     def __init__(self, A, fixed=()):
@@ -418,7 +419,7 @@ class BasisFamily:
         self.fixed = sorted(int(j) for j in fixed)
         eye = np.eye(self.A.shape[0])
         bases = iter_bases(self.A, fixed=self.fixed)
-        cols, blocks = [], []
+        cols, blocks = [], []  # one block's factors are alive at a time
         while block := list(itertools.islice(bases, INVERSE_BLOCK)):
             cols += [basis for basis, _ in block]
             # row j of a slab solves e_j, so it is column j of the inverse
@@ -426,7 +427,10 @@ class BasisFamily:
         if not cols:
             raise Infeasible("no invertible column set contains the fixed columns")
         self.cols = read_only(np.array(cols, dtype=np.intp))[0]
-        self.inverses = read_only(np.concatenate(blocks, axis=1))[0].transpose(1, 2, 0)
+        size = 8 * len(cols) * eye.size
+        stack = np.frombuffer(mmap.mmap(-1, size)) if size >= MAPPED_BYTES else np.empty(size // 8)
+        stack = np.concatenate(blocks, axis=1, out=stack.reshape(len(eye), -1, len(eye)))
+        self.inverses = read_only(stack)[0].transpose(1, 2, 0)
         # which coordinates of each basis are held to the sign constraint
         self._signed = (self.cols[:, :, None] != self.fixed).all(axis=2, keepdims=True)
 
@@ -434,17 +438,15 @@ class BasisFamily:
         return len(self.cols)
 
     def solve(self, rows: np.ndarray, trans: int = 0) -> np.ndarray:
-        """Entry ``[i, r]`` of the result is ``A_i^{-1} rows[r]``, or
-        ``A_i^{-T} rows[r]`` with ``trans=1``, for basis ``i`` and row ``r``
-        of the ``(R, k)`` array ``rows``: the products of ``rows[r, j]`` and
-        column ``j`` of the inverse (row ``j`` with ``trans=1``), added in
-        the order of ``j``.  Each entry is its own sequence of rounded
-        products and sums, so its bits do not depend on the other rows."""
-        rows = np.asarray(rows, dtype=float)
+        """Entry ``[i, r]`` is ``A_i^{-1} rows[r]`` (``A_i^{-T}`` with
+        ``trans=1``) for basis ``i``: ``rows[r, j]`` times column ``j`` of the
+        inverse (row ``j`` with ``trans=1``), summed in the order of ``j``, so
+        an entry's bits do not depend on the other rows of ``rows``."""
+        weights = np.asarray(rows, dtype=float).T[:, :, None, None]  # column j of rows
         inverses = self.inverses.transpose(0, 2, 1) if trans else self.inverses
-        out = rows[:, 0, None, None] * inverses[:, :, 0]
-        for j in range(1, rows.shape[1]):
-            out += rows[:, j, None, None] * inverses[:, :, j]
+        out = weights[0] * inverses[:, :, 0]
+        for j in range(1, len(weights)):
+            out += weights[j] * inverses[:, :, j]
         return out.transpose(1, 0, 2)
 
     def optimal_sets(self, c, rows) -> list:

@@ -83,8 +83,7 @@ def _b_free_half(lp: StandardLp, family) -> tuple:
     family, their largest, and the largest dual vertex norm, all read from
     the family's stack of inverses."""
     # the same gesdd call per inverse as np.linalg.norm(inverse, 2)
-    inv_norms = np.linalg.svd(family.inverses, compute_uv=False)[:, 0].copy()
-    inv_norms.setflags(write=False)
+    inv_norms = problem.read_only(np.linalg.svd(family.inverses, compute_uv=False)[:, 0].copy())[0]
     # c2 is the largest norm among vertices of {lam : A'lam <= c}: a basis
     # whose dual solution lam' = c_B' A_B^{-1} satisfies every inequality
     duals = (lp.c[family.cols][:, None, :] @ family.inverses)[:, 0]

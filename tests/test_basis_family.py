@@ -60,6 +60,16 @@ def test_family_rows_equal_single_basis_solves(lp, count):
         assert_rows_match_lone_solves(family, _rows(lp, count, count), trans)
 
 
+@pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS[:3]])  # mcf's stack is mapped
+def test_inverses_are_identity_solves_in_a_read_only_stack_of_contiguous_columns(lp):
+    family = BasisFamily(lp.A)
+    inverses = family.inverses
+    assert inverses.shape == (len(family), lp.k, lp.k) and not inverses.flags.writeable
+    assert all(inverses[:, :, j].flags.c_contiguous for j in range(lp.k))
+    for (_, lu_piv), inverse in zip(iter_bases(lp.A), inverses):
+        assert inverse.tobytes() == solve_lu(lu_piv, np.eye(lp.k)).tobytes()
+
+
 @pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS])
 def test_optimal_vertices_is_the_family_optimal_set_without_free_columns(lp):
     polytope, optimal = optimal_vertices(lp)
