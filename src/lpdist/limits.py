@@ -338,7 +338,6 @@ class AuxVertexEnumerator:
 
     def __init__(self, a: np.ndarray, c: np.ndarray, free_indices):
         self.family = BasisFamily(a, fixed=free_indices)
-        self.a = self.family.A
         self.c = np.asarray(c, dtype=float)
         self.free = self.family.fixed
 

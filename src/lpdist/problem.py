@@ -290,9 +290,9 @@ class Polytope:
             arr = arr.reshape(0, arr.shape[-1] if arr.ndim == 2 else 0)
         if arr.ndim != 2:
             raise ValueError("vertices must form a 2-d array")
-        kept: list[np.ndarray] = []
-        for v in arr:
-            if not any(np.max(np.abs(v - u)) <= DEDUP_TOL for u in kept):
+        kept: list[list] = []
+        for v in arr.tolist():
+            if not any(all(abs(a - b) <= DEDUP_TOL for a, b in zip(v, u)) for u in kept):
                 kept.append(v)
         if kept:
             order = np.lexsort(np.array(kept).T[::-1])
@@ -384,7 +384,7 @@ def iter_bases(A, *, fixed=()):
     _check_cap(math.comb(len(others), k - len(fixed)))
     tol = invertible_tol(A)
     for extra in itertools.combinations(others, k - len(fixed)):
-        cols = tuple(sorted(fixed + list(extra)))
+        cols = tuple(sorted(fixed + list(extra))) if fixed else extra
         lu_piv = quiet_lu(A.take(cols, axis=1))
         if _invertible(lu_piv[0], tol):
             yield cols, lu_piv
@@ -399,9 +399,8 @@ def _check_cap(total: int):
 SOLVE_CELLS = 2**15
 # bases whose inverses one identity solve makes while a family is built
 INVERSE_BLOCK = 64
-# a stack of inverses this large gets a memory map of its own, which leaves no
-# hole in the heap when the family goes; a smaller one costs less than a map
-MAPPED_BYTES = 2**20
+# numpy advises huge pages for arrays this large, so a stack's room is mapped
+MAPPED_BYTES = 2**22
 
 
 class BasisFamily:
@@ -417,36 +416,52 @@ class BasisFamily:
     def __init__(self, A, fixed=()):
         self.A = np.asarray(A, dtype=float)
         self.fixed = sorted(int(j) for j in fixed)
-        eye = np.eye(self.A.shape[0])
+        k, m = self.A.shape
+        # room for every block iter_bases tries: stack[j] holds column j of
+        # each inverse in its first rows, and the rest is never touched
+        _check_cap(room := math.comb(m - len(set(self.fixed)), max(k - len(self.fixed), 0)))
+        size = 8 * room * k * k
+        stack = np.frombuffer(mmap.mmap(-1, size)) if size >= MAPPED_BYTES else np.empty(size // 8)
+        stack, cols = stack.reshape(k, room, k), []
         bases = iter_bases(self.A, fixed=self.fixed)
-        cols, blocks = [], []  # one block's factors are alive at a time
         while block := list(itertools.islice(bases, INVERSE_BLOCK)):
-            cols += [basis for basis, _ in block]
             # row j of a slab solves e_j, so it is column j of the inverse
-            blocks.append(solve_factored([lu_piv for _, lu_piv in block], eye).transpose(1, 0, 2))
+            slab = solve_factored([lu_piv for _, lu_piv in block], np.eye(k))
+            stack[:, len(cols):len(cols) + len(block)] = slab.transpose(1, 0, 2)
+            cols += [basis for basis, _ in block]
         if not cols:
             raise Infeasible("no invertible column set contains the fixed columns")
         self.cols = read_only(np.array(cols, dtype=np.intp))[0]
-        size = 8 * len(cols) * eye.size
-        stack = np.frombuffer(mmap.mmap(-1, size)) if size >= MAPPED_BYTES else np.empty(size // 8)
-        stack = np.concatenate(blocks, axis=1, out=stack.reshape(len(eye), -1, len(eye)))
-        self.inverses = read_only(stack)[0].transpose(1, 2, 0)
+        stack = read_only(stack[:, :len(cols)])[0]
+        self.inverses = stack.transpose(1, 2, 0)
+        # rows up to this in magnitude keep every product solve within 1e-12
+        self._room = 1e-12 / (k * k * np.finfo(float).eps * max(stack.max(), -stack.min()))
         # which coordinates of each basis are held to the sign constraint
-        self._signed = (self.cols[:, :, None] != self.fixed).all(axis=2, keepdims=True)
+        signed = np.ones(m, dtype=bool)
+        signed[self.fixed] = False
+        self._signed = signed[self.cols][:, :, None]
 
     def __len__(self):
         return len(self.cols)
 
     def solve(self, rows: np.ndarray, trans: int = 0) -> np.ndarray:
         """Entry ``[i, r]`` is ``A_i^{-1} rows[r]`` (``A_i^{-T}`` with
-        ``trans=1``) for basis ``i``: ``rows[r, j]`` times column ``j`` of the
-        inverse (row ``j`` with ``trans=1``), summed in the order of ``j``, so
-        an entry's bits do not depend on the other rows of ``rows``."""
-        weights = np.asarray(rows, dtype=float).T[:, :, None, None]  # column j of rows
+        ``trans=1``): the sum over ``j``, in order, of ``rows[r, j]`` times
+        column (row) ``j`` of the inverse, or the lone-row ``getrs`` solve where
+        that sum's error bound ``k^2 eps max|A_i^{-1}| max|rows[r]|`` passes
+        ``1e-12``.  Its bits do not depend on the other rows."""
+        rows = np.asarray(rows, dtype=float)
+        weights = rows.T[:, :, None, None]  # column j of rows
         inverses = self.inverses.transpose(0, 2, 1) if trans else self.inverses
         out = weights[0] * inverses[:, :, 0]
         for j in range(1, len(weights)):
             out += weights[j] * inverses[:, :, j]
+        if np.abs(rows).max(initial=0.0) > self._room:
+            peaks = np.abs(self.inverses).max(axis=(1, 2)) * len(weights) ** 2 * np.finfo(float).eps
+            loose = np.multiply.outer(np.abs(rows).max(axis=1), peaks) > 1e-12
+            for r, i in zip(*np.nonzero(loose)):
+                lu_piv = quiet_lu(self.A.take(self.cols[i], axis=1))
+                out[r, i] = solve_factored((lu_piv,), rows, [r], trans)[0, 0]
         return out.transpose(1, 0, 2)
 
     def optimal_sets(self, c, rows) -> list:
@@ -527,10 +542,8 @@ def basic_points(lp: StandardLp) -> np.ndarray:
     """The ``(N, k)`` block whose row ``i`` is ``A_B^{-1} b`` for basis ``i``
     of ``program_family(lp)``, at ``lp.b``.  The program's first call
     solves it and keeps a read-only copy in ``lp.points_at_b``."""
-    if lp.points_at_b is None:
-        # a copy, so no writable array sits under the read-only memo
-        solved = program_family(lp).solve(lp.b[None, :])[:, 0].copy()
-        lp.points_at_b = read_only(solved)[0]
+    if lp.points_at_b is None:  # a copy, so no writable array sits under the memo
+        lp.points_at_b = read_only(program_family(lp).solve(lp.b[None, :])[:, 0].copy())[0]
     return lp.points_at_b
 
 

@@ -15,12 +15,7 @@ import numpy as np
 from .errors import DegenerateDenominator, NonFiniteData, NotSlater
 from .geometry import hausdorff
 from . import problem
-from .problem import (
-    StandardLp,
-    basic_points,
-    optimal_vertices,
-    program_family,
-)
+from .problem import StandardLp, basic_points, optimal_vertices, program_family
 
 
 @dataclass(frozen=True)
@@ -68,14 +63,7 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray) -> StabilityRepor
     smallest = np.where(positive, X, np.inf)[feasible & positive.any(axis=1)].min(axis=1)
     tau = float(smallest.max(initial=0.0))
     delta_star = min(delta_b0, delta_b1, tau / c1 if c1 > 0 else math.inf)
-    return StabilityReport(
-        delta_b0=delta_b0,
-        delta_b1=delta_b1,
-        tau=tau,
-        c1=c1,
-        c2=c2,
-        delta_star=delta_star,
-    )
+    return StabilityReport(delta_b0, delta_b1, tau, c1, c2, delta_star)
 
 
 def _b_free_half(lp: StandardLp, family) -> tuple:

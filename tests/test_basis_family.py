@@ -8,6 +8,9 @@ moves a bit, and must agree with ``getrs`` on the basis's LU factors within
 with no sign-free columns, and the Hausdorff limit comparison solves all of
 its draws in one ``optimal_sets`` call.
 """
+import mmap
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,7 +63,7 @@ def test_family_rows_equal_single_basis_solves(lp, count):
         assert_rows_match_lone_solves(family, _rows(lp, count, count), trans)
 
 
-@pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS[:3]])  # mcf's stack is mapped
+@pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS[:3]])  # ot2x2, mcf, random
 def test_inverses_are_identity_solves_in_a_read_only_stack_of_contiguous_columns(lp):
     family = BasisFamily(lp.A)
     inverses = family.inverses
@@ -68,6 +71,48 @@ def test_inverses_are_identity_solves_in_a_read_only_stack_of_contiguous_columns
     assert all(inverses[:, :, j].flags.c_contiguous for j in range(lp.k))
     for (_, lu_piv), inverse in zip(iter_bases(lp.A), inverses):
         assert inverse.tobytes() == solve_lu(lu_piv, np.eye(lp.k)).tobytes()
+
+
+def _root(array):
+    """The buffer under ``array`` and its chain of views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.base.obj if isinstance(array.base, memoryview) else array.base
+
+
+def test_a_large_stack_is_mapped_and_built_without_a_second_copy():
+    """The min-cost flow's stack reserves room for all 8568 candidate bases
+    (11.6 MB) and fills 1888 of them (2.55 MB).  The room is a memory map,
+    whose untouched pages take no memory, and the build allocates no more
+    than a few blocks' worth beside it (numpy reports its arrays to
+    ``tracemalloc``; the map is not one of them)."""
+    lp = PROGRAMS[1][0]
+    tracemalloc.start()
+    try:
+        family = BasisFamily(lp.A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(family), family.inverses.nbytes) == (1888, 1888 * 13 * 13 * 8)
+    assert isinstance(_root(family.inverses), mmap.mmap)
+    assert peak < family.inverses.nbytes / 4
+    assert _root(BasisFamily(PROGRAMS[0][0].A).inverses) is None  # a small one is an array
+
+
+def test_an_ill_conditioned_block_is_solved_by_getrs():
+    """The product with the inverse of ``[[1, 1], [1, 1 + 1e-6]]`` misses
+    ``getrs``'s exact ``x_0 = 0.3`` by about ``1e-11``, more than
+    ``ORACLE_BOUND``, and the error bound says so; those entries are the
+    lone-row ``getrs`` solves."""
+    A, row = np.array([[1.0, 1.0], [1.0, 1.000001]]), np.array([0.3, 0.3])
+    family = BasisFamily(A)
+    (_, lu_piv), = iter_bases(A)
+    for trans in (0, 1):
+        product = (family.inverses[0].T if trans else family.inverses[0]) @ row
+        want = solve_lu(lu_piv, row, trans)
+        assert not near(product, want)
+        assert family.solve(row[None, :], trans)[0, 0].tobytes() == want.tobytes()
+        assert_rows_match_lone_solves(family, np.array([row, [0.1, 0.2], row]), trans)
 
 
 @pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS])

@@ -35,7 +35,8 @@ def reference_bases(A, fixed=()):
     k, m = A.shape
     fixed = sorted(fixed)
     others = [j for j in range(m) if j not in fixed]
-    tol = 1e-10 * np.abs(A).max(initial=0.0)
+    # the rule's floor: no pivot below the smallest normal float counts
+    tol = max(1e-10 * np.abs(A).max(initial=0.0), np.finfo(float).tiny)
     out = []
     for extra in itertools.combinations(others, k - len(fixed)):
         cols = tuple(sorted(fixed + list(extra)))

@@ -31,6 +31,9 @@ def programs(draw):
 
 @hypothesis.settings(max_examples=150, deadline=None, database=None)
 @hypothesis.given(programs())
+# the family gives 5.6e-17 where getrs gives 0, which reorders the vertices
+@hypothesis.example((np.array([[-1.0, 1.0, 1.0, 1.0, 0.0, 0.0], [2.0, 1.0, 0.0, -2.0, 0.0, -1.0]]),
+                     np.zeros(6), [], np.array([[0.5, -1.0]])))
 def test_block_kernel_agrees_with_scalar_enumeration(program):
     a, c, free, rows = program
     try:
