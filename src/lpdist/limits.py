@@ -73,6 +73,9 @@ class LimitSample:
 # draws per block in ``NoiseSampler.draws`` and ``sample_unique_limit``; the
 # draws themselves do not depend on it
 BLOCK = 1024
+# draws per Philox stream of a ``NoiseSampler``: draw ``i`` is row
+# ``i % STREAM_ROWS`` of the stream at counter ``[0, 0, 1, i // STREAM_ROWS]``
+STREAM_ROWS = 1024
 _THREAD = threading.local()
 
 
@@ -112,6 +115,15 @@ def philox_streams(key: np.ndarray, lead: tuple, indices):
         yield rng
 
 
+def _row_products(z: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Row ``n`` is ``mat @ z[n]``, summed over the columns of ``mat`` in
+    order, so that its bits do not depend on the other rows of ``z``."""
+    out = z[:, :1] * mat[:, 0]
+    for j in range(1, mat.shape[1]):
+        out += z[:, j:j + 1] * mat[:, j]
+    return out
+
+
 class GaussianLaw:
     """Centred Gaussian noise with covariance ``sigma``, placed on the
     ``support_indices`` of a rhs (of ``dim`` coordinates in a limit row).
@@ -139,16 +151,13 @@ class GaussianLaw:
         self._place = list(self.support_indices or range(r))
 
     def sample(self, truth_b, n, rate, rng) -> np.ndarray:
-        shift = np.zeros(len(truth_b))
-        shift[self._place] = self._chol @ rng.standard_normal(self._chol.shape[0])
-        return np.asarray(truth_b, dtype=float) + shift / rate
+        shift = np.zeros((1, len(truth_b)))
+        self.limit_block(rng, shift)
+        return np.asarray(truth_b, dtype=float) + shift[0] / rate
 
-    def limit_rows(self, streams, out: np.ndarray):
-        r = self._chol.shape[0]
-        core = np.empty((len(out), r))
-        for row, rng in enumerate(streams):
-            core[row] = self._chol @ rng.standard_normal(r)
-        out[:, self._place] = core
+    def limit_block(self, rng, out: np.ndarray):
+        z = rng.standard_normal((len(out), self._chol.shape[0]))
+        out[:, self._place] = _row_products(z, self._chol)
 
     def limit_noise(self, seed, dim) -> "NoiseSampler":
         return NoiseSampler(GaussianLaw(self.sigma, self.support_indices, dim), seed)
@@ -187,16 +196,11 @@ class MultinomialLaw:
         counts = rng.multinomial(int(n), self.probabilities)
         return np.concatenate([counts / float(n), self.tail])
 
-    def limit_rows(self, streams, out: np.ndarray):
-        # root * z - p * (root @ z) for iid normals z has the limit covariance; each
-        # row's dot product is its own, as a matrix product would round differently
+    def limit_block(self, rng, out: np.ndarray):
+        # root * z - p * (root @ z) for iid normals z has the limit covariance
         p, root = self.probabilities, self._root
-        z = np.empty((len(out), len(p)))
-        dots = np.empty((len(out), 1))
-        for row, rng in enumerate(streams):
-            rng.standard_normal(out=z[row])
-            dots[row] = float(root @ z[row])
-        out[:, : len(p)] = root * z - p * dots
+        z = rng.standard_normal((len(out), len(p)))
+        out[:, : len(p)] = root * z - p * _row_products(z, root[None, :])
 
     def limit_noise(self, seed, dim) -> "NoiseSampler":
         pad_to = dim if self.pad_to is None else self.pad_to
@@ -216,8 +220,8 @@ class EmpiricalLaw:
             raise ValueError("empirical sampler needs a nonempty 2-d array")
         self.dim = self.vectors.shape[1]
 
-    def limit_rows(self, streams, out: np.ndarray):
-        out[:] = self.vectors[[int(rng.integers(len(self.vectors))) for rng in streams]]
+    def limit_block(self, rng, out: np.ndarray):
+        out[:] = self.vectors[rng.integers(len(self.vectors), size=len(out))]
 
     def limit_noise(self, seed, dim) -> "NoiseSampler":
         return NoiseSampler(self, seed)
@@ -230,16 +234,18 @@ LAWS = {name: cls for cls in (GaussianLaw, MultinomialLaw, EmpiricalLaw)
 class NoiseSampler:
     """Deterministic per-index draws from the limit form of a noise law.
 
-    The law's ``limit_rows(streams, out)`` fills row ``i`` of a block from
-    the ``i``-th stream alone; draw ``i``'s stream is Philox keyed by the
-    seed at counter ``[0, 0, 0, i]``, so a draw depends only on its index,
-    not on order, block size or parallelism.  Threads may share a sampler:
-    each draws on a generator of its own.  The law's attributes (``kind``,
-    ``sigma``, ...) read as the sampler's own.
+    Draw ``i`` is row ``i % STREAM_ROWS`` of the law's ``limit_block(rng,
+    out)`` on the Philox generator keyed by the seed at counter
+    ``[0, 0, 1, i // STREAM_ROWS]``.  A law fills ``out`` in one vectorised
+    call, in row order, so the first rows of a stream do not depend on how
+    many follow: a draw depends only on its index, not on order, block size
+    or parallelism.  Threads may share a sampler: each draws on a generator
+    of its own.  The law's attributes (``kind``, ``sigma``, ...) read as the
+    sampler's own.
     """
 
     def __init__(self, law, seed):
-        if not hasattr(law, "limit_rows"):
+        if not hasattr(law, "limit_block"):
             raise ValueError(f"not a noise law: {law!r}")
         self.law = law
         self.seed = int(seed)
@@ -262,14 +268,18 @@ class NoiseSampler:
     def empirical(cls, vectors, seed):
         return cls(EmpiricalLaw(vectors), seed)
 
-    def _streams(self, start: int, count: int):
-        """Generators for draws ``start, ..., start + count - 1``."""
-        return philox_streams(self._key, (0, 0, 0), range(start, start + count))
-
     def draw_block(self, start: int, count: int) -> np.ndarray:
-        """Draws ``start, ..., start + count - 1`` as the rows of an array."""
+        """Draws ``start, ..., start + count - 1`` as the rows of an array;
+        each stream they touch is drawn up to the last row asked of it."""
         out = np.zeros((count, self.law.dim))
-        self.law.limit_rows(self._streams(start, count), out)
+        stop = start + count
+        blocks = range(start // STREAM_ROWS, -(-stop // STREAM_ROWS)) if count else ()
+        for block, rng in zip(blocks, philox_streams(self._key, (0, 0, 1), blocks)):
+            base = block * STREAM_ROWS
+            rows = np.zeros((min(stop, base + STREAM_ROWS) - base, self.law.dim))
+            self.law.limit_block(rng, rows)
+            lo = max(start, base)
+            out[lo - start:base + len(rows) - start] = rows[lo - base:]
         return out
 
     def draw(self, index: int) -> np.ndarray:

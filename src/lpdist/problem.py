@@ -444,24 +444,23 @@ class BasisFamily:
     def __len__(self):
         return len(self.cols)
 
-    def solve(self, rows: np.ndarray, trans: int = 0) -> np.ndarray:
-        """Entry ``[i, r]`` is ``A_i^{-1} rows[r]`` (``A_i^{-T}`` with
-        ``trans=1``): the sum over ``j``, in order, of ``rows[r, j]`` times
-        column (row) ``j`` of the inverse, or the lone-row ``getrs`` solve where
-        that sum's error bound ``k^2 eps max|A_i^{-1}| max|rows[r]|`` passes
-        ``1e-12``.  Its bits do not depend on the other rows."""
+    def solve(self, rows: np.ndarray) -> np.ndarray:
+        """Entry ``[i, r]`` is ``A_i^{-1} rows[r]``: the sum over ``j``, in
+        order, of ``rows[r, j]`` times column ``j`` of the inverse, or the
+        lone-row ``getrs`` solve where that sum's error bound
+        ``k^2 eps max|A_i^{-1}| max|rows[r]|`` passes ``1e-12``.  Its bits do
+        not depend on the other rows."""
         rows = np.asarray(rows, dtype=float)
         weights = rows.T[:, :, None, None]  # column j of rows
-        inverses = self.inverses.transpose(0, 2, 1) if trans else self.inverses
-        out = weights[0] * inverses[:, :, 0]
+        out = weights[0] * self.inverses[:, :, 0]
         for j in range(1, len(weights)):
-            out += weights[j] * inverses[:, :, j]
+            out += weights[j] * self.inverses[:, :, j]
         if np.abs(rows).max(initial=0.0) > self._room:
             peaks = np.abs(self.inverses).max(axis=(1, 2)) * len(weights) ** 2 * np.finfo(float).eps
             loose = np.multiply.outer(np.abs(rows).max(axis=1), peaks) > 1e-12
             for r, i in zip(*np.nonzero(loose)):
                 lu_piv = quiet_lu(self.A.take(self.cols[i], axis=1))
-                out[r, i] = solve_factored((lu_piv,), rows, [r], trans)[0, 0]
+                out[r, i] = solve_factored((lu_piv,), rows, [r])[0, 0]
         return out.transpose(1, 0, 2)
 
     def optimal_sets(self, c, rows) -> list:
@@ -509,8 +508,11 @@ class BasisFamily:
             out[np.arange(len(bases))[:, None], self.cols[bases]] = x[bases, at]
             return read_only(out)[0]
 
-        points = vertices(winner, np.arange(x.shape[1]))
-        sets = list(zip(map(Polytope.single, points[:, None, :]), best_list))
+        # the one-vertex set of an untied row is a view of its row of points
+        polytopes = [object.__new__(Polytope) for _ in best_list]
+        for polytope, point in zip(polytopes, vertices(winner, np.arange(x.shape[1]))[:, None]):
+            polytope.vertices = point
+        sets = list(zip(polytopes, best_list))
         if np.count_nonzero(tied) > x.shape[1]:
             for row in np.flatnonzero(tied.sum(axis=0) > 1):
                 sets[row] = (Polytope(vertices(np.flatnonzero(tied[:, row]), row)), best_list[row])
@@ -532,10 +534,14 @@ def group_rows(keys: np.ndarray, rows: np.ndarray) -> list:
     """``(key, rows with that key)`` for each distinct row of the 2-d
     ``keys``, whose rows label the entries of ``rows`` one for one; groups
     come in order of first appearance, entries in their own order."""
-    groups: dict = {}
-    for i, key in enumerate(map(bytes, np.ascontiguousarray(keys))):
-        groups.setdefault(key, []).append(i)
-    return [(keys[at[0]], rows[at]) for at in groups.values()]
+    # each key row as one raw-bytes item: np.unique(keys, axis=0) compares
+    # rows field by field and is several times slower
+    whole = np.ascontiguousarray(keys)
+    whole = whole.view(np.dtype((np.void, whole.itemsize * whole.shape[1])))[:, 0]
+    _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
+    # each group's entries, in their own order, one group after the other
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    return [(keys[first[g]], rows[groups[g]]) for g in np.argsort(first).tolist()]
 
 
 def basic_points(lp: StandardLp) -> np.ndarray:

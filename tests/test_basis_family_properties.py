@@ -47,12 +47,11 @@ ILL_CONDITIONED = (BasisFamily(np.array([[1.0, 1.0], [1.0, 1.000001]])), np.zero
 
 
 @hypothesis.settings(max_examples=200, deadline=None, database=None)
-@hypothesis.given(families(), st.sampled_from([0, 1]))
-@hypothesis.example(ILL_CONDITIONED, 0)
-@hypothesis.example(ILL_CONDITIONED, 1)
-def test_block_solve_rows_equal_single_basis_solves(case, trans):
+@hypothesis.given(families())
+@hypothesis.example(ILL_CONDITIONED)
+def test_block_solve_rows_equal_single_basis_solves(case):
     family, _, rows = case
-    assert_rows_match_lone_solves(family, rows, trans)
+    assert_rows_match_lone_solves(family, rows)
 
 
 @hypothesis.settings(max_examples=200, deadline=None, database=None)

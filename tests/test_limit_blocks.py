@@ -1,9 +1,10 @@
 """Block sampling of the limit law against per-draw references.
 
-The references below are the one-draw-at-a-time computations the block
-paths replace: a fresh Philox generator per draw index, and one scalar
-``lu_solve`` per candidate basis with the same feasibility test, objective
-and tie cutoff.
+The references below are independent computations of what the block paths
+make: for the noise, the whole Philox block behind a draw index, built
+afresh and transformed by explicit ordered sums; for the optimal sets, one
+scalar ``lu_solve`` per candidate basis with the same feasibility test,
+objective and tie cutoff.
 """
 import itertools
 import math
@@ -34,12 +35,24 @@ INDICES = (0, 1, 2, 1023, 1024, 1025, 2047, 5000, 2**40)
 SIGMA = [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.7]]
 
 
+def _ordered_sum(terms):
+    """``terms[0] + terms[1] + ...``, added left to right."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
 def reference_draw(sampler: NoiseSampler, index: int) -> np.ndarray:
-    """One draw from a generator built for its index alone."""
-    rng = np.random.Generator(np.random.Philox(key=sampler.seed, counter=[0, 0, 0, index]))
+    """Draw ``index``: row ``index % 1024`` of the full block of the
+    generator built afresh at Philox counter ``[0, 0, 1, index // 1024]``."""
+    rng = np.random.Generator(np.random.Philox(key=sampler.seed,
+                                               counter=[0, 0, 1, index // 1024]))
+    row = index % 1024
     if sampler.kind == "gaussian":
         chol = np.linalg.cholesky(sampler.sigma)
-        core = chol @ rng.standard_normal(chol.shape[0])
+        z = rng.standard_normal((1024, chol.shape[0]))[row]
+        core = _ordered_sum([chol[:, j] * z[j] for j in range(len(z))])
         if sampler.support_indices is None:
             return core
         out = np.zeros(sampler.dim)
@@ -47,12 +60,12 @@ def reference_draw(sampler: NoiseSampler, index: int) -> np.ndarray:
         return out
     if sampler.kind == "multinomial_clt":
         p = sampler.probabilities
-        z = rng.standard_normal(len(p))
+        z = rng.standard_normal((1024, len(p)))[row]
         root = np.sqrt(p)
         out = np.zeros(sampler.pad_to)
-        out[: len(p)] = root * z - p * float(root @ z)
+        out[: len(p)] = root * z - p * _ordered_sum([root[j] * z[j] for j in range(len(p))])
         return out
-    return sampler.vectors[int(rng.integers(len(sampler.vectors)))].copy()
+    return sampler.vectors[rng.integers(len(sampler.vectors), size=1024)[row]].copy()
 
 
 SAMPLERS = {
@@ -77,12 +90,25 @@ def test_seed_must_fit_the_philox_key():
 def test_block_rows_equal_per_index_draws(name):
     sampler = SAMPLERS[name]()
     block = sampler.draw_block(1020, 10)
-    listed = sampler.draws(1030)
+    listed = sampler.draws(5001)
     for row, index in enumerate(range(1020, 1030)):
         assert block[row].tobytes() == reference_draw(sampler, index).tobytes()
         assert listed[index].tobytes() == block[row].tobytes()
     for index in INDICES:
-        assert sampler.draw(index).tobytes() == reference_draw(sampler, index).tobytes()
+        want = reference_draw(sampler, index).tobytes()
+        assert sampler.draw(index).tobytes() == want
+        assert sampler.draw_block(index, 1)[0].tobytes() == want
+        if index < len(listed):
+            assert listed[index].tobytes() == want
+    assert sampler.draw_block(5, 0).shape == (0, sampler.dim)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_a_block_may_start_and_end_anywhere(name):
+    sampler = SAMPLERS[name]()
+    listed = np.array(sampler.draws(2100))
+    for start, count in ((0, 2100), (1, 1023), (1023, 2), (700, 1400), (2047, 53)):
+        assert sampler.draw_block(start, count).tobytes() == listed[start:start + count].tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))

@@ -285,7 +285,8 @@ def test_laws_reject_bad_parameters():
 def test_finite_gaussian_rhs_is_the_limit_row_over_the_rate():
     law = GaussianLaw([[4.0, 1.0], [1.0, 2.0]], support_indices=(2, 0))
     truth = np.array([1.0, 2.0, 3.0])
-    rng = np.random.Generator(np.random.Philox(key=8, counter=[0, 0, 0, 0]))
+    # draw 0 of the limit law is the first row of the stream at counter [0, 0, 1, 0]
+    rng = np.random.Generator(np.random.Philox(key=8, counter=[0, 0, 1, 0]))
     b = law.sample(truth, 100, 10.0, rng)
     row = law.limit_noise(8, 3).draw(0)
     assert b.tobytes() == (truth + row / 10.0).tobytes()

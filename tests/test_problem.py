@@ -11,6 +11,7 @@ from lpdist.problem import (
     basic_solution,
     enumerate_feasible_bases,
     factor_columns,
+    group_rows,
     load_lp,
     lp_to_dict,
     optimal_vertices,
@@ -237,3 +238,35 @@ def test_quiet_lu_equals_scipy_lu_factor_byte_for_byte():
             assert piv.tobytes() == want_piv.tobytes()
         singular += bool((np.diagonal(want_lu) == 0.0).any())
     assert singular >= 5
+
+
+def _dict_groups(keys, rows):
+    """The dict loop over each key row's bytes that ``group_rows`` replaced."""
+    groups: dict = {}
+    for i, key in enumerate(map(bytes, np.ascontiguousarray(keys))):
+        groups.setdefault(key, []).append(i)
+    return [(keys[at[0]], rows[at]) for at in groups.values()]
+
+
+def _shuffled_duplicates(width, dtype):
+    rng = np.random.Generator(np.random.Philox(key=37))
+    distinct = rng.integers(-1, 2, (7, width)).astype(dtype)
+    return distinct[rng.permutation(np.repeat(np.arange(7), 1 + np.arange(7)))]
+
+
+@pytest.mark.parametrize("keys", [
+    np.zeros((0, 4), dtype=bool),
+    np.ones((9, 3), dtype=bool),
+    np.zeros((1, 13), dtype=bool),
+    _shuffled_duplicates(4, bool),
+    _shuffled_duplicates(18, bool),
+    _shuffled_duplicates(3, float),
+    np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]),  # the bytes of -0.0 differ
+], ids=["empty", "all-equal", "one", "bool4", "bool18", "float3", "signed-zero"])
+def test_group_rows_equals_the_dict_loop(keys):
+    rows = np.arange(100, 100 + len(keys))
+    got, want = group_rows(keys, rows), _dict_groups(keys, rows)
+    assert len(got) == len(want)
+    for (key, at), (want_key, want_at) in zip(got, want):
+        assert key.dtype == want_key.dtype and key.tobytes() == want_key.tobytes()
+        assert at.tolist() == want_at.tolist()

@@ -81,9 +81,9 @@ def family_solves(monkeypatch):
     calls = []
     original = BasisFamily.solve
 
-    def counting(self, rows, trans=0):
+    def counting(self, rows):
         calls.append(len(rows))
-        return original(self, rows, trans)
+        return original(self, rows)
 
     monkeypatch.setattr(BasisFamily, "solve", counting)
     return lambda: len(calls)
