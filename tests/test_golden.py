@@ -8,12 +8,13 @@ face vertices included.
 
 The limit digest covers the noise, the optimal value and the optimal vertex
 set of every ``sample_unique_limit`` draw on the transport instance at two
-seeds; 3000 draws cross the boundaries of the sampler's blocks.  It was
-re-recorded when the basis family began to solve through its stack of
-inverses instead of ``getrs``.  All 6000 draws kept their noise, optimal
-values, set sizes and vertex values as floats.  The only byte changes are
-signed zeros: ``getrs`` back substitution left ``-0.0`` in a zero
-coordinate of 1568 draws, where the family's product sum gives ``+0.0``.
+seeds; 3000 draws cross the boundaries of the sampler's blocks and of its
+Philox streams.  It was re-recorded when the basis family began to solve
+through its stack of inverses instead of ``getrs`` (only signed zeros
+moved), and again when the draws moved from one Philox stream per draw, at
+counter ``[0, 0, 0, i]``, to one stream per 1024 draws, at counter
+``[0, 0, 1, i // 1024]``: every draw's noise changed, and with it every
+sample.
 """
 import hashlib
 import json
@@ -26,7 +27,7 @@ from lpdist.experiments import build_min_cost_flow, build_ot_2x2, run_coverage
 from lpdist.limits import sample_unique_limit
 
 GOLDEN_COVERAGE_LOG = "63b27fa7cf78376951a33540796a8d775f9d282d553f6797d87c09789f35b4f5"
-GOLDEN_LIMIT_DRAWS = "ee71bc3f98b5ffa1fa9b15eb0320262fed4e6413d0ff0bfc3597f2ba78158336"
+GOLDEN_LIMIT_DRAWS = "fb4f8b69545d7f16fc95cf16c550944d214d81acace25ba3428130762ce74ed7"
 RUNS = ((build_ot_2x2, 300), (build_min_cost_flow, 200))
 SEEDS = (0x5EED, 7)
 LIMIT_DRAWS = 3000
