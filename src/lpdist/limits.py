@@ -70,11 +70,9 @@ class LimitSample:
     objective: float
 
 
-# draws per block in ``NoiseSampler.draws`` and ``sample_unique_limit``; the
-# draws themselves do not depend on it
+# draws per block in ``sample_unique_limit``; the draws do not depend on it
 BLOCK = 1024
-# draws per Philox stream of a ``NoiseSampler``: draw ``i`` is row
-# ``i % STREAM_ROWS`` of the stream at counter ``[0, 0, 1, i // STREAM_ROWS]``
+# draws per Philox stream of a ``NoiseSampler``, whatever the block size
 STREAM_ROWS = 1024
 _THREAD = threading.local()
 
@@ -116,12 +114,9 @@ def philox_streams(key: np.ndarray, lead: tuple, indices):
 
 
 def _row_products(z: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Row ``n`` is ``mat @ z[n]``, summed over the columns of ``mat`` in
-    order, so that its bits do not depend on the other rows of ``z``."""
-    out = z[:, :1] * mat[:, 0]
-    for j in range(1, mat.shape[1]):
-        out += z[:, j:j + 1] * mat[:, j]
-    return out
+    """Row ``n`` is ``mat @ z[n]`` summed over the columns in order, whatever the other rows."""
+    terms = [z[:, j:j + 1] * mat[:, j] for j in range(mat.shape[1])]
+    return sum(terms[1:], terms[0])
 
 
 class GaussianLaw:
@@ -272,22 +267,19 @@ class NoiseSampler:
         """Draws ``start, ..., start + count - 1`` as the rows of an array;
         each stream they touch is drawn up to the last row asked of it."""
         out = np.zeros((count, self.law.dim))
-        stop = start + count
-        blocks = range(start // STREAM_ROWS, -(-stop // STREAM_ROWS)) if count else ()
+        blocks = range(start // STREAM_ROWS, -(-(start + count) // STREAM_ROWS)) if count else ()
         for block, rng in zip(blocks, philox_streams(self._key, (0, 0, 1), blocks)):
             base = block * STREAM_ROWS
-            rows = np.zeros((min(stop, base + STREAM_ROWS) - base, self.law.dim))
+            rows = np.zeros((min(start + count - base, STREAM_ROWS), self.law.dim))
             self.law.limit_block(rng, rows)
-            lo = max(start, base)
-            out[lo - start:base + len(rows) - start] = rows[lo - base:]
+            out[max(base - start, 0):base + len(rows) - start] = rows[max(start - base, 0):]
         return out
 
     def draw(self, index: int) -> np.ndarray:
         return self.draw_block(index, 1)[0]
 
     def draws(self, n: int) -> list:
-        return [row for start in range(0, n, BLOCK)
-                for row in self.draw_block(start, min(BLOCK, n - start))]
+        return list(self.draw_block(0, n))
 
 
 def aux_lp_unique(lp: StandardLp, x_star: np.ndarray, g: np.ndarray, *,
@@ -411,8 +403,9 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
     for start in range(0, n_draws, BLOCK):
         block = sampler.draw_block(start, min(BLOCK, n_draws - start))
         if vertex_only:
-            solved = [_unsplit(result, free_order, lp.c) for result in solve_rows(split, block)]
-            sets = [(Polytope.single(point), value) for point, value in solved]
+            points, values = zip(*[_unsplit(result, free_order, lp.c)
+                                   for result in solve_rows(split, block)])
+            sets = list(zip(Polytope.rows(points), values))
         else:
             sets = enum.optimal_sets(block)
         for g, (polytope, value) in zip(block, sets):

@@ -302,22 +302,17 @@ class Polytope:
         self.vertices = _frozen(arr)
 
     @classmethod
-    def single(cls, vertex) -> "Polytope":
-        """``Polytope([vertex])`` without the deduplication pass.
-
-        ``vertex`` has shape ``(dim,)`` or ``(1, dim)``; a read-only float
-        array is kept as a view, anything else is copied.
-        """
-        vertices = np.asarray(vertex, dtype=float)
-        if vertices.ndim == 1:
-            vertices = vertices[None, :]
-        if vertices.ndim != 2 or len(vertices) != 1:
-            raise ValueError("a single vertex must have shape (dim,) or (1, dim)")
-        if vertices.flags.writeable:
-            vertices = _frozen(vertices)
-        poly = object.__new__(cls)
-        poly.vertices = vertices
-        return poly
+    def rows(cls, points) -> list:
+        """``[Polytope([row]) for row in points]`` for a 2-d ``points``,
+        without the deduplication pass: each vertex array is a view of its
+        row of one read-only copy of ``points``."""
+        points = _frozen(points)
+        if points.ndim != 2:
+            raise ValueError("points must form a 2-d array")
+        polytopes = [object.__new__(cls) for _ in range(len(points))]
+        for polytope, vertex in zip(polytopes, points[:, None]):
+            polytope.vertices = vertex
+        return polytopes
 
     @property
     def dim(self) -> int:
@@ -508,11 +503,7 @@ class BasisFamily:
             out[np.arange(len(bases))[:, None], self.cols[bases]] = x[bases, at]
             return read_only(out)[0]
 
-        # the one-vertex set of an untied row is a view of its row of points
-        polytopes = [object.__new__(Polytope) for _ in best_list]
-        for polytope, point in zip(polytopes, vertices(winner, np.arange(x.shape[1]))[:, None]):
-            polytope.vertices = point
-        sets = list(zip(polytopes, best_list))
+        sets = list(zip(Polytope.rows(vertices(winner, np.arange(x.shape[1]))), best_list))
         if np.count_nonzero(tied) > x.shape[1]:
             for row in np.flatnonzero(tied.sum(axis=0) > 1):
                 sets[row] = (Polytope(vertices(np.flatnonzero(tied[:, row]), row)), best_list[row])
@@ -539,7 +530,6 @@ def group_rows(keys: np.ndarray, rows: np.ndarray) -> list:
     whole = np.ascontiguousarray(keys)
     whole = whole.view(np.dtype((np.void, whole.itemsize * whole.shape[1])))[:, 0]
     _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
-    # each group's entries, in their own order, one group after the other
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     return [(keys[first[g]], rows[groups[g]]) for g in np.argsort(first).tolist()]
 

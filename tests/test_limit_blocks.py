@@ -350,14 +350,15 @@ def test_programs_reject_non_finite_data(ot_lp):
 
 
 def test_single_vertex_polytope():
-    point = np.array([0.5, -0.0, 2.0])
-    single = Polytope.single(point)
-    assert single.vertices.tobytes() == Polytope([point]).vertices.tobytes()
-    assert not single.vertices.flags.writeable
-    point[0] = 9.0
-    assert single.vertices[0, 0] == 0.5
-    frozen = np.array([[1.0, 2.0]])
-    frozen.setflags(write=False)
-    assert Polytope.single(frozen).vertices is frozen
+    points = np.array([[0.5, -0.0, 2.0], [1.0, 1.0, 1.0]])
+    singles = Polytope.rows(points)
+    assert len(singles) == 2
+    for single, point in zip(singles, points):
+        assert single.vertices.tobytes() == Polytope([point]).vertices.tobytes()
+        assert not single.vertices.flags.writeable
+    points[0, 0] = 9.0
+    assert singles[0].vertices[0, 0] == 0.5
+    assert singles[0].vertices.base is singles[1].vertices.base  # views of one copy
+    assert Polytope.rows(np.zeros((0, 3))) == []
     with pytest.raises(ValueError):
-        Polytope.single(np.zeros((2, 3)))
+        Polytope.rows(np.zeros(3))
