@@ -114,9 +114,9 @@ def philox_streams(key: np.ndarray, lead: tuple, indices):
 
 
 def _row_products(z: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Row ``n`` is ``mat @ z[n]`` summed over the columns in order, whatever the other rows."""
-    terms = [z[:, j:j + 1] * mat[:, j] for j in range(mat.shape[1])]
-    return sum(terms[1:], terms[0])
+    """``mat @ z[n]`` for each ``z[n]`` along the last axis of ``z``, summed over the
+    columns in order by ``np.add.accumulate``: no row's bits depend on another's."""
+    return np.add.accumulate(z[..., None, :] * mat, axis=-1)[..., -1]
 
 
 class GaussianLaw:
@@ -146,12 +146,12 @@ class GaussianLaw:
         self._place = list(self.support_indices or range(r))
 
     def sample(self, truth_b, n, rate, rng) -> np.ndarray:
-        shift = np.zeros((1, len(truth_b)))
-        self.limit_block(rng, shift)
-        return np.asarray(truth_b, dtype=float) + shift[0] / rate
+        shift = np.zeros(len(truth_b))
+        shift[self._place] = _row_products(rng.standard_normal(len(self._chol)), self._chol)
+        return np.asarray(truth_b, dtype=float) + shift / rate
 
     def limit_block(self, rng, out: np.ndarray):
-        z = rng.standard_normal((len(out), self._chol.shape[0]))
+        z = rng.standard_normal((len(out), len(self._chol)))
         out[:, self._place] = _row_products(z, self._chol)
 
     def limit_noise(self, seed, dim) -> "NoiseSampler":

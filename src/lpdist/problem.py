@@ -303,9 +303,8 @@ class Polytope:
 
     @classmethod
     def rows(cls, points) -> list:
-        """``[Polytope([row]) for row in points]`` for a 2-d ``points``,
-        without the deduplication pass: each vertex array is a view of its
-        row of one read-only copy of ``points``."""
+        """``[Polytope([row]) for row in points]`` for a 2-d ``points``, without the
+        deduplication pass: each vertex array views its row of a read-only copy."""
         points = _frozen(points)
         if points.ndim != 2:
             raise ValueError("points must form a 2-d array")
@@ -525,13 +524,14 @@ def group_rows(keys: np.ndarray, rows: np.ndarray) -> list:
     """``(key, rows with that key)`` for each distinct row of the 2-d
     ``keys``, whose rows label the entries of ``rows`` one for one; groups
     come in order of first appearance, entries in their own order."""
-    # each key row as one raw-bytes item: np.unique(keys, axis=0) compares
-    # rows field by field and is several times slower
+    # one stable sort of raw-bytes rows: np.unique is slower than a dict loop at 40 rows
     whole = np.ascontiguousarray(keys)
     whole = whole.view(np.dtype((np.void, whole.itemsize * whole.shape[1])))[:, 0]
-    _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
-    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    return [(keys[first[g]], rows[groups[g]]) for g in np.argsort(first).tolist()]
+    order = np.argsort(whole, kind="stable")  # equal keys together, in entry order
+    ordered = whole[order]
+    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(order)]
+    groups = sorted((order[a:b] for a, b in zip(cuts, cuts[1:]) if a < b), key=lambda at: at[0])
+    return [(keys[at[0]], rows[at]) for at in groups]
 
 
 def basic_points(lp: StandardLp) -> np.ndarray:
