@@ -500,7 +500,7 @@ class BasisFamily:
         def vertices(bases, at):
             out = np.zeros((len(bases), self.A.shape[1]))
             out[np.arange(len(bases))[:, None], self.cols[bases]] = x[bases, at]
-            return read_only(out)[0]
+            return out
 
         sets = list(zip(Polytope.rows(vertices(winner, np.arange(x.shape[1]))), best_list))
         if np.count_nonzero(tied) > x.shape[1]:
