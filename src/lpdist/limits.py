@@ -114,9 +114,14 @@ def philox_streams(key: np.ndarray, lead: tuple, indices):
 
 
 def _row_products(z: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``mat @ z[n]`` for each ``z[n]`` along the last axis of ``z``, summed over the
-    columns in order by ``np.add.accumulate``: no row's bits depend on another's."""
-    return np.add.accumulate(z[..., None, :] * mat, axis=-1)[..., -1]
+    """``mat @ z[n]`` for each row ``z[n]`` of ``z`` (or ``mat @ z`` for a 1-d
+    ``z``), summed over the columns in order: no row's bits depend on another's."""
+    if z.ndim == 1:  # one accumulate of ``mat``'s size is cheaper than a column loop
+        return np.add.accumulate(z * mat, axis=-1)[:, -1]
+    out = z[:, :1] * mat[:, 0]
+    for j in range(1, z.shape[1]):
+        out += z[:, j, None] * mat[:, j]
+    return out
 
 
 class GaussianLaw:
@@ -230,13 +235,12 @@ class NoiseSampler:
     """Deterministic per-index draws from the limit form of a noise law.
 
     Draw ``i`` is row ``i % STREAM_ROWS`` of the law's ``limit_block(rng,
-    out)`` on the Philox generator keyed by the seed at counter
-    ``[0, 0, 1, i // STREAM_ROWS]``.  A law fills ``out`` in one vectorised
-    call, in row order, so the first rows of a stream do not depend on how
-    many follow: a draw depends only on its index, not on order, block size
-    or parallelism.  Threads may share a sampler: each draws on a generator
-    of its own.  The law's attributes (``kind``, ``sigma``, ...) read as the
-    sampler's own.
+    out)`` on the Philox generator keyed by the seed at counter ``[0, 0, 1,
+    i // STREAM_ROWS]``.  A law fills ``out`` in one vectorised call, in row
+    order, so a stream's first rows do not depend on how many follow: a draw
+    depends only on its index, not on order, block size or parallelism.
+    Threads may share a sampler: each draws on a generator of its own.  The
+    law's attributes (``kind``, ``sigma``, ...) read as the sampler's own.
     """
 
     def __init__(self, law, seed):

@@ -303,9 +303,10 @@ class Polytope:
 
     @classmethod
     def rows(cls, points) -> list:
-        """``[Polytope([row]) for row in points]`` for a 2-d ``points``, without the
-        deduplication pass: each vertex array views its row of a read-only copy."""
-        points = _frozen(points)
+        """``[Polytope([row]) for row in points]`` for a 2-d ``points``, undeduplicated;
+        each vertex array views a row of ``points``, copied unless read-only float."""
+        points = np.asarray(points, dtype=float)
+        points = _frozen(points) if points.flags.writeable else points
         if points.ndim != 2:
             raise ValueError("points must form a 2-d array")
         polytopes = [object.__new__(cls) for _ in range(len(points))]
@@ -500,7 +501,7 @@ class BasisFamily:
         def vertices(bases, at):
             out = np.zeros((len(bases), self.A.shape[1]))
             out[np.arange(len(bases))[:, None], self.cols[bases]] = x[bases, at]
-            return out
+            return read_only(out)[0]
 
         sets = list(zip(Polytope.rows(vertices(winner, np.arange(x.shape[1]))), best_list))
         if np.count_nonzero(tied) > x.shape[1]:

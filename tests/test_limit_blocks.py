@@ -10,6 +10,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from lpdist.limits import (
     sample_unique_limit,
     solve_mixed,
 )
-from lpdist.problem import FEAS_TOL, Polytope, quiet_lu, support
+from lpdist.problem import FEAS_TOL, Polytope, quiet_lu, read_only, support
 
 from test_iter_bases import near, same_vertex_set
 
@@ -109,6 +110,23 @@ def test_a_block_may_start_and_end_anywhere(name):
     listed = np.array(sampler.draws(2100))
     for start, count in ((0, 2100), (1, 1023), (1023, 2), (700, 1400), (2047, 53)):
         assert sampler.draw_block(start, count).tobytes() == listed[start:start + count].tobytes()
+
+
+def test_a_wide_gaussian_block_takes_memory_of_its_own_size():
+    """A block of 1024 draws of a 100-dimensional Gaussian law sums each row's
+    product over the columns in place: its peak is a few blocks, not an array
+    of shape (1024, 100, 100), which would take 82 MB (numpy reports its
+    arrays to ``tracemalloc``)."""
+    sampler = NoiseSampler.gaussian(np.eye(100) + 0.5, seed=8)
+    tracemalloc.start()
+    try:
+        block = sampler.draw_block(0, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * block.nbytes
+    for index in (0, 1, 1023):
+        assert block[index].tobytes() == reference_draw(sampler, index).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
@@ -359,6 +377,8 @@ def test_single_vertex_polytope():
     points[0, 0] = 9.0
     assert singles[0].vertices[0, 0] == 0.5
     assert singles[0].vertices.base is singles[1].vertices.base  # views of one copy
+    frozen = read_only(points.copy())[0]
+    assert all(np.shares_memory(single.vertices, frozen) for single in Polytope.rows(frozen))
     assert Polytope.rows(np.zeros((0, 3))) == []
     with pytest.raises(ValueError):
         Polytope.rows(np.zeros(3))
