@@ -240,12 +240,12 @@ def test_quiet_lu_equals_scipy_lu_factor_byte_for_byte():
     assert singular >= 5
 
 
-def _dict_groups(keys, rows):
-    """The dict loop over each key row's bytes that ``group_rows`` replaced."""
-    groups: dict = {}
-    for i, key in enumerate(map(bytes, np.ascontiguousarray(keys))):
-        groups.setdefault(key, []).append(i)
-    return [(keys[at[0]], rows[at]) for at in groups.values()]
+def _groups_by_scan(keys, rows):
+    """What ``group_rows`` promises, by a quadratic scan: for each key row whose
+    bytes no earlier row has, that key and the entries whose key has its bytes."""
+    same = [[a.tobytes() == b.tobytes() for b in keys] for a in keys]
+    firsts = [i for i in range(len(keys)) if not any(same[i][:i])]
+    return [(keys[i], rows[np.flatnonzero(same[i])]) for i in firsts]
 
 
 def _shuffled_duplicates(width, dtype):
@@ -263,9 +263,9 @@ def _shuffled_duplicates(width, dtype):
     _shuffled_duplicates(3, float),
     np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]),  # the bytes of -0.0 differ
 ], ids=["empty", "all-equal", "one", "bool4", "bool18", "float3", "signed-zero"])
-def test_group_rows_equals_the_dict_loop(keys):
+def test_group_rows_keeps_the_order_of_first_appearance(keys):
     rows = np.arange(100, 100 + len(keys))
-    got, want = group_rows(keys, rows), _dict_groups(keys, rows)
+    got, want = group_rows(keys, rows), _groups_by_scan(keys, rows)
     assert len(got) == len(want)
     for (key, at), (want_key, want_at) in zip(got, want):
         assert key.dtype == want_key.dtype and key.tobytes() == want_key.tobytes()
