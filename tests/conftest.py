@@ -1,11 +1,10 @@
 """Shared builders for the test suite, and the hypothesis profile.
 
 The property tests draw the same examples on every run: the profile
-``derandomized`` is loaded unless ``LPDIST_HYPOTHESIS_PROFILE`` names
-another, such as ``randomized``, which draws new examples on each run.
+``derandomized`` is loaded here.  ``pytest --hypothesis-profile=default``
+draws new examples on each run instead.
 """
 import json
-import os
 
 import numpy as np
 import pytest
@@ -18,8 +17,7 @@ except ImportError:  # the property tests skip themselves without hypothesis
     pass
 else:
     settings.register_profile("derandomized", derandomize=True)
-    settings.register_profile("randomized", derandomize=False)
-    settings.load_profile(os.environ.get("LPDIST_HYPOTHESIS_PROFILE", "derandomized"))
+    settings.load_profile("derandomized")
 
 
 def transport_lp(row_marginals, col_marginals, cost):
