@@ -23,7 +23,7 @@ from .confidence import (
     region_from_dict,
 )
 from .errors import InstanceMismatch, LpError, SingularBasis
-from .geometry import hausdorff, min_norm_point
+from .geometry import hausdorff, min_norm_point, row_norms
 from .limits import (
     BLOCK,
     LAWS,
@@ -467,17 +467,15 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
     rhs = [config.b_sampler.sample(config.truth_b, n, rate, rng)
            for rng in philox_streams(_philox_key(seed), (1, 0, 0), range(draws))]
     block = _rhs_block(config.lp, rhs)
-    finite = np.empty(draws)
     if statistic == "distance":
-        for i, result in enumerate(solve_rows(config.lp, block)):
-            if isinstance(result, LpError):
-                raise result
-            _, dist = min_norm_point(config.targets, result.x_hat)
-            finite[i] = rate * dist
+        results = solve_rows(config.lp, block)
+        if errors := [result for result in results if isinstance(result, LpError)]:
+            raise errors[0]
+        # the distance to the one target vertex, as min_norm_point computes it
+        finite = rate * row_norms(config.targets.vertices[0] - [r.x_hat for r in results])
     else:
         sets = program_family(config.lp).optimal_sets(config.lp.c, block)
-        for i, (shifted, _) in enumerate(sets):
-            finite[i] = rate * hausdorff(shifted, config.targets)
+        finite = rate * np.array([hausdorff(shifted, config.targets) for shifted, _ in sets])
     x_star = config.targets.vertices[0]
     noise = config.b_sampler.limit_noise(seed, config.lp.k)
     samples = sample_unique_limit(config.lp, x_star, noise, draws)

@@ -128,6 +128,12 @@ def _affine_minimizer(points: np.ndarray):
     return coeff @ points, coeff
 
 
+def row_norms(points: np.ndarray) -> np.ndarray:
+    """``math.sqrt(v @ v)`` for each row ``v`` of a 2-d array, bit for bit: numpy
+    runs each ``(1, m) @ (m, 1)`` product through the BLAS dot of ``v @ v``."""
+    return np.sqrt((points[:, None, :] @ points[:, :, None])[:, 0, 0])
+
+
 def _wolfe_budget(n: int, dim: int) -> int:
     """Major iterations ``min_norm_point`` may take on ``n`` vertices in ``dim`` dimensions."""
     return 10 * n * max(dim, 1)
@@ -188,6 +194,8 @@ def hausdorff(p1: Polytope, p2: Polytope) -> float:
     """
     v1 = _require_vertices(p1)
     v2 = _require_vertices(p2)
+    if len(v1) == 1 or len(v2) == 1:  # from a point z: the largest |v - z|
+        return float(row_norms(v1 - v2).max())
     d12 = max(min_norm_point(p2, v)[1] for v in v1)
     d21 = max(min_norm_point(p1, v)[1] for v in v2)
     return max(d12, d21)

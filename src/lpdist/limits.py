@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .geometry import (
     SphereGrid,
     argmax_vertex,
     min_norm_point,
+    row_norms,
     support_function,
 )
 from .problem import (
@@ -63,11 +65,11 @@ class MixedSignLp:
             raise ValueError("free index out of range")
 
 
-@dataclass(frozen=True)
-class LimitSample:
+class LimitSample(NamedTuple):
     g: np.ndarray
     optimal_set: Polytope
     objective: float
+    distance: float | None = None  # from the origin, when the set is one vertex
 
 
 # draws per block in ``sample_unique_limit``; the draws do not depend on it
@@ -347,14 +349,9 @@ class AuxVertexEnumerator:
         self.c = np.asarray(c, dtype=float)
         self.free = self.family.fixed
 
-    def optimal_sets(self, rhs_rows: np.ndarray) -> list:
-        """``optimal_set`` for every row of a ``(N, k)`` block of right-hand
-        sides: ``BasisFamily.optimal_sets``, one product per block of rows."""
-        return self.family.optimal_sets(self.c, rhs_rows)
-
     def optimal_set(self, rhs: np.ndarray) -> tuple:
         """(Polytope of optimal vertices, optimal value) for this rhs."""
-        return self.optimal_sets(np.asarray(rhs, dtype=float).reshape(1, -1))[0]
+        return self.family.optimal_sets(self.c, np.asarray(rhs, dtype=float).reshape(1, -1))[0]
 
 
 def has_recession_ray(mixed: MixedSignLp) -> bool:
@@ -409,23 +406,27 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
         if vertex_only:
             points, values = zip(*[_unsplit(result, free_order, lp.c)
                                    for result in solve_rows(split, block)])
-            sets = list(zip(Polytope.rows(points), values))
+            points, ties = np.array(points), {}
         else:
-            sets = enum.optimal_sets(block)
-        for g, (polytope, value) in zip(block, sets):
-            samples.append(LimitSample(g=g, optimal_set=polytope, objective=value))
+            points, values, ties = enum.family.optimal_parts(enum.c, block)
+        sets, distances = Polytope.rows(points), row_norms(points).tolist()
+        for row, polytope in ties.items():
+            sets[row], distances[row] = polytope, None
+        # LimitSample._make without its Python-level length check
+        samples += map(tuple.__new__, repeat(LimitSample), zip(block, sets, values, distances))
     return samples
 
 
 def distance_statistic(sample: LimitSample) -> float:
-    """Euclidean distance from the origin to the sampled optimal set."""
+    """Euclidean distance from the origin to the sampled optimal set, or the
+    ``distance`` the sample carries."""
+    if sample.distance is not None:
+        return sample.distance
     verts = sample.optimal_set.vertices
     if len(verts) == 1:
         # what np.linalg.norm computes for a vector, without its dispatch
         return math.sqrt(verts[0] @ verts[0])
-    origin = np.zeros(verts.shape[1])
-    _, dist = min_norm_point(sample.optimal_set, origin)
-    return dist
+    return min_norm_point(sample.optimal_set, np.zeros(verts.shape[1]))[1]
 
 
 def limit_support_function(lp: StandardLp, g: np.ndarray, grid: SphereGrid) -> tuple:

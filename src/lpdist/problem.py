@@ -284,6 +284,8 @@ class BasicSolution:
 class Polytope:
     """A finite vertex set; duplicates within ``DEDUP_TOL`` are merged."""
 
+    __slots__ = ("vertices",)
+
     def __init__(self, vertices):
         arr = np.asarray(vertices, dtype=float)
         if arr.size == 0:
@@ -309,7 +311,7 @@ class Polytope:
         points = _frozen(points) if points.flags.writeable else points
         if points.ndim != 2:
             raise ValueError("points must form a 2-d array")
-        polytopes = [object.__new__(cls) for _ in range(len(points))]
+        polytopes = list(map(object.__new__, itertools.repeat(cls, len(points))))
         for polytope, vertex in zip(polytopes, points[:, None]):
             polytope.vertices = vertex
         return polytopes
@@ -462,7 +464,14 @@ class BasisFamily:
         """(Polytope of optimal vertices, optimal value) of
         ``min <c, x>  s.t.  A x = r``, the ``fixed`` coordinates of ``x`` free
         in sign and the others nonnegative, at each row ``r`` of the
-        ``(N, k)`` block ``rows``.
+        ``(N, k)`` block ``rows``, assembled from ``optimal_parts``."""
+        points, values, ties = self.optimal_parts(c, rows)
+        return [(ties.get(r, p), v) for r, (p, v) in enumerate(zip(Polytope.rows(points), values))]
+
+    def optimal_parts(self, c, rows) -> tuple:
+        """``(points, values, ties)``: the read-only ``(N, m)`` block of each
+        row's first optimal vertex, the list of optimal values, and the
+        Polytope of each row whose optimal set has more vertices, by row.
 
         A basis is feasible for a row when its signed coordinates are at
         least ``-FEAS_TOL``; the optimal value ``best`` is the first smallest
@@ -472,19 +481,22 @@ class BasisFamily:
         ``NonFiniteData`` when a row holds NaN or infinity.
         """
         rows = np.asarray(rows, dtype=float)
-        k = self.A.shape[0]
+        k, m = self.A.shape
         if rows.ndim != 2 or rows.shape[1] != k:
             raise ValueError(f"rhs rows must have length {k}")
         if not np.isfinite(rows).all():
             raise NonFiniteData("rhs holds NaN or infinity")
         c, step = np.asarray(c, dtype=float), max(1, SOLVE_CELLS // len(self))
-        return [entry for at in range(0, len(rows), step)
-                for entry in self._optimal_block(c, self.solve(rows[at:at + step]))[0]]
+        starts = range(0, len(rows), step)
+        parts = [self._optimal_block(c, self.solve(rows[at:at + step])) for at in starts]
+        points = read_only(np.concatenate([p[0] for p in parts] or [np.zeros((0, m))]))[0]
+        return points, [v for p in parts for v in p[1]], {
+            at + row: polytope for at, p in zip(starts, parts) for row, polytope in p[3].items()}
 
     def _optimal_block(self, c, x: np.ndarray) -> tuple:
-        """``(optimal_sets(c, rows), tied)`` for finite ``rows`` solved into
-        ``x = self.solve(rows)``: column ``r`` of the ``(len(self), N)`` mask
-        ``tied`` marks the bases in row ``r``'s optimal set."""
+        """``optimal_parts`` of finite ``rows`` from ``x = self.solve(rows)``,
+        with the ``(len(self), N)`` mask ``tied`` third: its column ``r``
+        marks the bases in row ``r``'s optimal set."""
         # a signed coordinate below -FEAS_TOL makes the basis infeasible
         infeasible = np.matmul(x < -FEAS_TOL, self._signed)[:, :, 0]
         values = np.add.reduce(x * c[self.cols][:, None, :], axis=2)  # objectives
@@ -503,11 +515,11 @@ class BasisFamily:
             out[np.arange(len(bases))[:, None], self.cols[bases]] = x[bases, at]
             return read_only(out)[0]
 
-        sets = list(zip(Polytope.rows(vertices(winner, np.arange(x.shape[1]))), best_list))
+        ties = {}
         if np.count_nonzero(tied) > x.shape[1]:
-            for row in np.flatnonzero(tied.sum(axis=0) > 1):
-                sets[row] = (Polytope(vertices(np.flatnonzero(tied[:, row]), row)), best_list[row])
-        return sets, tied
+            ties = {row: Polytope(vertices(np.flatnonzero(tied[:, row]), row))
+                    for row in np.flatnonzero(tied.sum(axis=0) > 1).tolist()}
+        return vertices(winner, np.arange(x.shape[1])), best_list, tied, ties
 
 
 def program_family(lp: StandardLp) -> BasisFamily:
@@ -551,7 +563,8 @@ def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
     ``BasisFamily.optimal_sets`` of the program's family at ``lp.b``.
     Raises ``Infeasible`` when no feasible basis exists."""
     family = program_family(lp)
-    ((polytope, _),), tied = family._optimal_block(lp.c, basic_points(lp)[:, None, :])
+    points, _, tied, ties = family._optimal_block(lp.c, basic_points(lp)[:, None, :])
+    polytope = ties[0] if ties else Polytope.rows(points)[0]
     return polytope, [Basis(cols) for cols in family.cols[tied[:, 0]].tolist()]
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,14 @@ from lpdist.geometry import (
 )
 
 SQUARE = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def wolfe_hausdorff(p1: Polytope, p2: Polytope) -> float:
+    """The Hausdorff distance from nearest points both ways, with no shortcut
+    for a single point."""
+    d12 = max(min_norm_point(p2, v)[1] for v in p1.vertices)
+    d21 = max(min_norm_point(p1, v)[1] for v in p2.vertices)
+    return max(d12, d21)
 
 
 def test_direction_requires_unit_norm():
@@ -172,3 +182,15 @@ def test_sphere_grid_refinement_nesting():
     small4 = SphereGrid(4, 100).array
     large4 = SphereGrid(4, 300).array
     assert np.allclose(large4[:100], small4, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 4, 18, 25, 40])
+def test_row_norms_have_the_bits_of_each_rows_dot(m):
+    """Each row's norm is ``math.sqrt(v @ v)`` bit for bit, whatever the
+    block: a fixed-order column sum would differ in the last place."""
+    rng = np.random.Generator(np.random.Philox(key=m))
+    points = rng.standard_normal((20000, m)) * rng.uniform(0.1, 10.0, size=(20000, 1))
+    want = np.array([math.sqrt(v @ v) for v in points])
+    assert geometry.row_norms(points).tobytes() == want.tobytes()
+    alone = np.array([geometry.row_norms(v[None, :])[0] for v in points[:50]])
+    assert alone.tobytes() == want[:50].tobytes()

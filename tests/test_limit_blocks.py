@@ -16,19 +16,23 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_solve
 
-from lpdist import StandardLp
+from lpdist import StandardLp, kolmogorov_smirnov, optimal_vertices, solve
 from lpdist import limits
 from lpdist.errors import Infeasible, LpError, NonFiniteData
-from lpdist.experiments import build_min_cost_flow, build_ot_2x2
+from lpdist.experiments import build_min_cost_flow, build_ot_2x2, run_limit_comparison
+from lpdist.geometry import min_norm_point
 from lpdist.limits import (
     AuxVertexEnumerator,
+    LimitSample,
     MixedSignLp,
     NoiseSampler,
+    distance_statistic,
     sample_unique_limit,
     solve_mixed,
 )
 from lpdist.problem import FEAS_TOL, Polytope, quiet_lu, read_only, support
 
+from test_geometry import wolfe_hausdorff
 from test_iter_bases import near, same_vertex_set
 
 OT_TARGET = np.array([0.5, 0.0, 0.0, 0.5])
@@ -192,7 +196,7 @@ def test_single_rhs_matches_its_row_of_a_block(build):
     config = build()
     enum = AuxVertexEnumerator(config.lp.A, config.lp.c, support(config.targets.vertices[0]))
     rows = config.b_sampler.limit_noise(13, config.lp.k).draw_block(0, 300)
-    for row, (polytope, value) in zip(rows, enum.optimal_sets(rows)):
+    for row, (polytope, value) in zip(rows, enum.family.optimal_sets(enum.c, rows)):
         single, single_value = enum.optimal_set(row)
         assert single.vertices.tobytes() == polytope.vertices.tobytes()
         assert single_value == value
@@ -255,12 +259,12 @@ def _check_against_reference(a, c, free, rhs_rows):
             _assert_close_sets(enum.optimal_set(rhs), expected[-1])
     feasible = [rhs for rhs, want in zip(rhs_rows, expected) if want is not None]
     if feasible:
-        for got, want in zip(enum.optimal_sets(np.array(feasible)),
+        for got, want in zip(enum.family.optimal_sets(enum.c, np.array(feasible)),
                              [want for want in expected if want is not None]):
             _assert_close_sets(got, want)
     if len(feasible) < len(rhs_rows):
         with pytest.raises(Infeasible):
-            enum.optimal_sets(np.array(rhs_rows))
+            enum.family.optimal_sets(enum.c, np.array(rhs_rows))
     return expected
 
 
@@ -324,9 +328,9 @@ def test_kernel_rejects_non_finite_rows(ot_lp):
         with pytest.raises(NonFiniteData):
             enum.optimal_set(np.array(bad))
         with pytest.raises(NonFiniteData):
-            enum.optimal_sets(np.array([[0.1, -0.1, 0.0], bad]))
+            enum.family.optimal_sets(enum.c, np.array([[0.1, -0.1, 0.0], bad]))
     with pytest.raises(ValueError):
-        enum.optimal_sets(np.zeros((2, 4)))
+        enum.family.optimal_sets(enum.c, np.zeros((2, 4)))
 
 
 def test_kernel_rejects_an_overflowing_objective():
@@ -382,3 +386,87 @@ def test_single_vertex_polytope():
     assert Polytope.rows(np.zeros((0, 3))) == []
     with pytest.raises(ValueError):
         Polytope.rows(np.zeros(3))
+
+
+# ------------------------------------------------------ carried distances
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _limit_case(build):
+    config = build()
+    return config.lp, config.targets.vertices[0], config.b_sampler.limit_noise(31, config.lp.k)
+
+
+def _half_tied_case():
+    """One row: a draw ``g > 0`` ties the vertices ``g e_0`` and ``g e_1``,
+    one ``g < 0`` has the single vertex ``-g e_2``."""
+    lp = StandardLp([[1.0, 1.0, -1.0]], [1.0], [1.0, 1.0, 1.0])
+    return lp, np.zeros(3), NoiseSampler.gaussian([[1.0]], seed=32)
+
+
+LIMIT_CASES = {"ot2x2": lambda: _limit_case(build_ot_2x2),
+               "mcf": lambda: _limit_case(build_min_cost_flow),
+               "half_tied": _half_tied_case}
+
+
+@pytest.mark.parametrize("vertex_only", [False, True])
+@pytest.mark.parametrize("name", sorted(LIMIT_CASES))
+def test_carried_distances_equal_per_draw_statistics(name, vertex_only):
+    """3000 draws cross two block boundaries; each carried distance has the
+    bits of ``math.sqrt(v @ v)`` and of the statistic of the same sample
+    built by hand, as the traced benchmark run builds it.  A tied draw
+    carries none, and its statistic is Wolfe's."""
+    lp, x_star, noise = LIMIT_CASES[name]()
+    samples = sample_unique_limit(lp, x_star, noise, 3000, vertex_only=vertex_only)
+    tied = 0
+    for sample in samples:
+        by_hand = LimitSample(g=sample.g, optimal_set=sample.optimal_set,
+                              objective=sample.objective)
+        assert by_hand.distance is None
+        verts = sample.optimal_set.vertices
+        if len(verts) == 1:
+            want = math.sqrt(verts[0] @ verts[0])
+            assert type(sample.distance) is float and _bits(sample.distance) == _bits(want)
+        else:
+            tied += 1
+            assert sample.distance is None
+            want = min_norm_point(sample.optimal_set, np.zeros(len(x_star)))[1]
+        assert _bits(distance_statistic(sample)) == _bits(want)
+        assert _bits(distance_statistic(by_hand)) == _bits(want)
+    if name == "half_tied" and not vertex_only:
+        assert 1000 < tied < 2000
+    else:
+        assert tied == 0
+
+
+@pytest.mark.parametrize("statistic", ["distance", "hausdorff"])
+def test_limit_comparison_equals_per_draw_wolfe(statistic):
+    """``run_limit_comparison`` against the same comparison with Wolfe's
+    algorithm on every draw: per-draw solves and ``min_norm_point`` to the
+    target, or the two-sided Hausdorff form."""
+    config, n, draws, seed = build_ot_2x2(), 200, 2000, 41
+    rate = float(n) ** config.rate_exponent
+    origin = Polytope([np.zeros(config.lp.m)])
+    finite = []
+    for i in range(draws):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[1, 0, 0, i]))
+        lp_n = config.lp.with_rhs(config.b_sampler.sample(config.truth_b, n, rate, rng))
+        if statistic == "distance":
+            finite.append(rate * min_norm_point(config.targets, solve(lp_n).x_hat)[1])
+        else:
+            finite.append(rate * wolfe_hausdorff(optimal_vertices(lp_n)[0], config.targets))
+    noise = config.b_sampler.limit_noise(seed, config.lp.k)
+    limit = []
+    for sample in sample_unique_limit(config.lp, config.targets.vertices[0], noise, draws):
+        if statistic == "distance":
+            limit.append(min_norm_point(sample.optimal_set, origin.vertices[0])[1])
+        else:
+            limit.append(wolfe_hausdorff(sample.optimal_set, origin))
+    finite, limit = np.array(finite), np.array(limit)
+    want = {"n": n, "draws": draws, "statistic": statistic,
+            "ks_distance": kolmogorov_smirnov(finite, limit),
+            "finite_mean": float(finite.mean()), "limit_mean": float(limit.mean())}
+    got = run_limit_comparison(config, n, draws, statistic=statistic, seed=seed)
+    assert repr(got) == repr(want)

@@ -48,9 +48,9 @@ def test_block_kernel_agrees_with_scalar_enumeration(program):
             expected.append(None)
     if any(want is None for want in expected):
         with pytest.raises(Infeasible):
-            enum.optimal_sets(rows)
+            enum.family.optimal_sets(enum.c, rows)
     feasible = [i for i, want in enumerate(expected) if want is not None]
     if feasible:
-        for i, got in zip(feasible, enum.optimal_sets(rows[feasible])):
+        for i, got in zip(feasible, enum.family.optimal_sets(enum.c, rows[feasible])):
             _assert_close_sets(got, expected[i])
             assert np.array_equal(got[0].vertices, enum.optimal_set(rows[i])[0].vertices)
