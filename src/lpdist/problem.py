@@ -470,8 +470,8 @@ class BasisFamily:
 
     def optimal_parts(self, c, rows) -> tuple:
         """``(points, values, ties)``: the read-only ``(N, m)`` block of each
-        row's first optimal vertex, the list of optimal values, and the
-        Polytope of each row whose optimal set has more vertices, by row.
+        row's first optimal vertex, the list of optimal values, and, keyed by
+        row, the Polytope of each row whose optimal set has several vertices.
 
         A basis is feasible for a row when its signed coordinates are at
         least ``-FEAS_TOL``; the optimal value ``best`` is the first smallest
@@ -491,12 +491,12 @@ class BasisFamily:
         parts = [self._optimal_block(c, self.solve(rows[at:at + step])) for at in starts]
         points = read_only(np.concatenate([p[0] for p in parts] or [np.zeros((0, m))]))[0]
         return points, [v for p in parts for v in p[1]], {
-            at + row: polytope for at, p in zip(starts, parts) for row, polytope in p[3].items()}
+            at + row: tie for at, (*_, ties) in zip(starts, parts) for row, tie in ties.items()}
 
     def _optimal_block(self, c, x: np.ndarray) -> tuple:
-        """``optimal_parts`` of finite ``rows`` from ``x = self.solve(rows)``,
-        with the ``(len(self), N)`` mask ``tied`` third: its column ``r``
-        marks the bases in row ``r``'s optimal set."""
+        """``(points, values, tied, ties)`` for finite ``rows`` solved into
+        ``x = self.solve(rows)``: ``optimal_parts`` and the ``(len(self), N)``
+        mask ``tied``, whose column ``r`` marks the bases in row ``r``'s set."""
         # a signed coordinate below -FEAS_TOL makes the basis infeasible
         infeasible = np.matmul(x < -FEAS_TOL, self._signed)[:, :, 0]
         values = np.add.reduce(x * c[self.cols][:, None, :], axis=2)  # objectives
