@@ -38,24 +38,23 @@ from .limits import (
 from . import problem
 from .problem import (
     Basis,
+    BasisFamily,
     Polytope,
     StandardLp,
-    _matrix_rank,
+    _invertible,
     basic_solution,
     build_from_spec,
     build_kind,
-    cached_factors,
     check_support,
     group_rows,
     load_lp,
     optimal_vertices,
     program_family,
+    quiet_lu,
     read_only,
-    solve_factored,
-    solve_lu,
     support,
 )
-from .simplex import dual_certificate, ratio_test, solve_block, solve_rows
+from .simplex import dual_certificate, solve_block, solve_rows
 
 DEFAULT_SEED = 0x5EED
 
@@ -119,21 +118,22 @@ def _selection(lp: StandardLp, sup: tuple) -> Basis:
 
 def _complete_support(lp: StandardLp, sup: tuple) -> Basis:
     chosen = list(sup)
-    rank = _matrix_rank(lp.A[:, chosen], 0.0)
-    if rank < len(chosen):
+    if len(chosen) > lp.k or not _independent(lp, chosen):
         raise SingularBasis("support columns are linearly dependent")
     for j in range(lp.m):
-        if rank == lp.k:
+        if len(chosen) == lp.k:
             break
-        if j in chosen:
-            continue
-        trial = sorted(chosen + [j])
-        if _matrix_rank(lp.A[:, trial], 0.0) > rank:
+        if j not in chosen and _independent(lp, trial := sorted(chosen + [j])):
             chosen = trial
-            rank += 1
-    if rank < lp.k:
+    if len(chosen) < lp.k:
         raise SingularBasis("could not complete the support to a basis")
     return Basis(tuple(chosen))
+
+
+def _independent(lp: StandardLp, cols: list) -> bool:
+    """Whether every LU pivot of ``A[:, cols]`` passes the program's
+    ``rank_tol``: for a square block, the rule ``factor_columns`` applies."""
+    return _invertible(quiet_lu(lp.A[:, cols])[0], lp.rank_tol)
 
 
 def build_ot_2x2() -> ExperimentConfig:
@@ -218,79 +218,67 @@ def build_min_cost_flow() -> ExperimentConfig:
 
 
 def optimal_face_vertices(lp: StandardLp, result) -> list:
-    """The solved vertex plus its optimal neighbors, as (x, objective-equal) pairs.
+    """The solved vertex and the other vertices of its optimal face.
 
-    When the dual is degenerate (a reduced cost vanishes off the basis),
-    pivoting that column in moves along the optimal face to an adjacent
-    optimal basic solution.  Returns ``[(basis_indices, x), ...]`` with the
-    solved vertex first; a single entry means the solution is unique against
-    one-pivot moves.  This is ``_face_walk`` on a block of one row.
+    Returns ``[(basis_indices, x), ...]`` with the solved vertex first; a
+    single entry means the optimum is unique.  This is ``_face_vertices``
+    on a block of one row.
     """
     cols = result.basis.indices
-    moves, errors = _face_walk(lp, cols, result.slack, result.x_hat[None, list(cols)],
-                               lp.b[None, :])
-    if errors:
-        raise errors[0]
-    return [(cols, result.x_hat)] + [(new_cols, x[0]) for new_cols, _, x in moves]
+    others = _face_vertices(lp, cols, result.x_hat[None], lp.b[None, :])
+    return [(cols, result.x_hat)] + [(new_cols, x[0]) for new_cols, _, x in others]
 
 
-def _face_walk(lp: StandardLp, cols: tuple, slack: np.ndarray, x_b: np.ndarray,
-               rhs: np.ndarray) -> tuple:
-    """The feasible one-pivot neighbors of the optimal basis ``cols`` along
-    its optimal face, for a block of rows at which ``cols`` is optimal:
-    ``x_b`` holds their basic coordinates and ``rhs`` their right-hand sides.
+def _face(lp: StandardLp, cols: tuple) -> tuple:
+    """``(face, family)`` of the optimal basis ``cols``: the read-only
+    columns ``face`` whose reduced cost under ``cols``'s duals ties zero
+    (``cols`` among them), and the ``BasisFamily`` of ``A[:, face]``, or
+    None when ``face`` is ``cols`` alone.  The feasible bases of the family
+    are the optimal bases at any rhs where ``cols`` is optimal, so both are
+    ``b``-free and kept in the program's basis cache."""
 
-    Returns ``(moves, errors)``.  ``moves`` lists ``(new_cols, rows, x)``:
-    the rows (indices into the block) where basis ``new_cols`` is feasible,
-    with their vertices there, in the order each row meets its neighbors.
-    One ``getrs`` solves every row that moves to the same neighbor.  A row
-    whose neighbor fails to factor gets that ``LpError`` in ``errors`` and
-    no further moves.
+    def build():
+        slack = dual_certificate(lp, cols)[1]
+        tied = np.abs(slack) <= problem.reduced_cost_tol(lp.c)
+        tied[list(cols)] = True
+        face = read_only(np.flatnonzero(tied))[0]
+        return face, (BasisFamily(read_only(lp.A[:, face])[0]) if len(face) > lp.k else None)
+
+    return lp.basis_cache.get(("face", cols), build)
+
+
+def _face_vertices(lp: StandardLp, cols: tuple, x: np.ndarray, rhs: np.ndarray) -> list:
+    """The optimal vertices other than ``x`` at each row of a block where
+    the basis ``cols`` is optimal: ``x`` holds the solved vertices as rows
+    and ``rhs`` the right-hand sides.
+
+    Returns ``[(new_cols, rows, points), ...]`` in family order: the rows
+    (indices into the block) where basis ``new_cols`` of the face family is
+    feasible and its vertex is more than ``DEDUP_TOL`` from the row's solved
+    vertex and from its earlier ones, with those vertices.  Raises the
+    ``LpError`` of a family that cannot be built.
     """
-    zero_tol = problem.reduced_cost_tol(lp.c)
-    loose = tuple(int(j) for j in np.flatnonzero(np.abs(slack) <= zero_tol)
-                  if j not in cols)
-    if not loose:
-        return [], {}
-    lu_piv = cached_factors(lp, cols)
-    steps = lp.basis_cache.get(("face", cols, loose), lambda: _face_moves(lp, lu_piv, loose))
-    live = np.ones(len(x_b), dtype=bool)
-    moves, errors = [], {}
-    for j, rows, direction in steps:
-        if rows.size == 0:
+    face, family = _face(lp, cols)
+    if family is None:
+        return []
+    found = [x]  # the vertices met so far, each at its rows and inf elsewhere
+    others = []
+    for basis, x_b in zip(face[family.cols].tolist(), family.solve(rhs)):
+        rows = np.flatnonzero(x_b.min(axis=1) >= -problem.FEAS_TOL)
+        if not rows.size or tuple(basis) == cols:
             continue
-        # each neighbor has its own entering column j, so none repeats a vertex
-        leaving = ratio_test(x_b, rows, direction)  # rows ascend, and so do cols
-        for pos in sorted(set(leaving.tolist())):
-            at = np.flatnonzero((leaving == pos) & live)
-            if not at.size:
-                continue
-            new_cols = tuple(sorted(cols[:pos] + cols[pos + 1:] + (j,)))
-            try:
-                new_lu = cached_factors(lp, new_cols)
-            except LpError as exc:
-                errors.update(dict.fromkeys(at.tolist(), exc))
-                live[at] = False
-                continue
-            x_new = solve_factored((new_lu,), rhs, at)[0]
-            feasible = x_new.min(axis=1, initial=0.0) >= -problem.FEAS_TOL
-            x = np.zeros((np.count_nonzero(feasible), lp.m))
-            x[:, new_cols] = x_new[feasible]
-            if len(x):
-                moves.append((new_cols, at[feasible], x))
-    return moves, errors
-
-
-def _face_moves(lp: StandardLp, lu_piv, loose: tuple) -> tuple:
-    """``(j, rows, direction)`` per loose column ``j``: the rows where its
-    coordinates in the basis exceed the pivot tolerance, and those coordinates."""
-    tol = problem.pivot_tol(lp.A)
-    moves = []
-    for j in loose:
-        direction = solve_lu(lu_piv, lp.A[:, j])
-        rows = np.flatnonzero(direction > tol)
-        moves.append((j, *read_only(rows, direction[rows])))
-    return tuple(moves)
+        point = np.zeros((len(rows), x.shape[1]))
+        point[:, basis] = x_b[rows]
+        new = np.ones(len(rows), dtype=bool)
+        for seen in found:
+            new &= np.abs(point - seen[rows]).max(axis=1) > problem.DEDUP_TOL
+        if new.any():
+            rows, point = rows[new], point[new]
+            met = np.full_like(x, np.inf)
+            met[rows] = point
+            found.append(met)
+            others.append((tuple(basis), rows, point))
+    return others
 
 
 def _sample_rows(config: ExperimentConfig, n: int, n_index: int, rate: float,
@@ -321,8 +309,8 @@ def _coverage_block(config: ExperimentConfig, n: int, n_index: int, replicates: 
                     parts: dict) -> list:
     """The ``ReplicateRecord`` of each of ``replicates`` at sample size ``n``.
 
-    The block is solved with ``solve_block``, walked along the optimal face
-    once per optimal basis, and tested for coverage once per selection
+    The block is solved with ``solve_block``, its optimal faces are solved
+    once per optimal basis, and it is tested for coverage once per selection
     basis; each record is the one the replicate gets on its own from
     ``solve``, ``optimal_face_vertices``, ``selection_basis``,
     ``map_region`` and ``contains``.
@@ -361,27 +349,28 @@ def _reported_vertices(lp: StandardLp, rhs: np.ndarray, states: list) -> tuple:
 
     Practical solvers select arbitrarily among multiply-optimal vertices;
     this models that selection by drawing uniformly over the solved vertex
-    and its optimal neighbors from the row's own stream, set back to the
-    state in ``states``.
+    and the other vertices of its optimal face from the row's own stream,
+    set back to the state in ``states``.
     """
     groups, errors = solve_block(lp, rhs)
     x_hat = np.zeros((len(rhs), lp.m))
     bitgen, rng, _ = _thread_philox()
     for cols, (at, x) in groups.items():
         x_hat[at] = x
-        moves, failed = _face_walk(lp, cols, dual_certificate(lp, cols)[1], x[:, cols],
-                                   rhs[at])
-        errors.update({int(at[row]): exc for row, exc in failed.items()})
-        neighbors: dict = {}
-        for _, rows, points in moves:
+        try:
+            others = _face_vertices(lp, cols, x, rhs[at])
+        except LpError as exc:
+            errors.update(dict.fromkeys(at.tolist(), exc))
+            continue
+        candidates: dict = {}
+        for _, rows, points in others:
             for row, point in zip(at[rows].tolist(), points):
-                neighbors.setdefault(row, []).append(point)
-        for row, points in neighbors.items():
-            if row not in errors:
-                bitgen.state = states[row]
-                pick = int(rng.integers(len(points) + 1))
-                if pick:
-                    x_hat[row] = points[pick - 1]
+                candidates.setdefault(row, []).append(point)
+        for row, points in candidates.items():
+            bitgen.state = states[row]
+            pick = int(rng.integers(len(points) + 1))
+            if pick:
+                x_hat[row] = points[pick - 1]
     return x_hat, errors
 
 

@@ -238,7 +238,7 @@ def _matrix_rank(A: np.ndarray, tol: float) -> int:
 
 def _independent_rows(A: np.ndarray, b: np.ndarray):
     """Keep a maximal independent row subset; reject inconsistent duplicates."""
-    tol = 1e-10 * max(1.0, np.abs(A).max() if A.size else 0.0)
+    tol = invertible_tol(A)
     keep: list[int] = []
     for i in range(A.shape[0]):
         trial = A[keep + [i]]
@@ -249,7 +249,7 @@ def _independent_rows(A: np.ndarray, b: np.ndarray):
         # each dropped row is a combination of the kept ones; its rhs must match
         coeff, *_ = np.linalg.lstsq(A[keep].T, A[dropped].T, rcond=None)
         implied = coeff.T @ b[keep]
-        if not np.allclose(implied, b[dropped], atol=1e-8 * (1 + np.abs(b).max())):
+        if np.abs(implied - b[dropped]).max() > residual_tol(b):
             raise Infeasible("redundant rows have inconsistent right-hand sides")
     return A[keep], b[keep]
 

@@ -23,6 +23,7 @@ from lpdist import (
     selection_basis,
     solve,
 )
+from lpdist import problem
 from lpdist.errors import LpError
 from lpdist.experiments import (
     ExperimentConfig,
@@ -118,3 +119,12 @@ def test_unbounded_infeasible_and_nonfinite_rows_share_a_block():
     assert any("blocking row" in msg for msg in messages)
     assert any("NaN" in msg for msg in messages)
     assert any("artificial" in msg for msg in messages)
+
+
+def test_a_face_family_that_cannot_be_built_fails_its_rows(monkeypatch):
+    # every min-cost-flow replicate ties on a face of 14 columns, whose
+    # family has more candidate blocks than this cap
+    config = replace(build_min_cost_flow(), n_values=(50,))
+    monkeypatch.setattr(problem, "ENUM_CAP", 10)
+    log = assert_records_match_reference(config, 20)
+    assert {rec.error for rec in log} == {"14 candidate bases exceed the cap of 10"}

@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 from lpdist import Basis, StandardLp, solve
-from lpdist.confidence import confidence_set, map_region
+from lpdist.confidence import EllipsoidRegion, confidence_set, map_region
 from lpdist.errors import InstanceMismatch, SingularBasis
 from lpdist.experiments import (
     DEFAULT_SEED,
@@ -80,6 +80,14 @@ def test_selection_basis_rejects_dependent_support():
     lp = StandardLp([[1.0, 1.0]], [1.0], [0.0, 0.0])
     with pytest.raises(SingularBasis):
         selection_basis(lp, np.array([0.5, 0.5]))
+
+
+def test_selection_basis_completes_by_the_factor_pivot_rule():
+    # (0, 1) has full rank but an LU pivot of 1e-12, below the program's rank_tol
+    lp = StandardLp([[1.0, 1.0, 0.0], [0.0, 1e-12, 1.0]], [1.0, 1.0], [0.0, 0.0, 0.0])
+    basis = selection_basis(lp, np.array([1.0, 0.0, 0.0]))
+    assert basis.indices == (0, 2)
+    assert map_region(lp, basis, EllipsoidRegion(np.eye(2), level=0.95)).basis == basis
 
 
 def test_optimal_face_unique_case(ot_lp):

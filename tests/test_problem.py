@@ -81,6 +81,14 @@ def test_redundant_row_dropping():
         StandardLp(A, bad, np.ones(9), drop_redundant_rows=True)
 
 
+def test_redundant_rows_must_agree_beyond_a_relative_tolerance():
+    c = [1.0, 2.0]
+    lp = StandardLp([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0 + 1e-9], c, drop_redundant_rows=True)
+    assert lp.k == 1
+    with pytest.raises(Infeasible):
+        StandardLp([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.000001], c, drop_redundant_rows=True)
+
+
 def test_basis_validation():
     assert tuple(Basis((0, 1, 2))) == (0, 1, 2)
     assert len(Basis((0, 3))) == 2
