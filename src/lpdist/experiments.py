@@ -41,16 +41,15 @@ from .problem import (
     BasisFamily,
     Polytope,
     StandardLp,
-    _invertible,
     basic_solution,
     build_from_spec,
     build_kind,
     check_support,
+    greedy_columns,
     group_rows,
     load_lp,
     optimal_vertices,
     program_family,
-    quiet_lu,
     read_only,
     support,
 )
@@ -117,23 +116,12 @@ def _selection(lp: StandardLp, sup: tuple) -> Basis:
 
 
 def _complete_support(lp: StandardLp, sup: tuple) -> Basis:
-    chosen = list(sup)
-    if len(chosen) > lp.k or not _independent(lp, chosen):
+    chosen = greedy_columns(lp.A, sup, lp.rank_tol)
+    if chosen is None:
         raise SingularBasis("support columns are linearly dependent")
-    for j in range(lp.m):
-        if len(chosen) == lp.k:
-            break
-        if j not in chosen and _independent(lp, trial := sorted(chosen + [j])):
-            chosen = trial
     if len(chosen) < lp.k:
         raise SingularBasis("could not complete the support to a basis")
     return Basis(tuple(chosen))
-
-
-def _independent(lp: StandardLp, cols: list) -> bool:
-    """Whether every LU pivot of ``A[:, cols]`` passes the program's
-    ``rank_tol``: for a square block, the rule ``factor_columns`` applies."""
-    return _invertible(quiet_lu(lp.A[:, cols])[0], lp.rank_tol)
 
 
 def build_ot_2x2() -> ExperimentConfig:

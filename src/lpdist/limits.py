@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import problem
-from .errors import LpError, NotUnique, Unbounded
+from .errors import InstanceTooLarge, LpError, NotUnique, Unbounded
 from .geometry import (
     SphereGrid,
     argmax_vertex,
@@ -271,7 +271,10 @@ class NoiseSampler:
 
     def draw_block(self, start: int, count: int) -> np.ndarray:
         """Draws ``start, ..., start + count - 1`` as the rows of an array;
-        each stream they touch is drawn up to the last row asked of it."""
+        each stream they touch is drawn up to the last row asked of it.
+        Raises ``ValueError`` when ``start`` or ``count`` is negative."""
+        if start < 0 or count < 0:
+            raise ValueError(f"{'start' if start < 0 else 'count'} must be nonnegative")
         out = np.zeros((count, self.law.dim))
         blocks = range(start // STREAM_ROWS, -(-(start + count) // STREAM_ROWS)) if count else ()
         for block, rng in zip(blocks, philox_streams(self._key, (0, 0, 1), blocks)):
@@ -380,15 +383,15 @@ def has_recession_ray(mixed: MixedSignLp) -> bool:
 
 
 def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSampler,
-                        n_draws: int, *, vertex_only: bool = False,
-                        verify_unique: bool = False) -> list:
+                        n_draws: int, *, verify_unique: bool = False) -> list:
     """Draw rhs noise and collect the optimal sets of the response LP.
 
     Draws are made and solved in blocks of ``BLOCK``; sample ``i`` depends
     only on the sampler and ``i``, not on ``n_draws`` or the block size.
-    ``vertex_only`` swaps exact vertex enumeration for a single simplex
-    solve per draw (each block in one ``solve_rows`` call), for instances
-    too large to enumerate.
+    Each optimal set is exact, by vertex enumeration, unless the response
+    LP has more candidate bases than ``problem.ENUM_CAP``; then each draw
+    gets the one optimal vertex a simplex solve finds (each block in one
+    ``solve_rows`` call).
     """
     if n_draws < 0:
         raise ValueError(f"n_draws must be nonnegative, not {n_draws}")
@@ -396,14 +399,15 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
     if verify_unique:
         aux_lp_unique(lp, x_star, np.zeros(lp.k), verify_unique=True)
     free = support(x_star)
-    if vertex_only:
-        split, free_order = split_free(MixedSignLp(lp.A, np.zeros(lp.k), lp.c, free))
-    else:
+    try:
         enum = AuxVertexEnumerator(lp.A, lp.c, free)
+    except InstanceTooLarge:  # raised before any block is factored
+        enum = None
+        split, free_order = split_free(MixedSignLp(lp.A, np.zeros(lp.k), lp.c, free))
     samples = []
     for start in range(0, n_draws, BLOCK):
         block = sampler.draw_block(start, min(BLOCK, n_draws - start))
-        if vertex_only:
+        if enum is None:
             points, values = zip(*[_unsplit(result, free_order, lp.c)
                                    for result in solve_rows(split, block)])
             points, ties = np.array(points), {}

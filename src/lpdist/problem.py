@@ -178,7 +178,7 @@ class StandardLp:
         if k > m:
             raise ValueError(f"more rows ({k}) than columns ({m})")
         self.rank_tol = invertible_tol(A)
-        if _matrix_rank(A, self.rank_tol) < k:
+        if len(greedy_columns(A, (), self.rank_tol)) < k:
             raise ValueError("A does not have full row rank")
         self.A = _frozen(A)
         self.b = _frozen(b)
@@ -229,21 +229,26 @@ def _invertible(lu: np.ndarray, tol: float) -> bool:
     return all(abs(pivot) > tol for pivot in lu.diagonal().tolist())
 
 
-def _matrix_rank(A: np.ndarray, tol: float) -> int:
-    if A.size == 0:
-        return 0
-    sv = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(sv > max(tol, sv[0] * np.finfo(float).eps * max(A.shape))))
+def greedy_columns(A: np.ndarray, start, tol: float):
+    """The sorted ``start`` grown, in index order, by each column of ``A``
+    that keeps every LU pivot of the block above ``tol`` (the rule of
+    ``iter_bases``), up to as many columns as ``A`` has rows; ``None`` when
+    ``start`` itself fails.  This is the package's one rank rule."""
+    k, m = A.shape
+    chosen = sorted(start)
+    if len(chosen) > k or not _invertible(quiet_lu(A[:, chosen])[0], tol):
+        return None
+    for j in range(m):
+        if len(chosen) == k:
+            break
+        if j not in chosen and _invertible(quiet_lu(A[:, trial := sorted(chosen + [j])])[0], tol):
+            chosen = trial
+    return chosen
 
 
 def _independent_rows(A: np.ndarray, b: np.ndarray):
     """Keep a maximal independent row subset; reject inconsistent duplicates."""
-    tol = invertible_tol(A)
-    keep: list[int] = []
-    for i in range(A.shape[0]):
-        trial = A[keep + [i]]
-        if _matrix_rank(trial, tol) == len(keep) + 1:
-            keep.append(i)
+    keep = greedy_columns(A.T, (), invertible_tol(A))
     dropped = [i for i in range(A.shape[0]) if i not in keep]
     if dropped:
         # each dropped row is a combination of the kept ones; its rhs must match
@@ -559,9 +564,10 @@ def enumerate_feasible_bases(lp: StandardLp) -> list[Basis]:
 
 
 def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
-    """The optimal vertex set and every basis attaining the optimal value:
-    ``BasisFamily.optimal_sets`` of the program's family at ``lp.b``.
-    Raises ``Infeasible`` when no feasible basis exists."""
+    """The best feasible vertices and every basis attaining their value:
+    ``BasisFamily.optimal_sets`` of the program's family at ``lp.b``.  It
+    does not detect unboundedness, where ``simplex.solve`` raises
+    ``Unbounded``.  Raises ``Infeasible`` when no feasible basis exists."""
     family = program_family(lp)
     points, _, tied, ties = family._optimal_block(lp.c, basic_points(lp)[:, None, :])
     polytope = ties[0] if ties else Polytope.rows(points)[0]

@@ -86,8 +86,8 @@ def _bland(cache: BasisCache, phase: tuple, A: np.ndarray, c: np.ndarray, rhs: n
     is optimal or unbounded.
 
     ``frontier`` maps a basis (a tuple of columns in row order) to the
-    indices of the rows of ``rhs`` that start there; the rows must be
-    nonnegative and each basis must index a feasible square block.  Each
+    indices of the rows of ``rhs`` that start there; each basis must index
+    a square block feasible for its rows, which need not be nonnegative.  Each
     basis's factors and pivot decision come from ``cache`` under ``phase``,
     which names ``A`` and ``c``; only ``x_B`` and the ratio test depend on
     the rows, and all rows at one basis are solved in one ``getrs``.
@@ -140,14 +140,13 @@ def _pivot_budget(k: int, n: int) -> int:
 
 
 def _sign_pattern(cache: BasisCache, lp: StandardLp, negative: np.ndarray):
-    """Phase data for the rows of ``A`` negated where ``negative``."""
+    """Phase one's ``[A | diag(s)]`` and cost, ``s`` -1 where ``negative``
+    and 1 elsewhere, so each artificial starts at its row's ``|rhs|``."""
 
     def build():
-        flip = np.where(negative, -1.0, 1.0)
-        A1 = lp.A * flip[:, None]
-        A_art = np.hstack([A1, np.eye(lp.k)])
+        A_art = np.hstack([lp.A, np.diag(np.where(negative, -1.0, 1.0))])
         c_art = np.concatenate([np.zeros(lp.m), np.ones(lp.k)])
-        return read_only(flip, A1, A_art, c_art)
+        return read_only(A_art, c_art)
 
     return cache.get(("signs", negative.tobytes()), build)
 
@@ -182,14 +181,12 @@ def solve_block(lp: StandardLp, rhs: np.ndarray) -> tuple:
     if not finite.all():
         _fail(errors, np.flatnonzero(~finite), NonFiniteData, "b holds NaN or infinity")
     finite = np.flatnonzero(finite)
-    finals: dict = {}
+    phase2: dict = {}
     for pattern, rows in group_rows(rhs[finite] < 0, finite):
         signs = pattern.tobytes()
-        flip, A1, A_art, c_art = _sign_pattern(cache, lp, pattern)
-        b1 = rhs * flip
+        A_art, c_art = _sign_pattern(cache, lp, pattern)
         # phase one: minimize the total artificial mass
-        phase2: dict = {}
-        for basis, at, x_b in _bland(cache, ("phase1", signs), A_art, c_art, b1,
+        for basis, at, x_b in _bland(cache, ("phase1", signs), A_art, c_art, rhs,
                                      {tuple(range(m, m + k)): rows}, errors, m):
             if x_b is not None:
                 mass = x_b[:, np.asarray(basis) >= m].sum(axis=1)
@@ -205,9 +202,11 @@ def solve_block(lp: StandardLp, rhs: np.ndarray) -> tuple:
                     _fail(errors, at, type(exc), str(exc))
                     continue
             phase2.setdefault(basis, []).append(at)
-        phase2 = {basis: _joined(parts) for basis, parts in phase2.items()}
-        for basis, at, _ in _bland(cache, ("phase2", signs), A1, lp.c, b1, phase2, errors, m):
-            finals.setdefault(tuple(sorted(basis)), []).append(at)
+    # phase two: every sign pattern's rows on the program itself
+    phase2 = {basis: _joined(parts) for basis, parts in phase2.items()}
+    finals: dict = {}
+    for basis, at, _ in _bland(cache, ("phase2",), lp.A, lp.c, rhs, phase2, errors, m):
+        finals.setdefault(tuple(sorted(basis)), []).append(at)
     groups = {}
     for cols, parts in finals.items():
         at = _joined(parts)

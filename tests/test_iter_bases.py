@@ -140,9 +140,9 @@ def test_default_cap_is_checked_before_any_factorization(monkeypatch):
     def refuse(block):
         raise AssertionError("a block was factored before the cap check")
 
-    monkeypatch.setattr(problem, "quiet_lu", refuse)
     A = np.hstack([np.eye(12), np.ones((12, 28))])  # C(40, 12) blocks
-    lp = StandardLp(A, A @ np.ones(40), np.zeros(40))
+    lp = StandardLp(A, A @ np.ones(40), np.zeros(40))  # its rank check factors blocks
+    monkeypatch.setattr(problem, "quiet_lu", refuse)
     with pytest.raises(InstanceTooLarge):
         stability_report(lp, np.ones(40))
     with pytest.raises(InstanceTooLarge):

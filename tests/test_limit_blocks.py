@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg import lu_solve
 
 from lpdist import StandardLp, kolmogorov_smirnov, optimal_vertices, solve
-from lpdist import limits
+from lpdist import limits, problem
 from lpdist.errors import Infeasible, LpError, NonFiniteData
 from lpdist.experiments import build_min_cost_flow, build_ot_2x2, run_limit_comparison
 from lpdist.geometry import min_norm_point
@@ -114,6 +114,17 @@ def test_a_block_may_start_and_end_anywhere(name):
     listed = np.array(sampler.draws(2100))
     for start, count in ((0, 2100), (1, 1023), (1023, 2), (700, 1400), (2047, 53)):
         assert sampler.draw_block(start, count).tobytes() == listed[start:start + count].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_a_negative_start_or_count_is_named(name):
+    sampler = SAMPLERS[name]()
+    for call, argument in ((lambda: sampler.draw(-1), "start"),
+                           (lambda: sampler.draw_block(-1025, 2), "start"),
+                           (lambda: sampler.draw_block(0, -1), "count"),
+                           (lambda: sampler.draws(-3), "count")):
+        with pytest.raises(ValueError, match=f"^{argument} must be nonnegative"):
+            call()
 
 
 def test_a_wide_gaussian_block_takes_memory_of_its_own_size():
@@ -342,12 +353,14 @@ def test_kernel_rejects_an_overflowing_objective():
 # ------------------------------------------------------------ vertex only
 
 @pytest.mark.parametrize("build", [build_ot_2x2, build_min_cost_flow])
-def test_vertex_only_equals_per_draw_mixed_solves(build):
+def test_vertex_only_equals_per_draw_mixed_solves(monkeypatch, build):
     config = build()
     noise = config.b_sampler.limit_noise(21, config.lp.k)
     x_star = config.targets.vertices[0]
     free = support(x_star)
-    samples = sample_unique_limit(config.lp, x_star, noise, 40, vertex_only=True)
+    with monkeypatch.context() as patch:  # above the cap: one simplex vertex per draw
+        patch.setattr(problem, "ENUM_CAP", 0)
+        samples = sample_unique_limit(config.lp, x_star, noise, 40)
     for i, sample in enumerate(samples):
         g = noise.draw(i)
         point, value = solve_mixed(MixedSignLp(config.lp.A, g, config.lp.c, free))
@@ -413,13 +426,17 @@ LIMIT_CASES = {"ot2x2": lambda: _limit_case(build_ot_2x2),
 
 @pytest.mark.parametrize("vertex_only", [False, True])
 @pytest.mark.parametrize("name", sorted(LIMIT_CASES))
-def test_carried_distances_equal_per_draw_statistics(name, vertex_only):
+def test_carried_distances_equal_per_draw_statistics(monkeypatch, name, vertex_only):
     """3000 draws cross two block boundaries; each carried distance has the
     bits of ``math.sqrt(v @ v)`` and of the statistic of the same sample
     built by hand, as the traced benchmark run builds it.  A tied draw
-    carries none, and its statistic is Wolfe's."""
+    carries none, and its statistic is Wolfe's.  ``vertex_only`` puts the
+    response LP above the enumeration cap, so each draw is a simplex vertex."""
     lp, x_star, noise = LIMIT_CASES[name]()
-    samples = sample_unique_limit(lp, x_star, noise, 3000, vertex_only=vertex_only)
+    with monkeypatch.context() as patch:
+        if vertex_only:
+            patch.setattr(problem, "ENUM_CAP", 0)
+        samples = sample_unique_limit(lp, x_star, noise, 3000)
     tied = 0
     for sample in samples:
         by_hand = LimitSample(g=sample.g, optimal_set=sample.optimal_set,

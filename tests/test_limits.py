@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from lpdist import StandardLp
+from lpdist import StandardLp, problem
 from lpdist.errors import Infeasible, NonFiniteData, NotUnique, Unbounded
 from lpdist.geometry import SphereGrid, argmax_vertex, support_function
 from lpdist.limits import (
@@ -308,10 +308,12 @@ def test_sample_unique_limit_draws_are_reproducible(ot_lp):
                    - np.sqrt(2.0) * abs(sample.g[0])) < 1e-9
 
 
-def test_vertex_only_path_matches_enumeration(ot_lp):
+def test_vertex_only_path_matches_enumeration(monkeypatch, ot_lp):
     noise = NoiseSampler.multinomial_clt([0.5, 0.5], seed=9, pad_to=3)
     full = sample_unique_limit(ot_lp, OT_TARGET, noise, 25)
-    fast = sample_unique_limit(ot_lp, OT_TARGET, noise, 25, vertex_only=True)
+    with monkeypatch.context() as patch:  # above the cap: one simplex vertex per draw
+        patch.setattr(problem, "ENUM_CAP", 0)
+        fast = sample_unique_limit(ot_lp, OT_TARGET, noise, 25)
     for sf, sv in zip(full, fast):
         assert abs(sf.objective - sv.objective) < 1e-9
         assert abs(distance_statistic(sf) - distance_statistic(sv)) < 1e-9
