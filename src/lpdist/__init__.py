@@ -63,7 +63,6 @@ from .limits import (
     aux_lp_unique,
     distance_statistic,
     hadamard_quotient_check,
-    has_recession_ray,
     limit_support_function,
     sample_unique_limit,
     solve_mixed,

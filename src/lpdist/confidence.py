@@ -19,7 +19,7 @@ import numpy as np
 
 from . import problem
 from .errors import SingularCovariance
-from .problem import Basis, StandardLp, build_kind, check_support, factor_columns, spec_to_dict
+from .problem import Basis, StandardLp, build_kind, check_support, spec_to_dict
 from .quantiles import chi_square_quantile
 from .simplex import SolveResult
 
@@ -52,8 +52,8 @@ class EllipsoidRegion:
                 raise ValueError("support size does not match the covariance")
         self.q = float(q) if q is not None else chi_square_quantile(self.level, self.sigma.shape[0])
 
-    def map(self, a_basis: np.ndarray) -> "EllipsoidImage":
-        return EllipsoidImage(self, a_basis)
+    def map(self, a_basis: np.ndarray, lu_piv) -> "EllipsoidImage":
+        return EllipsoidImage(self, a_basis, lu_piv)
 
 
 class BoxRegion:
@@ -70,8 +70,8 @@ class BoxRegion:
             raise ValueError("box must contain the origin")
         self.coverage_target = None if coverage_target is None else float(coverage_target)
 
-    def map(self, a_basis: np.ndarray) -> "BoxImage":
-        return BoxImage(self, a_basis)
+    def map(self, a_basis: np.ndarray, lu_piv) -> "BoxImage":
+        return BoxImage(self, a_basis, lu_piv)
 
 
 class SegmentFamilyRegion:
@@ -90,8 +90,8 @@ class SegmentFamilyRegion:
             raise ValueError("half_width must be nonnegative")
         self.coverage_target = None if coverage_target is None else float(coverage_target)
 
-    def map(self, a_basis: np.ndarray) -> "SegmentImage":
-        return SegmentImage(self, a_basis)
+    def map(self, a_basis: np.ndarray, lu_piv) -> "SegmentImage":
+        return SegmentImage(self, a_basis, lu_piv)
 
 
 REGIONS = {name: cls for cls in (EllipsoidRegion, BoxRegion, SegmentFamilyRegion)
@@ -108,7 +108,7 @@ class EllipsoidImage:
     basis-coordinate form A_I' Sigma^{-1} A_I, only for full-support
     ellipsoids."""
 
-    def __init__(self, region: EllipsoidRegion, a_basis: np.ndarray):
+    def __init__(self, region: EllipsoidRegion, a_basis: np.ndarray, lu_piv):
         self.region, self.a_basis = region, a_basis
         k = len(a_basis)
         sup = region.support_indices
@@ -122,7 +122,7 @@ class EllipsoidImage:
             raise SingularCovariance("covariance is not positive definite") from exc
         pad = np.zeros((k, r))
         pad[list(sup) if sup is not None else range(k), range(r)] = 1.0
-        self.t_matrix = np.linalg.solve(a_basis, pad @ self.chol)
+        self.t_matrix = problem.solve_lu(lu_piv, pad @ self.chol)
         self.quadratic = None
         if r == k:
             inv_sigma = np.linalg.inv(region.sigma)
@@ -136,7 +136,7 @@ class EllipsoidImage:
 
     def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
         u = _forward_substitution(self.chol, g[:, self.support])
-        inside = _row_sums(u * u) <= self.q + tol
+        inside = problem.ordered_dot(u, u) <= self.q + tol
         if self.off_support is not None:
             inside &= np.abs(g[:, self.off_support]).max(axis=1) <= tol
         return inside
@@ -151,12 +151,12 @@ class EllipsoidImage:
 
 
 class BoxImage:
-    def __init__(self, region: BoxRegion, a_basis: np.ndarray):
+    def __init__(self, region: BoxRegion, a_basis: np.ndarray, lu_piv):
         self.region, self.a_basis = region, a_basis
         k = len(a_basis)
         if region.lower.shape != (k,):
             raise ValueError("box bounds must have one entry per constraint row")
-        self.inv_basis = np.linalg.solve(a_basis, np.eye(k))
+        self.inv_basis = problem.solve_lu(lu_piv, np.eye(k))
 
     def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
         region = self.region
@@ -175,16 +175,16 @@ class BoxImage:
 class SegmentImage:
     """``v_seg`` is the image of the segment's direction."""
 
-    def __init__(self, region: SegmentFamilyRegion, a_basis: np.ndarray):
+    def __init__(self, region: SegmentFamilyRegion, a_basis: np.ndarray, lu_piv):
         self.region, self.a_basis = region, a_basis
         if region.direction.shape != (len(a_basis),):
             raise ValueError("direction must have one entry per constraint row")
-        self.v_seg = np.linalg.solve(a_basis, region.direction)
+        self.v_seg = problem.solve_lu(lu_piv, region.direction)
         self.half_width = region.half_width
 
     def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
         direction = self.region.direction
-        t = _row_sums(g * direction) / float(direction @ direction)
+        t = problem.ordered_dot(g, direction) / float(direction @ direction)
         on_line = np.abs(g - t[:, None] * direction).max(axis=1) <= tol
         return on_line & (np.abs(t) <= self.half_width + tol)
 
@@ -206,8 +206,7 @@ def map_region(lp: StandardLp, I: Basis, region):
     It also gets ``basis`` and ``off``, the mask of the non-basic columns.
     """
     cols = list(I.indices)
-    factor_columns(lp, cols)
-    image = region.map(lp.A[:, cols].copy())
+    image = region.map(lp.A[:, cols], problem.cached_factors(lp, I.indices))
     image.basis, image.off = I, np.ones(lp.m, dtype=bool)
     image.off[cols] = False
     return image
@@ -241,19 +240,11 @@ def contains_rows(mapped, rate: float, centers: np.ndarray, x: np.ndarray) -> np
     """
     y = rate * (centers - np.asarray(x, dtype=float))
     tol = problem.residual_tol(rate)
-    inside = mapped.accepts(_row_sums(y[:, None, mapped.basis.indices] * mapped.a_basis), tol)
+    g = problem.ordered_dot(y[:, None, mapped.basis.indices], mapped.a_basis)  # A_I y_I
+    inside = mapped.accepts(g, tol)
     if mapped.off.any():
         inside &= np.abs(y[:, mapped.off]).max(axis=1) <= tol
     return inside
-
-
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Sums over the last axis of ``terms``, added up in index order; a
-    BLAS product or ``sum`` would pick its order by the array's shape."""
-    total = terms[..., 0].copy()
-    for j in range(1, terms.shape[-1]):
-        total += terms[..., j]
-    return total
 
 
 def _forward_substitution(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -261,7 +252,7 @@ def _forward_substitution(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     triangular; each row's entries are computed in index order."""
     u = np.empty_like(rhs)
     for i in range(len(lower)):
-        u[:, i] = (rhs[:, i] - _row_sums(u[:, :i] * lower[i, :i])
+        u[:, i] = (rhs[:, i] - problem.ordered_dot(u[:, :i], lower[i, :i])
                    if i else rhs[:, i]) / lower[i, i]
     return u
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import problem
-from .errors import InstanceTooLarge, LpError, NotUnique, Unbounded
+from .errors import InstanceTooLarge, LpError, NotUnique
 from .geometry import (
     SphereGrid,
     argmax_vertex,
@@ -32,9 +32,9 @@ from .problem import (
     Polytope,
     StandardLp,
     _check_finite,
-    _independent_rows,
     check_support,
     optimal_vertices,
+    ordered_dot,
     spec_to_dict,
     support,
 )
@@ -115,17 +115,6 @@ def philox_streams(key: np.ndarray, lead: tuple, indices):
         yield rng
 
 
-def _row_products(z: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``mat @ z[n]`` for each row ``z[n]`` of ``z`` (or ``mat @ z`` for a 1-d
-    ``z``), summed over the columns in order: no row's bits depend on another's."""
-    if z.ndim == 1:  # one accumulate of ``mat``'s size is cheaper than a column loop
-        return np.add.accumulate(z * mat, axis=-1)[:, -1]
-    out = z[:, :1] * mat[:, 0]
-    for j in range(1, z.shape[1]):
-        out += z[:, j, None] * mat[:, j]
-    return out
-
-
 class GaussianLaw:
     """Centred Gaussian noise with covariance ``sigma``, placed on the
     ``support_indices`` of a rhs (of ``dim`` coordinates in a limit row).
@@ -154,12 +143,12 @@ class GaussianLaw:
 
     def sample(self, truth_b, n, rate, rng) -> np.ndarray:
         shift = np.zeros(len(truth_b))
-        shift[self._place] = _row_products(rng.standard_normal(len(self._chol)), self._chol)
+        shift[self._place] = ordered_dot(rng.standard_normal(len(self._chol)), self._chol)
         return np.asarray(truth_b, dtype=float) + shift / rate
 
     def limit_block(self, rng, out: np.ndarray):
         z = rng.standard_normal((len(out), len(self._chol)))
-        out[:, self._place] = _row_products(z, self._chol)
+        out[:, self._place] = ordered_dot(z[:, None, :], self._chol)
 
     def limit_noise(self, seed, dim) -> "NoiseSampler":
         return NoiseSampler(GaussianLaw(self.sigma, self.support_indices, dim), seed)
@@ -202,7 +191,7 @@ class MultinomialLaw:
         # root * z - p * (root @ z) for iid normals z has the limit covariance
         p, root = self.probabilities, self._root
         z = rng.standard_normal((len(out), len(p)))
-        out[:, : len(p)] = root * z - p * _row_products(z, root[None, :])
+        out[:, : len(p)] = root * z - p * ordered_dot(z, root)[:, None]
 
     def limit_noise(self, seed, dim) -> "NoiseSampler":
         pad_to = dim if self.pad_to is None else self.pad_to
@@ -257,18 +246,6 @@ class NoiseSampler:
             raise AttributeError(name)
         return getattr(self.law, name)
 
-    @classmethod
-    def gaussian(cls, sigma, seed, support_indices=None, dim=None):
-        return cls(GaussianLaw(sigma, support_indices, dim), seed)
-
-    @classmethod
-    def multinomial_clt(cls, probabilities, seed, pad_to=None):
-        return MultinomialLaw(probabilities, pad_to=pad_to).limit_noise(seed, len(probabilities))
-
-    @classmethod
-    def empirical(cls, vectors, seed):
-        return cls(EmpiricalLaw(vectors), seed)
-
     def draw_block(self, start: int, count: int) -> np.ndarray:
         """Draws ``start, ..., start + count - 1`` as the rows of an array;
         each stream they touch is drawn up to the last row asked of it.
@@ -287,9 +264,6 @@ class NoiseSampler:
     def draw(self, index: int) -> np.ndarray:
         return self.draw_block(index, 1)[0]
 
-    def draws(self, n: int) -> list:
-        return list(self.draw_block(0, n))
-
 
 def aux_lp_unique(lp: StandardLp, x_star: np.ndarray, g: np.ndarray, *,
                   verify_unique: bool = False) -> MixedSignLp:
@@ -300,12 +274,17 @@ def aux_lp_unique(lp: StandardLp, x_star: np.ndarray, g: np.ndarray, *,
     """
     x_star = np.asarray(x_star, dtype=float)
     if verify_unique:
-        polytope, _ = optimal_vertices(lp)
-        if len(polytope) != 1:
-            raise NotUnique(f"optimal set has {len(polytope)} vertices")
-        if np.abs(polytope.vertices[0] - x_star).max() > problem.residual_tol(x_star):
-            raise NotUnique("x_star is not the optimal vertex of the LP")
+        _check_unique(lp, x_star)
     return MixedSignLp(lp.A, g, lp.c, support(x_star))
+
+
+def _check_unique(lp: StandardLp, x_star: np.ndarray):
+    """Raise ``NotUnique`` unless ``x_star`` is the one optimal vertex of ``lp``."""
+    polytope, _ = optimal_vertices(lp)
+    if len(polytope) != 1:
+        raise NotUnique(f"optimal set has {len(polytope)} vertices")
+    if np.abs(polytope.vertices[0] - x_star).max() > problem.residual_tol(x_star):
+        raise NotUnique("x_star is not the optimal vertex of the LP")
 
 
 def split_free(mixed: MixedSignLp) -> tuple:
@@ -357,31 +336,6 @@ class AuxVertexEnumerator:
         return self.family.optimal_sets(self.c, np.asarray(rhs, dtype=float).reshape(1, -1))[0]
 
 
-def has_recession_ray(mixed: MixedSignLp) -> bool:
-    """Whether the optimal set of the mixed-sign LP recedes to infinity.
-
-    A nonzero recession direction of the optimal set solves A d = 0,
-    <c,d> = 0 with the usual sign pattern, and some signed coordinate
-    positive; we detect it by maximizing the signed mass, which is
-    unbounded exactly when a ray exists.
-    """
-    stacked = np.vstack([mixed.a, mixed.c[None, :]])
-    rows, rhs = _independent_rows(stacked, np.zeros(len(stacked)))
-    m = mixed.a.shape[1]
-    objective = np.zeros(m)
-    signed = [i for i in range(m) if i not in mixed.free_indices]
-    if not len(rows):
-        # nothing constrains d: any signed coordinate is a ray
-        return bool(signed)
-    objective[signed] = -1.0
-    probe = MixedSignLp(rows, rhs, objective, mixed.free_indices)
-    try:
-        solve_mixed(probe)
-    except Unbounded:
-        return True
-    return False
-
-
 def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSampler,
                         n_draws: int, *, verify_unique: bool = False) -> list:
     """Draw rhs noise and collect the optimal sets of the response LP.
@@ -397,7 +351,7 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
         raise ValueError(f"n_draws must be nonnegative, not {n_draws}")
     x_star = np.asarray(x_star, dtype=float)
     if verify_unique:
-        aux_lp_unique(lp, x_star, np.zeros(lp.k), verify_unique=True)
+        _check_unique(lp, x_star)
     free = support(x_star)
     try:
         enum = AuxVertexEnumerator(lp.A, lp.c, free)

@@ -65,6 +65,25 @@ def solve_lu(lu_piv, rhs, trans: int = 0) -> np.ndarray:
     return solve_factored((lu_piv,), rhs.T, trans=trans)[0].T
 
 
+# rows of ``a`` times rows of ``b`` up to which ``ordered_dot`` forms the whole product
+ORDERED_WHOLE = 16
+
+
+def ordered_dot(a, b) -> np.ndarray:
+    """The sum over ``j`` of ``a[..., j] * b[..., j]``, the other axes
+    broadcast, added in index order, so no entry's bits depend on another's
+    (a BLAS product or ``sum`` picks its order by the shape).  A small result
+    comes from one accumulate of the whole product, a larger one a column at
+    a time, in memory of its own size; the bits are the same."""
+    n = a.shape[-1]
+    if a.size * b.size <= ORDERED_WHOLE * n * n:
+        return np.add.accumulate(a * b, axis=-1)[..., -1]
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, n):
+        out += a[..., j] * b[..., j]
+    return out
+
+
 # The LP tolerances and the enumeration cap, each written once here and read
 # when a call runs, never bound as a default.  The constants are absolute;
 # each function scales with the magnitudes it is given.
@@ -447,18 +466,15 @@ class BasisFamily:
         return len(self.cols)
 
     def solve(self, rows: np.ndarray) -> np.ndarray:
-        """Entry ``[i, r]`` is ``A_i^{-1} rows[r]``: the sum over ``j``, in
-        order, of ``rows[r, j]`` times column ``j`` of the inverse, or the
-        lone-row ``getrs`` solve where that sum's error bound
-        ``k^2 eps max|A_i^{-1}| max|rows[r]|`` passes ``1e-12``.  Its bits do
-        not depend on the other rows."""
+        """Entry ``[i, r]`` is ``A_i^{-1} rows[r]``: the ``ordered_dot`` of
+        ``rows[r]`` with the rows of the inverse, or the lone-row ``getrs``
+        solve where that sum's error bound ``k^2 eps max|A_i^{-1}|
+        max|rows[r]|`` passes ``1e-12``.  Its bits do not depend on the other
+        rows."""
         rows = np.asarray(rows, dtype=float)
-        weights = rows.T[:, :, None, None]  # column j of rows
-        out = weights[0] * self.inverses[:, :, 0]
-        for j in range(1, len(weights)):
-            out += weights[j] * self.inverses[:, :, j]
+        out = ordered_dot(rows[:, None, None, :], self.inverses)
         if np.abs(rows).max(initial=0.0) > self._room:
-            peaks = np.abs(self.inverses).max(axis=(1, 2)) * len(weights) ** 2 * np.finfo(float).eps
+            peaks = np.abs(self.inverses).max(axis=(1, 2)) * len(self.A) ** 2 * np.finfo(float).eps
             loose = np.multiply.outer(np.abs(rows).max(axis=1), peaks) > 1e-12
             for r, i in zip(*np.nonzero(loose)):
                 lu_piv = quiet_lu(self.A.take(self.cols[i], axis=1))

@@ -196,8 +196,8 @@ def solve_block(lp: StandardLp, rhs: np.ndarray) -> tuple:
                 if not at.size:
                     continue
                 try:
-                    basis = cache.get(("evict", signs, basis),
-                                      lambda: _evict_artificials(A_art, np.array(basis), m))
+                    basis = cache.get(("evict", signs, basis), lambda: _evict_artificials(
+                        A_art, np.array(basis), m, lp.rank_tol))
                 except LpError as exc:
                     _fail(errors, at, type(exc), str(exc))
                     continue
@@ -258,14 +258,14 @@ def solve(lp: StandardLp) -> SolveResult:
     return result
 
 
-def _evict_artificials(A_art: np.ndarray, basis: np.ndarray, m: int) -> tuple:
+def _evict_artificials(A_art: np.ndarray, basis: np.ndarray, m: int, tol: float) -> tuple:
     """Swap zero-valued artificial columns out of the basis.
 
     After a successful phase one every artificial in the basis sits at value
-    zero; full row rank of the real columns guarantees a replacement pivot.
+    zero; full row rank of the real columns guarantees a replacement pivot,
+    taken above ``tol``: the program's ``rank_tol``, the rank rule's scale.
     """
     basis = basis.copy()
-    tol = problem.pivot_tol(A_art)
     for row in range(len(basis)):
         if basis[row] < m:
             continue

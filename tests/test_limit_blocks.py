@@ -24,7 +24,10 @@ from lpdist.geometry import min_norm_point
 from lpdist.limits import (
     AuxVertexEnumerator,
     LimitSample,
+    EmpiricalLaw,
+    GaussianLaw,
     MixedSignLp,
+    MultinomialLaw,
     NoiseSampler,
     distance_statistic,
     sample_unique_limit,
@@ -74,28 +77,26 @@ def reference_draw(sampler: NoiseSampler, index: int) -> np.ndarray:
 
 
 SAMPLERS = {
-    "gaussian": lambda: NoiseSampler.gaussian(SIGMA, seed=3),
-    "gaussian_support": lambda: NoiseSampler.gaussian(SIGMA, seed=4, support_indices=(0, 2, 5),
-                                                      dim=6),
-    "multinomial_clt": lambda: NoiseSampler.multinomial_clt([0.1, 0.2, 0.3, 0.4], seed=5,
-                                                            pad_to=6),
-    "empirical": lambda: NoiseSampler.empirical(np.arange(12.0).reshape(4, 3) * 0.37, seed=6),
+    "gaussian": lambda: NoiseSampler(GaussianLaw(SIGMA), 3),
+    "gaussian_support": lambda: NoiseSampler(GaussianLaw(SIGMA, (0, 2, 5), dim=6), 4),
+    "multinomial_clt": lambda: NoiseSampler(MultinomialLaw([0.1, 0.2, 0.3, 0.4], pad_to=6), 5),
+    "empirical": lambda: NoiseSampler(EmpiricalLaw(np.arange(12.0).reshape(4, 3) * 0.37), 6),
     # a seed past 2**64 fills both words of the Philox key
-    "large_seed": lambda: NoiseSampler.multinomial_clt([0.5, 0.5], seed=2**100 + 2**64 + 7),
+    "large_seed": lambda: NoiseSampler(MultinomialLaw([0.5, 0.5], pad_to=2), 2**100 + 2**64 + 7),
 }
 
 
 def test_seed_must_fit_the_philox_key():
     for seed in (-1, 2**128):
         with pytest.raises(ValueError):
-            NoiseSampler.multinomial_clt([0.5, 0.5], seed=seed)
+            NoiseSampler(MultinomialLaw([0.5, 0.5], pad_to=2), seed)
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 def test_block_rows_equal_per_index_draws(name):
     sampler = SAMPLERS[name]()
     block = sampler.draw_block(1020, 10)
-    listed = sampler.draws(5001)
+    listed = sampler.draw_block(0, 5001)
     for row, index in enumerate(range(1020, 1030)):
         assert block[row].tobytes() == reference_draw(sampler, index).tobytes()
         assert listed[index].tobytes() == block[row].tobytes()
@@ -111,7 +112,7 @@ def test_block_rows_equal_per_index_draws(name):
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 def test_a_block_may_start_and_end_anywhere(name):
     sampler = SAMPLERS[name]()
-    listed = np.array(sampler.draws(2100))
+    listed = sampler.draw_block(0, 2100)
     for start, count in ((0, 2100), (1, 1023), (1023, 2), (700, 1400), (2047, 53)):
         assert sampler.draw_block(start, count).tobytes() == listed[start:start + count].tobytes()
 
@@ -121,8 +122,7 @@ def test_a_negative_start_or_count_is_named(name):
     sampler = SAMPLERS[name]()
     for call, argument in ((lambda: sampler.draw(-1), "start"),
                            (lambda: sampler.draw_block(-1025, 2), "start"),
-                           (lambda: sampler.draw_block(0, -1), "count"),
-                           (lambda: sampler.draws(-3), "count")):
+                           (lambda: sampler.draw_block(0, -1), "count")):
         with pytest.raises(ValueError, match=f"^{argument} must be nonnegative"):
             call()
 
@@ -132,7 +132,7 @@ def test_a_wide_gaussian_block_takes_memory_of_its_own_size():
     product over the columns in place: its peak is a few blocks, not an array
     of shape (1024, 100, 100), which would take 82 MB (numpy reports its
     arrays to ``tracemalloc``)."""
-    sampler = NoiseSampler.gaussian(np.eye(100) + 0.5, seed=8)
+    sampler = NoiseSampler(GaussianLaw(np.eye(100) + 0.5), 8)
     tracemalloc.start()
     try:
         block = sampler.draw_block(0, 1024)
@@ -147,18 +147,18 @@ def test_a_wide_gaussian_block_takes_memory_of_its_own_size():
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 def test_draws_do_not_depend_on_the_block_size(name, monkeypatch):
     sampler = SAMPLERS[name]()
-    default = np.array(sampler.draws(40))
+    default = sampler.draw_block(0, 40)
     monkeypatch.setattr(limits, "BLOCK", 7)
-    assert np.array(sampler.draws(40)).tobytes() == default.tobytes()
+    assert sampler.draw_block(0, 40).tobytes() == default.tobytes()
 
 
 def test_threads_may_share_a_sampler():
     sampler = SAMPLERS["gaussian_support"]()
-    expected = np.array(sampler.draws(300)).tobytes()
+    expected = sampler.draw_block(0, 300).tobytes()
     results = {}
 
     def work(tag):
-        results[tag] = [np.array(sampler.draws(300)).tobytes() for _ in range(5)]
+        results[tag] = [sampler.draw_block(0, 300).tobytes() for _ in range(5)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -416,7 +416,7 @@ def _half_tied_case():
     """One row: a draw ``g > 0`` ties the vertices ``g e_0`` and ``g e_1``,
     one ``g < 0`` has the single vertex ``-g e_2``."""
     lp = StandardLp([[1.0, 1.0, -1.0]], [1.0], [1.0, 1.0, 1.0])
-    return lp, np.zeros(3), NoiseSampler.gaussian([[1.0]], seed=32)
+    return lp, np.zeros(3), NoiseSampler(GaussianLaw([[1.0]]), 32)
 
 
 LIMIT_CASES = {"ot2x2": lambda: _limit_case(build_ot_2x2),

@@ -10,6 +10,7 @@ from lpdist.geometry import SphereGrid, argmax_vertex, support_function
 from lpdist.limits import (
     LAWS,
     AuxVertexEnumerator,
+    EmpiricalLaw,
     GaussianLaw,
     MixedSignLp,
     MultinomialLaw,
@@ -17,7 +18,6 @@ from lpdist.limits import (
     aux_lp_unique,
     distance_statistic,
     hadamard_quotient_check,
-    has_recession_ray,
     limit_support_function,
     sample_unique_limit,
     solve_mixed,
@@ -34,31 +34,31 @@ MEAN_LIMIT_DISTANCE = 0.5641895835477563  # 1/sqrt(pi), closed form for this law
 # ---------------------------------------------------------------- samplers
 
 def test_gaussian_sampler_is_order_independent():
-    s = NoiseSampler.gaussian(np.eye(3), seed=5)
+    s = NoiseSampler(GaussianLaw(np.eye(3)), 5)
     fifth = s.draw(5)
     assert np.array_equal(s.draw(5), fifth)
-    batch = s.draws(6)
+    batch = s.draw_block(0, 6)
     assert np.array_equal(batch[5], fifth)
-    other = NoiseSampler.gaussian(np.eye(3), seed=6)
+    other = NoiseSampler(GaussianLaw(np.eye(3)), 6)
     assert not np.array_equal(other.draw(5), fifth)
 
 
 def test_gaussian_sampler_support_padding():
-    s = NoiseSampler.gaussian(np.eye(2), seed=1, support_indices=(1, 3), dim=5)
+    s = NoiseSampler(GaussianLaw(np.eye(2), (1, 3), 5), 1)
     g = s.draw(0)
     assert g.shape == (5,)
     assert g[0] == g[2] == g[4] == 0.0
     assert g[1] != 0.0 and g[3] != 0.0
     with pytest.raises(ValueError):
-        NoiseSampler.gaussian(np.eye(2), seed=1, support_indices=(0,))
+        NoiseSampler(GaussianLaw(np.eye(2), (0,)), 1)
     with pytest.raises(ValueError):
-        NoiseSampler.gaussian(np.eye(2), seed=1, dim=4)
+        NoiseSampler(GaussianLaw(np.eye(2), dim=4), 1)
 
 
 def test_multinomial_clt_moments():
     p = np.array([0.2, 0.3, 0.5])
-    s = NoiseSampler.multinomial_clt(p, seed=11, pad_to=4)
-    draws = np.array(s.draws(20000))
+    s = NoiseSampler(MultinomialLaw(p, pad_to=4), 11)
+    draws = s.draw_block(0, 20000)
     assert draws.shape == (20000, 4)
     assert np.allclose(draws[:, 3], 0.0)
     assert np.abs(draws[:, :3].mean(axis=0)).max() < 0.02
@@ -70,20 +70,20 @@ def test_multinomial_clt_moments():
 
 def test_multinomial_clt_validation():
     with pytest.raises(ValueError):
-        NoiseSampler.multinomial_clt([0.5, 0.6], seed=0)
+        NoiseSampler(MultinomialLaw([0.5, 0.6], pad_to=2), 0)
     with pytest.raises(ValueError):
-        NoiseSampler.multinomial_clt([0.5, 0.5], seed=0, pad_to=1)
+        NoiseSampler(MultinomialLaw([0.5, 0.5], pad_to=1), 0)
 
 
 def test_empirical_sampler_cycles_rows():
     rows = np.array([[1.0, 0.0], [0.0, 2.0]])
-    s = NoiseSampler.empirical(rows, seed=3)
+    s = NoiseSampler(EmpiricalLaw(rows), 3)
     seen = {tuple(s.draw(i)) for i in range(40)}
     assert seen == {(1.0, 0.0), (0.0, 2.0)}
-    single = NoiseSampler.empirical([[0.0, 0.0]], seed=3)
+    single = NoiseSampler(EmpiricalLaw([[0.0, 0.0]]), 3)
     assert np.array_equal(single.draw(7), [0.0, 0.0])
     with pytest.raises(ValueError):
-        NoiseSampler.empirical(np.zeros((0, 2)), seed=0)
+        NoiseSampler(EmpiricalLaw(np.zeros((0, 2))), 0)
     with pytest.raises(ValueError):
         NoiseSampler("nope", seed=0)
 
@@ -214,27 +214,6 @@ def test_enumerator_infeasible_rhs():
         enum.optimal_set(np.array([-1.0]))
 
 
-def test_recession_ray_classification(ot_lp, ones_3x3_lp):
-    # unique optimum: the response sets are bounded in every direction
-    assert not has_recession_ray(aux_lp_unique(ot_lp, OT_TARGET, np.zeros(3)))
-    # constant-cost transport: the optimal face is the whole polytope and the
-    # response cone contains a two-entry exchange cycle
-    x_diag = np.zeros(9)
-    x_diag[[0, 4, 8]] = 1.0 / 3.0
-    assert has_recession_ray(aux_lp_unique(ones_3x3_lp, x_diag, np.zeros(5)))
-    lp_id = StandardLp(np.eye(2), [1.0, 2.0], [1.0, 1.0])
-    assert not has_recession_ray(aux_lp_unique(lp_id, np.array([1.0, 2.0]), np.zeros(2)))
-
-
-def test_recession_ray_when_every_row_is_redundant():
-    # A = 0 and c = 0 leave no row in the homogeneous system: any signed
-    # coordinate spans a ray, and with every coordinate free there is none
-    zero = np.zeros((2, 3))
-    assert has_recession_ray(MixedSignLp(zero, np.zeros(2), np.zeros(3), frozenset()))
-    assert has_recession_ray(MixedSignLp(zero, np.zeros(2), np.zeros(3), frozenset({0, 2})))
-    assert not has_recession_ray(MixedSignLp(zero, np.zeros(2), np.zeros(3), frozenset({0, 1, 2})))
-
-
 def test_mixed_sign_lp_rejects_non_finite_data():
     with pytest.raises(NonFiniteData):
         MixedSignLp([[np.nan, 1.0]], [1.0], [0.0, 0.0], frozenset())
@@ -296,7 +275,7 @@ def test_finite_gaussian_rhs_is_the_limit_row_over_the_rate():
 # ------------------------------------------------------------ sampling paths
 
 def test_sample_unique_limit_draws_are_reproducible(ot_lp):
-    noise = NoiseSampler.multinomial_clt([0.5, 0.5], seed=42, pad_to=3)
+    noise = NoiseSampler(MultinomialLaw([0.5, 0.5], pad_to=3), 42)
     a = sample_unique_limit(ot_lp, OT_TARGET, noise, 10)
     b = sample_unique_limit(ot_lp, OT_TARGET, noise, 10)
     for sa, sb in zip(a, b):
@@ -309,7 +288,7 @@ def test_sample_unique_limit_draws_are_reproducible(ot_lp):
 
 
 def test_vertex_only_path_matches_enumeration(monkeypatch, ot_lp):
-    noise = NoiseSampler.multinomial_clt([0.5, 0.5], seed=9, pad_to=3)
+    noise = NoiseSampler(MultinomialLaw([0.5, 0.5], pad_to=3), 9)
     full = sample_unique_limit(ot_lp, OT_TARGET, noise, 25)
     with monkeypatch.context() as patch:  # above the cap: one simplex vertex per draw
         patch.setattr(problem, "ENUM_CAP", 0)
@@ -320,7 +299,7 @@ def test_vertex_only_path_matches_enumeration(monkeypatch, ot_lp):
 
 
 def test_limit_distance_mean_close_to_closed_form(ot_lp):
-    noise = NoiseSampler.multinomial_clt([0.5, 0.5], seed=4, pad_to=3)
+    noise = NoiseSampler(MultinomialLaw([0.5, 0.5], pad_to=3), 4)
     samples = sample_unique_limit(ot_lp, OT_TARGET, noise, 2000)
     mean = float(np.mean([distance_statistic(s) for s in samples]))
     assert abs(mean - MEAN_LIMIT_DISTANCE) < 0.03

@@ -15,6 +15,7 @@ from lpdist.problem import (
     load_lp,
     lp_to_dict,
     optimal_vertices,
+    ordered_dot,
     quiet_lu,
     support,
 )
@@ -278,3 +279,57 @@ def test_group_rows_keeps_the_order_of_first_appearance(keys):
     for (key, at), (want_key, want_at) in zip(got, want):
         assert key.dtype == want_key.dtype and key.tobytes() == want_key.tobytes()
         assert at.tolist() == want_at.tolist()
+
+
+def _left_to_right(a_row, b_row) -> float:
+    """``a_row[0] * b_row[0] + a_row[1] * b_row[1] + ...`` in Python floats."""
+    total = a_row[0] * b_row[0]
+    for x, y in zip(a_row[1:], b_row[1:]):
+        total = total + x * y
+    return total
+
+
+def _spread(rng, shape):
+    """Entries over sixteen decades of either sign, so the order of a sum shows."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+@pytest.mark.parametrize("shapes", [
+    ((7,), (5, 7)),  # one vector against a matrix, as a Gaussian law's sample
+    ((3, 1, 4), (2, 4)),  # rows against a basis block, as contains_rows
+    ((40, 1, 13), (13, 13)),  # 520 entries: a column at a time
+    ((300, 9), (300, 9)),  # row by row, as an ellipsoid's quadratic form
+    ((300, 9), (9,)),  # 300 entries: a column at a time
+    ((1, 1, 1, 3), (4, 3, 3)),  # one row against a stack of inverses
+    ((75, 1, 1, 13), (6, 13, 13)),  # 5850 entries
+    ((1, 41), (1, 41)),  # one long sum, where numpy's sum would go pairwise
+])
+def test_ordered_dot_adds_each_entry_left_to_right(shapes):
+    rng = np.random.Generator(np.random.Philox(key=41))
+    a, b = (_spread(rng, shape) for shape in shapes)
+    got = ordered_dot(a, b)
+    wide_a, wide_b = np.broadcast_arrays(a, b)
+    assert got.shape == wide_a.shape[:-1]
+    want = [_left_to_right(x, y) for x, y in zip(wide_a.reshape(-1, a.shape[-1]).tolist(),
+                                                 wide_b.reshape(-1, a.shape[-1]).tolist())]
+    assert np.asarray(got).ravel().tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 200])
+def test_ordered_dot_row_does_not_depend_on_its_block(rows):
+    """A block of ``rows`` rows against a (9, 9) matrix makes ``9 * rows``
+    entries, a column at a time past ``ORDERED_WHOLE = 16``; each row
+    equals that row alone, which takes the whole product."""
+    rng = np.random.Generator(np.random.Philox(key=43))
+    a, b = _spread(rng, (rows, 1, 9)), _spread(rng, (9, 9))
+    block = ordered_dot(a, b)
+    for row in range(rows):
+        assert block[row].tobytes() == ordered_dot(a[row:row + 1], b)[0].tobytes()
+
+
+def test_ordered_dot_gives_the_same_bits_either_way(monkeypatch):
+    rng = np.random.Generator(np.random.Philox(key=47))
+    a, b = _spread(rng, (50, 1, 7)), _spread(rng, (3, 7))
+    by_columns = ordered_dot(a, b)
+    monkeypatch.setattr(problem, "ORDERED_WHOLE", a.size * b.size)
+    assert np.ascontiguousarray(ordered_dot(a, b)).tobytes() == by_columns.tobytes()

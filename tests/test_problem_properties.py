@@ -7,11 +7,16 @@ column in ``problem.greedy_columns``.  Matrices with a near-dependent row
 perturbation, ``e`` in 8..12) sit at the edge of that rule: each is rejected
 at construction, or its family is non-empty and holds the selection basis
 of the zero point.
+
+Phase one's eviction of a zero artificial applies the same scale: a program
+whose second row has pivot ``2e-10`` is accepted, and it solves to its
+optimal vertex.
 """
 import numpy as np
 import pytest
 
-from lpdist import StandardLp, selection_basis
+from lpdist import StandardLp, optimal_vertices, selection_basis, solve
+from lpdist.errors import Infeasible
 from lpdist.problem import program_family
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -50,3 +55,24 @@ def test_an_accepted_program_has_the_selection_basis_in_its_family(A):
     assert len(family) > 0
     basis = selection_basis(lp, np.zeros(m))
     assert basis.indices in [tuple(cols) for cols in family.cols.tolist()]
+
+
+# the row's reduced cost in phase one, -2e-9, does not pass the absolute
+# entering tolerance 1e-9 * (1 + max|c|) of the artificial cost, so the
+# artificial keeps its mass 2e-9 > FEAS_TOL
+ENTERING_TOL_IS_ABSOLUTE = pytest.mark.xfail(raises=Infeasible, strict=True, reason=(
+    "phase one's entering tolerance does not scale with A (ROADMAP item 1)"))
+
+
+@pytest.mark.parametrize("scale", [1.0, pytest.param(10.0, marks=ENTERING_TOL_IS_ABSOLUTE), 100.0])
+def test_a_row_with_a_tiny_pivot_solves_to_its_optimal_vertex(scale):
+    """The artificial of the second row ends phase one in the basis at
+    ``scale = 1``, and column 1, whose coordinate there is 2e-10, must take
+    its place: 2e-10 is above the rank rule's ``1e-10 * max|A|``."""
+    pivot = 2e-10 * scale
+    lp = StandardLp([[1.0, 0.0, 0.0], [0.0, pivot, pivot]], [1.0, pivot], [0.0, 1.0, 2.0])
+    polytope, _ = optimal_vertices(lp)
+    result = solve(lp)
+    assert result.basis.indices == (0, 1)
+    assert len(polytope) == 1
+    assert np.abs(result.x_hat - polytope.vertices[0]).max() <= 1e-12
