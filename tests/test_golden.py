@@ -22,6 +22,12 @@ block of mixed-sign right-hand sides: the basis, the bytes of ``x_hat``,
 ``dual`` and ``slack`` and the objective's repr, or the error's type and
 message.  It pins the simplex bit for bit, phase one's sign handling and
 artificial evictions included.
+
+The region digest covers ``map_region`` on all 4 transport bases and every
+8th min-cost-flow basis, for each built-in's own region, a full-support and
+a partial-support ellipsoid, a box and a segment: the ``to_dict()`` JSON,
+every ``interval(pos)`` and the ``contains_rows`` mask of 16 seeded
+displaced centres per map.  It pins the region images bit for bit.
 """
 import hashlib
 import json
@@ -30,19 +36,30 @@ from dataclasses import replace
 
 import numpy as np
 
-from lpdist import solve_rows
+from lpdist import Basis, solve_rows
+from lpdist.confidence import (
+    BoxRegion,
+    EllipsoidRegion,
+    SegmentFamilyRegion,
+    contains_rows,
+    map_region,
+)
 from lpdist.errors import LpError
 from lpdist.experiments import build_min_cost_flow, build_ot_2x2, run_coverage
 from lpdist.limits import sample_unique_limit
+from lpdist.problem import iter_bases
 from test_iter_bases import PROGRAMS
 
 GOLDEN_COVERAGE_LOG = "63b27fa7cf78376951a33540796a8d775f9d282d553f6797d87c09789f35b4f5"
 GOLDEN_LIMIT_DRAWS = "fb4f8b69545d7f16fc95cf16c550944d214d81acace25ba3428130762ce74ed7"
 GOLDEN_SOLVES = "94f3de2768c9c37ac77735f80288af26b1f42e263af0665769f7d4af949a9a66"
+GOLDEN_REGIONS = "faa05f4237929fb4f773688447a916aadf84f30c2c5a71919e0aba4b602b1d29"
 RUNS = ((build_ot_2x2, 300), (build_min_cost_flow, 200))
 SEEDS = (0x5EED, 7)
 LIMIT_DRAWS = 3000
 SOLVE_ROWS = 150
+REGION_CENTRES = 16
+REGION_RATE = 3.0
 
 
 def coverage_log_digest() -> str:
@@ -110,3 +127,59 @@ def solves_digest() -> str:
 
 def test_solves_match_golden_digest():
     assert solves_digest() == GOLDEN_SOLVES
+
+
+def digest_regions(k: int, rng) -> list:
+    """A full-support and a partial-support ellipsoid, a box and a segment
+    for a ``k``-row program, their numbers drawn from ``rng``."""
+    root = rng.standard_normal((k, k))
+    sigma = root @ root.T / k + np.eye(k)
+    return [EllipsoidRegion((sigma + sigma.T) / 2.0, 0.9),
+            EllipsoidRegion([[2.0, 0.5], [0.5, 1.0]], 0.8, support_indices=(k - 1, 0)),
+            BoxRegion(-rng.uniform(0.2, 1.5, k), rng.uniform(0.2, 1.5, k)),
+            SegmentFamilyRegion(rng.standard_normal(k), 0.7)]
+
+
+def displaced_rhs(region, k: int, rng) -> np.ndarray:
+    """``REGION_CENTRES`` rhs displacements ``g``: Gaussian rows, rows along
+    the region's direction (a random one if it has none), and Gaussian rows
+    zero off the region's support (scaled down if it has none)."""
+    g = 0.5 * rng.standard_normal((REGION_CENTRES, k))
+    direction = getattr(region, "direction", rng.standard_normal(k))
+    g[8:12] = rng.uniform(-1.5, 1.5, (4, 1)) * direction
+    support = getattr(region, "support_indices", None)
+    if support is None:
+        g[12:] *= 0.2
+    else:
+        off = np.ones(k, dtype=bool)
+        off[list(support)] = False
+        g[12:, off] = 0.0
+    return g
+
+
+def regions_digest() -> str:
+    digest = hashlib.sha256()
+    for seed, (build, stride) in enumerate(((build_ot_2x2, 1), (build_min_cost_flow, 8))):
+        config = build()
+        lp = config.lp
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, 0]))
+        regions = [config.region, *digest_regions(lp.k, rng)]
+        for cols, _ in list(iter_bases(lp.A))[::stride]:
+            off = [j for j in range(lp.m) if j not in cols]
+            for region in regions:
+                mapped = map_region(lp, Basis(cols), region)
+                digest.update(json.dumps(mapped.to_dict()).encode())
+                for pos in range(lp.k):
+                    digest.update(struct.pack("<2d", *mapped.interval(pos)))
+                g = displaced_rhs(region, lp.k, rng)
+                y = np.zeros((REGION_CENTRES, lp.m))
+                y[:, list(cols)] = np.linalg.solve(lp.A[:, list(cols)], g.T).T
+                y[3::8, off[0]] = 1e-3  # leaves the pinned coordinates
+                x = rng.standard_normal(lp.m)
+                inside = contains_rows(mapped, REGION_RATE, x + y / REGION_RATE, x)
+                digest.update(np.asarray(inside, dtype=bool).tobytes())
+    return digest.hexdigest()
+
+
+def test_region_images_match_golden_digest():
+    assert regions_digest() == GOLDEN_REGIONS
