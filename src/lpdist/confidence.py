@@ -6,9 +6,10 @@ confidence set collects ``x_hat - image/rate``.  Coordinates off the basis
 are pinned, which is what produces singleton intervals in degenerate
 problems.
 
-Each region class declares its spec keys and maps itself through a basis
-block into an image with ``accepts``, ``interval`` and ``to_dict``; a new
-region kind is one such class plus its entry in ``REGIONS``.
+A region kind is one class plus its entry in ``REGIONS``: spec keys,
+``generator(k)``, ``accepts``, ``interval`` and ``mapped_fields``.  Its
+image through a basis is one ``MappedRegion``, ``A_I^{-1}`` times the
+generator.
 """
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import problem
-from .errors import SingularCovariance
-from .problem import Basis, StandardLp, build_kind, check_support, spec_to_dict
+from .problem import Basis, StandardLp, build_kind, check_support, factor_covariance, spec_to_dict
 from .quantiles import chi_square_quantile
 from .simplex import SolveResult
 
@@ -30,7 +30,7 @@ class EllipsoidRegion:
     ``support_indices`` restricts the noise to a coordinate subspace (the
     covariance is given on those coordinates only and extended by zeros),
     which is how network experiments put noise on supply rows but not on
-    capacity rows.
+    capacity rows.  The generator maps the unit ball onto the region.
     """
 
     kind = "ellipsoid"
@@ -38,9 +38,7 @@ class EllipsoidRegion:
     to_dict = spec_to_dict
 
     def __init__(self, sigma, level: float, support_indices=None, q: Optional[float] = None):
-        self.sigma = np.array(sigma, dtype=float)
-        if self.sigma.ndim != 2 or self.sigma.shape[0] != self.sigma.shape[1]:
-            raise ValueError("covariance must be a square matrix")
+        self.sigma, self.chol = factor_covariance(sigma)
         self.level = float(level)
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0,1)")
@@ -51,9 +49,34 @@ class EllipsoidRegion:
             if len(self.support_indices) != self.sigma.shape[0]:
                 raise ValueError("support size does not match the covariance")
         self.q = float(q) if q is not None else chi_square_quantile(self.level, self.sigma.shape[0])
+        self.support = slice(None) if support_indices is None else list(self.support_indices)
 
-    def map(self, a_basis: np.ndarray, lu_piv) -> "EllipsoidImage":
-        return EllipsoidImage(self, a_basis, lu_piv)
+    def generator(self, k: int) -> np.ndarray:
+        if self.support_indices is None and len(self.sigma) != k:
+            raise ValueError("full-support covariance must be k x k")
+        check_support(self.support_indices, k)
+        return np.eye(k)[:, self.support] @ self.chol
+
+    def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
+        u = _forward_substitution(self.chol, g[:, self.support])
+        inside = problem.ordered_dot(u, u) <= self.q + tol
+        if self.support_indices is not None:
+            rest = np.abs(g)
+            rest[:, self.support] = 0.0
+            inside &= rest.max(axis=1) <= tol
+        return inside
+
+    def interval(self, row: np.ndarray) -> tuple:
+        half = float(np.sqrt(self.q)) * float(np.linalg.norm(row))
+        return (-half, half)
+
+    def mapped_fields(self, mapped: MappedRegion) -> dict:
+        """With every row in the support, ``quadratic`` is A_I' Sigma^{-1} A_I."""
+        quadratic = {}
+        if len(self.sigma) == len(mapped.image):
+            a_support = mapped.a_basis[self.support]
+            quadratic["quadratic"] = (a_support.T @ np.linalg.inv(self.sigma) @ a_support).tolist()
+        return {"q": self.q, **quadratic, "generator": mapped.image.tolist()}
 
 
 class BoxRegion:
@@ -70,8 +93,21 @@ class BoxRegion:
             raise ValueError("box must contain the origin")
         self.coverage_target = None if coverage_target is None else float(coverage_target)
 
-    def map(self, a_basis: np.ndarray, lu_piv) -> "BoxImage":
-        return BoxImage(self, a_basis, lu_piv)
+    def generator(self, k: int) -> np.ndarray:
+        if self.lower.shape != (k,):
+            raise ValueError("box bounds must have one entry per constraint row")
+        return np.eye(k)
+
+    def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
+        return (g >= self.lower - tol).all(axis=1) & (g <= self.upper + tol).all(axis=1)
+
+    def interval(self, row: np.ndarray) -> tuple:
+        lower, upper = self.lower, self.upper
+        return (float(np.where(row > 0, row * lower, row * upper).sum()),
+                float(np.where(row > 0, row * upper, row * lower).sum()))
+
+    def mapped_fields(self, mapped: MappedRegion) -> dict:
+        return {"inverse_basis": mapped.image.tolist()}
 
 
 class SegmentFamilyRegion:
@@ -90,8 +126,23 @@ class SegmentFamilyRegion:
             raise ValueError("half_width must be nonnegative")
         self.coverage_target = None if coverage_target is None else float(coverage_target)
 
-    def map(self, a_basis: np.ndarray, lu_piv) -> "SegmentImage":
-        return SegmentImage(self, a_basis, lu_piv)
+    def generator(self, k: int) -> np.ndarray:
+        if self.direction.shape != (k,):
+            raise ValueError("direction must have one entry per constraint row")
+        return self.direction[:, None]
+
+    def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
+        direction = self.direction
+        t = problem.ordered_dot(g, direction) / float(direction @ direction)
+        on_line = np.abs(g - t[:, None] * direction).max(axis=1) <= tol
+        return on_line & (np.abs(t) <= self.half_width + tol)
+
+    def interval(self, row: np.ndarray) -> tuple:
+        half = self.half_width * abs(float(row[0]))
+        return (-half, half)
+
+    def mapped_fields(self, mapped: MappedRegion) -> dict:
+        return {"generator": mapped.image[:, 0].tolist(), "half_width": self.half_width}
 
 
 REGIONS = {name: cls for cls in (EllipsoidRegion, BoxRegion, SegmentFamilyRegion)
@@ -103,127 +154,54 @@ def region_from_dict(data: dict):
     return build_kind(REGIONS, data, "region")
 
 
-class EllipsoidImage:
-    """``t_matrix`` maps the unit ball onto the image; ``quadratic`` is the
-    basis-coordinate form A_I' Sigma^{-1} A_I, only for full-support
-    ellipsoids."""
+class MappedRegion:
+    """``region`` through ``basis``: ``image`` is A_I^{-1} times its
+    generator, ``a_basis`` is A_I and ``off`` masks the non-basic columns."""
 
-    def __init__(self, region: EllipsoidRegion, a_basis: np.ndarray, lu_piv):
-        self.region, self.a_basis = region, a_basis
-        k = len(a_basis)
-        sup = region.support_indices
-        r = region.sigma.shape[0]
-        if sup is None and r != k:
-            raise ValueError("full-support covariance must be k x k")
-        check_support(sup, k)
-        try:
-            self.chol = np.linalg.cholesky(region.sigma)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance("covariance is not positive definite") from exc
-        pad = np.zeros((k, r))
-        pad[list(sup) if sup is not None else range(k), range(r)] = 1.0
-        self.t_matrix = problem.solve_lu(lu_piv, pad @ self.chol)
-        self.quadratic = None
-        if r == k:
-            inv_sigma = np.linalg.inv(region.sigma)
-            self.quadratic = a_basis.T @ inv_sigma @ a_basis
-        self.q = region.q
-        # the noise's coordinates, and a mask of any others
-        self.support = slice(None) if sup is None else list(sup)
-        off = np.ones(k, dtype=bool)
-        off[self.support] = False
-        self.off_support = off if off.any() else None
-
-    def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
-        u = _forward_substitution(self.chol, g[:, self.support])
-        inside = problem.ordered_dot(u, u) <= self.q + tol
-        if self.off_support is not None:
-            inside &= np.abs(g[:, self.off_support]).max(axis=1) <= tol
-        return inside
+    def __init__(self, region, basis: Basis, a_basis: np.ndarray, off: np.ndarray,
+                 image: np.ndarray):
+        self.region, self.basis, self.a_basis, self.off, self.image = (
+            region, basis, a_basis, off, image)
+        self.accepts = region.accepts  # bound once, as contains_rows calls it
 
     def interval(self, pos: int) -> tuple:
-        half = float(np.sqrt(self.q)) * float(np.linalg.norm(self.t_matrix[pos]))
-        return (-half, half)
+        return self.region.interval(self.image[pos])
 
     def to_dict(self) -> dict:
-        quadratic = {} if self.quadratic is None else {"quadratic": self.quadratic.tolist()}
-        return {"q": self.q, **quadratic, "generator": self.t_matrix.tolist()}
+        return self.region.mapped_fields(self)
 
 
-class BoxImage:
-    def __init__(self, region: BoxRegion, a_basis: np.ndarray, lu_piv):
-        self.region, self.a_basis = region, a_basis
-        k = len(a_basis)
-        if region.lower.shape != (k,):
-            raise ValueError("box bounds must have one entry per constraint row")
-        self.inv_basis = problem.solve_lu(lu_piv, np.eye(k))
-
-    def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
-        region = self.region
-        return (g >= region.lower - tol).all(axis=1) & (g <= region.upper + tol).all(axis=1)
-
-    def interval(self, pos: int) -> tuple:
-        row = self.inv_basis[pos]
-        lower, upper = self.region.lower, self.region.upper
-        return (float(np.where(row > 0, row * lower, row * upper).sum()),
-                float(np.where(row > 0, row * upper, row * lower).sum()))
-
-    def to_dict(self) -> dict:
-        return {"inverse_basis": self.inv_basis.tolist()}
-
-
-class SegmentImage:
-    """``v_seg`` is the image of the segment's direction."""
-
-    def __init__(self, region: SegmentFamilyRegion, a_basis: np.ndarray, lu_piv):
-        self.region, self.a_basis = region, a_basis
-        if region.direction.shape != (len(a_basis),):
-            raise ValueError("direction must have one entry per constraint row")
-        self.v_seg = problem.solve_lu(lu_piv, region.direction)
-        self.half_width = region.half_width
-
-    def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
-        direction = self.region.direction
-        t = problem.ordered_dot(g, direction) / float(direction @ direction)
-        on_line = np.abs(g - t[:, None] * direction).max(axis=1) <= tol
-        return on_line & (np.abs(t) <= self.half_width + tol)
-
-    def interval(self, pos: int) -> tuple:
-        half = self.half_width * abs(float(self.v_seg[pos]))
-        return (-half, half)
-
-    def to_dict(self) -> dict:
-        return {"generator": self.v_seg.tolist(), "half_width": self.half_width}
-
-
-def map_region(lp: StandardLp, I: Basis, region):
+def map_region(lp: StandardLp, I: Basis, region) -> MappedRegion:
     """Represent {x(I;G): G in region} for membership and projection tests.
 
     This is the region's image under ``g -> A_I^{-1} g``: ``accepts(g,
     tol)`` tests each row of an ``(N, k)`` block of realized rhs values
-    and returns a mask, ``interval(pos)`` bounds basis
-    coordinate ``pos`` and ``to_dict()`` is what ``--mapped-out`` writes.
-    It also gets ``basis`` and ``off``, the mask of the non-basic columns.
+    and returns a mask, ``interval(pos)`` bounds basis coordinate ``pos``
+    and ``to_dict()`` is what ``--mapped-out`` writes.  The basis is
+    factored, through the program's cache, before the region's checks.
     """
     cols = list(I.indices)
-    image = region.map(lp.A[:, cols], problem.cached_factors(lp, I.indices))
-    image.basis, image.off = I, np.ones(lp.m, dtype=bool)
-    image.off[cols] = False
-    return image
+    factors = problem.cached_factors(lp, I.indices)
+    off = np.ones(lp.m, dtype=bool)
+    off[cols] = False
+    image = problem.solve_lu(factors, region.generator(len(cols)))
+    return MappedRegion(region, I, lp.A[:, cols], off, image)
 
 
 @dataclass
 class ConfidenceSet:
     center: np.ndarray
     rate: float
-    mapped: object  # the image ``map_region`` returns
+    mapped: MappedRegion
+
+    def __post_init__(self):
+        self.rate = float(self.rate)
+        if not 0.0 < self.rate < np.inf:
+            raise ValueError(f"rate must be positive and finite, not {self.rate}")
 
 
-def confidence_set(result: SolveResult, rate: float, mapped) -> ConfidenceSet:
-    if not rate > 0:
-        raise ValueError("rate must be positive")
-    return ConfidenceSet(center=np.array(result.x_hat, dtype=float), rate=float(rate),
-                         mapped=mapped)
+def confidence_set(result: SolveResult, rate: float, mapped: MappedRegion) -> ConfidenceSet:
+    return ConfidenceSet(center=np.array(result.x_hat, dtype=float), rate=rate, mapped=mapped)
 
 
 def contains(cs: ConfidenceSet, x: np.ndarray) -> bool:

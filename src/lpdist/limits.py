@@ -33,6 +33,7 @@ from .problem import (
     StandardLp,
     _check_finite,
     check_support,
+    factor_covariance,
     optimal_vertices,
     ordered_dot,
     spec_to_dict,
@@ -126,8 +127,7 @@ class GaussianLaw:
     to_dict = spec_to_dict
 
     def __init__(self, sigma, support_indices=None, dim=None):
-        self.sigma = np.array(sigma, dtype=float)
-        self._chol = np.linalg.cholesky(self.sigma)
+        self.sigma, self._chol = factor_covariance(sigma)
         r = self.sigma.shape[0]
         self.dim = int(dim) if dim is not None else r
         self.support_indices = None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import Infeasible, InstanceTooLarge, NonFiniteData, SingularBasis
+from .errors import Infeasible, InstanceTooLarge, NonFiniteData, SingularBasis, SingularCovariance
 
 _GETRF = get_lapack_funcs("getrf", (np.zeros((1, 1)),))
 _GETRS = get_lapack_funcs("getrs", (np.zeros((1, 1)),))
@@ -106,6 +106,11 @@ def pivot_tol(A) -> float:
 def reduced_cost_tol(c) -> float:
     """A reduced cost below minus this improves; one within it of zero ties."""
     return 1e-9 * (1.0 + np.abs(c).max(initial=0.0))
+
+
+def symmetry_tol(sigma) -> float:
+    """A covariance entry may differ from its transpose's by this."""
+    return 1e-10 * np.abs(sigma).max(initial=0.0)
 
 
 def residual_tol(*arrays) -> float:
@@ -242,6 +247,22 @@ def check_support(indices, dim: int):
     outside = [i for i in indices or () if not 0 <= i < dim]
     if outside:
         raise ValueError(f"support_indices {outside} are not rows of a {dim}-row program")
+
+
+def factor_covariance(sigma) -> tuple:
+    """``(sigma, chol)``: a covariance as a float array and its Cholesky factor.
+    ``ValueError`` unless it is finite, square and symmetric within
+    ``symmetry_tol``; ``SingularCovariance`` unless it is positive definite."""
+    sigma = np.array(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise ValueError("covariance must be a square matrix")
+    _check_finite("covariance", sigma)
+    if np.abs(sigma - sigma.T).max(initial=0.0) > symmetry_tol(sigma):
+        raise ValueError("covariance must be symmetric")
+    try:
+        return sigma, np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance("covariance is not positive definite") from exc
 
 
 def _invertible(lu: np.ndarray, tol: float) -> bool:

@@ -479,6 +479,14 @@ def test_support_index_past_the_rows_exits_2_without_traceback(ot_file, write_js
     assert "support_indices [5]" in proc.stderr
 
 
+def test_custom_config_with_a_non_positive_definite_region_exits_2(write_json, capsys):
+    region = {"kind": "ellipsoid", "sigma": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+              "level": 0.9}
+    path = write_json("custom.json", {**CUSTOM_CONFIG, "region": region})
+    assert main(["coverage", "--experiment", "custom", "--config", path]) == 2
+    assert "positive definite" in capsys.readouterr().err
+
+
 def test_custom_config_support_index_past_the_rows_exits_2(write_json, capsys):
     sampler = {"kind": "gaussian", "sigma": [[1.0]], "support_indices": [3]}
     path = write_json("custom.json", {**CUSTOM_CONFIG, "b_sampler": sampler})

@@ -17,6 +17,7 @@ from lpdist.confidence import (
 )
 from lpdist.errors import SingularBasis, SingularCovariance
 from lpdist.geometry import min_norm_point
+from lpdist.limits import GaussianLaw
 from lpdist.problem import basic_solution, optimal_vertices
 from lpdist.quantiles import chi_square_quantile, two_sided_normal_quantile
 
@@ -118,7 +119,7 @@ def test_reported_run_membership(ot_lp):
     assert contains(cs, cs.center)
     assert contains(cs, np.array([0.5, 0.0, 0.0, 0.5]))  # the true plan
     # endpoint of the segment family, still inside (closed set)
-    t = cs.mapped.half_width / cs.rate
+    t = cs.mapped.region.half_width / cs.rate
     assert contains(cs, cs.center + t * np.array([0.0, -1.0, 0.0, 1.0]))
     assert not contains(cs, cs.center + 1.01 * t * np.array([0.0, -1.0, 0.0, 1.0]))
     # any movement of the pinned coordinate leaves the set
@@ -145,10 +146,10 @@ def test_segment_generator_matches_linear_solve(ot_lp):
     region = SegmentFamilyRegion([1.0, -1.0, 0.0], 0.5)
     mapped = map_region(ot_lp, Basis((0, 1, 3)), region)
     oracle = np.linalg.solve(ot_lp.A[:, [0, 1, 3]], np.array([1.0, -1.0, 0.0]))
-    assert np.allclose(mapped.v_seg, oracle, atol=1e-12)
+    assert np.allclose(mapped.image[:, 0], oracle, atol=1e-12)
     assert np.allclose(oracle, [0.0, 1.0, -1.0], atol=1e-12)
     other = map_region(ot_lp, Basis((0, 2, 3)), region)
-    assert np.allclose(other.v_seg, [1.0, -1.0, 0.0], atol=1e-12)
+    assert np.allclose(other.image[:, 0], [1.0, -1.0, 0.0], atol=1e-12)
 
 
 def test_zero_width_segment_collapses(ot_lp):
@@ -206,7 +207,7 @@ def test_ellipsoid_support_subspace(ot_lp):
     region = EllipsoidRegion(np.eye(2), 0.95, support_indices=(0, 1))
     result = solve(ot_lp.with_rhs([0.55, 0.45, 0.5]))
     mapped = map_region(ot_lp, result.basis, region)
-    assert mapped.quadratic is None  # rank-deficient: no full quadratic form
+    assert "quadratic" not in mapped.to_dict()  # rank-deficient: no full quadratic form
     cs = confidence_set(result, 1.0, mapped)
     assert contains(cs, cs.center)
     # displacement consistent with g = (0.1, -0.2, 0) stays inside
@@ -221,10 +222,42 @@ def test_ellipsoid_support_subspace(ot_lp):
     assert not contains(cs, cs.center - y_bad)
 
 
-def test_singular_covariance_rejected(ot_lp):
-    region = EllipsoidRegion(np.zeros((3, 3)) + 1e-30, 0.95)
+def test_singular_covariance_rejected():
     with pytest.raises(SingularCovariance):
-        map_region(ot_lp, Basis((0, 1, 3)), region)
+        EllipsoidRegion(np.zeros((3, 3)) + 1e-30, 0.95)
+
+
+@pytest.mark.parametrize("build", [lambda sigma: EllipsoidRegion(sigma, 0.9), GaussianLaw],
+                         ids=["region", "noise"])
+def test_covariance_checks_are_shared_by_regions_and_noise_laws(build):
+    with pytest.raises(SingularCovariance, match="positive definite"):
+        build([[1.0, 2.0], [2.0, 1.0]])
+    # numpy's Cholesky reads only the lower triangle, so this would factor as I
+    with pytest.raises(ValueError, match="symmetric"):
+        build([[1.0, 5.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="square"):
+        build([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="NaN"):
+        build([[1.0, np.nan], [np.nan, 1.0]])
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_covariance_symmetry_bound_is_relative(scale):
+    near = np.array([[2.0, 0.5], [0.5 + 1e-13, 1.0]])
+    EllipsoidRegion(scale * near, 0.9)
+    far = np.array([[2.0, 0.5], [0.5 + 1e-6, 1.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        EllipsoidRegion(scale * far, 0.9)
+
+
+def test_quadratic_form_follows_a_permuted_support(ot_lp):
+    sigma = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])
+    support = (2, 0, 1)
+    mapped = map_region(ot_lp, Basis((0, 1, 3)), EllipsoidRegion(sigma, 0.9, support))
+    quadratic = np.array(mapped.to_dict()["quadratic"])
+    y = np.array([0.3, -1.2, 0.7])
+    g = ot_lp.A[:, [0, 1, 3]] @ y
+    assert np.isclose(y @ quadratic @ y, g[list(support)] @ np.linalg.solve(sigma, g[list(support)]))
 
 
 def test_full_support_shape_mismatch(ot_lp):
@@ -278,6 +311,14 @@ def test_confidence_set_requires_positive_rate(ot_lp):
     mapped = map_region(ot_lp, result.basis, region)
     with pytest.raises(ValueError):
         confidence_set(result, 0.0, mapped)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+def test_confidence_set_checks_its_own_rate(ot_lp, rate):
+    # at rate 0 every point would be inside: rate * (center - x) is 0
+    mapped = map_region(ot_lp, Basis((0, 1, 3)), SegmentFamilyRegion([1.0, -1.0, 0.0], 0.5))
+    with pytest.raises(ValueError, match="rate"):
+        ConfidenceSet(np.array([0.5, 0.0, 0.0, 0.5]), rate, mapped)
 
 
 # ------------------------------------------------------------------ projection
