@@ -48,6 +48,7 @@ class EllipsoidRegion:
             self.support_indices = tuple(int(i) for i in support_indices)
             if len(self.support_indices) != self.sigma.shape[0]:
                 raise ValueError("support size does not match the covariance")
+            check_support(self.support_indices)
         self.q = float(q) if q is not None else chi_square_quantile(self.level, self.sigma.shape[0])
         self.support = slice(None) if support_indices is None else list(self.support_indices)
 

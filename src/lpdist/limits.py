@@ -135,8 +135,7 @@ class GaussianLaw:
             self.support_indices = tuple(int(i) for i in support_indices)
             if len(self.support_indices) != r:
                 raise ValueError("support size must match the covariance")
-            if dim is not None:
-                check_support(self.support_indices, self.dim)
+            check_support(self.support_indices, None if dim is None else self.dim)
         elif self.dim != r:
             raise ValueError("dim without support_indices must match the covariance")
         self._place = list(self.support_indices or range(r))

@@ -210,16 +210,17 @@ class StandardLp:
         self.k = k
         self.m = m
         self.basis_cache = BasisCache()
-        # the family's basic points at this b, made by the first
-        # ``basic_points`` call; never shared, since they depend on b
-        self.points_at_b: np.ndarray | None = None
+        # what depends on this program's own b: "points" (``basic_points``),
+        # "optimal" (``optimal_vertices``) and "stability" (``stability_report``'s
+        # b-half), each kept by its first call; never shared, since b is not
+        self.at_b: dict = {}
 
     def with_rhs(self, b) -> "StandardLp":
         """Same constraint matrix and objective, different right-hand side.
 
         The new program shares this one's ``A``, ``c``, rank check and basis
-        cache, so the rank is not computed again; its ``points_at_b`` starts
-        empty.
+        cache, so the rank is not computed again; its ``at_b`` memo starts
+        empty, since everything in it depends on ``b``.
         """
         b = np.asarray(b, dtype=float).ravel()
         if b.shape != (self.k,):
@@ -228,7 +229,7 @@ class StandardLp:
         lp = object.__new__(type(self))
         lp.__dict__.update(self.__dict__)
         lp.b = _frozen(b)
-        lp.points_at_b = None
+        lp.at_b = {}
         return lp
 
     def __repr__(self):
@@ -241,10 +242,15 @@ def _check_finite(name: str, arr: np.ndarray):
         raise NonFiniteData(f"{name} holds NaN or infinity")
 
 
-def check_support(indices, dim: int):
-    """Raise ``ValueError`` unless every entry of ``indices`` (a region's or
-    noise law's ``support_indices``, or ``None``) is a row of ``dim`` rows."""
-    outside = [i for i in indices or () if not 0 <= i < dim]
+def check_support(indices, dim: int | None = None):
+    """Raise ``ValueError`` unless the entries of ``indices`` (a region's or
+    noise law's ``support_indices``, or ``None``) are distinct and, when
+    ``dim`` is given, rows of a ``dim``-row program."""
+    indices = list(indices or ())
+    repeated = sorted({i for i in indices if indices.count(i) > 1})
+    if repeated:
+        raise ValueError(f"support_indices {repeated} repeat")
+    outside = [i for i in indices if dim is not None and not 0 <= i < dim]
     if outside:
         raise ValueError(f"support_indices {outside} are not rows of a {dim}-row program")
 
@@ -588,10 +594,16 @@ def group_rows(keys: np.ndarray, rows: np.ndarray) -> list:
 def basic_points(lp: StandardLp) -> np.ndarray:
     """The ``(N, k)`` block whose row ``i`` is ``A_B^{-1} b`` for basis ``i``
     of ``program_family(lp)``, at ``lp.b``.  The program's first call
-    solves it and keeps a read-only copy in ``lp.points_at_b``."""
-    if lp.points_at_b is None:  # a copy, so no writable array sits under the memo
-        lp.points_at_b = read_only(program_family(lp).solve(lp.b[None, :])[:, 0].copy())[0]
-    return lp.points_at_b
+    solves it and keeps it in ``lp.at_b``."""
+    points = lp.at_b.get("points")
+    if points is None:
+        points = lp.at_b["points"] = _solved_at_b(lp)
+    return points
+
+
+def _solved_at_b(lp: StandardLp) -> np.ndarray:
+    """``basic_points`` unkept, as a read-only copy of the family's solve."""
+    return read_only(program_family(lp).solve(lp.b[None, :])[:, 0].copy())[0]
 
 
 def enumerate_feasible_bases(lp: StandardLp) -> list[Basis]:
@@ -604,11 +616,19 @@ def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
     """The best feasible vertices and every basis attaining their value:
     ``BasisFamily.optimal_sets`` of the program's family at ``lp.b``.  It
     does not detect unboundedness, where ``simplex.solve`` raises
-    ``Unbounded``.  Raises ``Infeasible`` when no feasible basis exists."""
-    family = program_family(lp)
-    points, _, tied, ties = family._optimal_block(lp.c, basic_points(lp)[:, None, :])
-    polytope = ties[0] if ties else Polytope.rows(points)[0]
-    return polytope, [Basis(cols) for cols in family.cols[tied[:, 0]].tolist()]
+    ``Unbounded``.  Raises ``Infeasible`` when no feasible basis exists.
+    The program's first call that returns keeps the Polytope (its vertices
+    read-only), the bases and the basic points in ``lp.at_b``; one that
+    raises keeps nothing.  Each call returns a new list of bases."""
+    family = program_family(lp)  # the cap is checked on every call
+    optimal = lp.at_b.get("optimal")
+    if optimal is None:
+        points = lp.at_b["points"] if "points" in lp.at_b else _solved_at_b(lp)
+        vertices, _, tied, ties = family._optimal_block(lp.c, points[:, None, :])
+        polytope = ties[0] if ties else Polytope.rows(vertices)[0]
+        optimal = (polytope, tuple(Basis(cols) for cols in family.cols[tied[:, 0]].tolist()))
+        lp.at_b.update(points=points, optimal=optimal)
+    return optimal[0], list(optimal[1])
 
 
 def lp_to_dict(lp: StandardLp) -> dict:

@@ -32,11 +32,12 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray) -> StabilityRepor
     """Compute the perturbation radii and Lipschitz constants by enumeration.
 
     ``slater_point`` must be finite, strictly positive and satisfy the
-    equality constraints; it anchors the feasibility-preservation radius.
+    equality constraints, checked on every call; it anchors ``delta_b1``.
     The b-free half (each basis's ``||A_B^{-1}||_2``, ``c1`` and ``c2``) is
-    computed by a program's first call and kept in its basis cache, which
-    ``with_rhs`` shares.  The basic points come from ``basic_points``,
-    which solves them once per program.
+    kept in the basis cache, which ``with_rhs`` shares; the b-half
+    (``delta_b0``, ``tau`` and the inverse norm of the basis that anchors
+    ``delta_b1``) in ``lp.at_b``, which it does not.  A program's first
+    call makes each.
     """
     x0 = np.asarray(slater_point, dtype=float)
     if not np.isfinite(x0).all():
@@ -53,15 +54,19 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray) -> StabilityRepor
     if known is None:
         known = lp.basis_cache.stability = _b_free_half(lp, family)
     norms, c1, c2 = known
-    X = basic_points(lp)
-    negative = X < -problem.FEAS_TOL
-    delta_b0 = float((np.where(negative, -X, np.inf).min(axis=1) / norms).min())
-    feasible = X.min(axis=1) >= -problem.FEAS_TOL
-    # the first feasible basis in lexicographic order anchors delta_b1
-    delta_b1 = float(x0.min()) / float(norms[feasible.argmax()]) if feasible.any() else math.inf
-    positive = X > problem.FEAS_TOL
-    smallest = np.where(positive, X, np.inf)[feasible & positive.any(axis=1)].min(axis=1)
-    tau = float(smallest.max(initial=0.0))
+    b_half = lp.at_b.get("stability")
+    if b_half is None:
+        X = basic_points(lp)
+        negative = X < -problem.FEAS_TOL
+        delta_b0 = float((np.where(negative, -X, np.inf).min(axis=1) / norms).min())
+        feasible = X.min(axis=1) >= -problem.FEAS_TOL
+        # the first feasible basis in lexicographic order anchors delta_b1
+        anchor = float(norms[feasible.argmax()]) if feasible.any() else None
+        positive = X > problem.FEAS_TOL
+        smallest = np.where(positive, X, np.inf)[feasible & positive.any(axis=1)].min(axis=1)
+        b_half = lp.at_b["stability"] = (delta_b0, anchor, float(smallest.max(initial=0.0)))
+    delta_b0, anchor, tau = b_half
+    delta_b1 = math.inf if anchor is None else float(x0.min()) / anchor
     delta_star = min(delta_b0, delta_b1, tau / c1 if c1 > 0 else math.inf)
     return StabilityReport(delta_b0, delta_b1, tau, c1, c2, delta_star)
 

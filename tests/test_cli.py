@@ -494,6 +494,18 @@ def test_custom_config_support_index_past_the_rows_exits_2(write_json, capsys):
     assert "support_indices [3]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part, spec", [
+    ("b_sampler", {"kind": "gaussian", "sigma": [[1.0, 0.0], [0.0, 1.0]],
+                   "support_indices": [2, 2]}),
+    ("region", {"kind": "ellipsoid", "sigma": [[1.0, 0.0], [0.0, 1.0]], "level": 0.9,
+                "support_indices": [2, 2]}),
+])
+def test_custom_config_repeated_support_index_exits_2(write_json, capsys, part, spec):
+    path = write_json("custom.json", {**CUSTOM_CONFIG, part: spec})
+    assert main(["coverage", "--experiment", "custom", "--config", path]) == 2
+    assert "support_indices [2] repeat" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args, message", [
     (["--n", "200", "--draws", "0"], "draws must be positive, not 0"),
     (["--n", "200", "--draws", "-3"], "draws must be positive, not -3"),

@@ -52,6 +52,19 @@ def test_ellipsoid_region_defaults():
         EllipsoidRegion(np.eye(2), 0.95, support_indices=(0,))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: EllipsoidRegion(np.eye(2), 0.95, support_indices=(0, 0)),
+    lambda: GaussianLaw(np.eye(2), support_indices=(0, 0)),
+    lambda: GaussianLaw(np.eye(2), support_indices=(0, 0), dim=3),
+])
+def test_a_repeated_support_index_is_rejected(build):
+    # the region would add both noise coordinates into row 0 yet read row 0
+    # twice, so its interval held points it does not contain; the law kept
+    # only the last draw in row 0
+    with pytest.raises(ValueError, match=r"support_indices \[0\] repeat"):
+        build()
+
+
 def test_box_region_must_contain_origin():
     BoxRegion([-1.0, -0.5], [1.0, 2.0])
     with pytest.raises(ValueError):

@@ -1,19 +1,25 @@
-"""The per-program memo of basic points, byte for byte.
+"""The per-program memo ``lp.at_b``, byte for byte.
 
-``basic_points`` solves every basis of a program's family at the
-program's own ``b`` once and keeps the block in ``lp.points_at_b``.
+``basic_points``, ``optimal_vertices`` and ``stability_report`` keep what
+depends on the program's own ``b`` in ``lp.at_b``: the basic points of
+every basis of its family, the optimal set, and the report's b-half.
 Unlike the basis cache, the memo depends on ``b``, so a ``with_rhs``
 sibling must start without it.  Every check compares a memoised result
 with the same call on a fresh program.
 """
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from lpdist import StandardLp, stability_report
-from lpdist.errors import LpError
+from lpdist.errors import Infeasible, LpError, NotSlater
 from lpdist.problem import (
+    Basis,
     BasisFamily,
     basic_points,
+    basic_solution,
     enumerate_feasible_bases,
     optimal_vertices,
     program_family,
@@ -69,7 +75,7 @@ def test_sibling_never_sees_its_parents_points(lp, slater, sibling_first, order)
     early = parent.with_rhs(b2)
     optimal_vertices(parent)
     sibling = early if sibling_first else parent.with_rhs(b2)
-    assert sibling.points_at_b is None and parent.points_at_b is not None
+    assert sibling.at_b == {} and "points" in parent.at_b
     assert {name: ENTRY_POINTS[name](sibling, x2) for name in order} == want
     assert basic_points(sibling).tobytes() == basic_points(fresh).tobytes()
     assert basic_points(parent).tobytes() == basic_points(_fresh(lp, lp.b)).tobytes()
@@ -112,6 +118,85 @@ def test_memoised_points_are_a_read_only_copy(ot_lp):
         points[0, 0] = 1.0
     assert basic_points(ot_lp) is points
     assert points.tobytes() == family.solve(ot_lp.b[None, :])[:, 0].tobytes()
+
+
+def _report_bytes(report):
+    return np.array(dataclasses.astuple(report)).tobytes()
+
+
+def _other_slater(lp, slater):
+    """A second Slater point of ``lp``: halfway from ``slater`` to its first
+    feasible basic point, so its smallest entry, and ``delta_b1``, differ."""
+    return 0.5 * (slater + basic_solution(lp, enumerate_feasible_bases(lp)[0]).x)
+
+
+@pytest.mark.parametrize("lp, slater", PROGRAMS)
+def test_memoised_optimal_set_is_a_fresh_programs(lp, slater):
+    program = _fresh(lp, lp.b)
+    first = _optimal(program)
+    assert "optimal" in program.at_b
+    assert _optimal(program) == first == _optimal(_fresh(lp, lp.b))
+
+
+@pytest.mark.parametrize("lp, slater", PROGRAMS)
+def test_memoised_report_is_a_fresh_programs_at_each_slater_point(lp, slater):
+    program = _fresh(lp, lp.b)
+    points = (slater, _other_slater(lp, slater), slater)
+    reports = [stability_report(program, x0) for x0 in points]
+    assert "stability" in program.at_b
+    assert reports[0].delta_b1 != reports[1].delta_b1  # never read from the memo
+    for x0, report in zip(points, reports):
+        assert _report_bytes(report) == _report_bytes(stability_report(_fresh(lp, lp.b), x0))
+
+
+@pytest.mark.parametrize("lp, slater", PROGRAMS)
+def test_a_sibling_starts_with_an_empty_memo(lp, slater):
+    program = _fresh(lp, lp.b)
+    stability_report(program, slater)
+    optimal_vertices(program)
+    assert set(program.at_b) == {"points", "optimal", "stability"}
+    sibling = program.with_rhs(lp.b)  # even at the same b
+    assert sibling.at_b == {} and sibling.with_rhs(lp.b).at_b == {}
+    optimal_vertices(sibling)
+    assert sibling.at_b is not program.at_b and "stability" not in sibling.at_b
+
+
+@pytest.mark.parametrize("lp, slater", PROGRAMS)
+def test_a_returned_basis_list_is_the_callers(lp, slater):
+    program = _fresh(lp, lp.b)
+    _, bases = optimal_vertices(program)
+    want = list(bases)
+    bases.clear()
+    bases.append(Basis(range(lp.k)))
+    _, again = optimal_vertices(program)
+    assert again == want and again is not bases
+
+
+@pytest.mark.parametrize("lp, slater", PROGRAMS)
+def test_memoised_optimal_vertices_are_read_only(lp, slater):
+    program = _fresh(lp, lp.b)
+    optimal_vertices(program)
+    polytope, _ = optimal_vertices(program)
+    assert not polytope.vertices.flags.writeable
+    with pytest.raises(ValueError):
+        polytope.vertices[0, 0] = 1.0
+    assert polytope.vertices.tobytes() == optimal_vertices(_fresh(lp, lp.b))[0].vertices.tobytes()
+
+
+@pytest.mark.parametrize("lp, slater", PROGRAMS)
+def test_an_infeasible_program_raises_on_every_call_and_keeps_nothing(lp, slater):
+    # one more column and row, whose coordinate must equal -1
+    program = StandardLp(block_diag(lp.A, 1.0), np.append(lp.b, -1.0), np.append(lp.c, 0.0))
+    for _ in range(2):
+        with pytest.raises(Infeasible):
+            optimal_vertices(program)
+        with pytest.raises(NotSlater):
+            stability_report(program, np.append(slater, 1.0))
+        assert program.at_b == {}
+    assert enumerate_feasible_bases(program) == []
+    with pytest.raises(Infeasible):
+        optimal_vertices(program)
+    assert set(program.at_b) == {"points"}
 
 
 @st.composite
