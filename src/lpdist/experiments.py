@@ -60,16 +60,32 @@ DEFAULT_SEED = 0x5EED
 
 @dataclass
 class ExperimentConfig:
+    """A study of ``lp`` at its own ``b``, ``truth_b``; ``targets``, its
+    optimal set, is set at construction.  A multinomial ``b_sampler`` must
+    be centred at ``b``, or ``ValueError``."""
+
     lp: StandardLp
-    truth_b: np.ndarray
     b_sampler: object
     region: object
-    targets: Polytope
     rate_exponent: float = 0.5
     n_values: Sequence[int] = (1, 10, 100, 10000)
     replicates: int = 1000
     seed: int = DEFAULT_SEED
     name: str = "custom"
+    targets: Polytope = field(init=False)
+
+    def __post_init__(self):
+        law, b = self.b_sampler, self.lp.b
+        if isinstance(law, MultinomialLaw):
+            centre = np.concatenate([law.probabilities, law.tail])
+            if centre.shape != b.shape or np.abs(centre - b).max() > problem.residual_tol(b):
+                raise ValueError(f"the multinomial b_sampler is centred at {centre.tolist()}, "
+                                 f"not at the program's b {b.tolist()}")
+        self.targets, _ = optimal_vertices(self.lp)
+
+    @property
+    def truth_b(self) -> np.ndarray:
+        return self.lp.b
 
 
 @dataclass(frozen=True)
@@ -136,18 +152,14 @@ def build_ot_2x2() -> ExperimentConfig:
         [0.0, 0.0, 1.0, 1.0],
         [1.0, 0.0, 1.0, 0.0],
     ]
-    truth_b = np.array([0.5, 0.5, 0.5])
-    c = np.array([0.0, 1.0, 1.0, 0.0])
-    lp = StandardLp(A, truth_b, c)
-    targets, _ = optimal_vertices(lp)
+    lp = StandardLp(A, np.array([0.5, 0.5, 0.5]), np.array([0.0, 1.0, 1.0, 0.0]))
     from .quantiles import two_sided_normal_quantile
 
     half_width = two_sided_normal_quantile(0.05) / 2.0
     region = SegmentFamilyRegion((1.0, -1.0, 0.0), half_width, coverage_target=0.95)
     sampler = MultinomialLaw((0.5, 0.5), tail=(0.5,))
-    return ExperimentConfig(lp=lp, truth_b=truth_b, b_sampler=sampler, region=region,
-                            targets=targets, n_values=(1, 10, 100, 10000),
-                            name="ot2x2")
+    return ExperimentConfig(lp=lp, b_sampler=sampler, region=region,
+                            n_values=(1, 10, 100, 10000), name="ot2x2")
 
 
 MCF_ARCS = ((1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5), (5, 3))
@@ -192,17 +204,18 @@ def build_min_cost_flow() -> ExperimentConfig:
         flow = np.array(flow, dtype=float)
         return np.concatenate([flow, np.array(MCF_CAPACITIES) - flow])
 
-    targets, _ = optimal_vertices(lp)
+    sigma = np.diag([4.0, 1.0, 1.0, 3.0])
+    region = EllipsoidRegion(sigma, level=0.95, support_indices=(0, 1, 2, 3))
+    sampler = GaussianLaw(sigma, support_indices=(0, 1, 2, 3))
+    config = ExperimentConfig(lp=lp, b_sampler=sampler, region=region, n_values=(50, 500),
+                              name="mcf")
+    targets = config.targets
     expected = [with_slacks(MCF_SOLUTION_1), with_slacks(MCF_SOLUTION_2)]
     for point in expected:
         gaps = np.abs(targets.vertices - point).max(axis=1) if len(targets) else [np.inf]
         if min(gaps) > problem.residual_tol():
             raise InstanceMismatch("a known optimal flow is not optimal for the encoding")
-    sigma = np.diag([4.0, 1.0, 1.0, 3.0])
-    region = EllipsoidRegion(sigma, level=0.95, support_indices=(0, 1, 2, 3))
-    sampler = GaussianLaw(sigma, support_indices=(0, 1, 2, 3))
-    return ExperimentConfig(lp=lp, truth_b=b, b_sampler=sampler, region=region,
-                            targets=targets, n_values=(50, 500), name="mcf")
+    return config
 
 
 def optimal_face_vertices(lp: StandardLp, result) -> list:
@@ -424,7 +437,7 @@ def kolmogorov_smirnov(sample_a, sample_b) -> float:
 
 
 def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
-                         statistic: str = "distance", seed: Optional[int] = None) -> dict:
+                         statistic: str = "distance") -> dict:
     """KS distance between the finite-sample statistic and its limit law.
 
     ``statistic`` is the scaled distance from the solved point to the target
@@ -438,11 +451,10 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
             raise ValueError(f"{name} must be positive, not {value}")
     if len(config.targets) != 1:
         raise InstanceMismatch("limit comparison needs a unique target optimum")
-    seed = config.seed if seed is None else int(seed)
     rate = float(n) ** config.rate_exponent
     # draw i comes from its own Philox stream at counter [1, 0, 0, i]
     rhs = [config.b_sampler.sample(config.truth_b, n, rate, rng)
-           for rng in philox_streams(_philox_key(seed), (1, 0, 0), range(draws))]
+           for rng in philox_streams(_philox_key(config.seed), (1, 0, 0), range(draws))]
     block = _rhs_block(config.lp, rhs)
     if statistic == "distance":
         results = solve_rows(config.lp, block)
@@ -454,7 +466,7 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
         sets = program_family(config.lp).optimal_sets(config.lp.c, block)
         finite = rate * np.array([hausdorff(shifted, config.targets) for shifted, _ in sets])
     x_star = config.targets.vertices[0]
-    noise = config.b_sampler.limit_noise(seed, config.lp.k)
+    noise = config.b_sampler.limit_noise(config.seed, config.lp.k)
     samples = sample_unique_limit(config.lp, x_star, noise, draws)
     if statistic == "distance":
         limit = np.array([distance_statistic(s) for s in samples])
@@ -496,17 +508,16 @@ def _custom_config(lp, b_sampler, region, truth_b=None, rate_exponent=0.5, n_val
     if not isinstance(name, str):
         raise TypeError(f"name must be a string, not {type(name).__name__}")
     lp = load_lp(lp)
-    truth_b = np.array(lp.b if truth_b is None else truth_b, dtype=float)
-    lp = lp.with_rhs(truth_b)
+    if truth_b is not None:
+        lp = lp.with_rhs(truth_b)
     sampler = build_kind(LAWS, b_sampler, "b_sampler")
     if not hasattr(sampler, "sample"):
         raise ValueError(f"{sampler.kind} b_sampler spec: the law has no finite-sample form")
     region = region_from_dict(region)
     for part in (sampler, region):
         check_support(getattr(part, "support_indices", None), lp.k)
-    targets, _ = optimal_vertices(lp)
     return ExperimentConfig(
-        lp=lp, truth_b=truth_b, b_sampler=sampler, region=region, targets=targets,
-        rate_exponent=float(rate_exponent), n_values=tuple(int(v) for v in n_values),
-        replicates=int(replicates), seed=int(seed), name=name,
+        lp=lp, b_sampler=sampler, region=region, rate_exponent=float(rate_exponent),
+        n_values=tuple(int(v) for v in n_values), replicates=int(replicates),
+        seed=int(seed), name=name,
     )

@@ -14,7 +14,7 @@ import math
 import threading
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,7 +230,7 @@ class NoiseSampler:
     order, so a stream's first rows do not depend on how many follow: a draw
     depends only on its index, not on order, block size or parallelism.
     Threads may share a sampler: each draws on a generator of its own.  The
-    law's attributes (``kind``, ``sigma``, ...) read as the sampler's own.
+    law's attributes (``kind``, ``sigma``, ...) are read on ``law``.
     """
 
     def __init__(self, law, seed):
@@ -239,11 +239,6 @@ class NoiseSampler:
         self.law = law
         self.seed = int(seed)
         self._key = _philox_key(self.seed)
-
-    def __getattr__(self, name):
-        if name == "law":  # not set yet
-            raise AttributeError(name)
-        return getattr(self.law, name)
 
     def draw_block(self, start: int, count: int) -> np.ndarray:
         """Draws ``start, ..., start + count - 1`` as the rows of an array;
@@ -328,7 +323,6 @@ class AuxVertexEnumerator:
     def __init__(self, a: np.ndarray, c: np.ndarray, free_indices):
         self.family = BasisFamily(a, fixed=free_indices)
         self.c = np.asarray(c, dtype=float)
-        self.free = self.family.fixed
 
     def optimal_set(self, rhs: np.ndarray) -> tuple:
         """(Polytope of optimal vertices, optimal value) for this rhs."""
@@ -412,27 +406,25 @@ def limit_support_function(lp: StandardLp, g: np.ndarray, grid: SphereGrid) -> t
     return pairs, excluded
 
 
-def hadamard_quotient_check(lp: StandardLp, xi: np.ndarray, t_list: Sequence[float],
+def hadamard_quotient_check(lp: StandardLp, xi: np.ndarray, t: float,
                             grid: SphereGrid) -> float:
-    """Max gap between difference quotients and the directional limit values.
+    """Max gap between the difference quotient at step ``t`` and the
+    directional limit values.
 
-    For each step ``t`` the optimal-set support function of the LP with rhs
-    ``b + t*xi`` is compared against the first-order prediction; the
-    reported number is the gap at the smallest step, which should vanish
-    once ``t`` is inside the stability radius.
+    The optimal-set support function of the LP with rhs ``b + t*xi`` is
+    compared against the first-order prediction over ``grid``; the gap
+    should vanish once ``t`` is inside the stability radius.  Raises
+    ``ValueError`` unless ``t`` is positive and finite.
     """
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"the step must be positive and finite, not {t}")
     xi = np.asarray(xi, dtype=float)
-    if not len(t_list):
-        raise ValueError("need at least one step size")
     base_set, _ = optimal_vertices(lp)
     pairs, _ = limit_support_function(lp, xi, grid)
-    errors = {}
-    for t in t_list:
-        shifted, _ = optimal_vertices(lp.with_rhs(lp.b + t * xi))
-        worst = 0.0
-        for direction, limit_value in pairs:
-            quotient = (support_function(shifted, direction)
-                        - support_function(base_set, direction)) / t
-            worst = max(worst, abs(quotient - limit_value))
-        errors[t] = worst
-    return errors[min(t_list)]
+    shifted, _ = optimal_vertices(lp.with_rhs(lp.b + t * xi))
+    worst = 0.0
+    for direction, limit_value in pairs:
+        quotient = (support_function(shifted, direction)
+                    - support_function(base_set, direction)) / t
+        worst = max(worst, abs(quotient - limit_value))
+    return worst

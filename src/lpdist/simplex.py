@@ -217,7 +217,15 @@ def solve_block(lp: StandardLp, rhs: np.ndarray) -> tuple:
             continue
         x = np.zeros((len(at), m))
         x[:, cols] = solve_factored((lu_piv,), rhs, at)[0]
-        groups[cols] = (at, x)
+        # phase one accepts an artificial mass up to FEAS_TOL, which can be a
+        # whole row's scale; the vertex it leads to need not be feasible
+        low = x.min(axis=1) < -problem.FEAS_TOL
+        for row, point in zip(at[low].tolist(), x[low]):
+            j = int(point.argmin())
+            errors[row] = NoConvergence(f"the final basis gives x[{j}] = {float(point[j])!r}, "
+                                        "below -FEAS_TOL")
+        if not low.all():
+            groups[cols] = (at[~low], x[~low])
     return groups, errors
 
 
@@ -247,7 +255,8 @@ def solve(lp: StandardLp) -> SolveResult:
 
     Raises ``Infeasible`` when phase one cannot clear the artificial
     variables, ``Unbounded`` when phase two detects a descent ray, and
-    ``NoConvergence`` when the pivot budget runs out.  This is
+    ``NoConvergence`` when the pivot budget runs out or the final basis
+    gives a coordinate below ``-FEAS_TOL``.  This is
     ``solve_rows`` on the block of ``lp.b`` alone.  Programs sharing a
     basis cache (see ``StandardLp.with_rhs``) re-use each other's factors;
     the result is bit for bit the one a fresh program gives.

@@ -140,22 +140,20 @@ def test_directional_derivative_matches_auxiliary_program():
     xi = rng.standard_normal(3)
     xi /= np.linalg.norm(xi)
     radius = 0.11126046697815722  # certified stability radius of the transport instance
-    err = hadamard_quotient_check(ot, xi, [radius * f for f in (0.9, 0.45, 0.2)],
-                                  SphereGrid(4, 128))
+    err = hadamard_quotient_check(ot, xi, radius * 0.2, SphereGrid(4, 128))
     assert err <= 1e-6, err
     mcf = build_min_cost_flow().lp
     xi2 = rng.standard_normal(13)
     xi2 /= np.linalg.norm(xi2)
     radius2 = 0.09451978287028653  # certified stability radius of the flow instance
-    err2 = hadamard_quotient_check(mcf, xi2, [radius2 * f for f in (0.9, 0.45, 0.2)],
-                                   SphereGrid(18, 128))
+    err2 = hadamard_quotient_check(mcf, xi2, radius2 * 0.2, SphereGrid(18, 128))
     assert err2 <= 1e-6, err2
 
 
 def test_scaled_distance_converges_to_its_limit_law():
     """Finite-sample scaled distance matches the sampled limit law (KS and mean)."""
     config = build_ot_2x2()
-    outcome = run_limit_comparison(config, 10000, 2000, statistic="distance", seed=7)
+    outcome = run_limit_comparison(replace(config, seed=7), 10000, 2000, statistic="distance")
     assert outcome["ks_distance"] <= 0.05, outcome
     noise = config.b_sampler.limit_noise(7, config.lp.k)
     samples = sample_unique_limit(config.lp, config.targets.vertices[0], noise, 100_000)

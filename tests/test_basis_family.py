@@ -178,9 +178,7 @@ def reference_hausdorff_comparison(config, n, draws):
 
 
 def _gaussian_config(lp, seed):
-    targets, _ = optimal_vertices(lp)
-    return ExperimentConfig(lp=lp, truth_b=lp.b, b_sampler=GaussianLaw(np.eye(lp.k)),
-                            region=None, targets=targets, seed=seed)
+    return ExperimentConfig(lp=lp, b_sampler=GaussianLaw(np.eye(lp.k)), region=None, seed=seed)
 
 
 @pytest.mark.parametrize("cells", [problem.SOLVE_CELLS, 40, 7])

@@ -54,6 +54,16 @@ def test_exit_codes(write_json, capsys):
     capsys.readouterr()
 
 
+def test_solve_of_a_vertex_below_zero_exits_2(write_json, capsys):
+    # phase one keeps an artificial mass of 2e-10 <= FEAS_TOL, the row's whole
+    # scale, and the only basis then gives x[0] = -1
+    path = write_json("tiny.json", {"A": [[2e-10]], "b": [-2e-10], "c": [0.0]})
+    assert main(["solve", "--lp", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x[0] = -1.0" in captured.err
+
+
 def test_stability_unconstrained_sentinel(write_json, capsys):
     ident = write_json("id.json", {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 2.0],
                                    "c": [1.0, 1.0]})
@@ -492,6 +502,15 @@ def test_custom_config_support_index_past_the_rows_exits_2(write_json, capsys):
     path = write_json("custom.json", {**CUSTOM_CONFIG, "b_sampler": sampler})
     assert main(["coverage", "--experiment", "custom", "--config", path]) == 2
     assert "support_indices [3]" in capsys.readouterr().err
+
+
+def test_custom_config_multinomial_off_the_truth_exits_2(write_json, capsys):
+    # the law draws frequencies around (0.2, 0.8), the program's b is 0.5 in both
+    sampler = {"kind": "multinomial_marginal", "probabilities": [0.2, 0.8], "tail": [0.5]}
+    path = write_json("custom.json", {**CUSTOM_CONFIG, "b_sampler": sampler})
+    assert main(["coverage", "--experiment", "custom", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "centred at [0.2, 0.8, 0.5]" in err and "[0.5, 0.5, 0.5]" in err
 
 
 @pytest.mark.parametrize("part, spec", [

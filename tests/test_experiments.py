@@ -1,8 +1,10 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from lpdist import Basis, StandardLp, solve
+from lpdist import Basis, StandardLp, optimal_vertices, solve
 from lpdist.confidence import EllipsoidRegion, confidence_set, map_region
 from lpdist.errors import InstanceMismatch, SingularBasis
 from lpdist.experiments import (
@@ -45,6 +47,26 @@ def test_transport_config_contents():
     assert cfg.region.kind == "segment"
     assert np.array_equal(cfg.region.direction, [1.0, -1.0, 0.0])
     assert abs(cfg.region.half_width - 0.979981992270027) < 1e-9
+
+
+def test_truth_and_targets_are_read_from_the_program():
+    cfg = build_min_cost_flow()
+    assert [f.name for f in fields(cfg) if f.init] == [
+        "lp", "b_sampler", "region", "rate_exponent", "n_values", "replicates", "seed", "name"]
+    assert cfg.truth_b is cfg.lp.b
+    with pytest.raises(AttributeError):
+        cfg.truth_b = cfg.lp.b
+    b = cfg.lp.b.copy()
+    b[0] += 1.0  # one more unit leaves node 1
+    moved = replace(cfg, lp=cfg.lp.with_rhs(b))
+    assert moved.truth_b.tobytes() == b.tobytes()
+    fresh, _ = optimal_vertices(StandardLp(cfg.lp.A, b, cfg.lp.c))
+    assert moved.targets.vertices.tobytes() == fresh.vertices.tobytes()
+    assert not np.array_equal(moved.targets.vertices, cfg.targets.vertices)
+    # the transport law draws frequencies around (0.5, 0.5), whatever the program's b
+    ot = build_ot_2x2()
+    with pytest.raises(ValueError, match=r"centred at \[0.5, 0.5, 0.5\]"):
+        replace(ot, lp=ot.lp.with_rhs([0.6, 0.4, 0.5]))
 
 
 def test_network_config_gate_and_targets():
@@ -138,8 +160,6 @@ def test_coverage_records_do_not_depend_on_the_block(build):
 
 
 def test_coverage_seed_sensitivity():
-    from dataclasses import replace
-
     cfg = build_ot_2x2()
     a = run_coverage(cfg, n_values=(1,), replicates=80, keep_log=True)
     b = run_coverage(replace(cfg, seed=1234), n_values=(1,), replicates=80, keep_log=True)
@@ -222,7 +242,7 @@ def test_ks_statistic_matches_reference():
 
 def test_limit_comparison_transport():
     cfg = build_ot_2x2()
-    out = run_limit_comparison(cfg, 400, 150, seed=3)
+    out = run_limit_comparison(replace(cfg, seed=3), 400, 150)
     assert out["n"] == 400 and out["draws"] == 150
     assert 0.0 <= out["ks_distance"] <= 0.25
     assert abs(out["finite_mean"] - out["limit_mean"]) < 0.12
@@ -232,7 +252,7 @@ def test_limit_comparison_transport():
 
 def test_limit_comparison_hausdorff_variant():
     cfg = build_ot_2x2()
-    out = run_limit_comparison(cfg, 400, 60, statistic="hausdorff", seed=3)
+    out = run_limit_comparison(replace(cfg, seed=3), 400, 60, statistic="hausdorff")
     # for a unique optimum the set distance dominates the point distance
     assert out["ks_distance"] <= 0.5
     assert out["limit_mean"] > 0.0
@@ -261,8 +281,6 @@ def test_config_from_dict_round_trip():
     cfg = config_from_dict(data)
     assert cfg.name == "custom-transport"
     mine = run_coverage(cfg)
-    from dataclasses import replace
-
     reference = run_coverage(replace(base, seed=7), n_values=(10,), replicates=30)
     assert mine.rows[0].covered == reference.rows[0].covered
 

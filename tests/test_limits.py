@@ -248,7 +248,7 @@ def test_law_to_dict_rebuilds_an_equal_law(spec):
     again = build_kind(LAWS, json.loads(json.dumps(law.to_dict())), "sampler")
     _same_object(law, again)
     first, second = law.limit_noise(5, 3), again.limit_noise(5, 3)
-    assert first.kind == second.kind and first.seed == 5
+    assert first.law.kind == second.law.kind and first.seed == 5
     assert first.draw_block(0, 4).tobytes() == second.draw_block(0, 4).tobytes()
 
 
@@ -343,7 +343,7 @@ def test_limit_support_function_solves_once_per_support_key(monkeypatch, lp, g):
     solve_one = AuxVertexEnumerator.optimal_set
 
     def counting(self, rhs):
-        calls.append(self.free)
+        calls.append(self.family.fixed)
         return solve_one(self, rhs)
 
     monkeypatch.setattr(AuxVertexEnumerator, "optimal_set", counting)
@@ -354,7 +354,8 @@ def test_limit_support_function_solves_once_per_support_key(monkeypatch, lp, g):
 
 def test_hadamard_quotient_is_exact_inside_radius(ot_lp):
     xi = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    err = hadamard_quotient_check(ot_lp, xi, [0.05, 0.02, 0.01], SphereGrid(4, 64))
+    err = hadamard_quotient_check(ot_lp, xi, 0.01, SphereGrid(4, 64))
     assert err < 1e-9
-    with pytest.raises(ValueError):
-        hadamard_quotient_check(ot_lp, xi, [], SphereGrid(4, 8))
+    for t in (0.0, -0.01, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            hadamard_quotient_check(ot_lp, xi, t, SphereGrid(4, 8))

@@ -10,14 +10,16 @@ of the zero point.
 
 Phase one's eviction of a zero artificial applies the same scale: a program
 whose second row has pivot ``2e-10`` is accepted, and it solves to its
-optimal vertex.
+optimal vertex.  On these programs ``solve`` raises or returns a point that
+passes ``verify_kkt``.
 """
 import numpy as np
 import pytest
 
 from lpdist import StandardLp, optimal_vertices, selection_basis, solve
-from lpdist.errors import Infeasible
+from lpdist.errors import Infeasible, LpError
 from lpdist.problem import program_family
+from lpdist.simplex import verify_kkt
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -76,3 +78,22 @@ def test_a_row_with_a_tiny_pivot_solves_to_its_optimal_vertex(scale):
     assert result.basis.indices == (0, 1)
     assert len(polytope) == 1
     assert np.abs(result.x_hat - polytope.vertices[0]).max() <= 1e-12
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(near_dependent(), st.sampled_from([1.0, -1.0]))
+# infeasible, yet phase one keeps the artificial mass 2e-10 <= FEAS_TOL, and
+# the one basis gives x = -1
+@hypothesis.example(np.array([[2e-10]]), -1.0)
+def test_a_returned_solve_passes_its_kkt_check(A, sign):
+    m = A.shape[1]
+    try:
+        lp = StandardLp(A, sign * (A @ np.ones(m)), np.zeros(m))
+    except ValueError as exc:
+        assert "full row rank" in str(exc)
+        return
+    try:
+        result = solve(lp)
+    except LpError:
+        return
+    assert verify_kkt(lp, result), result.x_hat
