@@ -61,8 +61,9 @@ DEFAULT_SEED = 0x5EED
 @dataclass
 class ExperimentConfig:
     """A study of ``lp`` at its own ``b``, ``truth_b``; ``targets``, its
-    optimal set, is set at construction.  A multinomial ``b_sampler`` must
-    be centred at ``b``, or ``ValueError``."""
+    optimal set, is set at construction, which raises ``Unbounded`` when
+    ``lp`` has no dual feasible basis.  A multinomial ``b_sampler`` must be
+    centred at ``b``, or ``ValueError``."""
 
     lp: StandardLp
     b_sampler: object

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import Infeasible, InstanceTooLarge, NonFiniteData, SingularBasis, SingularCovariance
+from .errors import (
+    Infeasible,
+    InstanceTooLarge,
+    NonFiniteData,
+    SingularBasis,
+    SingularCovariance,
+    Unbounded,
+)
 
 _GETRF = get_lapack_funcs("getrf", (np.zeros((1, 1)),))
 _GETRS = get_lapack_funcs("getrs", (np.zeros((1, 1)),))
@@ -147,7 +154,7 @@ class BasisCache:
     that only changes the right-hand side factors each visited basis once.
     Values are computed exactly as without the cache and stored read-only;
     failures are not stored.  Past ``CACHE_SIZE`` entries the oldest goes.
-    The two enumeration memos are not entries and are never dropped.
+    The three enumeration memos are not entries and are never dropped.
     """
 
     def __init__(self):
@@ -156,9 +163,11 @@ class BasisCache:
         self.lookups = 0
         self.misses = 0
         # memos of the all-column enumeration, kept apart from the bounded
-        # entries: the program's ``BasisFamily`` (see ``program_family``) and
-        # ``stability_report``'s b-free half
+        # entries: the program's ``BasisFamily`` (see ``program_family``), its
+        # dual vectors (see ``program_duals``) and ``stability_report``'s
+        # b-free half
         self.family = None
+        self.duals = None
         self.stability = None
 
     def __len__(self):
@@ -445,6 +454,9 @@ def _check_cap(total: int):
 
 # bases times rows ``BasisFamily.optimal_sets`` solves in one block at most
 SOLVE_CELLS = 2**15
+# inverse entries (bases times k^2) of a program family above which
+# ``optimal_vertices`` takes its dual window; below, solving every basis costs less
+WINDOW_CELLS = 2**14
 # bases whose inverses one identity solve makes while a family is built
 INVERSE_BLOCK = 64
 # numpy advises huge pages for arrays this large, so a stack's room is mapped
@@ -491,6 +503,15 @@ class BasisFamily:
 
     def __len__(self):
         return len(self.cols)
+
+    def take(self, at) -> "BasisFamily":
+        """The bases ``at`` of this family, in that order, as a family of
+        their own: ``solve`` and ``_optimal_block`` give each the bits this
+        family gives it."""
+        part = object.__new__(type(self))
+        part.__dict__.update(self.__dict__)
+        part.cols, part.inverses, part._signed = self.cols[at], self.inverses[at], self._signed[at]
+        return part
 
     def solve(self, rows: np.ndarray) -> np.ndarray:
         """Entry ``[i, r]`` is ``A_i^{-1} rows[r]``: the ``ordered_dot`` of
@@ -612,22 +633,142 @@ def enumerate_feasible_bases(lp: StandardLp) -> list[Basis]:
     return [Basis(cols) for cols in program_family(lp).cols[feasible].tolist()]
 
 
+def program_duals(lp: StandardLp) -> tuple:
+    """``(duals, feasible, edges)`` of ``program_family(lp)``, made by the
+    program's first call and kept in ``lp.basis_cache``, which ``with_rhs``
+    shares.  Row ``i`` of the read-only ``(N, k)`` array ``duals`` is
+    ``y = c_B' A_B^{-1}`` of basis ``i``; the read-only mask ``feasible``
+    marks the dual feasible bases, whose reduced costs ``c - A' y`` are all
+    at least ``-reduced_cost_tol(c)``.  ``edges`` holds ``_window``'s
+    b-free constants when the family's inverses hold more than
+    ``WINDOW_CELLS`` entries and some basis is dual feasible, and is None
+    otherwise."""
+    family = program_family(lp)
+    memo = lp.basis_cache
+    if memo.duals is None:
+        duals = (lp.c[family.cols][:, None, :] @ family.inverses)[:, 0]
+        slack = duals @ lp.A - lp.c
+        feasible = slack.max(axis=1) <= reduced_cost_tol(lp.c)
+        edges = None
+        if family.inverses.size > WINDOW_CELLS and feasible.any():
+            edges = _window_edges(lp, family, duals[feasible], slack[feasible])
+        # column-major, so that each ``duals[:, j]`` of ``ordered_dot`` is contiguous
+        memo.duals = (*read_only(np.asfortranarray(duals), feasible), edges)
+    return memo.duals
+
+
+def _window_edges(lp: StandardLp, family: BasisFamily, duals, slack) -> tuple:
+    """``(lower, per_b, rounding)`` for ``_window``, from the dual feasible
+    rows ``duals`` and their computed ``slack = y A - c``."""
+    k, m = lp.A.shape
+    eps = np.finfo(float).eps
+    # the most rounding can have moved a computed reduced cost
+    err = 2 * (k + 1) * eps * (np.abs(duals) @ np.abs(lp.A) + np.abs(lp.c)).max()
+    # the row sums of each |H|, H a stored inverse, a contiguous column slab at a time
+    rows = np.zeros((len(family), k))
+    for j in range(k):
+        rows += np.abs(family.inverses[:, :, j])
+    # the largest row sum of |A_B H - I|, as column sums of H' A_B' - I, a few
+    # bases at a time so that memory stays small; then the product's
+    # rounding, at most 2 (k + 1) eps times a row sum of |A| times one of |H|
+    residual = 0.0
+    for at in range(0, len(family), INVERSE_BLOCK):
+        part = slice(at, at + INVERSE_BLOCK)
+        product = family.inverses[part].transpose(0, 2, 1) @ lp.A.T[family.cols[part]]
+        product -= np.eye(k)
+        residual = max(residual, np.abs(product).sum(axis=1).max())
+    residual += 2 * (k + 1) * eps * np.abs(lp.A).sum(axis=1).max() * rows.max()
+    rounding = 1e-11 * k * (1.0 + np.abs(lp.c).max())
+    lower = (FEAS_TOL + 1e-12) * (np.maximum(-slack, 0.0).sum(axis=1).max() + m * err)
+    per_b = ((reduced_cost_tol(lp.c) + err) * rows.sum(axis=1).max()
+             + np.abs(duals).sum(axis=1).max() * residual)
+    return float(lower + rounding), float(per_b), float(rounding)
+
+
+def _window(lp: StandardLp, family: BasisFamily, duals, feasible, edges):
+    """``(part, x)``: the bases of ``family`` whose dual value at ``lp.b``
+    lies in a window around the best dual value, as ``family.take`` of them,
+    and their basic points ``part.solve(lp.b)``; or None, where every basis
+    must be solved: when ``|b| = max|b_j|`` exceeds the family's room, or no
+    dual feasible basis in the window is feasible.
+
+    Every basis's value ``v = ordered_dot(duals, b)`` is its objective
+    ``c_B' A_B^{-1} b``; let ``best = max v`` over the dual feasible bases,
+    attained by basis ``a`` with reduced costs ``r = c - A' y_a``.  The
+    window is ``[best - L, best + U]``, and no basis outside it is the
+    winner or tied in ``BasisFamily._optimal_block``:
+
+    - Rounding.  Below the room every solved coordinate is within 1e-12 of
+      ``H b``, ``H`` the stored inverse, so each of the four roundings
+      between ``v``, ``y_B . b``, ``c_B . H b`` and the block's objective is
+      at most ``1e-12 k max|c|``; ``R = 1e-11 k (1 + max|c|)`` covers them
+      and the window's own comparisons.
+    - Lower edge.  For ``xi = H b`` and any ``y``, ``c_B . xi = y . b +
+      y . (A_B H - I) b + r_B . xi`` exactly.  A basis whose solved
+      coordinates are all at least ``-FEAS_TOL`` has ``xi >= -FEAS_TOL -
+      1e-12``, so with ``y = y_a``: ``r_B . xi >= -(FEAS_TOL + 1e-12) sum r+
+      - (rc_tol + e) |xi|_1`` (``e`` bounds the rounding of ``r``, ``rc_tol =
+      reduced_cost_tol(c)``), ``|xi|_1 <= |b| max sum|H|``, and ``|y_a .
+      (A_B H - I) b| <= |y_a|_1 |b| max |A_B H - I|_inf``.  ``L`` is the sum
+      of these bounds, what depends on ``a`` maximised over the dual
+      feasible bases and what depends on ``B`` over all bases, plus ``R``:
+      a basis below the window is infeasible.
+    - Upper edge.  When a dual feasible basis ``f`` in the window is
+      feasible, the best objective is at most ``v_f + R <= best + R``, and
+      by the lower edge at least ``best - L - R``.  A basis above ``best +
+      U``, ``U = 1e-8 (1 + |best| + L + R) + R``, then lies beyond the tie
+      cutoff ``1e-8 (1 + |objective|)`` of the best objective.
+
+    The window keeps the family's order, so the winner (the first smallest
+    objective) and the tied bases are the family's, bit for bit."""
+    size = np.abs(lp.b).max()
+    if size > family._room:
+        return None
+    lower, per_b, rounding = edges
+    values = ordered_dot(duals, lp.b)
+    best = values[feasible].max()
+    lower += per_b * size
+    upper = 1e-8 * (1.0 + abs(best) + lower + rounding) + rounding
+    at = np.flatnonzero((values >= best - lower) & (values <= best + upper))
+    part = family.take(at)
+    x = part.solve(lp.b[None, :])
+    if not (feasible[at] & (x[:, 0].min(axis=1) >= -FEAS_TOL)).any():
+        return None
+    return part, x
+
+
 def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
     """The best feasible vertices and every basis attaining their value:
-    ``BasisFamily.optimal_sets`` of the program's family at ``lp.b``.  It
-    does not detect unboundedness, where ``simplex.solve`` raises
-    ``Unbounded``.  Raises ``Infeasible`` when no feasible basis exists.
-    The program's first call that returns keeps the Polytope (its vertices
-    read-only), the bases and the basic points in ``lp.at_b``; one that
-    raises keeps nothing.  Each call returns a new list of bases."""
+    ``BasisFamily.optimal_sets`` of the program's family at ``lp.b``.
+    Raises ``Infeasible`` when no feasible basis exists, and ``Unbounded``
+    when one does but no basis is dual feasible (see ``program_duals``).
+    A family of more than ``WINDOW_CELLS`` inverse entries solves only the
+    bases ``_window`` keeps, unless the basic points are kept already; the
+    result is the same.  The program's first call that returns keeps the
+    Polytope (its vertices read-only) and the bases in ``lp.at_b``, and the
+    basic points when it solved every basis; one that raises keeps nothing.
+    Each call returns a new list of bases."""
     family = program_family(lp)  # the cap is checked on every call
     optimal = lp.at_b.get("optimal")
     if optimal is None:
-        points = lp.at_b["points"] if "points" in lp.at_b else _solved_at_b(lp)
-        vertices, _, tied, ties = family._optimal_block(lp.c, points[:, None, :])
+        duals, dual_feasible, edges = program_duals(lp)
+        points = lp.at_b.get("points")
+        window = None
+        if points is None and edges is not None:
+            window = _window(lp, family, duals, dual_feasible, edges)
+        if window is None:
+            points = _solved_at_b(lp) if points is None else points
+            part, x = family, points[:, None, :]
+        else:
+            part, x = window
+        vertices, _, tied, ties = part._optimal_block(lp.c, x)
+        if not dual_feasible.any():
+            raise Unbounded("no basis is dual feasible: the objective is unbounded below")
         polytope = ties[0] if ties else Polytope.rows(vertices)[0]
-        optimal = (polytope, tuple(Basis(cols) for cols in family.cols[tied[:, 0]].tolist()))
-        lp.at_b.update(points=points, optimal=optimal)
+        optimal = (polytope, tuple(Basis(cols) for cols in part.cols[tied[:, 0]].tolist()))
+        if window is None:
+            lp.at_b["points"] = points
+        lp.at_b["optimal"] = optimal
     return optimal[0], list(optimal[1])
 
 

@@ -73,15 +73,14 @@ def stability_report(lp: StandardLp, slater_point: np.ndarray) -> StabilityRepor
 
 def _b_free_half(lp: StandardLp, family) -> tuple:
     """``(inverse norms, c1, c2)``: ``||A_B^{-1}||_2`` of every basis of the
-    family, their largest, and the largest dual vertex norm, all read from
-    the family's stack of inverses."""
+    family and their largest, read from the family's stack of inverses, and
+    the largest dual vertex norm, read from ``program_duals``."""
     # the same gesdd call per inverse as np.linalg.norm(inverse, 2)
     inv_norms = problem.read_only(np.linalg.svd(family.inverses, compute_uv=False)[:, 0].copy())[0]
-    # c2 is the largest norm among vertices of {lam : A'lam <= c}: a basis
-    # whose dual solution lam' = c_B' A_B^{-1} satisfies every inequality
-    duals = (lp.c[family.cols][:, None, :] @ family.inverses)[:, 0]
-    vertices = duals[(duals @ lp.A - lp.c).max(axis=1) <= problem.reduced_cost_tol(lp.c)]
-    c2 = max((float(np.linalg.norm(lam)) for lam in vertices), default=math.inf)
+    # c2 is the largest norm among vertices of {lam : A'lam <= c}: the dual
+    # solutions lam' = c_B' A_B^{-1} of the dual feasible bases
+    duals, feasible, _ = problem.program_duals(lp)
+    c2 = max((float(np.linalg.norm(lam)) for lam in duals[feasible]), default=math.inf)
     return inv_norms, float(inv_norms.max(initial=0.0)), c2
 
 

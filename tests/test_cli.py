@@ -513,6 +513,22 @@ def test_custom_config_multinomial_off_the_truth_exits_2(write_json, capsys):
     assert "centred at [0.2, 0.8, 0.5]" in err and "[0.5, 0.5, 0.5]" in err
 
 
+# min -x1 + x2 s.t. x0 - x1 + x2 = 1: x1 grows without bound along (1, 1, 0)
+UNBOUNDED_CONFIG = {
+    "lp": {"A": [[1, -1, 1]], "b": [1], "c": [0, -1, 1]},
+    "b_sampler": {"kind": "gaussian", "sigma": [[1.0]]},
+    "region": {"kind": "segment", "direction": [1.0], "half_width": 1.0},
+    "n_values": [100], "replicates": 50,
+}
+
+
+def test_custom_config_on_an_unbounded_program_exits_1(write_json, tmp_path, capsys):
+    path = write_json("unbounded.json", UNBOUNDED_CONFIG)
+    out = tmp_path / "coverage.csv"
+    assert main(["coverage", "--experiment", "custom", "--config", path, "--out", str(out)]) == 1
+    assert "unbounded" in capsys.readouterr().err and not out.exists()
+
+
 @pytest.mark.parametrize("part, spec", [
     ("b_sampler", {"kind": "gaussian", "sigma": [[1.0, 0.0], [0.0, 1.0]],
                    "support_indices": [2, 2]}),

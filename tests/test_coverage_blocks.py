@@ -23,7 +23,7 @@ from lpdist import (
     solve,
 )
 from lpdist import problem
-from lpdist.errors import LpError
+from lpdist.errors import LpError, Unbounded
 from lpdist.experiments import (
     ExperimentConfig,
     ReplicateRecord,
@@ -108,8 +108,13 @@ def test_unbounded_infeasible_and_nonfinite_rows_share_a_block():
     # every feasible rhs, and b1 < 0 is infeasible.  Unboundedness does not
     # depend on b, so one program cannot mix it with solved rows.
     lp = StandardLp([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 1.0], [-1.0, 0.0, 0.0])
-    config = ExperimentConfig(lp=lp, b_sampler=MixedLaw(),
-                              region=BoxRegion([-1.0, -1.0], [1.0, 1.0]), n_values=(100,), seed=5)
+    settings = dict(b_sampler=MixedLaw(), region=BoxRegion([-1.0, -1.0], [1.0, 1.0]),
+                    n_values=(100,), seed=5)
+    with pytest.raises(Unbounded):  # the program has no optimal set to target
+        ExperimentConfig(lp=lp, **settings)
+    # so the config is built on the bounded cost +x0, and then runs lp's rows
+    config = ExperimentConfig(lp=StandardLp(lp.A, lp.b, -lp.c), **settings)
+    config.lp = lp
     log = assert_records_match_reference(config, 50)
     messages = [rec.error for rec in log]
     assert None not in messages

@@ -15,7 +15,7 @@ import pytest
 
 from lpdist import StandardLp, stability_report
 from lpdist import problem
-from lpdist.errors import InstanceTooLarge
+from lpdist.errors import InstanceTooLarge, LpError
 from lpdist.problem import (
     FEAS_TOL,
     enumerate_feasible_bases,
@@ -41,17 +41,30 @@ def _shifted(lp, slater):
     return lp.A @ x1, lp.A @ x2, x1
 
 
+def _outcome(call):
+    """``call()``, or the type and message of the ``LpError`` it raises."""
+    try:
+        return call()
+    except LpError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _optimal(lp):
+    polytope, optimal = optimal_vertices(lp)
+    return polytope.vertices.tobytes(), [basis.indices for basis in optimal]
+
+
 def _outputs(program, slater, b1, b2):
-    """Every enumerating entry point, each on the program ``program()`` returns."""
-    polytope, optimal = optimal_vertices(program())
-    return (
-        [basis.indices for basis in enumerate_feasible_bases(program())],
-        polytope.vertices.tobytes(),
-        [basis.indices for basis in optimal],
-        repr(stability_report(program(), slater)),
-        check_basis_inclusion(program(), b1),
-        repr(check_hausdorff_lipschitz(program(), b1, b2)),
-    )
+    """Every enumerating entry point, each on the program ``program()``
+    returns, or the ``LpError`` it raises (``Unbounded`` on a program with no
+    dual feasible basis)."""
+    return tuple(_outcome(call) for call in (
+        lambda: _optimal(program()),
+        lambda: [basis.indices for basis in enumerate_feasible_bases(program())],
+        lambda: repr(stability_report(program(), slater)),
+        lambda: check_basis_inclusion(program(), b1),
+        lambda: repr(check_hausdorff_lipschitz(program(), b1, b2)),
+    ))
 
 
 @pytest.mark.parametrize("lp, slater", PROGRAMS)

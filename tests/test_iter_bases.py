@@ -5,6 +5,7 @@ enumerator: combinations of the free columns, an LU factorization of each
 block, and the pivot test.  ``iter_bases`` must reproduce it exactly,
 order and factors included, because the order breaks ties downstream.
 """
+import functools
 import itertools
 import math
 
@@ -14,7 +15,7 @@ from scipy.linalg import lu_solve
 
 from lpdist import StandardLp, stability_report
 from lpdist import problem
-from lpdist.errors import Infeasible, InstanceTooLarge
+from lpdist.errors import Infeasible, InstanceTooLarge, Unbounded
 from lpdist.experiments import build_min_cost_flow, build_ot_2x2
 from lpdist.geometry import SphereGrid
 from lpdist.limits import AuxVertexEnumerator, limit_support_function
@@ -28,6 +29,7 @@ from lpdist.problem import (
     optimal_vertices,
     quiet_lu,
 )
+from lpdist.simplex import solve
 from lpdist.stability import check_basis_inclusion
 
 
@@ -164,6 +166,10 @@ def test_optimal_vertices_equals_feasible_bases_and_basic_solutions(lp):
     bases = enumerate_feasible_bases(lp)
     assert bases == [basis for basis in map(Basis, (cols for cols, _ in iter_bases(lp.A)))
                      if basic_solution(lp, basis).feasible]
+    if dual_infeasible(lp):
+        with pytest.raises(Unbounded):
+            optimal_vertices(lp)
+        return
     points = [basic_solution(lp, basis).x for basis in bases]
     objectives = [float(lp.c @ x) for x in points]
     best = min(objectives)
@@ -185,6 +191,27 @@ def reference_c2(lp):
         if (lp.A.T @ lam - lp.c).max() <= slack_tol:
             norms.append(float(np.linalg.norm(lam)))
     return max(norms, default=math.inf)
+
+
+@functools.cache
+def dual_infeasible(lp) -> bool:
+    """Whether ``reference_c2`` finds no dual vertex of ``lp``: then ``lp``
+    is unbounded wherever it is feasible."""
+    return reference_c2(lp) == math.inf
+
+
+def test_solve_and_optimal_vertices_are_unbounded_on_the_dual_infeasible_programs():
+    unbounded = [i for i, (lp, _) in enumerate(PROGRAMS) if dual_infeasible(lp)]
+    assert unbounded == [7, 11, 14, 15]
+    for i, (lp, slater) in enumerate(PROGRAMS):
+        program = StandardLp(lp.A, lp.b, lp.c)
+        for call in (solve, optimal_vertices, lambda lp: check_basis_inclusion(lp, lp.b)):
+            if i in unbounded:
+                with pytest.raises(Unbounded):
+                    call(program)
+            else:
+                call(program)
+        assert (stability_report(program, slater).c2 == math.inf) == (i in unbounded)
 
 
 @pytest.mark.parametrize("lp, slater", PROGRAMS)

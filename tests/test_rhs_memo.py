@@ -3,6 +3,8 @@
 ``basic_points``, ``optimal_vertices`` and ``stability_report`` keep what
 depends on the program's own ``b`` in ``lp.at_b``: the basic points of
 every basis of its family, the optimal set, and the report's b-half.
+``optimal_vertices`` keeps the basic points only when it solved every
+basis: above ``WINDOW_CELLS`` it solves the bases of its dual window.
 Unlike the basis cache, the memo depends on ``b``, so a ``with_rhs``
 sibling must start without it.  Every check compares a memoised result
 with the same call on a fresh program.
@@ -14,7 +16,8 @@ import pytest
 from scipy.linalg import block_diag
 
 from lpdist import StandardLp, stability_report
-from lpdist.errors import Infeasible, LpError, NotSlater
+from lpdist import problem
+from lpdist.errors import Infeasible, LpError, NotSlater, Unbounded
 from lpdist.problem import (
     Basis,
     BasisFamily,
@@ -26,7 +29,7 @@ from lpdist.problem import (
 )
 from lpdist.stability import check_basis_inclusion
 
-from test_iter_bases import PROGRAMS
+from test_iter_bases import PROGRAMS, dual_infeasible
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -58,6 +61,33 @@ def _fresh(lp, b):
     return StandardLp(lp.A, b, lp.c)
 
 
+def _windowed(lp) -> bool:
+    """Whether ``optimal_vertices`` takes its dual window on ``lp``'s family."""
+    return program_family(lp).inverses.size > problem.WINDOW_CELLS
+
+
+def _kept(lp) -> set:
+    """The entries ``optimal_vertices`` leaves in the empty ``at_b`` of a
+    program of ``lp``'s family, feasible at its ``b``: none when it raises
+    ``Unbounded``, the optimal set when it solves only its window, and the
+    basic points too when it solves every basis."""
+    if dual_infeasible(lp):
+        return set()
+    return {"optimal"} if _windowed(lp) else {"points", "optimal"}
+
+
+def _unbounded(lp, program) -> bool:
+    """Whether ``lp`` has no dual feasible basis; if so, ``optimal_vertices``
+    must raise ``Unbounded`` on every call to ``program`` and keep nothing."""
+    if not dual_infeasible(lp):
+        return False
+    for _ in range(2):
+        with pytest.raises(Unbounded):
+            optimal_vertices(program)
+        assert "optimal" not in program.at_b
+    return True
+
+
 def _shifted(lp, slater, weights):
     """A right-hand side ``A x`` near ``lp.b`` and its Slater point ``x``."""
     x = slater * weights
@@ -73,9 +103,9 @@ def test_sibling_never_sees_its_parents_points(lp, slater, sibling_first, order)
     want = {name: ENTRY_POINTS[name](fresh, x2) for name in order}
     parent = _fresh(lp, lp.b)
     early = parent.with_rhs(b2)
-    optimal_vertices(parent)
+    _outcome(lambda: optimal_vertices(parent))
     sibling = early if sibling_first else parent.with_rhs(b2)
-    assert sibling.at_b == {} and "points" in parent.at_b
+    assert sibling.at_b == {} and set(parent.at_b) == _kept(lp)
     assert {name: ENTRY_POINTS[name](sibling, x2) for name in order} == want
     assert basic_points(sibling).tobytes() == basic_points(fresh).tobytes()
     assert basic_points(parent).tobytes() == basic_points(_fresh(lp, lp.b)).tobytes()
@@ -83,30 +113,40 @@ def test_sibling_never_sees_its_parents_points(lp, slater, sibling_first, order)
 
 @pytest.fixture
 def family_solves(monkeypatch):
-    """The number of ``BasisFamily.solve`` calls made so far."""
+    """``(bases, rows)`` of each ``BasisFamily.solve`` call made so far."""
     calls = []
     original = BasisFamily.solve
 
     def counting(self, rows):
-        calls.append(len(rows))
+        calls.append((len(self), len(rows)))
         return original(self, rows)
 
     monkeypatch.setattr(BasisFamily, "solve", counting)
-    return lambda: len(calls)
+    return calls
 
 
 @pytest.mark.parametrize("first", list(ENTRY_POINTS))
 @pytest.mark.parametrize("lp, slater", PROGRAMS[:3])
 def test_a_program_is_solved_at_its_own_rhs_once(lp, slater, first, family_solves):
+    """Every family solve is of one row.  A program's basic points are
+    solved once.  Above ``WINDOW_CELLS``, ``optimal_vertices`` solves only
+    the bases of its window, once per program: on the min-cost flow 43 of
+    its 1888 bases at its own b, where many share the optimal value, and 6
+    at ``b2``."""
     program = _fresh(lp, lp.b)
+    whole = [(len(program_family(program)), 1)]
+    own, shifted = ([(43, 1)], [(6, 1)]) if _windowed(lp) else (whole, whole)
+    window_first = first == "optimal_vertices" and _windowed(lp)
     ENTRY_POINTS[first](program, slater)
-    assert family_solves() == 1
+    assert family_solves == (own if window_first else whole)
     for call in ENTRY_POINTS.values():
         call(program, slater)
-    assert family_solves() == 1
+    assert family_solves == (own + whole if window_first else whole)
+    family_solves.clear()
     b2, _ = _shifted(lp, slater, np.linspace(1.05, 0.95, lp.m))
     assert check_basis_inclusion(program, b2) == check_basis_inclusion(_fresh(lp, lp.b), b2)
-    assert family_solves() == 1 + 1 + 2  # this program's b2, then a fresh program's b and b2
+    # this program's b2, then a fresh program's b and b2
+    assert family_solves == shifted + own + shifted
 
 
 def test_memoised_points_are_a_read_only_copy(ot_lp):
@@ -133,9 +173,10 @@ def _other_slater(lp, slater):
 @pytest.mark.parametrize("lp, slater", PROGRAMS)
 def test_memoised_optimal_set_is_a_fresh_programs(lp, slater):
     program = _fresh(lp, lp.b)
-    first = _optimal(program)
-    assert "optimal" in program.at_b
-    assert _optimal(program) == first == _optimal(_fresh(lp, lp.b))
+    first = _outcome(lambda: _optimal(program))
+    assert ("optimal" in program.at_b) == (not dual_infeasible(lp))
+    assert _outcome(lambda: _optimal(program)) == first == _outcome(
+        lambda: _optimal(_fresh(lp, lp.b)))
 
 
 @pytest.mark.parametrize("lp, slater", PROGRAMS)
@@ -153,17 +194,19 @@ def test_memoised_report_is_a_fresh_programs_at_each_slater_point(lp, slater):
 def test_a_sibling_starts_with_an_empty_memo(lp, slater):
     program = _fresh(lp, lp.b)
     stability_report(program, slater)
-    optimal_vertices(program)
-    assert set(program.at_b) == {"points", "optimal", "stability"}
+    _outcome(lambda: optimal_vertices(program))
+    assert set(program.at_b) == {"points", "stability"} | _kept(lp)
     sibling = program.with_rhs(lp.b)  # even at the same b
     assert sibling.at_b == {} and sibling.with_rhs(lp.b).at_b == {}
-    optimal_vertices(sibling)
+    _outcome(lambda: optimal_vertices(sibling))
     assert sibling.at_b is not program.at_b and "stability" not in sibling.at_b
 
 
 @pytest.mark.parametrize("lp, slater", PROGRAMS)
 def test_a_returned_basis_list_is_the_callers(lp, slater):
     program = _fresh(lp, lp.b)
+    if _unbounded(lp, program):
+        return
     _, bases = optimal_vertices(program)
     want = list(bases)
     bases.clear()
@@ -175,6 +218,8 @@ def test_a_returned_basis_list_is_the_callers(lp, slater):
 @pytest.mark.parametrize("lp, slater", PROGRAMS)
 def test_memoised_optimal_vertices_are_read_only(lp, slater):
     program = _fresh(lp, lp.b)
+    if _unbounded(lp, program):
+        return
     optimal_vertices(program)
     polytope, _ = optimal_vertices(program)
     assert not polytope.vertices.flags.writeable
