@@ -28,15 +28,26 @@ The region digest covers ``map_region`` on all 4 transport bases and every
 a partial-support ellipsoid, a box and a segment: the ``to_dict()`` JSON,
 every ``interval(pos)`` and the ``contains_rows`` mask of 16 seeded
 displaced centres per map.  It pins the region images bit for bit.
+
+The limit-statistics digest covers, for every draw of the limit digest's
+runs and of a response program whose draws tie about half the time, the
+carried ``distance`` (or its absence) and the bits of
+``distance_statistic``; both ``run_limit_comparison`` outputs on the
+transport instance; and the bytes of both ``lpdist limit-sample`` CSVs.  It
+was recorded before the sampler returned its draws as one columnar block,
+and pins the statistics that block gives bit for bit.
 """
 import hashlib
 import json
 import struct
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from lpdist import Basis, solve_rows
+from lpdist.cli import main
 from lpdist.confidence import (
     BoxRegion,
     EllipsoidRegion,
@@ -45,15 +56,23 @@ from lpdist.confidence import (
     map_region,
 )
 from lpdist.errors import LpError
-from lpdist.experiments import build_min_cost_flow, build_ot_2x2, run_coverage
-from lpdist.limits import sample_unique_limit
+from lpdist.experiments import (
+    build_min_cost_flow,
+    build_ot_2x2,
+    run_coverage,
+    run_limit_comparison,
+)
+from lpdist.limits import distance_statistic, sample_unique_limit
 from lpdist.problem import iter_bases
+from test_cli import OT_DATA
 from test_iter_bases import PROGRAMS
+from test_limit_blocks import LIMIT_CASES
 
 GOLDEN_COVERAGE_LOG = "63b27fa7cf78376951a33540796a8d775f9d282d553f6797d87c09789f35b4f5"
 GOLDEN_LIMIT_DRAWS = "fb4f8b69545d7f16fc95cf16c550944d214d81acace25ba3428130762ce74ed7"
 GOLDEN_SOLVES = "94f3de2768c9c37ac77735f80288af26b1f42e263af0665769f7d4af949a9a66"
 GOLDEN_REGIONS = "faa05f4237929fb4f773688447a916aadf84f30c2c5a71919e0aba4b602b1d29"
+GOLDEN_LIMIT_STATISTICS = "fe4c7acab4455dca99e431198d92e604a8937a1f7ee4aa882d38efbeafc529ca"
 RUNS = ((build_ot_2x2, 300), (build_min_cost_flow, 200))
 SEEDS = (0x5EED, 7)
 LIMIT_DRAWS = 3000
@@ -96,6 +115,37 @@ def limit_draws_digest() -> str:
 
 def test_limit_draws_match_golden_digest():
     assert limit_draws_digest() == GOLDEN_LIMIT_DRAWS
+
+
+def limit_statistics_digest() -> str:
+    digest = hashlib.sha256()
+    config = build_ot_2x2()
+    runs = [(config.lp, config.targets.vertices[0], config.b_sampler.limit_noise(seed, config.lp.k))
+            for seed in (7, 0x5EED)]
+    for lp, x_star, noise in runs + [LIMIT_CASES["half_tied"]()]:
+        for sample in sample_unique_limit(lp, x_star, noise, LIMIT_DRAWS):
+            carried = b"none" if sample.distance is None else struct.pack("<d", sample.distance)
+            digest.update(carried + struct.pack("<d", distance_statistic(sample)))
+    for statistic in ("distance", "hausdorff"):
+        result = run_limit_comparison(config, 200, 2000, statistic=statistic)
+        digest.update(json.dumps(result).encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "ot.json").write_text(json.dumps(OT_DATA))
+        (tmp / "sampler.json").write_text(json.dumps(
+            {"kind": "multinomial_clt", "probabilities": [0.5, 0.5], "pad_to": 3}))
+        code = main(["limit-sample", "--lp", str(tmp / "ot.json"),
+                     "--sampler", str(tmp / "sampler.json"), "--draws", str(LIMIT_DRAWS),
+                     "--seed", "3", "--grid-resolution", "8", "--out", str(tmp / "draws.csv"),
+                     "--support-out", str(tmp / "support.csv")])
+        assert code == 0
+        for name in ("draws.csv", "support.csv"):
+            digest.update((tmp / name).read_bytes())
+    return digest.hexdigest()
+
+
+def test_limit_statistics_match_golden_digest():
+    assert limit_statistics_digest() == GOLDEN_LIMIT_STATISTICS
 
 
 def solve_rows_block(lp, seed: int) -> np.ndarray:
