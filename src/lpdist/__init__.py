@@ -56,6 +56,7 @@ from .limits import (
     AuxVertexEnumerator,
     EmpiricalLaw,
     GaussianLaw,
+    LimitBlock,
     LimitSample,
     MixedSignLp,
     MultinomialLaw,

@@ -31,7 +31,7 @@ from .experiments import (
     selection_basis,
 )
 from .geometry import SphereGrid, hausdorff, support_function
-from .limits import LAWS, distance_statistic, sample_unique_limit
+from .limits import LAWS, sample_unique_limit
 from .problem import Polytope, build_kind, load_lp, lp_to_dict
 from .simplex import solve, verify_kkt
 from .stability import stability_report
@@ -123,9 +123,9 @@ def cmd_limit_sample(args) -> int:
     samples = sample_unique_limit(lp, result.x_hat, sampler, args.draws,
                                   verify_unique=args.verify_unique)
     lines = ["draw,objective,distance," + ",".join(f"g_{i}" for i in range(lp.k))]
-    for i, sample in enumerate(samples):
-        g_part = ",".join(str(float(v)) for v in sample.g)
-        lines.append(f"{i},{sample.objective},{distance_statistic(sample)},{g_part}")
+    columns = zip(samples.values, samples.statistic("distance").tolist(), samples.g.tolist())
+    for i, (objective, distance, g) in enumerate(columns):
+        lines.append(f"{i},{objective},{distance}," + ",".join(map(str, g)))
     _emit("\n".join(lines) + "\n", args.out)
     if args.grid_resolution:
         grid = SphereGrid(lp.m, args.grid_resolution)

@@ -31,7 +31,6 @@ from .limits import (
     MultinomialLaw,
     _philox_key,
     _thread_philox,
-    distance_statistic,
     philox_streams,
     sample_unique_limit,
 )
@@ -468,12 +467,7 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
         finite = rate * np.array([hausdorff(shifted, config.targets) for shifted, _ in sets])
     x_star = config.targets.vertices[0]
     noise = config.b_sampler.limit_noise(config.seed, config.lp.k)
-    samples = sample_unique_limit(config.lp, x_star, noise, draws)
-    if statistic == "distance":
-        limit = np.array([distance_statistic(s) for s in samples])
-    else:
-        origin = Polytope([np.zeros(config.lp.m)])
-        limit = np.array([hausdorff(s.optimal_set, origin) for s in samples])
+    limit = sample_unique_limit(config.lp, x_star, noise, draws).statistic(statistic)
     return {
         "n": int(n),
         "draws": int(draws),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -23,6 +24,7 @@ from .errors import InstanceTooLarge, LpError, NotUnique
 from .geometry import (
     SphereGrid,
     argmax_vertex,
+    hausdorff,
     min_norm_point,
     row_norms,
     support_function,
@@ -36,6 +38,7 @@ from .problem import (
     factor_covariance,
     optimal_vertices,
     ordered_dot,
+    read_only,
     spec_to_dict,
     support,
 )
@@ -71,6 +74,57 @@ class LimitSample(NamedTuple):
     optimal_set: Polytope
     objective: float
     distance: float | None = None  # from the origin, when the set is one vertex
+
+
+class LimitBlock(Sequence):
+    """The draws of ``sample_unique_limit`` as columns, read as a sequence of
+    ``LimitSample`` records: ``g``, the read-only ``(N, k)`` noise;
+    ``points``, the read-only ``(N, m)`` first optimal vertex of each draw;
+    the lists ``values`` and ``distances`` (``None`` at a tied draw); and
+    ``ties``, the Polytope of each tied draw by index.  A draw's record, and
+    an untied draw's one-vertex Polytope, is made only when it is read, so a
+    reader that drops each record holds no per-draw objects; a slice is a
+    block.  A block is not a list: it has no ``+`` or ``append``."""
+
+    __slots__ = ("g", "points", "values", "distances", "ties")
+
+    def __init__(self, g, points, values, distances, ties):
+        self.g, self.points = read_only(g, points)
+        self.values, self.distances, self.ties = values, distances, ties
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, index):
+        at = range(len(self))[index]
+        if isinstance(index, slice):
+            ties = {at.index(i): tie for i, tie in self.ties.items() if i in at}
+            return LimitBlock(self.g[index], self.points[index], self.values[index],
+                              self.distances[index], ties)
+        polytope = self.ties[at] if at in self.ties else problem._one_vertex(self.points[at:at + 1])
+        return LimitSample(self.g[at], polytope, self.values[at], self.distances[at])
+
+    def __iter__(self):
+        sets = map(problem._one_vertex, self.points[:, None])
+        if self.ties:
+            sets = map(self.ties.get, range(len(self)), sets)
+        # LimitSample._make without its Python-level length check
+        return map(tuple.__new__, repeat(LimitSample),
+                   zip(self.g, sets, self.values, self.distances))
+
+    def statistic(self, name: str) -> np.ndarray:
+        """Each draw's statistic as one array, with the bits of the per-draw
+        form: "distance", ``distance_statistic`` of the record, or
+        "hausdorff", ``hausdorff`` from its optimal set to the origin.  An
+        untied draw's is its carried distance; only tied draws are solved."""
+        if name not in ("distance", "hausdorff"):
+            raise ValueError("statistic must be 'distance' or 'hausdorff'")
+        out = np.array(self.distances, dtype=float)
+        origin = Polytope(np.zeros((1, self.points.shape[1])))
+        for i, polytope in self.ties.items():
+            out[i] = (distance_statistic(self[i]) if name == "distance"
+                      else hausdorff(polytope, origin))
+        return out
 
 
 # draws per block in ``sample_unique_limit``; the draws do not depend on it
@@ -330,14 +384,15 @@ class AuxVertexEnumerator:
 
 
 def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSampler,
-                        n_draws: int, *, verify_unique: bool = False) -> list:
-    """Draw rhs noise and collect the optimal sets of the response LP.
+                        n_draws: int, *, verify_unique: bool = False) -> LimitBlock:
+    """Draw rhs noise and collect the optimal sets of the response LP in a
+    ``LimitBlock``.
 
-    Draws are made and solved in blocks of ``BLOCK``; sample ``i`` depends
-    only on the sampler and ``i``, not on ``n_draws`` or the block size.
-    Each optimal set is exact, by vertex enumeration, unless the response
-    LP has more candidate bases than ``problem.ENUM_CAP``; then each draw
-    gets the one optimal vertex a simplex solve finds (each block in one
+    Draws are solved in blocks of ``BLOCK``; sample ``i`` depends only on
+    the sampler and ``i``, not on ``n_draws`` or the block size.  Each
+    optimal set is exact, by vertex enumeration, unless the response LP has
+    more candidate bases than ``problem.ENUM_CAP``; then each draw gets the
+    one optimal vertex a simplex solve finds (each block in one
     ``solve_rows`` call).
     """
     if n_draws < 0:
@@ -351,21 +406,23 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
     except InstanceTooLarge:  # raised before any block is factored
         enum = None
         split, free_order = split_free(MixedSignLp(lp.A, np.zeros(lp.k), lp.c, free))
-    samples = []
+    g = sampler.draw_block(0, n_draws)
+    points, values, ties = np.zeros((n_draws, lp.m)), [], {}
     for start in range(0, n_draws, BLOCK):
-        block = sampler.draw_block(start, min(BLOCK, n_draws - start))
+        block = g[start:start + BLOCK]
         if enum is None:
-            points, values = zip(*[_unsplit(result, free_order, lp.c)
-                                   for result in solve_rows(split, block)])
-            points, ties = np.array(points), {}
+            part, part_values = zip(*[_unsplit(result, free_order, lp.c)
+                                      for result in solve_rows(split, block)])
+            part_ties = {}
         else:
-            points, values, ties = enum.family.optimal_parts(enum.c, block)
-        sets, distances = Polytope.rows(points), row_norms(points).tolist()
-        for row, polytope in ties.items():
-            sets[row], distances[row] = polytope, None
-        # LimitSample._make without its Python-level length check
-        samples += map(tuple.__new__, repeat(LimitSample), zip(block, sets, values, distances))
-    return samples
+            part, part_values, part_ties = enum.family.optimal_parts(enum.c, block)
+        points[start:start + len(block)] = part
+        values += part_values
+        ties.update((start + row, polytope) for row, polytope in part_ties.items())
+    distances = row_norms(points).tolist()
+    for row in ties:
+        distances[row] = None
+    return LimitBlock(g, points, values, distances, ties)
 
 
 def distance_statistic(sample: LimitSample) -> float:

@@ -72,18 +72,24 @@ def solve_lu(lu_piv, rhs, trans: int = 0) -> np.ndarray:
     return solve_factored((lu_piv,), rhs.T, trans=trans)[0].T
 
 
-# rows of ``a`` times rows of ``b`` up to which ``ordered_dot`` forms the whole product
+# entries of the product over n^2, for sums of n terms, up to which
+# ``ordered_dot`` forms the whole product
 ORDERED_WHOLE = 16
 
 
 def ordered_dot(a, b) -> np.ndarray:
     """The sum over ``j`` of ``a[..., j] * b[..., j]``, the other axes
     broadcast, added in index order, so no entry's bits depend on another's
-    (a BLAS product or ``sum`` picks its order by the shape).  A small result
-    comes from one accumulate of the whole product, a larger one a column at
-    a time, in memory of its own size; the bits are the same."""
+    (a BLAS product or ``sum`` picks its order by the shape).  A product of
+    at most ``ORDERED_WHOLE * n * n`` entries, for sums of ``n`` terms, is
+    formed whole and summed by one accumulate; a larger one a column at a
+    time, in memory of the result's size; the bits are the same.  The
+    product has at most ``a.size * b.size / n`` and at least ``max(a.size,
+    b.size)`` entries, so most calls skip counting them."""
     n = a.shape[-1]
-    if a.size * b.size <= ORDERED_WHOLE * n * n:
+    whole = ORDERED_WHOLE * n * n
+    if a.size * b.size <= whole * n or (max(a.size, b.size) <= whole
+                                        and np.broadcast(a, b).size <= whole):
         return np.add.accumulate(a * b, axis=-1)[..., -1]
     out = a[..., 0] * b[..., 0]
     for j in range(1, n):
@@ -363,19 +369,6 @@ class Polytope:
             arr = np.zeros((0, arr.shape[1]))
         self.vertices = _frozen(arr)
 
-    @classmethod
-    def rows(cls, points) -> list:
-        """``[Polytope([row]) for row in points]`` for a 2-d ``points``, undeduplicated;
-        each vertex array views a row of ``points``, copied unless read-only float."""
-        points = np.asarray(points, dtype=float)
-        points = _frozen(points) if points.flags.writeable else points
-        if points.ndim != 2:
-            raise ValueError("points must form a 2-d array")
-        polytopes = list(map(object.__new__, itertools.repeat(cls, len(points))))
-        for polytope, vertex in zip(polytopes, points[:, None]):
-            polytope.vertices = vertex
-        return polytopes
-
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
@@ -385,6 +378,14 @@ class Polytope:
 
     def __repr__(self):
         return f"Polytope({len(self)} vertices, dim={self.dim})"
+
+
+def _one_vertex(vertex: np.ndarray) -> Polytope:
+    """The Polytope of the one vertex in the read-only ``(1, m)`` array
+    ``vertex``, which it keeps as its ``vertices``, not copied."""
+    polytope = object.__new__(Polytope)
+    polytope.vertices = vertex
+    return polytope
 
 
 def factor_columns(lp: StandardLp, indices) -> tuple:
@@ -535,7 +536,8 @@ class BasisFamily:
         in sign and the others nonnegative, at each row ``r`` of the
         ``(N, k)`` block ``rows``, assembled from ``optimal_parts``."""
         points, values, ties = self.optimal_parts(c, rows)
-        return [(ties.get(r, p), v) for r, (p, v) in enumerate(zip(Polytope.rows(points), values))]
+        sets = map(_one_vertex, points[:, None])
+        return [(ties.get(r, p), v) for r, (p, v) in enumerate(zip(sets, values))]
 
     def optimal_parts(self, c, rows) -> tuple:
         """``(points, values, ties)``: the read-only ``(N, m)`` block of each
@@ -764,7 +766,7 @@ def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
         vertices, _, tied, ties = part._optimal_block(lp.c, x)
         if not dual_feasible.any():
             raise Unbounded("no basis is dual feasible: the objective is unbounded below")
-        polytope = ties[0] if ties else Polytope.rows(vertices)[0]
+        polytope = ties[0] if ties else _one_vertex(vertices[:1])
         optimal = (polytope, tuple(Basis(cols) for cols in part.cols[tied[:, 0]].tolist()))
         if window is None:
             lp.at_b["points"] = points

@@ -21,9 +21,10 @@ from lpdist import StandardLp, kolmogorov_smirnov, optimal_vertices, solve
 from lpdist import limits, problem
 from lpdist.errors import Infeasible, LpError, NonFiniteData
 from lpdist.experiments import build_min_cost_flow, build_ot_2x2, run_limit_comparison
-from lpdist.geometry import min_norm_point
+from lpdist.geometry import hausdorff, min_norm_point
 from lpdist.limits import (
     AuxVertexEnumerator,
+    LimitBlock,
     LimitSample,
     EmpiricalLaw,
     GaussianLaw,
@@ -385,23 +386,6 @@ def test_programs_reject_non_finite_data(ot_lp):
     assert issubclass(NonFiniteData, LpError) and issubclass(NonFiniteData, ValueError)
 
 
-def test_single_vertex_polytope():
-    points = np.array([[0.5, -0.0, 2.0], [1.0, 1.0, 1.0]])
-    singles = Polytope.rows(points)
-    assert len(singles) == 2
-    for single, point in zip(singles, points):
-        assert single.vertices.tobytes() == Polytope([point]).vertices.tobytes()
-        assert not single.vertices.flags.writeable
-    points[0, 0] = 9.0
-    assert singles[0].vertices[0, 0] == 0.5
-    assert singles[0].vertices.base is singles[1].vertices.base  # views of one copy
-    frozen = read_only(points.copy())[0]
-    assert all(np.shares_memory(single.vertices, frozen) for single in Polytope.rows(frozen))
-    assert Polytope.rows(np.zeros((0, 3))) == []
-    with pytest.raises(ValueError):
-        Polytope.rows(np.zeros(3))
-
-
 # ------------------------------------------------------ carried distances
 
 def _bits(value) -> bytes:
@@ -488,3 +472,143 @@ def test_limit_comparison_equals_per_draw_wolfe(statistic):
             "finite_mean": float(finite.mean()), "limit_mean": float(limit.mean())}
     got = run_limit_comparison(replace(config, seed=seed), n, draws, statistic=statistic)
     assert repr(got) == repr(want)
+
+
+# ------------------------------------------------------------ limit blocks
+
+def _same_record(got, want):
+    """Two ``LimitSample`` records with the same bits in every field."""
+    _same_samples([got], [want])
+    assert (got.distance is None) == (want.distance is None)
+    if got.distance is not None:
+        assert _bits(got.distance) == _bits(want.distance)
+
+
+def test_a_limit_block_is_a_read_only_sequence_of_records():
+    lp, x_star, noise = LIMIT_CASES["half_tied"]()
+    block = sample_unique_limit(lp, x_star, noise, 60)
+    assert isinstance(block, LimitBlock) and len(block) == 60
+    records = list(block)
+    again = list(block)
+    assert len(records) == len(again) == 60 and block.ties
+    for i, record in enumerate(records):
+        assert type(record) is LimitSample
+        _same_record(record, again[i])
+        _same_record(block[i], record)
+        _same_record(block[i - 60], record)
+    for index in (60, -61):
+        with pytest.raises(IndexError):
+            block[index]
+    for part in (slice(5, 40), slice(None, None, 3), slice(-7, None), slice(50, 10, -4),
+                 slice(30, 30)):
+        sliced = block[part]
+        assert isinstance(sliced, LimitBlock) and len(sliced) == len(records[part])
+        for got, want in zip(sliced, records[part]):
+            _same_record(got, want)
+    for name in ("g", "points"):
+        column = getattr(block, name)
+        assert not column.flags.writeable and not getattr(block[2:9], name).flags.writeable
+        with pytest.raises(ValueError):
+            column[0, 0] = 1.0
+    with pytest.raises(ValueError, match="statistic must be"):
+        block.statistic("mean")
+
+
+def test_an_empty_limit_block_has_columns_of_its_widths(ot_lp):
+    noise = NoiseSampler(MultinomialLaw([0.5, 0.5], pad_to=3), 1)
+    block = sample_unique_limit(ot_lp, OT_TARGET, noise, 0)
+    assert len(block) == 0 and list(block) == [] and block.ties == {}
+    assert block.g.shape == (0, 3) and block.points.shape == (0, 4)
+    assert block.statistic("hausdorff").shape == (0,)
+
+
+def test_ties_at_a_block_boundary_keep_their_draw_index():
+    """At seed 0 draws 1023 and 1024, the last of one solve block and the
+    first of the next, are positive, so each ties two vertices; draws 1022
+    and 1025 are negative and have one."""
+    lp, x_star, _ = _half_tied_case()
+    noise = NoiseSampler(GaussianLaw([[1.0]]), 0)
+    block = sample_unique_limit(lp, x_star, noise, 2048)
+    positive = np.flatnonzero(block.g[:, 0] > 0).tolist()
+    assert sorted(block.ties) == positive
+    assert [i in block.ties for i in (1022, 1023, 1024, 1025)] == [False, True, True, False]
+    enum = AuxVertexEnumerator(lp.A, lp.c, support(x_star))
+    for i in (1022, 1023, 1024, 1025):
+        polytope, value = enum.optimal_set(noise.draw(i))
+        record = block[i]
+        assert record.g.tobytes() == noise.draw(i).tobytes()
+        assert record.optimal_set.vertices.tobytes() == polytope.vertices.tobytes()
+        assert record.objective == value
+        assert (record.distance is None) == (len(polytope) == 2)
+        # the first optimal vertex in basis order; a Polytope sorts its vertices
+        assert block.points[i].tobytes() in [v.tobytes() for v in polytope.vertices]
+
+
+@pytest.mark.parametrize("name", ["ot2x2", "mcf"])
+def test_the_split_path_fills_the_same_block(monkeypatch, name):
+    """Above the enumeration cap each draw is one simplex vertex: the
+    block's columns are the per-draw mixed-sign solves, and each record has
+    the family path's optimal value to the oracle bound.  On the transport it
+    is also the family's one optimal vertex; the min-cost flow's ``x_star``
+    is one of several optimal vertices, so its response program has optimal
+    rays, and the two paths may stop at different points of them."""
+    lp, x_star, noise = LIMIT_CASES[name]()
+    exact = sample_unique_limit(lp, x_star, noise, 1100)
+    with monkeypatch.context() as patch:
+        patch.setattr(problem, "ENUM_CAP", 0)
+        split = sample_unique_limit(lp, x_star, noise, 1100)
+    assert len(split) == len(exact) and split.ties == exact.ties == {}
+    assert split.g.tobytes() == exact.g.tobytes()
+    assert not split.points.flags.writeable
+    for i in (0, 1, 1023, 1024, 1099):
+        point, value = solve_mixed(MixedSignLp(lp.A, noise.draw(i), lp.c, support(x_star)))
+        assert split.points[i].tobytes() == point.tobytes()
+        assert split.values[i] == value
+        assert _bits(split.distances[i]) == _bits(math.sqrt(point @ point))
+    for got, want in zip(split, exact):
+        assert near(got.objective, want.objective)
+        if name == "ot2x2":
+            assert same_vertex_set(got.optimal_set.vertices, want.optimal_set.vertices)
+
+
+@pytest.mark.parametrize("vertex_only", [False, True])
+@pytest.mark.parametrize("name", sorted(LIMIT_CASES))
+def test_block_statistics_equal_per_draw_statistics(monkeypatch, name, vertex_only):
+    lp, x_star, noise = LIMIT_CASES[name]()
+    with monkeypatch.context() as patch:
+        if vertex_only:
+            patch.setattr(problem, "ENUM_CAP", 0)
+        block = sample_unique_limit(lp, x_star, noise, 3000)
+    origin = Polytope([np.zeros(lp.m)])
+    distance, spread = block.statistic("distance"), block.statistic("hausdorff")
+    assert distance.shape == spread.shape == (3000,)
+    for i, sample in enumerate(block):
+        assert _bits(distance[i]) == _bits(distance_statistic(sample))
+        assert _bits(spread[i]) == _bits(hausdorff(sample.optimal_set, origin))
+
+
+def test_an_untied_draw_gets_its_polytope_only_when_read(monkeypatch):
+    made = []
+
+    def counted(vertex):
+        made.append(vertex)
+        return one_vertex(vertex)
+
+    one_vertex = problem._one_vertex
+    monkeypatch.setattr(problem, "_one_vertex", counted)
+    lp, x_star, noise = LIMIT_CASES["half_tied"]()
+    block = sample_unique_limit(lp, x_star, noise, 2000)
+    untied = [i for i in range(2000) if i not in block.ties]
+    assert len(block.ties) > 500 and len(untied) > 500 and made == []
+    for name in ("distance", "hausdorff"):
+        block.statistic(name)
+    assert made == []
+    record = block[untied[0]]
+    assert len(made) == 1 and record.optimal_set.vertices is made[0]
+    assert np.shares_memory(record.optimal_set.vertices, block.points)
+    assert not record.optimal_set.vertices.flags.writeable
+    want = Polytope([block.points[untied[0]]]).vertices
+    assert record.optimal_set.vertices.tobytes() == want.tobytes()
+    block[next(iter(block.ties))]
+    assert len(made) == 1
+    assert sum(1 for _ in block[:100]) == 100 and len(made) == 101

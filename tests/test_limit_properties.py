@@ -1,4 +1,5 @@
-"""Property test: the block optimal-set kernel against the scalar reference.
+"""Property tests: the block optimal-set kernel against the scalar
+reference, and the limit sampler's block against the kernel.
 
 Integer data keep every basic point rational with a small denominator, so
 feasibility, ties and duplicate vertices are decided far from the
@@ -7,8 +8,10 @@ tolerances and both computations must agree exactly on them.
 import numpy as np
 import pytest
 
-from lpdist.errors import Infeasible
-from lpdist.limits import AuxVertexEnumerator
+from lpdist import StandardLp
+from lpdist.errors import Infeasible, LpError
+from lpdist.limits import AuxVertexEnumerator, EmpiricalLaw, NoiseSampler, sample_unique_limit
+from lpdist.problem import BasisFamily
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -54,3 +57,34 @@ def test_block_kernel_agrees_with_scalar_enumeration(program):
         for i, got in zip(feasible, enum.family.optimal_sets(enum.c, rows[feasible])):
             _assert_close_sets(got, expected[i])
             assert np.array_equal(got[0].vertices, enum.optimal_set(rows[i])[0].vertices)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None)
+@hypothesis.given(programs(), st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_a_limit_block_reads_as_the_kernels_optimal_sets(program, seed, draws):
+    """Each record of ``sample_unique_limit``'s block has the bits of its
+    row of ``BasisFamily.optimal_sets`` at the block's noise, for noise
+    drawn from the program's rows; with an infeasible row both raise."""
+    a, c, free, rows = program
+    try:
+        lp = StandardLp(a, np.zeros(len(a)), c)
+        family = BasisFamily(a, fixed=free)
+    except (LpError, ValueError):
+        hypothesis.assume(False)
+    x_star = np.zeros(lp.m)
+    x_star[free] = 1.0
+    noise = NoiseSampler(EmpiricalLaw(rows), seed)
+    g = noise.draw_block(0, draws)
+    try:
+        sets = family.optimal_sets(c, g)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            sample_unique_limit(lp, x_star, noise, draws)
+        return
+    block = sample_unique_limit(lp, x_star, noise, draws)
+    assert len(block) == len(sets) == draws
+    for record, (polytope, value) in zip(block, sets):
+        assert record.optimal_set.vertices.shape == polytope.vertices.shape
+        assert record.optimal_set.vertices.tobytes() == polytope.vertices.tobytes()
+        assert np.float64(record.objective).tobytes() == np.float64(value).tobytes()
+    assert block.g.tobytes() == g.tobytes()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.linalg import LinAlgWarning, lu_factor
 
 from lpdist import Basis, Polytope, StandardLp, problem, solve
 from lpdist.errors import Infeasible, InstanceTooLarge, SingularBasis
+from lpdist.experiments import build_min_cost_flow
 from lpdist.problem import (
     basic_solution,
     enumerate_feasible_bases,
@@ -16,6 +18,8 @@ from lpdist.problem import (
     lp_to_dict,
     optimal_vertices,
     ordered_dot,
+    program_duals,
+    program_family,
     quiet_lu,
     support,
 )
@@ -333,3 +337,28 @@ def test_ordered_dot_gives_the_same_bits_either_way(monkeypatch):
     by_columns = ordered_dot(a, b)
     monkeypatch.setattr(problem, "ORDERED_WHOLE", a.size * b.size)
     assert np.ascontiguousarray(ordered_dot(a, b)).tobytes() == by_columns.tobytes()
+
+
+def _peak_bytes(call) -> int:
+    """The most memory ``call()`` holds at once (numpy reports its arrays to
+    ``tracemalloc``)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ordered_dot_forms_a_product_whole_by_its_size():
+    """The dual window's one-row solve over 6 min-cost-flow bases (a product
+    of 1014 entries) is formed whole; the values of all 1888 bases, a
+    product of 24544 entries, are summed a column at a time."""
+    config = build_min_cost_flow()
+    family = program_family(config.lp)
+    duals = program_duals(config.lp)[0]
+    assert duals.shape == (1888, 13)
+    part = family.take(range(6))
+    rows = config.lp.b[None, None, None, :]
+    assert _peak_bytes(lambda: ordered_dot(rows, part.inverses)) >= 8 * 1014
+    assert _peak_bytes(lambda: ordered_dot(duals, config.lp.b)) < 8 * 1888 * 4
