@@ -58,15 +58,12 @@ from .limits import (
     GaussianLaw,
     LimitBlock,
     LimitSample,
-    MixedSignLp,
     MultinomialLaw,
     NoiseSampler,
-    aux_lp_unique,
     distance_statistic,
     hadamard_quotient_check,
     limit_support_function,
     sample_unique_limit,
-    solve_mixed,
 )
 from .problem import (
     Basis,

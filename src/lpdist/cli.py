@@ -128,12 +128,12 @@ def cmd_limit_sample(args) -> int:
         lines.append(f"{i},{objective},{distance}," + ",".join(map(str, g)))
     _emit("\n".join(lines) + "\n", args.out)
     if args.grid_resolution:
-        grid = SphereGrid(lp.m, args.grid_resolution)
+        directions = SphereGrid(lp.m, args.grid_resolution).directions
+        alphas = [",".join(str(float(a)) for a in direction.alpha) for direction in directions]
         rows = ["draw,direction,value," + ",".join(f"alpha_{i}" for i in range(lp.m))]
         for i, sample in enumerate(samples):
-            for j, direction in enumerate(grid.directions):
+            for j, (direction, alpha) in enumerate(zip(directions, alphas)):
                 value = support_function(sample.optimal_set, direction)
-                alpha = ",".join(str(float(a)) for a in direction.alpha)
                 rows.append(f"{i},{j},{value},{alpha}")
         _emit("\n".join(rows) + "\n", args.support_out)
     return 0
@@ -228,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-resolution", type=int, default=0,
                    help="if positive, also emit support values on a sphere grid")
     p.add_argument("--verify-unique", action="store_true",
-                   help="check by enumeration that the optimum is unique")
+                   help="check by enumeration that the optimum is unique; without "
+                        "it the solved vertex is trusted, and at a tied optimum "
+                        "each draw reports one vertex of an unbounded response set")
     p.add_argument("--out", help="per-draw CSV path (default stdout)")
     p.add_argument("--support-out", help="per-(draw,direction) CSV path")
     p.set_defaults(func=cmd_limit_sample)

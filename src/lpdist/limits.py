@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from . import problem
-from .errors import InstanceTooLarge, LpError, NotUnique
+from .errors import InstanceTooLarge, LpError, NotUnique, Unbounded
 from .geometry import (
     SphereGrid,
     argmax_vertex,
@@ -33,7 +32,6 @@ from .problem import (
     BasisFamily,
     Polytope,
     StandardLp,
-    _check_finite,
     check_support,
     factor_covariance,
     optimal_vertices,
@@ -42,31 +40,7 @@ from .problem import (
     spec_to_dict,
     support,
 )
-from .simplex import solve as simplex_solve
 from .simplex import solve_rows
-
-
-@dataclass(frozen=True)
-class MixedSignLp:
-    """Equality-constrained LP where some coordinates may take either sign."""
-
-    a: np.ndarray
-    rhs: np.ndarray
-    c: np.ndarray
-    free_indices: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.array(self.a, dtype=float))
-        object.__setattr__(self, "rhs", np.array(self.rhs, dtype=float))
-        object.__setattr__(self, "c", np.array(self.c, dtype=float))
-        object.__setattr__(self, "free_indices", frozenset(int(i) for i in self.free_indices))
-        for name in ("a", "rhs", "c"):
-            _check_finite(name, getattr(self, name))
-        k, m = self.a.shape
-        if self.rhs.shape != (k,) or self.c.shape != (m,):
-            raise ValueError("rhs/cost dimensions do not match the matrix")
-        if any(i < 0 or i >= m for i in self.free_indices):
-            raise ValueError("free index out of range")
 
 
 class LimitSample(NamedTuple):
@@ -313,19 +287,6 @@ class NoiseSampler:
         return self.draw_block(index, 1)[0]
 
 
-def aux_lp_unique(lp: StandardLp, x_star: np.ndarray, g: np.ndarray, *,
-                  verify_unique: bool = False) -> MixedSignLp:
-    """Response LP at a unique optimum: A p = g, p >= 0 off the support.
-
-    With ``verify_unique`` the optimal set of ``lp`` is enumerated and a
-    ``NotUnique`` error is raised unless it is the single vertex ``x_star``.
-    """
-    x_star = np.asarray(x_star, dtype=float)
-    if verify_unique:
-        _check_unique(lp, x_star)
-    return MixedSignLp(lp.A, g, lp.c, support(x_star))
-
-
 def _check_unique(lp: StandardLp, x_star: np.ndarray):
     """Raise ``NotUnique`` unless ``x_star`` is the one optimal vertex of ``lp``."""
     polytope, _ = optimal_vertices(lp)
@@ -335,22 +296,14 @@ def _check_unique(lp: StandardLp, x_star: np.ndarray):
         raise NotUnique("x_star is not the optimal vertex of the LP")
 
 
-def split_free(mixed: MixedSignLp) -> tuple:
-    """Rewrite with sign-free coordinates split into positive differences.
-
-    Returns ``(lp, free_order)`` where column ``m + j`` of ``lp`` is the
-    negated copy of the ``j``-th free column in ``free_order``.
-    """
-    free = sorted(mixed.free_indices)
-    a_ext = np.hstack([mixed.a, -mixed.a[:, free]]) if free else mixed.a.copy()
-    c_ext = np.concatenate([mixed.c, -mixed.c[free]]) if free else mixed.c.copy()
-    return StandardLp(a_ext, mixed.rhs, c_ext), free
-
-
-def solve_mixed(mixed: MixedSignLp) -> tuple:
-    """One optimal point of the mixed-sign LP and its objective value."""
-    lp, free = split_free(mixed)
-    return _unsplit(simplex_solve(lp), free, mixed.c)
+def split_free(lp: StandardLp, free) -> tuple:
+    """The response program of ``lp`` with the columns ``free`` free in sign,
+    as ``(split, free_order)``: ``split`` is a ``StandardLp`` with rhs zero
+    whose column ``m + j`` is the negated copy of the ``j``-th free column in
+    the sorted list ``free_order``."""
+    free = sorted(free)
+    return StandardLp(np.hstack([lp.A, -lp.A[:, free]]), np.zeros(lp.k),
+                      np.concatenate([lp.c, -lp.c[free]])), free
 
 
 def _unsplit(result, free: list, c: np.ndarray) -> tuple:
@@ -360,8 +313,7 @@ def _unsplit(result, free: list, c: np.ndarray) -> tuple:
         raise result
     m = len(c)
     point = result.x_hat[:m].copy()
-    if free:
-        point[free] -= result.x_hat[m:]
+    point[free] -= result.x_hat[m:]
     return point, float(c @ point)
 
 
@@ -393,7 +345,16 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
     optimal set is exact, by vertex enumeration, unless the response LP has
     more candidate bases than ``problem.ENUM_CAP``; then each draw gets the
     one optimal vertex a simplex solve finds (each block in one
-    ``solve_rows`` call).
+    ``solve_rows`` call).  The response LP is unbounded below exactly when
+    ``x_star`` is not optimal, and both paths then raise ``Unbounded``: the
+    family path before any draw, when no basis holding ``supp(x_star)`` is
+    dual feasible, the split path at a feasible draw.
+
+    With ``verify_unique`` the optimal set of ``lp`` is enumerated and
+    ``NotUnique`` is raised unless it is the single vertex ``x_star``.
+    Without it ``x_star`` is trusted: when it is one of several optimal
+    vertices, the response set has optimal rays, yet each draw reports one
+    vertex.
     """
     if n_draws < 0:
         raise ValueError(f"n_draws must be nonnegative, not {n_draws}")
@@ -405,7 +366,9 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
         enum = AuxVertexEnumerator(lp.A, lp.c, free)
     except InstanceTooLarge:  # raised before any block is factored
         enum = None
-        split, free_order = split_free(MixedSignLp(lp.A, np.zeros(lp.k), lp.c, free))
+        split, free_order = split_free(lp, free)
+    if enum is not None and not problem._family_duals(enum.family, enum.c)[2].any():
+        raise Unbounded("no basis is dual feasible: the response program is unbounded below")
     g = sampler.draw_block(0, n_draws)
     points, values, ties = np.zeros((n_draws, lp.m)), [], {}
     for start in range(0, n_draws, BLOCK):

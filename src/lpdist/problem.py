@@ -648,15 +648,22 @@ def program_duals(lp: StandardLp) -> tuple:
     family = program_family(lp)
     memo = lp.basis_cache
     if memo.duals is None:
-        duals = (lp.c[family.cols][:, None, :] @ family.inverses)[:, 0]
-        slack = duals @ lp.A - lp.c
-        feasible = slack.max(axis=1) <= reduced_cost_tol(lp.c)
+        duals, slack, feasible = _family_duals(family, lp.c)
         edges = None
         if family.inverses.size > WINDOW_CELLS and feasible.any():
             edges = _window_edges(lp, family, duals[feasible], slack[feasible])
         # column-major, so that each ``duals[:, j]`` of ``ordered_dot`` is contiguous
         memo.duals = (*read_only(np.asfortranarray(duals), feasible), edges)
     return memo.duals
+
+
+def _family_duals(family: BasisFamily, c: np.ndarray) -> tuple:
+    """``(duals, slack, feasible)`` of each basis of ``family`` at the cost
+    ``c``: ``y = c_B' A_B^{-1}``, ``slack = y A - c`` and the mask of the
+    bases whose slacks are all at most ``reduced_cost_tol(c)``."""
+    duals = (c[family.cols][:, None, :] @ family.inverses)[:, 0]
+    slack = duals @ family.A - c
+    return duals, slack, slack.max(axis=1) <= reduced_cost_tol(c)
 
 
 def _window_edges(lp: StandardLp, family: BasisFamily, duals, slack) -> tuple:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from lpdist import load_lp
+from lpdist import SphereGrid, load_lp
 from lpdist.cli import main
 OT_DATA = {
     "A": [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 0.0]],
@@ -176,6 +176,38 @@ def test_limit_sample_csv(ot_file, write_json, tmp_path, capsys):
     assert srows[0].startswith("draw,direction,value,alpha_0")
     assert len(srows) == 1 + 5 * 8
     capsys.readouterr()
+
+
+def test_limit_sample_reads_the_sphere_grid_once(ot_file, write_json, tmp_path,
+                                                 monkeypatch, capsys):
+    reads = []
+    directions = SphereGrid.directions
+
+    def counted(grid):
+        reads.append(grid.resolution)
+        return directions.fget(grid)
+
+    monkeypatch.setattr(SphereGrid, "directions", property(counted))
+    sampler = write_json("sampler.json", {"kind": "gaussian", "sigma": np.eye(3).tolist()})
+    code = main(["limit-sample", "--lp", ot_file, "--sampler", sampler, "--draws", "30",
+                 "--grid-resolution", "8", "--out", str(tmp_path / "draws.csv"),
+                 "--support-out", str(tmp_path / "support.csv")])
+    assert code == 0
+    assert reads == [8]
+    assert len((tmp_path / "support.csv").read_text().splitlines()) == 1 + 30 * 8
+    capsys.readouterr()
+
+
+def test_limit_sample_verify_unique_rejects_a_tied_optimum(write_json, capsys):
+    tied = write_json("tied.json", {"A": [[1, 1]], "b": [1], "c": [1, 1]})
+    sampler = write_json("sampler.json", {"kind": "gaussian", "sigma": [[1.0]]})
+    args = ["limit-sample", "--lp", tied, "--sampler", sampler, "--draws", "3"]
+    assert main(args) == 0  # trusted, each draw reports one vertex
+    capsys.readouterr()
+    assert main(args + ["--verify-unique"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "optimal set has 2 vertices" in captured.err
 
 
 def test_limit_compare_json(capsys):

@@ -28,12 +28,11 @@ from lpdist.limits import (
     LimitSample,
     EmpiricalLaw,
     GaussianLaw,
-    MixedSignLp,
     MultinomialLaw,
     NoiseSampler,
     distance_statistic,
     sample_unique_limit,
-    solve_mixed,
+    split_free,
 )
 from lpdist.problem import FEAS_TOL, Polytope, quiet_lu, read_only, support
 
@@ -354,6 +353,16 @@ def test_kernel_rejects_an_overflowing_objective():
 
 # ------------------------------------------------------------ vertex only
 
+def split_solve(lp, free, g) -> tuple:
+    """One optimal point of the response program at ``g`` and its value: a
+    simplex solve of ``split_free``'s program at ``g``, un-split here."""
+    split, free_order = split_free(lp, free)
+    x = solve(split.with_rhs(g)).x_hat
+    point = x[:lp.m].copy()
+    point[free_order] -= x[lp.m:]
+    return point, float(lp.c @ point)
+
+
 @pytest.mark.parametrize("build", [build_ot_2x2, build_min_cost_flow])
 def test_vertex_only_equals_per_draw_mixed_solves(monkeypatch, build):
     config = build()
@@ -365,7 +374,7 @@ def test_vertex_only_equals_per_draw_mixed_solves(monkeypatch, build):
         samples = sample_unique_limit(config.lp, x_star, noise, 40)
     for i, sample in enumerate(samples):
         g = noise.draw(i)
-        point, value = solve_mixed(MixedSignLp(config.lp.A, g, config.lp.c, free))
+        point, value = split_solve(config.lp, free, g)
         assert sample.g.tobytes() == g.tobytes()
         assert sample.optimal_set.vertices.tobytes() == point[None, :].tobytes()
         assert sample.objective == value
@@ -561,7 +570,7 @@ def test_the_split_path_fills_the_same_block(monkeypatch, name):
     assert split.g.tobytes() == exact.g.tobytes()
     assert not split.points.flags.writeable
     for i in (0, 1, 1023, 1024, 1099):
-        point, value = solve_mixed(MixedSignLp(lp.A, noise.draw(i), lp.c, support(x_star)))
+        point, value = split_solve(lp, support(x_star), noise.draw(i))
         assert split.points[i].tobytes() == point.tobytes()
         assert split.values[i] == value
         assert _bits(split.distances[i]) == _bits(math.sqrt(point @ point))

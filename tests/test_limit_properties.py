@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lpdist import StandardLp
-from lpdist.errors import Infeasible, LpError
+from lpdist.errors import Infeasible, LpError, Unbounded
 from lpdist.limits import AuxVertexEnumerator, EmpiricalLaw, NoiseSampler, sample_unique_limit
 from lpdist.problem import BasisFamily
 
@@ -59,12 +59,24 @@ def test_block_kernel_agrees_with_scalar_enumeration(program):
             assert np.array_equal(got[0].vertices, enum.optimal_set(rows[i])[0].vertices)
 
 
+def has_dual_feasible_basis(family: BasisFamily, c: np.ndarray) -> bool:
+    """Whether some basis ``B`` of ``family`` has every reduced cost
+    ``c - y A``, for ``y`` solving ``y A_B = c_B``, at least ``-1e-9``."""
+    for cols in family.cols:
+        y = np.linalg.solve(family.A[:, cols].T, c[cols])
+        if (c - y @ family.A).min() >= -1e-9:
+            return True
+    return False
+
+
 @hypothesis.settings(max_examples=150, deadline=None, database=None)
 @hypothesis.given(programs(), st.integers(0, 2**32 - 1), st.integers(0, 40))
 def test_a_limit_block_reads_as_the_kernels_optimal_sets(program, seed, draws):
     """Each record of ``sample_unique_limit``'s block has the bits of its
     row of ``BasisFamily.optimal_sets`` at the block's noise, for noise
-    drawn from the program's rows; with an infeasible row both raise."""
+    drawn from the program's rows; with an infeasible row both raise.  When
+    no basis of the family is dual feasible the response program is
+    unbounded below, and the block raises ``Unbounded`` before any draw."""
     a, c, free, rows = program
     try:
         lp = StandardLp(a, np.zeros(len(a)), c)
@@ -74,6 +86,10 @@ def test_a_limit_block_reads_as_the_kernels_optimal_sets(program, seed, draws):
     x_star = np.zeros(lp.m)
     x_star[free] = 1.0
     noise = NoiseSampler(EmpiricalLaw(rows), seed)
+    if not has_dual_feasible_basis(family, c):
+        with pytest.raises(Unbounded):
+            sample_unique_limit(lp, x_star, noise, draws)
+        return
     g = noise.draw_block(0, draws)
     try:
         sets = family.optimal_sets(c, g)

@@ -4,23 +4,20 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from lpdist import StandardLp, problem
-from lpdist.errors import Infeasible, NonFiniteData, NotUnique, Unbounded
+from lpdist import StandardLp, problem, solve
+from lpdist.errors import Infeasible, NotUnique, Unbounded
 from lpdist.geometry import SphereGrid, argmax_vertex, support_function
 from lpdist.limits import (
     LAWS,
     AuxVertexEnumerator,
     EmpiricalLaw,
     GaussianLaw,
-    MixedSignLp,
     MultinomialLaw,
     NoiseSampler,
-    aux_lp_unique,
     distance_statistic,
     hadamard_quotient_check,
     limit_support_function,
     sample_unique_limit,
-    solve_mixed,
     split_free,
 )
 from lpdist.problem import build_kind, optimal_vertices, support
@@ -90,32 +87,36 @@ def test_empirical_sampler_cycles_rows():
 
 # ------------------------------------------------------- mixed-sign solving
 
-def test_mixed_sign_validation():
-    with pytest.raises(ValueError):
-        MixedSignLp(np.eye(2), [1.0], [0.0, 0.0], frozenset())
-    with pytest.raises(ValueError):
-        MixedSignLp(np.eye(2), [1.0, 1.0], [0.0, 0.0], frozenset({2}))
-
-
 def test_split_free_doubles_free_columns():
-    mixed = MixedSignLp([[1.0, 2.0, 3.0]], [1.0], [0.5, -1.0, 0.0], frozenset({1}))
-    std, free_order = split_free(mixed)
-    assert std.m == 4  # one free coordinate split into two signs
+    lp = StandardLp([[1.0, 2.0, 3.0]], [1.0], [0.5, -1.0, 0.0])
+    split, free_order = split_free(lp, frozenset({1}))
+    assert split.m == 4  # one free coordinate split into two signs
     assert free_order == [1]
-    point, value = solve_mixed(mixed)
-    assert np.allclose(mixed.a @ point, mixed.rhs, atol=1e-9)
-    assert abs(float(mixed.c @ point) - value) < 1e-12
+    assert np.array_equal(split.b, [0.0])
+    assert split.A.tobytes() == np.hstack([lp.A, -lp.A[:, [1]]]).tobytes()
+    assert split.c.tobytes() == np.concatenate([lp.c, -lp.c[[1]]]).tobytes()
+    x = solve(split.with_rhs([1.0])).x_hat
+    point = x[:3] - np.array([0.0, x[3], 0.0])
+    assert np.allclose(lp.A @ point, [1.0], atol=1e-9)
+    unsplit, order = split_free(lp, ())
+    assert order == []
+    assert unsplit.A.tobytes() == lp.A.tobytes() and unsplit.c.tobytes() == lp.c.tobytes()
 
 
-def _linprog_mixed(mixed):
-    bounds = [(None, None) if j in mixed.free_indices else (0, None)
-              for j in range(mixed.a.shape[1])]
-    return scipy.optimize.linprog(mixed.c, A_eq=mixed.a, b_eq=mixed.rhs,
-                                  bounds=bounds, method="highs")
+def _linprog_mixed(A, g, c, free):
+    bounds = [(None, None) if j in free else (0, None) for j in range(A.shape[1])]
+    return scipy.optimize.linprog(c, A_eq=A, b_eq=g, bounds=bounds, method="highs")
 
 
-def test_solve_mixed_against_reference_solver():
+def test_split_path_against_reference_solver(monkeypatch):
+    """Above the cap each draw is a simplex solve of the split program; its
+    value is HiGHS's on the response program, whose free coordinates are
+    ``supp(x_star)``.  The costs are dual feasible, so ``x_star`` is optimal
+    and every response program is bounded; each draw is ``A p0`` for a
+    feasible ``p0``, so every one is feasible."""
+    monkeypatch.setattr(problem, "ENUM_CAP", 0)
     rng = np.random.Generator(np.random.Philox(key=77, counter=[0, 0, 0, 0]))
+    programs = 0
     for _ in range(60):
         k = int(rng.integers(1, 4))
         m = int(rng.integers(k + 1, 8))
@@ -124,69 +125,72 @@ def test_solve_mixed_against_reference_solver():
             continue
         free = frozenset(int(i) for i in rng.choice(m, size=rng.integers(0, m // 2 + 1),
                                                     replace=False))
-        p0 = rng.uniform(0.1, 1.0, size=m)
+        p0 = rng.uniform(0.1, 1.0, size=(4, m))
         for j in free:
-            p0[j] = rng.standard_normal()
-        g = A @ p0
+            p0[:, j] = rng.standard_normal(4)
         # dual-feasible cost => bounded: equality on free coords, slack elsewhere
         y = rng.standard_normal(k)
         s = np.abs(rng.standard_normal(m))
         for j in free:
             s[j] = 0.0
         c = A.T @ y + s
-        mixed = MixedSignLp(A, g, c, free)
-        point, value = solve_mixed(mixed)
-        ref = _linprog_mixed(mixed)
-        assert ref.status == 0
-        assert abs(value - ref.fun) < 1e-7 * (1 + abs(ref.fun))
-        assert np.allclose(A @ point, g, atol=1e-8)
-        assert min(point[j] for j in range(m) if j not in free) >= -1e-9
+        x_star = np.zeros(m)
+        x_star[sorted(free)] = rng.uniform(0.1, 1.0, size=len(free))
+        lp = StandardLp(A, A @ x_star, c)
+        assert support(x_star) == free
+        block = sample_unique_limit(lp, x_star, NoiseSampler(EmpiricalLaw(p0 @ A.T), 5), 6)
+        for g, point, value in zip(block.g, block.points, block.values):
+            ref = _linprog_mixed(A, g, c, free)
+            assert ref.status == 0
+            assert abs(value - ref.fun) < 1e-7 * (1 + abs(ref.fun))
+            assert np.allclose(A @ point, g, atol=1e-8)
+            assert min((point[j] for j in range(m) if j not in free), default=0.0) >= -1e-9
+        programs += 1
+    assert programs > 40
 
 
-def test_solve_mixed_detects_unbounded():
-    mixed = MixedSignLp([[1.0, 1.0]], [1.0], [1.0, -2.0], frozenset({0}))
+@pytest.mark.parametrize("cap", [None, 0])
+def test_both_paths_detect_unbounded(monkeypatch, cap):
+    """``x_star`` is not optimal, so its response program is unbounded: the
+    family path finds no dual feasible basis, the split simplex no blocking
+    row."""
+    if cap is not None:
+        monkeypatch.setattr(problem, "ENUM_CAP", cap)
+    lp = StandardLp([[1.0, 1.0]], [1.0], [1.0, -2.0])
     with pytest.raises(Unbounded):
-        solve_mixed(mixed)
+        sample_unique_limit(lp, [1.0, 0.0], NoiseSampler(GaussianLaw([[1.0]]), 3), 3)
 
 
 # -------------------------------------------------- directional response LPs
 
-def test_aux_construction_from_plan(ot_lp):
-    mixed = aux_lp_unique(ot_lp, OT_TARGET, np.array([0.3, -0.3, 0.0]))
-    assert mixed.free_indices == support(OT_TARGET)
-    assert np.array_equal(mixed.a, ot_lp.A)
-    assert np.array_equal(mixed.c, ot_lp.c)
-    mixed2 = MixedSignLp(ot_lp.A, np.zeros(3), ot_lp.c, support(OT_TARGET))
-    assert mixed2.free_indices == frozenset({0, 3})
-
-
 def test_aux_uniqueness_guard(ot_lp, ones_3x3_lp):
-    aux_lp_unique(ot_lp, OT_TARGET, np.zeros(3), verify_unique=True)
+    noise = NoiseSampler(GaussianLaw(np.eye(3)), 0)
+    guarded = sample_unique_limit(ot_lp, OT_TARGET, noise, 5, verify_unique=True)
+    plain = sample_unique_limit(ot_lp, OT_TARGET, noise, 5)
+    assert guarded.points.tobytes() == plain.points.tobytes()
     x_diag = np.zeros(9)
     x_diag[[0, 4, 8]] = 1.0 / 3.0
-    with pytest.raises(NotUnique):
-        aux_lp_unique(ones_3x3_lp, x_diag, np.zeros(5), verify_unique=True)
-    with pytest.raises(NotUnique):
+    with pytest.raises(NotUnique, match="optimal set has 6 vertices"):
+        sample_unique_limit(ones_3x3_lp, x_diag, NoiseSampler(GaussianLaw(np.eye(5)), 0), 5,
+                            verify_unique=True)
+    with pytest.raises(NotUnique, match="not the optimal vertex"):
         # not the optimizer at all
-        aux_lp_unique(ot_lp, np.array([0.0, 0.5, 0.5, 0.0]), np.zeros(3),
-                      verify_unique=True)
+        sample_unique_limit(ot_lp, np.array([0.0, 0.5, 0.5, 0.0]), noise, 5,
+                            verify_unique=True)
 
 
 def test_transport_response_case_analysis(ot_lp):
     """Marginal shifts move mass along one of the two off-support entries."""
+    enum = AuxVertexEnumerator(ot_lp.A, ot_lp.c, support(OT_TARGET))
     for gamma, expected in [
         (0.3, np.array([0.0, 0.3, 0.0, -0.3])),
         (-0.2, np.array([-0.2, 0.0, 0.2, 0.0])),
     ]:
-        g = np.array([gamma, -gamma, 0.0])
-        mixed = aux_lp_unique(ot_lp, OT_TARGET, g)
-        enum = AuxVertexEnumerator(mixed.a, mixed.c, mixed.free_indices)
-        poly, value = enum.optimal_set(mixed.rhs)
+        poly, value = enum.optimal_set(np.array([gamma, -gamma, 0.0]))
         assert len(poly) == 1
         assert np.allclose(poly.vertices[0], expected, atol=1e-12)
         assert abs(value - abs(gamma)) < 1e-12
-    mixed = aux_lp_unique(ot_lp, OT_TARGET, np.zeros(3))
-    poly, value = AuxVertexEnumerator(mixed.a, mixed.c, mixed.free_indices).optimal_set(mixed.rhs)
+    poly, value = enum.optimal_set(np.zeros(3))
     assert len(poly) == 1
     assert np.allclose(poly.vertices[0], 0.0)
     assert value == 0.0
@@ -199,7 +203,7 @@ def test_enumerator_matches_reference_solver(ot_lp):
         gamma = rng.standard_normal()
         g = np.array([gamma, -gamma, 0.0])
         poly, value = enum.optimal_set(g)
-        ref = _linprog_mixed(MixedSignLp(ot_lp.A, g, ot_lp.c, support(OT_TARGET)))
+        ref = _linprog_mixed(ot_lp.A, g, ot_lp.c, support(OT_TARGET))
         assert ref.status == 0
         assert abs(value - ref.fun) < 1e-9 * (1 + abs(ref.fun))
         for v in poly.vertices:
@@ -212,13 +216,6 @@ def test_enumerator_infeasible_rhs():
     enum = AuxVertexEnumerator(np.array([[1.0, 1.0]]), np.zeros(2), frozenset())
     with pytest.raises(Infeasible):
         enum.optimal_set(np.array([-1.0]))
-
-
-def test_mixed_sign_lp_rejects_non_finite_data():
-    with pytest.raises(NonFiniteData):
-        MixedSignLp([[np.nan, 1.0]], [1.0], [0.0, 0.0], frozenset())
-    with pytest.raises(NonFiniteData):
-        MixedSignLp([[1.0, 1.0]], [np.inf], [0.0, 0.0], frozenset())
 
 
 # ------------------------------------------------------------------ noise laws
