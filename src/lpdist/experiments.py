@@ -30,7 +30,6 @@ from .limits import (
     GaussianLaw,
     MultinomialLaw,
     _philox_key,
-    _thread_philox,
     philox_streams,
     sample_unique_limit,
 )
@@ -52,7 +51,7 @@ from .problem import (
     read_only,
     support,
 )
-from .simplex import dual_certificate, solve_block, solve_rows
+from .simplex import dual_certificate, solve_rows
 
 DEFAULT_SEED = 0x5EED
 
@@ -284,14 +283,14 @@ def _face_vertices(lp: StandardLp, cols: tuple, x: np.ndarray, rhs: np.ndarray) 
 
 def _sample_rows(config: ExperimentConfig, n: int, n_index: int, rate: float,
                  replicates: range) -> tuple:
-    """Each replicate's rhs, drawn from its own Philox stream at counter
-    ``[0, 0, n_index, replicate]``, and the state of that stream after the
-    draw, from which the replicate goes on to pick its face vertex."""
-    rhs, states = [], []
+    """``(rhs, picks)``: each replicate's rhs, drawn from its own Philox
+    stream at counter ``[0, 0, n_index, replicate]``, and the uniform that
+    stream draws next, from which the replicate picks its vertex."""
+    rhs, picks = [], []
     for rng in philox_streams(_philox_key(config.seed), (0, 0, n_index), replicates):
         rhs.append(config.b_sampler.sample(config.truth_b, n, rate, rng))
-        states.append(rng.bit_generator.state)
-    return _rhs_block(config.lp, rhs), states
+        picks.append(rng.random())
+    return _rhs_block(config.lp, rhs), np.array(picks)
 
 
 def _rhs_block(lp: StandardLp, rhs: list) -> np.ndarray:
@@ -306,25 +305,26 @@ def _rhs_block(lp: StandardLp, rhs: list) -> np.ndarray:
     return block
 
 
-def _coverage_block(config: ExperimentConfig, n: int, n_index: int, replicates: range,
-                    parts: dict) -> list:
+def _coverage_block(config: ExperimentConfig, n: int, n_index: int,
+                    replicates: range) -> list:
     """The ``ReplicateRecord`` of each of ``replicates`` at sample size ``n``.
 
-    The block is solved with ``solve_block``, its optimal faces are solved
-    once per optimal basis, and it is tested for coverage once per selection
-    basis; each record is the one the replicate gets on its own from
-    ``solve``, ``optimal_face_vertices``, ``selection_basis``,
-    ``map_region`` and ``contains``.
+    The block's optimal sets come from one ``optimal_rows`` call, each
+    replicate reports the vertex its uniform picks (``_reported_vertices``),
+    and the block is tested for coverage once per selection basis; each
+    record is the one the replicate gets on its own from its stream,
+    ``optimal_vertices`` at its rhs, ``selection_basis``, ``map_region``
+    and ``contains``.
     """
     rate = float(n) ** config.rate_exponent
-    rhs, states = _sample_rows(config, n, n_index, rate, replicates)
-    x_hat, errors = _reported_vertices(config.lp, rhs, states)
+    rhs, picks = _sample_rows(config, n, n_index, rate, replicates)
+    x_hat, errors = _reported_vertices(config.lp, rhs, picks)
     records = {}
     ok = np.array([row for row in range(len(rhs)) if row not in errors], dtype=np.intp)
     for mask, at in group_rows(np.abs(x_hat[ok]) > problem.FEAS_TOL, ok):
         try:
             basis = _selection(config.lp, tuple(np.flatnonzero(mask).tolist()))
-            mapped, projection = _basis_parts(config, basis, parts)
+            mapped, projection = _basis_parts(config, basis)
         except LpError as exc:
             errors.update(dict.fromkeys(at.tolist(), exc))
             continue
@@ -344,48 +344,40 @@ def _coverage_block(config: ExperimentConfig, n: int, n_index: int, replicates: 
             for row, rep in enumerate(replicates)]
 
 
-def _reported_vertices(lp: StandardLp, rhs: np.ndarray, states: list) -> tuple:
+def _reported_vertices(lp: StandardLp, rhs: np.ndarray, picks: np.ndarray) -> tuple:
     """``(x_hat, errors)``: the vertex each row of ``rhs`` reports, as the
     rows of ``x_hat``, and the ``LpError`` of each row that has none.
 
     Practical solvers select arbitrarily among multiply-optimal vertices;
-    this models that selection by drawing uniformly over the solved vertex
-    and the other vertices of its optimal face from the row's own stream,
-    set back to the state in ``states``.
+    this models that selection canonically: a row with ``t`` distinct
+    optimal vertices reports vertex ``floor(u t)`` of them, ``u`` its entry
+    of ``picks``, in the order the tie rule keeps them (the family order of
+    their first optimal basis).
     """
-    groups, errors = solve_block(lp, rhs)
+    pieces, errors = problem.optimal_rows(lp, rhs)
     x_hat = np.zeros((len(rhs), lp.m))
-    bitgen, rng, _ = _thread_philox()
-    for cols, (at, x) in groups.items():
-        x_hat[at] = x
-        try:
-            others = _face_vertices(lp, cols, x, rhs[at])
-        except LpError as exc:
-            errors.update(dict.fromkeys(at.tolist(), exc))
-            continue
-        candidates: dict = {}
-        for _, rows, points in others:
-            for row, point in zip(at[rows].tolist(), points):
-                candidates.setdefault(row, []).append(point)
-        for row, points in candidates.items():
-            bitgen.state = states[row]
-            pick = int(rng.integers(len(points) + 1))
-            if pick:
-                x_hat[row] = points[pick - 1]
+    for at, _, _, (points, _, _, groups, _) in pieces:
+        x_hat[at] = points
+        for rows, kept in groups:
+            pick = (picks[at[rows]] * kept.shape[1]).astype(np.intp)
+            x_hat[at[rows]] = kept[np.arange(len(rows)), pick]
     return x_hat, errors
 
 
-def _basis_parts(config: ExperimentConfig, basis: Basis, parts: dict) -> tuple:
+def _basis_parts(config: ExperimentConfig, basis: Basis) -> tuple:
     """The mapped region and the projection of the truth's basic point onto
-    the targets; both depend on the selection basis only, so ``parts``
-    keeps them for the rest of one coverage run."""
-    found = parts.get(basis.indices)
+    the targets.  Both depend on the program's own ``b``, the selection
+    basis and the region only, so ``config.lp.at_b`` keeps them under the
+    basis and the region's id, with the region itself, so that its id is not
+    reused while the entry lives."""
+    key = ("parts", basis.indices, id(config.region))
+    found = config.lp.at_b.get(key)
     if found is None:
         mapped = map_region(config.lp, basis, config.region)
         anchor = basic_solution(config.lp, basis).x
         projection, _ = min_norm_point(config.targets, anchor)
-        found = parts[basis.indices] = (mapped, projection)
-    return found
+        found = config.lp.at_b[key] = (config.region, mapped, projection)
+    return found[1:]
 
 
 def run_coverage(config: ExperimentConfig, *, n_values=None, replicates=None,
@@ -409,12 +401,10 @@ def run_coverage(config: ExperimentConfig, *, n_values=None, replicates=None,
         raise ValueError("replicates and sample sizes must be positive")
     rows = []
     log = []
-    parts: dict = {}
     for n_index, n in enumerate(n_values):
         records = [record for start in range(0, replicates, BLOCK)
                    for record in _coverage_block(
-                       config, n, n_index, range(start, min(start + BLOCK, replicates)),
-                       parts)]
+                       config, n, n_index, range(start, min(start + BLOCK, replicates)))]
         covered = sum(1 for rec in records if rec.covered)
         coverage = covered / replicates
         rows.append(CoverageRow(

@@ -388,6 +388,27 @@ def _one_vertex(vertex: np.ndarray) -> Polytope:
     return polytope
 
 
+def _lexsorted(kept: np.ndarray) -> Polytope:
+    """The Polytope of the ``(t, m)`` array ``kept``, whose rows are
+    distinct under ``Polytope``'s rule already: its rows in ``Polytope``'s
+    order, without the dedup loop."""
+    polytope = object.__new__(Polytope)
+    polytope.vertices = read_only(kept[np.lexsort(kept.T[::-1])])[0]
+    return polytope
+
+
+def _keep_first(vertices: np.ndarray) -> np.ndarray:
+    """``Polytope``'s greedy rule for each row of the ``(G, t, m)`` block
+    ``vertices``: the ``(G, t)`` mask of the vertices kept, in order, each
+    unless it lies within ``DEDUP_TOL`` in the max norm of a vertex kept
+    before it."""
+    keep = np.ones(vertices.shape[:2], dtype=bool)
+    for j in range(1, vertices.shape[1]):
+        close = np.abs(vertices[:, :j] - vertices[:, j, None]).max(axis=2) <= DEDUP_TOL
+        keep[:, j] = ~(close & keep[:, :j]).any(axis=1)
+    return keep
+
+
 def factor_columns(lp: StandardLp, indices) -> tuple:
     """LU-factor ``A`` restricted to ``indices``; raise if not invertible."""
     sub = lp.A[:, list(indices)]
@@ -560,14 +581,25 @@ class BasisFamily:
         c, step = np.asarray(c, dtype=float), max(1, SOLVE_CELLS // len(self))
         starts = range(0, len(rows), step)
         parts = [self._optimal_block(c, self.solve(rows[at:at + step])) for at in starts]
+        for *_, errors in parts:
+            if errors:  # a row with no feasible basis is named first
+                raise next((e for e in errors.values() if isinstance(e, Infeasible)),
+                           next(iter(errors.values())))
         points = read_only(np.concatenate([p[0] for p in parts] or [np.zeros((0, m))]))[0]
         return points, [v for p in parts for v in p[1]], {
-            at + row: tie for at, (*_, ties) in zip(starts, parts) for row, tie in ties.items()}
+            at + row: tie for at, (*_, groups, _) in zip(starts, parts)
+            for row, tie in _tie_polytopes(groups).items()}
 
     def _optimal_block(self, c, x: np.ndarray) -> tuple:
-        """``(points, values, tied, ties)`` for finite ``rows`` solved into
-        ``x = self.solve(rows)``: ``optimal_parts`` and the ``(len(self), N)``
-        mask ``tied``, whose column ``r`` marks the bases in row ``r``'s set."""
+        """``(points, values, tied, groups, errors)`` for finite ``rows``
+        solved into ``x = self.solve(rows)``: each row's first optimal
+        vertex and optimal value, as in ``optimal_parts``; the
+        ``(len(self), N)`` mask ``tied``, whose column ``r`` marks the bases
+        in row ``r``'s set; the rows whose set has several vertices, as
+        ``(rows, kept)`` groups, ``kept[i]`` the distinct vertices of row
+        ``rows[i]`` in the order of their first basis; and, keyed by row,
+        the ``Infeasible`` or ``NonFiniteData`` of each row with no optimal
+        value, whose other entries mean nothing."""
         # a signed coordinate below -FEAS_TOL makes the basis infeasible
         infeasible = np.matmul(x < -FEAS_TOL, self._signed)[:, :, 0]
         values = np.add.reduce(x * c[self.cols][:, None, :], axis=2)  # objectives
@@ -575,22 +607,27 @@ class BasisFamily:
         winner = values.argmin(axis=0)
         best = values.min(axis=0)
         best_list = best.tolist()
+        errors = {}
         if not all(map(math.isfinite, best_list)):
-            if infeasible.all(axis=0).any():
-                raise Infeasible("no feasible basis")
-            raise NonFiniteData("an objective value overflowed")
+            empty, failed = infeasible.all(axis=0), np.flatnonzero(~np.isfinite(best))
+            errors = {row: Infeasible("no feasible basis") if empty[row] else
+                      NonFiniteData("an objective value overflowed") for row in failed.tolist()}
+            best[failed] = 0.0  # so that its row's comparisons below stay quiet
         tied = values - best <= 1e-8 * (1.0 + np.abs(best))
-
-        def vertices(bases, at):
-            out = np.zeros((len(bases), self.A.shape[1]))
-            out[np.arange(len(bases))[:, None], self.cols[bases]] = x[bases, at]
-            return read_only(out)[0]
-
-        ties = {}
-        if np.count_nonzero(tied) > x.shape[1]:
-            ties = {row: Polytope(vertices(np.flatnonzero(tied[:, row]), row))
-                    for row in np.flatnonzero(tied.sum(axis=0) > 1).tolist()}
-        return vertices(winner, np.arange(x.shape[1])), best_list, tied, ties
+        tied[:, list(errors)] = False
+        points = np.zeros((x.shape[1], self.A.shape[1]))
+        points[np.arange(x.shape[1])[:, None], self.cols[winner]] = x[winner, np.arange(x.shape[1])]
+        groups = []
+        if np.count_nonzero(tied) > x.shape[1] - len(errors):
+            multi = np.flatnonzero(tied.sum(axis=0) > 1)
+            for pattern, rows in group_rows(tied[:, multi].T, multi):
+                bases = np.flatnonzero(pattern)
+                vertices = np.zeros((len(rows), len(bases), self.A.shape[1]))
+                vertices[:, np.arange(len(bases))[:, None], self.cols[bases]] = \
+                    x[bases][:, rows].transpose(1, 0, 2)
+                for keep, at in group_rows(_keep_first(vertices), np.arange(len(rows))):
+                    groups.append((rows[at], vertices[at][:, keep]))
+        return read_only(points)[0], best_list, tied, groups, errors
 
 
 def program_family(lp: StandardLp) -> BasisFamily:
@@ -652,7 +689,7 @@ def program_duals(lp: StandardLp) -> tuple:
         edges = None
         if family.inverses.size > WINDOW_CELLS and feasible.any():
             edges = _window_edges(lp, family, duals[feasible], slack[feasible])
-        # column-major, so that each ``duals[:, j]`` of ``ordered_dot`` is contiguous
+        # column-major, so that ``duals.T`` in ``_window``'s product is row-major
         memo.duals = (*read_only(np.asfortranarray(duals), feasible), edges)
     return memo.duals
 
@@ -694,24 +731,29 @@ def _window_edges(lp: StandardLp, family: BasisFamily, duals, slack) -> tuple:
     return float(lower + rounding), float(per_b), float(rounding)
 
 
-def _window(lp: StandardLp, family: BasisFamily, duals, feasible, edges):
-    """``(part, x)``: the bases of ``family`` whose dual value at ``lp.b``
-    lies in a window around the best dual value, as ``family.take`` of them,
-    and their basic points ``part.solve(lp.b)``; or None, where every basis
-    must be solved: when ``|b| = max|b_j|`` exceeds the family's room, or no
-    dual feasible basis in the window is feasible.
+def _window(family: BasisFamily, duals, feasible, edges, rhs: np.ndarray) -> tuple:
+    """``(rows, at)`` for the finite ``(N, k)`` block ``rhs``: the rows of
+    ``rhs`` within the family's room, ``|b| = max|b_j| <= room``, and the
+    bases of ``family`` whose dual value at one of them lies in a window
+    around that row's best dual value.  Beyond the room, or where no dual
+    feasible basis in the window is feasible, a row's window does not hold,
+    and every basis must be solved there.  The rows go ``SOLVE_CELLS //
+    len(family)`` at a time, so that a block of dual values stays within
+    ``SOLVE_CELLS`` entries.
 
-    Every basis's value ``v = ordered_dot(duals, b)`` is its objective
-    ``c_B' A_B^{-1} b``; let ``best = max v`` over the dual feasible bases,
-    attained by basis ``a`` with reduced costs ``r = c - A' y_a``.  The
-    window is ``[best - L, best + U]``, and no basis outside it is the
-    winner or tied in ``BasisFamily._optimal_block``:
+    Every basis's value ``v = y_B . b``, ``y_B`` its row of ``duals``, is
+    its objective ``c_B' A_B^{-1} b``; let ``best = max v`` over the dual
+    feasible bases, attained by basis ``a`` with reduced costs ``r = c - A'
+    y_a``.  The window of ``b`` is ``[best - L, best + U]``, and no basis
+    outside it is the winner or tied in ``BasisFamily._optimal_block``:
 
     - Rounding.  Below the room every solved coordinate is within 1e-12 of
       ``H b``, ``H`` the stored inverse, so each of the four roundings
       between ``v``, ``y_B . b``, ``c_B . H b`` and the block's objective is
       at most ``1e-12 k max|c|``; ``R = 1e-11 k (1 + max|c|)`` covers them
-      and the window's own comparisons.
+      and the window's own comparisons.  The bound on the rounding of a
+      k-term dot product holds in any order of summation, so ``v`` may come
+      from one BLAS product for the whole block.
     - Lower edge.  For ``xi = H b`` and any ``y``, ``c_B . xi = y . b +
       y . (A_B H - I) b + r_B . xi`` exactly.  A basis whose solved
       coordinates are all at least ``-FEAS_TOL`` has ``xi >= -FEAS_TOL -
@@ -728,55 +770,125 @@ def _window(lp: StandardLp, family: BasisFamily, duals, feasible, edges):
       U``, ``U = 1e-8 (1 + |best| + L + R) + R``, then lies beyond the tie
       cutoff ``1e-8 (1 + |objective|)`` of the best objective.
 
-    The window keeps the family's order, so the winner (the first smallest
-    objective) and the tied bases are the family's, bit for bit."""
-    size = np.abs(lp.b).max()
-    if size > family._room:
-        return None
+    The union of the rows' windows keeps the family's order and holds each
+    row's own window, so each row's winner (the first smallest objective)
+    and tied bases are the family's, bit for bit; and a feasible dual
+    feasible basis of the union lies in the row's own window, since one
+    below it is infeasible."""
+    size = np.abs(rhs).max(axis=1)
+    rows = np.flatnonzero(size <= family._room)
     lower, per_b, rounding = edges
-    values = ordered_dot(duals, lp.b)
-    best = values[feasible].max()
-    lower += per_b * size
-    upper = 1e-8 * (1.0 + abs(best) + lower + rounding) + rounding
-    at = np.flatnonzero((values >= best - lower) & (values <= best + upper))
-    part = family.take(at)
-    x = part.solve(lp.b[None, :])
-    if not (feasible[at] & (x[:, 0].min(axis=1) >= -FEAS_TOL)).any():
-        return None
-    return part, x
+    union = np.zeros(len(family), dtype=bool)
+    for at in _slices(rows, len(family)):
+        values = rhs[at] @ duals.T
+        best = values[:, feasible].max(axis=1)
+        low = lower + per_b * size[at]
+        upper = 1e-8 * (1.0 + np.abs(best) + low + rounding) + rounding
+        union |= ((values >= (best - low)[:, None])
+                  & (values <= (best + upper)[:, None])).any(axis=0)
+    return rows, np.flatnonzero(union)
+
+
+def _slices(rows: np.ndarray, bases: int):
+    """``rows`` in consecutive pieces of ``SOLVE_CELLS // bases`` (at least one)."""
+    step = max(1, SOLVE_CELLS // max(bases, 1))
+    return (rows[start:start + step] for start in range(0, len(rows), step))
+
+
+def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> tuple:
+    """``(pieces, errors)``: the optimal set of ``lp`` at each row of the
+    ``(N, k)`` block ``rhs``, as ``optimal_vertices`` gives it at that row.
+
+    ``pieces`` lists ``(at, part, x, block)``: rows ``at`` of ``rhs``, the
+    bases ``part`` of ``program_family(lp)`` that were solved for them (the
+    family itself, or ``take`` of some), their basic points ``x =
+    part.solve(rhs[at])`` and ``block = part._optimal_block(lp.c, x)``,
+    whose row ``i`` is row ``at[i]`` of ``rhs``.  ``errors`` maps each
+    other row to its own ``LpError``: ``NonFiniteData`` for a row that
+    holds NaN or infinity, the one ``InstanceTooLarge`` of a program over
+    ``ENUM_CAP`` for every other row, ``_optimal_block``'s ``Infeasible`` or
+    ``NonFiniteData``, and ``Unbounded`` for every row left when no basis
+    is dual feasible.
+
+    Above ``WINDOW_CELLS`` (see ``program_duals``) the block solves the
+    union of its rows' windows (``_window``), and the rows whose window
+    does not hold are solved by the whole family, as are all rows of a
+    smaller family; each solve takes the rows a slice at a time, so that a
+    block of basic points stays within ``SOLVE_CELLS`` times ``k``
+    entries."""
+    finite = np.isfinite(rhs).all(axis=1)
+    errors = {row: NonFiniteData("b holds NaN or infinity")
+              for row in np.flatnonzero(~finite).tolist()}
+    rest, solved = np.flatnonzero(finite), []
+    try:
+        family = program_family(lp)
+    except InstanceTooLarge as exc:
+        errors.update(dict.fromkeys(rest.tolist(), exc))
+        return [], errors
+    duals, dual_feasible, edges = program_duals(lp)
+    if edges is not None:
+        near, at = _window(family, duals, dual_feasible, edges, rhs[rest])
+        part, held = family.take(at), np.zeros(len(rhs), dtype=bool)
+        for rows in _slices(rest[near], len(part)):
+            x = part.solve(rhs[rows])
+            holds = (dual_feasible[at, None] & (x.min(axis=2) >= -FEAS_TOL)).any(axis=0)
+            solved.append((rows[holds], part, x[:, holds]))
+            held[rows[holds]] = True
+        rest = rest[~held[rest]]
+    solved += [(rows, family, family.solve(rhs[rows])) for rows in _slices(rest, len(family))]
+    return _solved_sets(lp, solved, errors, dual_feasible)
+
+
+def _solved_sets(lp: StandardLp, solved: list, errors: dict, dual_feasible) -> tuple:
+    """``optimal_rows``'s ``(pieces, errors)`` from its ``(at, part, x)``
+    triples and the errors of its non-finite rows."""
+    pieces = []
+    for at, part, x in solved:
+        if len(at):
+            block = part._optimal_block(lp.c, x)
+            errors.update(zip(at[list(block[-1])].tolist(), block[-1].values()))
+            pieces.append((at, part, x, block))
+    if not dual_feasible.any():
+        unbounded = [row for at, *_ in pieces for row in at.tolist() if row not in errors]
+        errors.update((row, Unbounded("no basis is dual feasible: the objective is unbounded "
+                                      "below")) for row in unbounded)
+        pieces = []
+    return pieces, errors
+
+
+def _tie_polytopes(groups: list) -> dict:
+    """The Polytope of each row of ``_optimal_block``'s ``groups``, keyed by row."""
+    return {row: _lexsorted(kept)
+            for rows, block in groups for row, kept in zip(rows.tolist(), block)}
 
 
 def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
     """The best feasible vertices and every basis attaining their value:
-    ``BasisFamily.optimal_sets`` of the program's family at ``lp.b``.
+    ``optimal_rows`` at the one row ``lp.b``, or the family's
+    ``_optimal_block`` at the basic points when they are kept already.
     Raises ``Infeasible`` when no feasible basis exists, and ``Unbounded``
     when one does but no basis is dual feasible (see ``program_duals``).
-    A family of more than ``WINDOW_CELLS`` inverse entries solves only the
-    bases ``_window`` keeps, unless the basic points are kept already; the
-    result is the same.  The program's first call that returns keeps the
-    Polytope (its vertices read-only) and the bases in ``lp.at_b``, and the
-    basic points when it solved every basis; one that raises keeps nothing.
-    Each call returns a new list of bases."""
+    The program's first call that returns keeps the Polytope (its vertices
+    read-only) and the bases in ``lp.at_b``, and the basic points when it
+    solved every basis; one that raises keeps nothing.  Each call returns a
+    new list of bases."""
     family = program_family(lp)  # the cap is checked on every call
     optimal = lp.at_b.get("optimal")
     if optimal is None:
-        duals, dual_feasible, edges = program_duals(lp)
         points = lp.at_b.get("points")
-        window = None
-        if points is None and edges is not None:
-            window = _window(lp, family, duals, dual_feasible, edges)
-        if window is None:
-            points = _solved_at_b(lp) if points is None else points
-            part, x = family, points[:, None, :]
+        if points is None:
+            pieces, errors = optimal_rows(lp, lp.b[None, :])
         else:
-            part, x = window
-        vertices, _, tied, ties = part._optimal_block(lp.c, x)
-        if not dual_feasible.any():
-            raise Unbounded("no basis is dual feasible: the objective is unbounded below")
-        polytope = ties[0] if ties else _one_vertex(vertices[:1])
-        optimal = (polytope, tuple(Basis(cols) for cols in part.cols[tied[:, 0]].tolist()))
-        if window is None:
-            lp.at_b["points"] = points
+            solved = [(np.zeros(1, dtype=np.intp), family, points[:, None, :])]
+            pieces, errors = _solved_sets(lp, solved, {}, program_duals(lp)[1])
+        if errors:
+            raise errors[0]
+        [(_, part, x, (vertices, _, tied, groups, _))] = pieces
+        ties = _tie_polytopes(groups)
+        optimal = (ties[0] if ties else _one_vertex(vertices[:1]),
+                   tuple(Basis(cols) for cols in part.cols[tied[:, 0]].tolist()))
+        if part is family and points is None:
+            lp.at_b["points"] = read_only(x[:, 0].copy())[0]
         lp.at_b["optimal"] = optimal
     return optimal[0], list(optimal[1])
 

@@ -1,10 +1,11 @@
 """The coverage harness solves a sample size's replicates as one block.
 
 Every record must equal the one the replicate gets on its own from the
-public per-replicate calls: its own Philox stream, ``solve``,
-``optimal_face_vertices``, a uniform pick among the candidates,
-``selection_basis``, ``map_region`` and ``contains``.  Rows that fail must
-get their own error without disturbing the others.
+public per-replicate calls: its own Philox stream, which draws the rhs and
+then one uniform ``u``; ``optimal_vertices`` at that rhs; the pick of
+vertex ``floor(u t)`` among its ``t`` vertices, ordered by their first
+optimal basis; ``selection_basis``, ``map_region`` and ``contains``.  Rows
+that fail must get their own error without disturbing the others.
 """
 from dataclasses import replace
 
@@ -19,8 +20,8 @@ from lpdist import (
     contains,
     map_region,
     min_norm_point,
+    optimal_vertices,
     selection_basis,
-    solve,
 )
 from lpdist import problem
 from lpdist.errors import LpError, Unbounded
@@ -29,10 +30,24 @@ from lpdist.experiments import (
     ReplicateRecord,
     build_min_cost_flow,
     build_ot_2x2,
-    optimal_face_vertices,
     run_coverage,
 )
 from lpdist.limits import BLOCK
+
+
+def canonical_pick(lp, u):
+    """Vertex ``floor(u t)`` of the ``t`` vertices of ``optimal_vertices(lp)``,
+    each placed at the first optimal basis whose basic point is nearest it."""
+    polytope, bases = optimal_vertices(lp)
+    order = []
+    for basis in bases:
+        x = basic_solution(lp, basis).x
+        nearest = int(np.abs(polytope.vertices - x).max(axis=1).argmin())
+        if nearest not in order:
+            order.append(nearest)
+    assert sorted(order) == list(range(len(polytope)))
+    return polytope.vertices[order[int(u * len(order))]]
+
 
 def reference_record(config, n, n_index, replicate):
     """One replicate composed from the public calls, as before blocks."""
@@ -40,10 +55,9 @@ def reference_record(config, n, n_index, replicate):
     rng = np.random.Generator(np.random.Philox(key=config.seed,
                                                counter=[0, 0, n_index, replicate]))
     b_n = config.b_sampler.sample(config.truth_b, n, rate, rng)
+    u = rng.random()
     try:
-        lp_n = config.lp.with_rhs(b_n)
-        candidates = optimal_face_vertices(lp_n, solve(lp_n))
-        _, x_hat = candidates[int(rng.integers(len(candidates)))]
+        x_hat = canonical_pick(config.lp.with_rhs(b_n), u)
         basis = selection_basis(config.lp, x_hat)
         cs = ConfidenceSet(center=np.array(x_hat, dtype=float), rate=rate,
                            mapped=map_region(config.lp, basis, config.region))
@@ -100,7 +114,7 @@ def test_good_infeasible_and_nonfinite_rows_share_a_block():
     assert sum(rec.error is None for rec in log) > 40
     messages = {rec.error for rec in log if rec.error is not None}
     assert any("NaN" in msg for msg in messages)
-    assert any("artificial" in msg for msg in messages)
+    assert "no feasible basis" in messages
 
 
 def test_unbounded_infeasible_and_nonfinite_rows_share_a_block():
@@ -118,15 +132,14 @@ def test_unbounded_infeasible_and_nonfinite_rows_share_a_block():
     log = assert_records_match_reference(config, 50)
     messages = [rec.error for rec in log]
     assert None not in messages
-    assert any("blocking row" in msg for msg in messages)
+    assert any("dual feasible" in msg for msg in messages)
     assert any("NaN" in msg for msg in messages)
-    assert any("artificial" in msg for msg in messages)
+    assert "no feasible basis" in messages
 
 
-def test_a_face_family_that_cannot_be_built_fails_its_rows(monkeypatch):
-    # every min-cost-flow replicate ties on a face of 14 columns, whose
-    # family has more candidate blocks than this cap
+def test_a_family_that_cannot_be_built_fails_its_rows(monkeypatch):
+    # the min-cost flow's 8568 candidate blocks are more than this cap
     config = replace(build_min_cost_flow(), n_values=(50,))
     monkeypatch.setattr(problem, "ENUM_CAP", 10)
     log = assert_records_match_reference(config, 20)
-    assert {rec.error for rec in log} == {"14 candidate bases exceed the cap of 10"}
+    assert {rec.error for rec in log} == {"8568 candidate bases exceed the cap of 10"}

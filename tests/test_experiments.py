@@ -296,22 +296,24 @@ def test_config_from_dict_rejects_unknown_sampler():
         })
 
 
-def test_coverage_logs_replicates_that_exhaust_the_pivot_budget(monkeypatch):
-    from lpdist import simplex
+def test_coverage_runs_no_simplex(monkeypatch):
+    """Coverage takes each replicate's optimal set from the program's family:
+    with no pivot allowed, no block simplex and no face family, every
+    record is what it was."""
+    from lpdist import experiments, simplex
 
     cfg = build_ot_2x2()
     plain = run_coverage(cfg, n_values=(1, 10), replicates=40, keep_log=True)
-    monkeypatch.setattr(simplex, "_pivot_budget", lambda k, n: 4)
-    short = run_coverage(cfg, n_values=(1, 10), replicates=40, keep_log=True)
-    failed = [rec for rec in short.log if rec.error is not None]
-    assert 0 < len(failed) < len(short.log)
-    for rec in failed:
-        assert "pivot budget" in rec.error
-        assert not rec.covered and rec.basis == ()
-    for rec, reference in zip(short.log, plain.log):
-        if rec.error is None:
-            assert rec == reference
-    assert [row.replicates for row in short.rows] == [40, 40]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coverage called the simplex")
+
+    monkeypatch.setattr(simplex, "_pivot_budget", lambda k, n: 0)
+    monkeypatch.setattr(simplex, "solve_block", refuse)
+    monkeypatch.setattr(experiments, "solve_rows", refuse)
+    monkeypatch.setattr(experiments, "_face_vertices", refuse)
+    again = run_coverage(cfg, n_values=(1, 10), replicates=40, keep_log=True)
+    assert again == plain and all(rec.error is None for rec in again.log)
 
 
 def test_coverage_logs_replicates_whose_rhs_is_not_finite():
