@@ -7,6 +7,7 @@ iterative solvers.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -339,6 +340,14 @@ class Basis:
         return len(self.indices)
 
 
+def _family_basis(cols: list) -> Basis:
+    """The Basis of one row of a family's ``cols``, as a list of ints, which
+    is sorted already: ``Basis(cols)`` without its checks."""
+    basis = object.__new__(Basis)
+    object.__setattr__(basis, "indices", tuple(cols))
+    return basis
+
+
 @dataclass(frozen=True)
 class BasicSolution:
     basis: Basis
@@ -391,10 +400,18 @@ def _one_vertex(vertex: np.ndarray) -> Polytope:
 def _lexsorted(kept: np.ndarray) -> Polytope:
     """The Polytope of the ``(t, m)`` array ``kept``, whose rows are
     distinct under ``Polytope``'s rule already: its rows in ``Polytope``'s
-    order, without the dedup loop."""
+    order, without the dedup loop.  Python's stable sort of the rows as
+    lists orders them as ``np.lexsort`` does, for less per call."""
     polytope = object.__new__(Polytope)
-    polytope.vertices = read_only(kept[np.lexsort(kept.T[::-1])])[0]
+    order = sorted(range(len(kept)), key=kept.tolist().__getitem__)
+    polytope.vertices = read_only(kept[order])[0]
     return polytope
+
+
+@functools.lru_cache(maxsize=None)
+def _below(t: int) -> np.ndarray:
+    """The read-only ``(t, t)`` mask of the entries below the diagonal."""
+    return read_only(np.tri(t, k=-1, dtype=bool))[0]
 
 
 def _keep_first(vertices: np.ndarray) -> np.ndarray:
@@ -402,10 +419,16 @@ def _keep_first(vertices: np.ndarray) -> np.ndarray:
     ``vertices``: the ``(G, t)`` mask of the vertices kept, in order, each
     unless it lies within ``DEDUP_TOL`` in the max norm of a vertex kept
     before it."""
-    keep = np.ones(vertices.shape[:2], dtype=bool)
-    for j in range(1, vertices.shape[1]):
-        close = np.abs(vertices[:, :j] - vertices[:, j, None]).max(axis=2) <= DEDUP_TOL
-        keep[:, j] = ~(close & keep[:, :j]).any(axis=1)
+    t = vertices.shape[1]
+    # earlier[g, j, i]: vertex i of row g comes before vertex j and is close to it
+    earlier = np.abs(vertices[:, :, None] - vertices[:, None]).max(axis=3) <= DEDUP_TOL
+    earlier &= _below(t)
+    keep = ~earlier.any(axis=2)
+    # that is the rule's mask unless a vertex's only close earlier vertices
+    # were dropped themselves, as in a chain a ~ b ~ c; then go one at a time
+    if not keep.all() and not (keep | (earlier & keep[:, None, :]).any(axis=2)).all():
+        for j in range(1, t):
+            keep[:, j] = ~(earlier[:, j] & keep).any(axis=1)
     return keep
 
 
@@ -614,19 +637,23 @@ class BasisFamily:
                       NonFiniteData("an objective value overflowed") for row in failed.tolist()}
             best[failed] = 0.0  # so that its row's comparisons below stay quiet
         tied = values - best <= 1e-8 * (1.0 + np.abs(best))
-        tied[:, list(errors)] = False
-        points = np.zeros((x.shape[1], self.A.shape[1]))
-        points[np.arange(x.shape[1])[:, None], self.cols[winner]] = x[winner, np.arange(x.shape[1])]
-        groups = []
-        if np.count_nonzero(tied) > x.shape[1] - len(errors):
-            multi = np.flatnonzero(tied.sum(axis=0) > 1)
+        if errors:
+            tied[:, list(errors)] = False
+        points, every = np.zeros((x.shape[1], self.A.shape[1])), np.arange(x.shape[1])
+        points[every[:, None], self.cols[winner]] = x[winner, every]
+        groups, multi = [], (tied.sum(axis=0) > 1).nonzero()[0]
+        if len(multi):
             for pattern, rows in group_rows(tied[:, multi].T, multi):
-                bases = np.flatnonzero(pattern)
+                bases = pattern.nonzero()[0]
                 vertices = np.zeros((len(rows), len(bases), self.A.shape[1]))
                 vertices[:, np.arange(len(bases))[:, None], self.cols[bases]] = \
-                    x[bases][:, rows].transpose(1, 0, 2)
-                for keep, at in group_rows(_keep_first(vertices), np.arange(len(rows))):
-                    groups.append((rows[at], vertices[at][:, keep]))
+                    x[bases[:, None], rows].transpose(1, 0, 2)
+                keep = _keep_first(vertices)
+                if keep.all():
+                    groups.append((rows, vertices))
+                    continue
+                for kept, at in group_rows(keep, np.arange(len(rows))):
+                    groups.append((rows[at], vertices[at][:, kept]))
         return read_only(points)[0], best_list, tied, groups, errors
 
 
@@ -645,6 +672,8 @@ def group_rows(keys: np.ndarray, rows: np.ndarray) -> list:
     """``(key, rows with that key)`` for each distinct row of the 2-d
     ``keys``, whose rows label the entries of ``rows`` one for one; groups
     come in order of first appearance, entries in their own order."""
+    if len(keys) == 1:
+        return [(keys[0], rows)]
     groups: dict = {}
     for i, key in enumerate(map(bytes, np.ascontiguousarray(keys))):
         groups.setdefault(key, []).append(i)
@@ -776,23 +805,23 @@ def _window(family: BasisFamily, duals, feasible, edges, rhs: np.ndarray) -> tup
     feasible basis of the union lies in the row's own window, since one
     below it is infeasible."""
     size = np.abs(rhs).max(axis=1)
-    rows = np.flatnonzero(size <= family._room)
+    rows = (size <= family._room).nonzero()[0]
     lower, per_b, rounding = edges
-    union = np.zeros(len(family), dtype=bool)
+    union, feasible = np.zeros(len(family), dtype=bool), feasible.nonzero()[0]
     for at in _slices(rows, len(family)):
         values = rhs[at] @ duals.T
-        best = values[:, feasible].max(axis=1)
+        best = values.take(feasible, axis=1).max(axis=1)
         low = lower + per_b * size[at]
         upper = 1e-8 * (1.0 + np.abs(best) + low + rounding) + rounding
         union |= ((values >= (best - low)[:, None])
                   & (values <= (best + upper)[:, None])).any(axis=0)
-    return rows, np.flatnonzero(union)
+    return rows, union.nonzero()[0]
 
 
 def _slices(rows: np.ndarray, bases: int):
     """``rows`` in consecutive pieces of ``SOLVE_CELLS // bases`` (at least one)."""
     step = max(1, SOLVE_CELLS // max(bases, 1))
-    return (rows[start:start + step] for start in range(0, len(rows), step))
+    return [rows[start:start + step] for start in range(0, len(rows), step)]
 
 
 def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> tuple:
@@ -803,9 +832,10 @@ def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> tuple:
     bases ``part`` of ``program_family(lp)`` that were solved for them (the
     family itself, or ``take`` of some), their basic points ``x =
     part.solve(rhs[at])`` and ``block = part._optimal_block(lp.c, x)``,
-    whose row ``i`` is row ``at[i]`` of ``rhs``.  ``errors`` maps each
-    other row to its own ``LpError``: ``NonFiniteData`` for a row that
-    holds NaN or infinity, the one ``InstanceTooLarge`` of a program over
+    whose row ``i`` is row ``at[i]`` of ``rhs``.  ``errors`` maps each row
+    with no optimal set to its own ``LpError``, and such a row's entries in
+    a piece mean nothing: ``NonFiniteData`` for a row that holds NaN or
+    infinity, the one ``InstanceTooLarge`` of a program over
     ``ENUM_CAP`` for every other row, ``_optimal_block``'s ``Infeasible`` or
     ``NonFiniteData``, and ``Unbounded`` for every row left when no basis
     is dual feasible.
@@ -817,9 +847,10 @@ def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> tuple:
     block of basic points stays within ``SOLVE_CELLS`` times ``k``
     entries."""
     finite = np.isfinite(rhs).all(axis=1)
-    errors = {row: NonFiniteData("b holds NaN or infinity")
-              for row in np.flatnonzero(~finite).tolist()}
-    rest, solved = np.flatnonzero(finite), []
+    rest, solved, errors = finite.nonzero()[0], [], {}
+    if len(rest) < len(rhs):
+        errors = {row: NonFiniteData("b holds NaN or infinity")
+                  for row in (~finite).nonzero()[0].tolist()}
     try:
         family = program_family(lp)
     except InstanceTooLarge as exc:
@@ -827,14 +858,17 @@ def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> tuple:
         return [], errors
     duals, dual_feasible, edges = program_duals(lp)
     if edges is not None:
-        near, at = _window(family, duals, dual_feasible, edges, rhs[rest])
-        part, held = family.take(at), np.zeros(len(rhs), dtype=bool)
+        near, at = _window(family, duals, dual_feasible, edges,
+                           rhs[rest] if len(rest) < len(rhs) else rhs)
+        part, left = family.take(at), [] if len(near) == len(rest) else [np.delete(rest, near)]
+        signs = dual_feasible[at, None]
         for rows in _slices(rest[near], len(part)):
             x = part.solve(rhs[rows])
-            holds = (dual_feasible[at, None] & (x.min(axis=2) >= -FEAS_TOL)).any(axis=0)
-            solved.append((rows[holds], part, x[:, holds]))
-            held[rows[holds]] = True
-        rest = rest[~held[rest]]
+            holds = (signs & (x.min(axis=2) >= -FEAS_TOL)).any(axis=0)
+            if not holds.all():
+                rows, x, left = rows[holds], x[:, holds], left + [rows[~holds]]
+            solved.append((rows, part, x))
+        rest = np.concatenate(left) if left else rest[:0]
     solved += [(rows, family, family.solve(rhs[rows])) for rows in _slices(rest, len(family))]
     return _solved_sets(lp, solved, errors, dual_feasible)
 
@@ -846,7 +880,8 @@ def _solved_sets(lp: StandardLp, solved: list, errors: dict, dual_feasible) -> t
     for at, part, x in solved:
         if len(at):
             block = part._optimal_block(lp.c, x)
-            errors.update(zip(at[list(block[-1])].tolist(), block[-1].values()))
+            if block[-1]:
+                errors.update(zip(at[list(block[-1])].tolist(), block[-1].values()))
             pieces.append((at, part, x, block))
     if not dual_feasible.any():
         unbounded = [row for at, *_ in pieces for row in at.tolist() if row not in errors]
@@ -886,7 +921,7 @@ def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
         [(_, part, x, (vertices, _, tied, groups, _))] = pieces
         ties = _tie_polytopes(groups)
         optimal = (ties[0] if ties else _one_vertex(vertices[:1]),
-                   tuple(Basis(cols) for cols in part.cols[tied[:, 0]].tolist()))
+                   tuple(map(_family_basis, part.cols[tied[:, 0]].tolist())))
         if part is family and points is None:
             lp.at_b["points"] = read_only(x[:, 0].copy())[0]
         lp.at_b["optimal"] = optimal
