@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import problem
-from .errors import Infeasible, LpError, NoConvergence, NonFiniteData, Unbounded
+from .errors import Infeasible, LpError, NoConvergence, NonFiniteData, SingularBasis, Unbounded
 from .problem import (
     Basis,
     BasisCache,
@@ -153,10 +153,14 @@ def _sign_pattern(cache: BasisCache, lp: StandardLp, negative: np.ndarray):
 
 def dual_certificate(lp: StandardLp, cols: tuple) -> tuple:
     """``(dual, slack)`` of the basis ``cols``: the duals and the reduced
-    costs, kept in the program's basis cache."""
+    costs, kept in the program's basis cache.  Raises ``SingularBasis``
+    when LAPACK finds the columns singular."""
 
     def build():
-        dual = np.linalg.solve(lp.A[:, cols].T, lp.c[list(cols)])
+        try:
+            dual = np.linalg.solve(lp.A[:, cols].T, lp.c[list(cols)])
+        except np.linalg.LinAlgError as exc:
+            raise SingularBasis(f"columns {tuple(cols)} are singular") from exc
         return read_only(dual, lp.c - lp.A.T @ dual)
 
     return lp.basis_cache.get(("certificate", cols), build)

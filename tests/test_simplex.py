@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from lpdist import Basis, StandardLp, solve, verify_kkt
-from lpdist.errors import Infeasible, Unbounded
+from lpdist.errors import Infeasible, SingularBasis, Unbounded
 from lpdist.problem import basic_solution, optimal_vertices
+from lpdist.simplex import dual_certificate
 
 
 def test_worked_display_example(ot_lp):
@@ -44,6 +45,18 @@ def test_dual_certificate_matches_basis(ot_lp):
     assert np.allclose(slack[cols], 0.0, atol=1e-12)
     assert slack.min() > -1e-9
     assert np.allclose(res.slack, slack, atol=1e-12)
+
+
+def test_dual_certificate_of_singular_columns_is_a_singular_basis():
+    """Columns 0 and 1 are parallel, so LAPACK finds the block exactly
+    singular; the typed error is raised and nothing is cached."""
+    lp = StandardLp([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0]], [1.0, 1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(lp.A[:, [0, 1]].T, lp.c[[0, 1]])
+    for _ in range(2):
+        with pytest.raises(SingularBasis, match=r"columns \(0, 1\) are singular"):
+            dual_certificate(lp, (0, 1))
+    assert len(lp.basis_cache) == 0
 
 
 def test_infeasible_program():
