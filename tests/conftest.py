@@ -3,13 +3,22 @@
 The property tests draw the same examples on every run: the profile
 ``derandomized`` is loaded here.  ``pytest --hypothesis-profile=default``
 draws new examples on each run instead.
+
+BLAS runs on one thread unless the environment says otherwise, as in CI
+and ``perfbench/run.py``: the variables are set before numpy is imported,
+because OpenBLAS reads them once, when it loads.  A threaded OpenBLAS
+spends far longer starting threads than on the suite's tiny solves.
 """
 import json
+import os
 
-import numpy as np
-import pytest
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
-from lpdist import StandardLp
+import numpy as np  # noqa: E402  (after the thread settings above)
+import pytest  # noqa: E402
+
+from lpdist import StandardLp  # noqa: E402
 
 try:
     from hypothesis import settings
