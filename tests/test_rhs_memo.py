@@ -10,6 +10,7 @@ sibling must start without it.  Every check compares a memoised result
 with the same call on a fresh program.
 """
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from scipy.linalg import block_diag
 
 from lpdist import StandardLp, stability_report
 from lpdist import problem
+from lpdist.confidence import SegmentFamilyRegion
+from lpdist.experiments import build_min_cost_flow, build_ot_2x2, run_coverage
+from lpdist.geometry import min_norm_point
 from lpdist.errors import Infeasible, LpError, NotSlater, Unbounded
 from lpdist.problem import (
     Basis,
@@ -277,3 +281,49 @@ def test_memoised_results_equal_fresh_programs(case):
             assert ENTRY_POINTS[name](root, slater) == ENTRY_POINTS[name](_fresh(lp, lp.b), slater)
         previous = program
 
+
+
+def _parts(lp) -> dict:
+    """The coverage parts ``run_coverage`` keeps in ``lp.at_b``, by key."""
+    return {key: value for key, value in lp.at_b.items() if isinstance(key, tuple)}
+
+
+def test_coverage_parts_follow_the_region():
+    """A config whose region is replaced shares the program, so its parts
+    are kept under the new region's id beside the old ones, and its records
+    equal those of a fresh program; the narrower region covers less, so a
+    stale image would show."""
+    config = build_ot_2x2()
+    narrow = SegmentFamilyRegion((1.0, -1.0, 0.0), 0.2, coverage_target=0.95)
+    settings = dict(n_values=(10, 100), replicates=60, keep_log=True)
+    wide = run_coverage(config, **settings)
+    swapped = replace(config, region=narrow)
+    assert swapped.lp is config.lp
+    got = run_coverage(swapped, **settings)
+    assert got == run_coverage(replace(build_ot_2x2(), region=narrow), **settings)
+    assert [row.covered for row in got.rows] < [row.covered for row in wide.rows]
+    regions = [value[0] for value in _parts(config.lp).values()]
+    assert {id(region) for region in regions} == {id(config.region), id(narrow)}
+    assert run_coverage(config, **settings) == wide
+
+
+def test_coverage_parts_are_not_shared_with_a_sibling():
+    """A ``with_rhs`` sibling starts without its parent's parts: its own are
+    made at its own ``b``, and its records equal a fresh program's."""
+    config = build_min_cost_flow()
+    settings = dict(n_values=(50,), replicates=40, keep_log=True)
+    run_coverage(config, **settings)
+    slater = PROGRAMS[1][1]
+    sibling = config.lp.with_rhs(config.lp.A @ (slater * np.linspace(0.9, 1.1, config.lp.m)))
+    shifted = replace(config, lp=sibling)
+    assert _parts(sibling) == {}
+    got = run_coverage(shifted, **settings)
+    fresh = replace(config, lp=StandardLp(sibling.A, sibling.b, sibling.c))
+    assert got == run_coverage(fresh, **settings)
+    parent = _parts(config.lp)
+    assert parent.keys() & _parts(sibling).keys()
+    for key, (region, mapped, projection) in _parts(sibling).items():
+        anchor = basic_solution(sibling, Basis(key[1])).x
+        assert projection.tobytes() == min_norm_point(shifted.targets, anchor)[0].tobytes()
+        if key in parent:
+            assert projection.tobytes() != parent[key][2].tobytes()
