@@ -357,7 +357,9 @@ class BasicSolution:
 
 
 class Polytope:
-    """A finite vertex set; duplicates within ``DEDUP_TOL`` are merged."""
+    """A finite vertex set, as the read-only rows of ``vertices`` in
+    lexicographic order; of vertices within ``DEDUP_TOL`` of each other in
+    the max norm the first is kept (``_keep_first``)."""
 
     __slots__ = ("vertices",)
 
@@ -367,16 +369,7 @@ class Polytope:
             arr = arr.reshape(0, arr.shape[-1] if arr.ndim == 2 else 0)
         if arr.ndim != 2:
             raise ValueError("vertices must form a 2-d array")
-        kept: list[list] = []
-        for v in arr.tolist():
-            if not any(all(abs(a - b) <= DEDUP_TOL for a, b in zip(v, u)) for u in kept):
-                kept.append(v)
-        if kept:
-            order = np.lexsort(np.array(kept).T[::-1])
-            arr = np.array(kept)[order]
-        else:
-            arr = np.zeros((0, arr.shape[1]))
-        self.vertices = _frozen(arr)
+        self.vertices = _sorted_rows(arr[_keep_first(arr[None])[0]] if len(arr) else arr)
 
     @property
     def dim(self) -> int:
@@ -397,18 +390,22 @@ def _one_vertex(vertex: np.ndarray) -> Polytope:
     return polytope
 
 
+def _sorted_rows(kept: np.ndarray) -> np.ndarray:
+    """A new read-only array of the rows of the ``(t, m)`` array ``kept`` in
+    lexicographic order: Python's stable sort of the rows as lists, the
+    order ``np.lexsort`` gives, for less per call."""
+    return read_only(kept[sorted(range(len(kept)), key=kept.tolist().__getitem__)])[0]
+
+
 def _lexsorted(kept: np.ndarray) -> Polytope:
     """The Polytope of the ``(t, m)`` array ``kept``, whose rows are
-    distinct under ``Polytope``'s rule already: its rows in ``Polytope``'s
-    order, without the dedup loop.  Python's stable sort of the rows as
-    lists orders them as ``np.lexsort`` does, for less per call."""
+    distinct under ``Polytope``'s rule already."""
     polytope = object.__new__(Polytope)
-    order = sorted(range(len(kept)), key=kept.tolist().__getitem__)
-    polytope.vertices = read_only(kept[order])[0]
+    polytope.vertices = _sorted_rows(kept)
     return polytope
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _below(t: int) -> np.ndarray:
     """The read-only ``(t, t)`` mask of the entries below the diagonal."""
     return read_only(np.tri(t, k=-1, dtype=bool))[0]

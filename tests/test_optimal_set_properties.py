@@ -146,23 +146,50 @@ def test_an_infeasible_row_keeps_the_other_rows_sets():
     assert got == [alone(config.lp, b) for b in rhs]
 
 
+def reference_vertices(vertices) -> np.ndarray:
+    """The greedy rule one vertex at a time, as ``Polytope`` applied it
+    before the block dedup: keep a vertex unless one kept before it lies
+    within ``DEDUP_TOL`` in every coordinate; then ``np.lexsort`` the rows."""
+    kept = []
+    for v in np.asarray(vertices, dtype=float).tolist():
+        if not any(all(abs(a - b) <= DEDUP_TOL for a, b in zip(v, u)) for u in kept):
+            kept.append(v)
+    kept = np.array(kept).reshape(len(kept), np.shape(vertices)[-1])
+    return kept[np.lexsort(kept.T[::-1])]
+
+
 @hypothesis.settings(max_examples=150, deadline=None, database=None)
 @hypothesis.given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
                   st.integers(1, 4), st.sampled_from([0.4, 0.6, 0.9, 1.0, 1.1]))
 def test_the_block_dedup_keeps_what_polytope_keeps(seed, rows, count, dim, step):
     """Vertices on a lattice of ``step * DEDUP_TOL`` around a random point,
-    so that chains ``a ~ b ~ c`` with ``a`` far from ``c`` are common."""
+    so that chains ``a ~ b ~ c`` with ``a`` far from ``c`` are common, and
+    exact repeats."""
     rng = np.random.default_rng(seed)
     vertices = rng.standard_normal(dim) + step * DEDUP_TOL * rng.integers(-3, 4, (rows, count, dim))
+    vertices[:, -1] = vertices[:, 0]
     keep = _keep_first(vertices)
     for row in range(rows):
+        want = reference_vertices(vertices[row]).tobytes()
         got = _lexsorted(vertices[row][keep[row]]).vertices
-        assert got.tobytes() == Polytope(vertices[row]).vertices.tobytes()
-        assert not got.flags.writeable
+        assert got.tobytes() == want and not got.flags.writeable
+        assert Polytope(vertices[row]).vertices.tobytes() == want
 
 
 def test_a_chain_keeps_its_ends():
     """``a ~ b`` and ``b ~ c`` but not ``a ~ c``: ``b`` goes, ``c`` stays."""
     chain = np.array([[[0.0], [0.6 * DEDUP_TOL], [1.2 * DEDUP_TOL]]])
     assert _keep_first(chain).tolist() == [[True, False, True]]
-    assert len(Polytope(chain[0])) == 2
+    assert Polytope(chain[0]).vertices.tolist() == [[0.0], [1.2 * DEDUP_TOL]]
+
+
+def test_polytope_keeps_its_edge_cases():
+    """No vertices, signed zeros and a read-only copy of its input."""
+    assert Polytope([]).vertices.shape == (0, 0)
+    assert Polytope(np.zeros((0, 3))).vertices.shape == (0, 3)
+    source = np.array([[0.0, 1.0], [-0.0, 1.0], [-1.0, 2.0]])
+    polytope = Polytope(source)
+    assert polytope.vertices.tobytes() == reference_vertices(source).tobytes()
+    assert not polytope.vertices.flags.writeable and not np.shares_memory(polytope.vertices, source)
+    with pytest.raises(ValueError):
+        Polytope([1.0, 2.0])
