@@ -392,8 +392,8 @@ def _one_vertex(vertex: np.ndarray) -> Polytope:
 
 def _sorted_rows(kept: np.ndarray) -> np.ndarray:
     """A new read-only array of the rows of the ``(t, m)`` array ``kept`` in
-    lexicographic order: Python's stable sort of the rows as lists, the
-    order ``np.lexsort`` gives, for less per call."""
+    lexicographic order.  Python's stable sort of the rows as lists gives
+    the order of ``np.lexsort`` on the columns, at less cost for few rows."""
     return read_only(kept[sorted(range(len(kept)), key=kept.tolist().__getitem__)])[0]
 
 
@@ -412,10 +412,10 @@ def _below(t: int) -> np.ndarray:
 
 
 def _keep_first(vertices: np.ndarray) -> np.ndarray:
-    """``Polytope``'s greedy rule for each row of the ``(G, t, m)`` block
-    ``vertices``: the ``(G, t)`` mask of the vertices kept, in order, each
-    unless it lies within ``DEDUP_TOL`` in the max norm of a vertex kept
-    before it."""
+    """The dedup rule of ``Polytope`` and of the tie rule, for each row of
+    the ``(G, t, m)`` block ``vertices``: the ``(G, t)`` mask of the
+    vertices kept, in order, each unless it lies within ``DEDUP_TOL`` in
+    the max norm of a vertex kept before it."""
     t = vertices.shape[1]
     # earlier[g, j, i]: vertex i of row g comes before vertex j and is close to it
     earlier = np.abs(vertices[:, :, None] - vertices[:, None]).max(axis=3) <= DEDUP_TOL
@@ -638,8 +638,9 @@ class BasisFamily:
             tied[:, list(errors)] = False
         points, every = np.zeros((x.shape[1], self.A.shape[1])), np.arange(x.shape[1])
         points[every[:, None], self.cols[winner]] = x[winner, every]
-        groups, multi = [], (tied.sum(axis=0) > 1).nonzero()[0]
-        if len(multi):
+        groups = []
+        if np.count_nonzero(tied) > x.shape[1] - len(errors):  # some row ties
+            multi = (tied.sum(axis=0) > 1).nonzero()[0]
             for pattern, rows in group_rows(tied[:, multi].T, multi):
                 bases = pattern.nonzero()[0]
                 vertices = np.zeros((len(rows), len(bases), self.A.shape[1]))
