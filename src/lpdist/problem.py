@@ -856,8 +856,7 @@ def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> tuple:
         return [], errors
     duals, dual_feasible, edges = program_duals(lp)
     if edges is not None:
-        near, at = _window(family, duals, dual_feasible, edges,
-                           rhs[rest] if len(rest) < len(rhs) else rhs)
+        near, at = _window(family, duals, dual_feasible, edges, rhs[rest])
         part, left = family.take(at), [] if len(near) == len(rest) else [np.delete(rest, near)]
         signs = dual_feasible[at, None]
         for rows in _slices(rest[near], len(part)):
