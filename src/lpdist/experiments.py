@@ -47,7 +47,6 @@ from .problem import (
     group_rows,
     load_lp,
     optimal_vertices,
-    program_family,
     read_only,
     support,
 )
@@ -218,15 +217,29 @@ def build_min_cost_flow() -> ExperimentConfig:
 
 
 def optimal_face_vertices(lp: StandardLp, result) -> list:
-    """The solved vertex and the other vertices of its optimal face.
-
-    Returns ``[(basis_indices, x), ...]`` with the solved vertex first; a
-    single entry means the optimum is unique.  This is ``_face_vertices``
-    on a block of one row.
-    """
-    cols = result.basis.indices
-    others = _face_vertices(lp, cols, result.x_hat[None], lp.b[None, :])
-    return [(cols, result.x_hat)] + [(new_cols, x[0]) for new_cols, _, x in others]
+    """The solved vertex and the other vertices of its optimal face, as
+    ``[(basis_indices, x), ...]``: the solved vertex first, then each vertex
+    ``block_sets`` keeps on ``_face``'s family at cost zero, where every
+    feasible basis ties, under its first basis in family order, less any
+    within ``DEDUP_TOL`` of the solved vertex.  One entry means the optimum
+    is unique.  Raises the ``LpError`` of a family that cannot be built."""
+    cols, x_hat = result.basis.indices, result.x_hat
+    face, family = _face(lp, cols)
+    if family is None:
+        return [(cols, x_hat)]
+    pieces, errors = problem.block_sets(family, np.zeros(len(face)), lp.b[None, :])
+    if errors:
+        return [(cols, x_hat)]
+    [(_, _, _, (points, _, tied, groups, _))] = pieces
+    if groups:
+        [(_, [kept], first)] = groups
+    else:  # one basis is feasible
+        kept, first = points, tied[:, 0].nonzero()[0]
+    vertices = np.zeros((len(kept), lp.m))
+    vertices[:, face] = kept
+    far = (np.abs(vertices - x_hat).max(axis=1) > problem.DEDUP_TOL).nonzero()[0]
+    return [(cols, x_hat)] + [(tuple(face[family.cols[first[i]]].tolist()), vertices[i])
+                              for i in far.tolist()]
 
 
 def _face(lp: StandardLp, cols: tuple) -> tuple:
@@ -245,40 +258,6 @@ def _face(lp: StandardLp, cols: tuple) -> tuple:
         return face, (BasisFamily(read_only(lp.A[:, face])[0]) if len(face) > lp.k else None)
 
     return lp.basis_cache.get(("face", cols), build)
-
-
-def _face_vertices(lp: StandardLp, cols: tuple, x: np.ndarray, rhs: np.ndarray) -> list:
-    """The optimal vertices other than ``x`` at each row of a block where
-    the basis ``cols`` is optimal: ``x`` holds the solved vertices as rows
-    and ``rhs`` the right-hand sides.
-
-    Returns ``[(new_cols, rows, points), ...]`` in family order: the rows
-    (indices into the block) where basis ``new_cols`` of the face family is
-    feasible and its vertex is more than ``DEDUP_TOL`` from the row's solved
-    vertex and from its earlier ones, with those vertices.  Raises the
-    ``LpError`` of a family that cannot be built.
-    """
-    face, family = _face(lp, cols)
-    if family is None:
-        return []
-    found = [x]  # the vertices met so far, each at its rows and inf elsewhere
-    others = []
-    for basis, x_b in zip(face[family.cols].tolist(), family.solve(rhs)):
-        rows = np.flatnonzero(x_b.min(axis=1) >= -problem.FEAS_TOL)
-        if not rows.size or tuple(basis) == cols:
-            continue
-        point = np.zeros((len(rows), x.shape[1]))
-        point[:, basis] = x_b[rows]
-        new = np.ones(len(rows), dtype=bool)
-        for seen in found:
-            new &= np.abs(point - seen[rows]).max(axis=1) > problem.DEDUP_TOL
-        if new.any():
-            rows, point = rows[new], point[new]
-            met = np.full_like(x, np.inf)
-            met[rows] = point
-            found.append(met)
-            others.append((tuple(basis), rows, point))
-    return others
 
 
 def _sample_rows(config: ExperimentConfig, n: int, n_index: int, rate: float,
@@ -355,12 +334,11 @@ def _reported_vertices(lp: StandardLp, rhs: np.ndarray, picks: np.ndarray) -> tu
     their first optimal basis).
     """
     pieces, errors = problem.optimal_rows(lp, rhs)
-    x_hat = np.zeros((len(rhs), lp.m))
-    for at, _, _, (points, _, _, groups, _) in pieces:
-        x_hat[at] = points
-        for rows, kept in groups:
-            pick = (picks[at[rows]] * kept.shape[1]).astype(np.intp)
-            x_hat[at[rows]] = kept[np.arange(len(rows)), pick]
+    points, _, groups = problem.row_sets(len(rhs), lp.m, pieces)
+    x_hat = points.copy()
+    for rows, kept, _ in groups:
+        pick = (picks[rows] * kept.shape[1]).astype(np.intp)
+        x_hat[rows] = kept[np.arange(len(rows)), pick]
     return x_hat, errors
 
 
@@ -453,8 +431,14 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
         # the distance to the one target vertex, as min_norm_point computes it
         finite = rate * row_norms(config.targets.vertices[0] - [r.x_hat for r in results])
     else:
-        sets = program_family(config.lp).optimal_sets(config.lp.c, block)
-        finite = rate * np.array([hausdorff(shifted, config.targets) for shifted, _ in sets])
+        pieces, errors = problem.optimal_rows(config.lp, block)
+        if errors:
+            raise problem.first_error(errors)
+        points, _, groups = problem.row_sets(draws, config.lp.m, pieces)
+        ties = problem._tie_polytopes(groups)
+        finite = rate * np.array([
+            hausdorff(ties[i] if i in ties else problem._one_vertex(points[i:i + 1]),
+                      config.targets) for i in range(draws)])
     x_star = config.targets.vertices[0]
     noise = config.b_sampler.limit_noise(config.seed, config.lp.k)
     limit = sample_unique_limit(config.lp, x_star, noise, draws).statistic(statistic)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import problem
-from .errors import InstanceTooLarge, LpError, NotUnique, Unbounded
+from .errors import InstanceTooLarge, LpError, NotUnique
 from .geometry import (
     SphereGrid,
     argmax_vertex,
@@ -130,9 +130,7 @@ def philox_streams(key: np.ndarray, lead: tuple, indices):
 
     The stream of index ``i`` is ``Philox(key=seed, counter=[*lead, i])``
     for the seed whose ``_philox_key`` is ``key``; setting the state equals
-    building that generator afresh, at a fraction of the cost.  The
-    generator's ``bit_generator.state`` may be saved and set back later to
-    go on drawing from a stream.
+    building that generator afresh, at a fraction of the cost.
     """
     bitgen, rng, fresh = _thread_philox()
     counter = np.zeros(4, dtype=np.uint64)
@@ -332,7 +330,20 @@ class AuxVertexEnumerator:
 
     def optimal_set(self, rhs: np.ndarray) -> tuple:
         """(Polytope of optimal vertices, optimal value) for this rhs."""
-        return self.family.optimal_sets(self.c, np.asarray(rhs, dtype=float).reshape(1, -1))[0]
+        points, values, ties = _response_sets(self.family, self.c,
+                                              np.asarray(rhs, dtype=float).reshape(1, -1))
+        return ties[0] if ties else problem._one_vertex(points), values[0]
+
+
+def _response_sets(family: BasisFamily, c: np.ndarray, rows: np.ndarray, duals=None) -> tuple:
+    """``(points, values, ties)`` of the response program over ``family`` at
+    each row of ``rows``: ``problem.block_sets`` through ``row_sets``, each
+    tied row's Polytope keyed by row.  Raises the block's ``first_error``."""
+    pieces, errors = problem.block_sets(family, c, rows, duals)
+    if errors:
+        raise problem.first_error(errors)
+    points, values, groups = problem.row_sets(len(rows), family.A.shape[1], pieces)
+    return points, values, problem._tie_polytopes(groups)
 
 
 def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSampler,
@@ -346,9 +357,11 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
     more candidate bases than ``problem.ENUM_CAP``; then each draw gets the
     one optimal vertex a simplex solve finds (each block in one
     ``solve_rows`` call).  The response LP is unbounded below exactly when
-    ``x_star`` is not optimal, and both paths then raise ``Unbounded``: the
-    family path before any draw, when no basis holding ``supp(x_star)`` is
-    dual feasible, the split path at a feasible draw.
+    ``x_star`` is not optimal, and both paths then raise ``Unbounded`` at a
+    feasible draw, and return an empty block at zero draws: the family path
+    finds no basis holding ``supp(x_star)`` dual feasible, the split path no
+    blocking row.  A family block with an infeasible draw raises that
+    draw's ``Infeasible`` first.
 
     With ``verify_unique`` the optimal set of ``lp`` is enumerated and
     ``NotUnique`` is raised unless it is the single vertex ``x_star``.
@@ -367,8 +380,8 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
     except InstanceTooLarge:  # raised before any block is factored
         enum = None
         split, free_order = split_free(lp, free)
-    if enum is not None and not problem._family_duals(enum.family, enum.c)[2].any():
-        raise Unbounded("no basis is dual feasible: the response program is unbounded below")
+    else:
+        y, _, dual_feasible = problem._family_duals(enum.family, enum.c)
     g = sampler.draw_block(0, n_draws)
     points, values, ties = np.zeros((n_draws, lp.m)), [], {}
     for start in range(0, n_draws, BLOCK):
@@ -378,7 +391,8 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
                                       for result in solve_rows(split, block)])
             part_ties = {}
         else:
-            part, part_values, part_ties = enum.family.optimal_parts(enum.c, block)
+            part, part_values, part_ties = _response_sets(enum.family, enum.c, block,
+                                                          (y, dual_feasible, None))
         points[start:start + len(block)] = part
         values += part_values
         ties.update((start + row, polytope) for row, polytope in part_ties.items())

@@ -21,6 +21,7 @@ from scipy.linalg import get_lapack_funcs
 from .errors import (
     Infeasible,
     InstanceTooLarge,
+    LpError,
     NonFiniteData,
     SingularBasis,
     SingularCovariance,
@@ -494,7 +495,7 @@ def _check_cap(total: int):
         raise InstanceTooLarge(f"{total} candidate bases exceed the cap of {ENUM_CAP}")
 
 
-# bases times rows ``BasisFamily.optimal_sets`` solves in one block at most
+# bases times rows ``block_sets`` solves in one block at most
 SOLVE_CELLS = 2**15
 # inverse entries (bases times k^2) of a program family above which
 # ``optimal_vertices`` takes its dual window; below, solving every basis costs less
@@ -571,64 +572,24 @@ class BasisFamily:
                 out[r, i] = solve_factored((lu_piv,), rows, [r])[0, 0]
         return out.transpose(1, 0, 2)
 
-    def optimal_sets(self, c, rows) -> list:
-        """(Polytope of optimal vertices, optimal value) of
-        ``min <c, x>  s.t.  A x = r``, the ``fixed`` coordinates of ``x`` free
-        in sign and the others nonnegative, at each row ``r`` of the
-        ``(N, k)`` block ``rows``, assembled from ``optimal_parts``."""
-        points, values, ties = self.optimal_parts(c, rows)
-        sets = map(_one_vertex, points[:, None])
-        return [(ties.get(r, p), v) for r, (p, v) in enumerate(zip(sets, values))]
-
-    def optimal_parts(self, c, rows) -> tuple:
-        """``(points, values, ties)``: the read-only ``(N, m)`` block of each
-        row's first optimal vertex, the list of optimal values, and, keyed by
-        row, the Polytope of each row whose optimal set has several vertices.
-
-        A basis is feasible for a row when its signed coordinates are at
-        least ``-FEAS_TOL``; the optimal value ``best`` is the first smallest
-        objective among feasible bases, and the optimal set holds every
-        feasible basis within ``1e-8 * (1 + |best|)`` of it.  Raises
-        ``Infeasible`` when some row has no feasible basis and
-        ``NonFiniteData`` when a row holds NaN or infinity.
-        """
-        rows = np.asarray(rows, dtype=float)
-        k, m = self.A.shape
-        if rows.ndim != 2 or rows.shape[1] != k:
-            raise ValueError(f"rhs rows must have length {k}")
-        if not np.isfinite(rows).all():
-            raise NonFiniteData("rhs holds NaN or infinity")
-        c, step = np.asarray(c, dtype=float), max(1, SOLVE_CELLS // len(self))
-        starts = range(0, len(rows), step)
-        parts = [self._optimal_block(c, self.solve(rows[at:at + step])) for at in starts]
-        for *_, errors in parts:
-            if errors:  # a row with no feasible basis is named first
-                raise next((e for e in errors.values() if isinstance(e, Infeasible)),
-                           next(iter(errors.values())))
-        points = read_only(np.concatenate([p[0] for p in parts] or [np.zeros((0, m))]))[0]
-        return points, [v for p in parts for v in p[1]], {
-            at + row: tie for at, (*_, groups, _) in zip(starts, parts)
-            for row, tie in _tie_polytopes(groups).items()}
-
     def _optimal_block(self, c, x: np.ndarray) -> tuple:
         """``(points, values, tied, groups, errors)`` for finite ``rows``
-        solved into ``x = self.solve(rows)``: each row's first optimal
-        vertex and optimal value, as in ``optimal_parts``; the
+        solved into ``x = self.solve(rows)``, by the rule of ``block_sets``:
+        each row's first optimal vertex, the array of optimal values; the
         ``(len(self), N)`` mask ``tied``, whose column ``r`` marks the bases
-        in row ``r``'s set; the rows whose set has several vertices, as
-        ``(rows, kept)`` groups, ``kept[i]`` the distinct vertices of row
-        ``rows[i]`` in the order of their first basis; and, keyed by row,
-        the ``Infeasible`` or ``NonFiniteData`` of each row with no optimal
-        value, whose other entries mean nothing."""
+        in row ``r``'s set; the rows whose set has several bases, as
+        ``(rows, kept, first)`` groups, ``kept[i]`` the distinct vertices of
+        row ``rows[i]`` in the order of their first bases ``first``; and,
+        keyed by row, the ``Infeasible`` or ``NonFiniteData`` of each row
+        with no optimal value, whose other entries mean nothing."""
         # a signed coordinate below -FEAS_TOL makes the basis infeasible
         infeasible = np.matmul(x < -FEAS_TOL, self._signed)[:, :, 0]
         values = np.add.reduce(x * c[self.cols][:, None, :], axis=2)  # objectives
         values[infeasible] = math.inf
         winner = values.argmin(axis=0)
         best = values.min(axis=0)
-        best_list = best.tolist()
         errors = {}
-        if not all(map(math.isfinite, best_list)):
+        if not np.isfinite(best).all():
             empty, failed = infeasible.all(axis=0), np.flatnonzero(~np.isfinite(best))
             errors = {row: Infeasible("no feasible basis") if empty[row] else
                       NonFiniteData("an objective value overflowed") for row in failed.tolist()}
@@ -648,11 +609,11 @@ class BasisFamily:
                     x[bases[:, None], rows].transpose(1, 0, 2)
                 keep = _keep_first(vertices)
                 if keep.all():
-                    groups.append((rows, vertices))
+                    groups.append((rows, vertices, bases))
                     continue
                 for kept, at in group_rows(keep, np.arange(len(rows))):
-                    groups.append((rows[at], vertices[at][:, kept]))
-        return read_only(points)[0], best_list, tied, groups, errors
+                    groups.append((rows[at], vertices[at][:, kept], bases[kept]))
+        return read_only(points)[0], best, tied, groups, errors
 
 
 def program_family(lp: StandardLp) -> BasisFamily:
@@ -822,65 +783,72 @@ def _slices(rows: np.ndarray, bases: int):
     return [rows[start:start + step] for start in range(0, len(rows), step)]
 
 
-def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> tuple:
-    """``(pieces, errors)``: the optimal set of ``lp`` at each row of the
-    ``(N, k)`` block ``rhs``, as ``optimal_vertices`` gives it at that row.
+def block_sets(family: BasisFamily, c, rhs, duals=None) -> tuple:
+    """``(pieces, errors)``: the optimal set of ``min <c, x>  s.t.  A x = r``
+    over the bases of ``family``, its ``fixed`` coordinates free in sign and
+    the others nonnegative, at each row ``r`` of the ``(N, k)`` block
+    ``rhs``.  A basis is feasible when its signed coordinates are at least
+    ``-FEAS_TOL``; the optimal value ``best`` is the first smallest
+    objective of a feasible basis, and the set holds every feasible basis
+    within ``1e-8 * (1 + |best|)`` of it.  ``ValueError`` for rows of the
+    wrong length.
 
     ``pieces`` lists ``(at, part, x, block)``: rows ``at`` of ``rhs``, the
-    bases ``part`` of ``program_family(lp)`` that were solved for them (the
-    family itself, or ``take`` of some), their basic points ``x =
-    part.solve(rhs[at])`` and ``block = part._optimal_block(lp.c, x)``,
-    whose row ``i`` is row ``at[i]`` of ``rhs``.  ``errors`` maps each row
-    with no optimal set to its own ``LpError``, and such a row's entries in
-    a piece mean nothing: ``NonFiniteData`` for a row that holds NaN or
-    infinity, the one ``InstanceTooLarge`` of a program over
-    ``ENUM_CAP`` for every other row, ``_optimal_block``'s ``Infeasible`` or
-    ``NonFiniteData``, and ``Unbounded`` for every row left when no basis
-    is dual feasible.
-
-    Above ``WINDOW_CELLS`` (see ``program_duals``) the block solves the
-    union of its rows' windows (``_window``), and the rows whose window
-    does not hold are solved by the whole family, as are all rows of a
-    smaller family; each solve takes the rows a slice at a time, so that a
-    block of basic points stays within ``SOLVE_CELLS`` times ``k``
-    entries."""
-    finite = np.isfinite(rhs).all(axis=1)
-    rest, solved, errors = finite.nonzero()[0], [], {}
-    if len(rest) < len(rhs):
-        errors = {row: NonFiniteData("b holds NaN or infinity")
-                  for row in (~finite).nonzero()[0].tolist()}
-    try:
-        family = program_family(lp)
-    except InstanceTooLarge as exc:
-        errors.update(dict.fromkeys(rest.tolist(), exc))
-        return [], errors
-    duals, dual_feasible, edges = program_duals(lp)
-    if edges is not None:
-        near, at = _window(family, duals, dual_feasible, edges, rhs[rest])
+    bases ``part`` of ``family`` solved for them (the family, or ``take`` of
+    some), ``x = part.solve(rhs[at])`` and ``block = part._optimal_block(c,
+    x)``, whose row ``i`` is row ``at[i]``.  ``errors`` maps each row with
+    no optimal set, whose entries in a piece mean nothing, to its own
+    ``LpError``: ``NonFiniteData`` for a row that holds NaN or infinity,
+    ``_optimal_block``'s ``Infeasible`` or ``NonFiniteData``, and
+    ``Unbounded`` for every row left when ``duals``, None or ``(duals,
+    feasible, edges)`` at ``c`` as ``program_duals`` gives them, marks no
+    basis dual feasible.  With window ``edges`` the block solves the union
+    of its rows' windows (``_window``), and a row whose window does not
+    hold is solved by the whole family, as is every row otherwise; a solve
+    takes ``SOLVE_CELLS // len(part)`` rows at a time."""
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim != 2 or rhs.shape[1] != len(family.A):
+        raise ValueError(f"rhs rows must have length {len(family.A)}")
+    rest, errors = _finite_rows(rhs)
+    solved = []
+    if duals is not None and duals[2] is not None:
+        near, at = _window(family, *duals, rhs.take(rest, axis=0))
         part, left = family.take(at), [] if len(near) == len(rest) else [np.delete(rest, near)]
-        signs = dual_feasible[at, None]
+        signs = duals[1][at, None]
         for rows in _slices(rest[near], len(part)):
-            x = part.solve(rhs[rows])
+            x = part.solve(rhs.take(rows, axis=0))
             holds = (signs & (x.min(axis=2) >= -FEAS_TOL)).any(axis=0)
             if not holds.all():
                 rows, x, left = rows[holds], x[:, holds], left + [rows[~holds]]
             solved.append((rows, part, x))
         rest = np.concatenate(left) if left else rest[:0]
-    solved += [(rows, family, family.solve(rhs[rows])) for rows in _slices(rest, len(family))]
-    return _solved_sets(lp, solved, errors, dual_feasible)
+    solved += [(rows, family, family.solve(rhs.take(rows, axis=0)))
+               for rows in _slices(rest, len(family))]
+    return _solved_sets(np.asarray(c, dtype=float), solved, errors,
+                        None if duals is None else duals[1])
 
 
-def _solved_sets(lp: StandardLp, solved: list, errors: dict, dual_feasible) -> tuple:
-    """``optimal_rows``'s ``(pieces, errors)`` from its ``(at, part, x)``
-    triples and the errors of its non-finite rows."""
+def _finite_rows(rhs: np.ndarray) -> tuple:
+    """``(rest, errors)``: the finite rows of the block ``rhs``, and the
+    ``NonFiniteData`` of each other row."""
+    if np.isfinite(rhs).all():  # the common case, without a per-row reduction
+        return np.arange(len(rhs)), {}
+    finite = np.isfinite(rhs).all(axis=1)
+    return finite.nonzero()[0], {row: NonFiniteData("b holds NaN or infinity")
+                                 for row in (~finite).nonzero()[0].tolist()}
+
+
+def _solved_sets(c: np.ndarray, solved: list, errors: dict, dual_feasible) -> tuple:
+    """``block_sets``'s ``(pieces, errors)`` from its ``(at, part, x)``
+    triples, its non-finite rows' errors and its dual feasible mask or None."""
     pieces = []
     for at, part, x in solved:
         if len(at):
-            block = part._optimal_block(lp.c, x)
+            block = part._optimal_block(c, x)
             if block[-1]:
                 errors.update(zip(at[list(block[-1])].tolist(), block[-1].values()))
             pieces.append((at, part, x, block))
-    if not dual_feasible.any():
+    if dual_feasible is not None and not dual_feasible.any():
         unbounded = [row for at, *_ in pieces for row in at.tolist() if row not in errors]
         errors.update((row, Unbounded("no basis is dual feasible: the objective is unbounded "
                                       "below")) for row in unbounded)
@@ -888,10 +856,43 @@ def _solved_sets(lp: StandardLp, solved: list, errors: dict, dual_feasible) -> t
     return pieces, errors
 
 
+def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> tuple:
+    """``block_sets`` of ``program_family(lp)`` at ``lp.c`` and its duals:
+    the optimal set at each row of ``rhs`` that ``optimal_vertices`` gives
+    that row.  Over ``ENUM_CAP`` each finite row gets the one ``InstanceTooLarge``."""
+    try:
+        family = program_family(lp)
+    except InstanceTooLarge as exc:
+        rest, errors = _finite_rows(rhs)
+        errors.update(dict.fromkeys(rest.tolist(), exc))
+        return [], errors
+    return block_sets(family, lp.c, rhs, program_duals(lp))
+
+
+def row_sets(count: int, m: int, pieces: list) -> tuple:
+    """``(points, values, groups)`` of ``block_sets``'s ``pieces`` of a block
+    of ``count`` rows: each row's first optimal vertex as a row of the
+    read-only ``(count, m)`` array ``points`` (zeros in a row of no piece),
+    the list of optimal values, and the pieces' tied groups numbered in the block."""
+    points, values, groups = np.zeros((count, m)), np.zeros(count), []
+    for at, _, _, (part_points, part_values, _, part_groups, _) in pieces:
+        points[at] = part_points
+        values[at] = part_values
+        groups += [(at[rows], kept, first) for rows, kept, first in part_groups]
+    return read_only(points)[0], values.tolist(), groups
+
+
+def first_error(errors: dict) -> LpError:
+    """The error a block raises for its rows' ``errors``: the first
+    ``Infeasible`` (a row with no feasible basis), else the first error."""
+    return next((exc for exc in errors.values() if isinstance(exc, Infeasible)),
+                next(iter(errors.values())))
+
+
 def _tie_polytopes(groups: list) -> dict:
     """The Polytope of each row of ``_optimal_block``'s ``groups``, keyed by row."""
     return {row: _lexsorted(kept)
-            for rows, block in groups for row, kept in zip(rows.tolist(), block)}
+            for rows, block, _ in groups for row, kept in zip(rows.tolist(), block)}
 
 
 def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
@@ -912,7 +913,7 @@ def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
             pieces, errors = optimal_rows(lp, lp.b[None, :])
         else:
             solved = [(np.zeros(1, dtype=np.intp), family, points[:, None, :])]
-            pieces, errors = _solved_sets(lp, solved, {}, program_duals(lp)[1])
+            pieces, errors = _solved_sets(lp.c, solved, {}, program_duals(lp)[1])
         if errors:
             raise errors[0]
         [(_, part, x, (vertices, _, tied, groups, _))] = pieces

@@ -18,7 +18,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the thread settings above)
 import pytest  # noqa: E402
 
-from lpdist import StandardLp  # noqa: E402
+from lpdist import StandardLp, problem  # noqa: E402
 
 try:
     from hypothesis import settings
@@ -46,6 +46,20 @@ def transport_lp(row_marginals, col_marginals, cost):
                 A[nr + j, i * nc + j] = 1.0
     b = np.concatenate([rows, cols[:-1]])
     return StandardLp(A, b, np.asarray(cost, dtype=float))
+
+
+def optimal_sets(family, c, rows, duals=None) -> list:
+    """``(Polytope of optimal vertices, optimal value)`` at each row of the
+    ``(N, k)`` block ``rows`` over the basis family ``family``, composed
+    from ``problem.block_sets``, ``row_sets`` and ``_tie_polytopes``; any
+    row's error raises the block's ``first_error``."""
+    pieces, errors = problem.block_sets(family, c, rows, duals)
+    if errors:
+        raise problem.first_error(errors)
+    points, values, groups = problem.row_sets(len(rows), family.A.shape[1], pieces)
+    ties = problem._tie_polytopes(groups)
+    return [(ties[i] if i in ties else problem._one_vertex(points[i:i + 1]), value)
+            for i, value in enumerate(values)]
 
 
 @pytest.fixture

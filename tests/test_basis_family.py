@@ -6,10 +6,12 @@ carry the bits of that row solved alone, so neither the block nor the caller
 moves a bit, and must agree with ``getrs`` on the basis's LU factors within
 ``ORACLE_BOUND``.  On that rests the rest: ``optimal_vertices`` is the family's optimal set
 with no sign-free columns, and the Hausdorff limit comparison solves all of
-its draws in one ``optimal_sets`` call.
+its draws in one ``optimal_rows`` call.
 """
+import math
 import mmap
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from lpdist import (
     GaussianLaw,
     Polytope,
     StandardLp,
+    build_min_cost_flow,
     build_ot_2x2,
     hausdorff,
     kolmogorov_smirnov,
@@ -31,6 +34,7 @@ from lpdist import problem
 from lpdist.errors import Infeasible, NonFiniteData, Unbounded
 from lpdist.problem import BasisFamily, iter_bases, program_family, solve_lu
 
+from conftest import optimal_sets
 from test_iter_bases import PROGRAMS, dual_infeasible, near
 
 
@@ -132,9 +136,9 @@ def test_optimal_vertices_is_the_family_optimal_set_without_free_columns(lp):
 def test_block_optimal_sets_equal_lone_row_sets(monkeypatch, lp):
     rows = _rows(lp, 9, 4)
     family = program_family(lp)
-    lone = [family.optimal_sets(lp.c, row[None, :]) for row in rows]
+    lone = [optimal_sets(family, lp.c, row[None, :]) for row in rows]
     monkeypatch.setattr(problem, "SOLVE_CELLS", 2 * len(family))  # two rows per block
-    block = family.optimal_sets(lp.c, rows)
+    block = optimal_sets(family, lp.c, rows)
     assert len(block) == len(rows)
     for (got, got_value), ((want, want_value),) in zip(block, lone):
         assert got.vertices.tobytes() == want.vertices.tobytes()
@@ -144,12 +148,29 @@ def test_block_optimal_sets_equal_lone_row_sets(monkeypatch, lp):
 def test_family_rejects_bad_rows_and_empty_blocks_give_no_sets(ot_lp):
     family = program_family(ot_lp)
     with pytest.raises(NonFiniteData):
-        family.optimal_sets(ot_lp.c, np.array([[np.nan, 0.5, 0.5]]))
+        optimal_sets(family, ot_lp.c, np.array([[np.nan, 0.5, 0.5]]))
     with pytest.raises(ValueError):
-        family.optimal_sets(ot_lp.c, np.zeros((2, 4)))
-    assert family.optimal_sets(ot_lp.c, np.zeros((0, 3))) == []
+        optimal_sets(family, ot_lp.c, np.zeros((2, 4)))
+    assert optimal_sets(family, ot_lp.c, np.zeros((0, 3))) == []
     with pytest.raises(Infeasible):
-        family.optimal_sets(ot_lp.c, np.array([[-1.0, 0.5, 0.5]]))
+        optimal_sets(family, ot_lp.c, np.array([[-1.0, 0.5, 0.5]]))
+
+
+def test_block_sets_give_each_row_its_own_error():
+    """On a family with a fixed column, a NaN row and an infeasible row
+    (``r_1 < 0``) each get their own error, the block raises the
+    ``Infeasible``, and the good row's set is its set alone."""
+    family = BasisFamily(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), fixed=[0])
+    c = np.array([0.0, 1.0, 2.0])
+    rows = np.array([[np.nan, 1.0], [1.0, -1.0], [1.0, 2.0]])
+    pieces, errors = problem.block_sets(family, c, rows)
+    assert sorted(errors) == [0, 1]
+    assert isinstance(errors[0], NonFiniteData) and isinstance(errors[1], Infeasible)
+    assert problem.first_error(errors) is errors[1]
+    points, values, groups = problem.row_sets(len(rows), 3, pieces)
+    [(want, want_value)] = optimal_sets(family, c, rows[2:])
+    assert groups == [] and points[2:].tobytes() == want.vertices.tobytes()
+    assert repr(values[2]) == repr(want_value)
 
 
 def test_a_subnormal_pivot_is_not_invertible():
@@ -200,3 +221,21 @@ def test_hausdorff_comparison_equals_per_draw_reference(monkeypatch, make, cells
     monkeypatch.setattr(problem, "SOLVE_CELLS", cells)
     want = reference_hausdorff_comparison(config, 400, 30)
     assert repr(run_limit_comparison(config, 400, 30, statistic="hausdorff")) == repr(want)
+
+
+def test_windowed_hausdorff_comparison_equals_the_whole_family(monkeypatch):
+    """Arc (3, 5) made dearer leaves the min-cost flow one optimal vertex,
+    so the comparison runs; its family is above ``WINDOW_CELLS``, so the
+    finite draws take the dual window, and they give the dict that solving
+    the whole family gives."""
+    base = build_min_cost_flow()
+    c = base.lp.c.copy()
+    c[6] += 0.5
+    windowed = replace(base, lp=StandardLp(base.lp.A, base.lp.b, c))
+    assert len(windowed.targets) == 1
+    assert problem.program_duals(windowed.lp)[2] is not None
+    got = run_limit_comparison(windowed, 50, 300, statistic="hausdorff")
+    monkeypatch.setattr(problem, "WINDOW_CELLS", math.inf)
+    whole = replace(base, lp=StandardLp(base.lp.A, base.lp.b, c))
+    assert problem.program_duals(whole.lp)[2] is None
+    assert repr(run_limit_comparison(whole, 50, 300, statistic="hausdorff")) == repr(got)

@@ -11,6 +11,7 @@ import pytest
 from lpdist.errors import Infeasible
 from lpdist.problem import BasisFamily
 
+from conftest import optimal_sets
 from test_basis_family import assert_rows_match_lone_solves
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -61,11 +62,11 @@ def test_block_optimal_sets_equal_lone_row_sets(case):
     lone = []
     for row in rows:
         try:
-            lone.append(family.optimal_sets(c, row[None, :])[0])
+            lone.append(optimal_sets(family, c, row[None, :])[0])
         except Infeasible:
             with pytest.raises(Infeasible):
-                family.optimal_sets(c, rows)
+                optimal_sets(family, c, rows)
             return
-    for (got, got_value), (want, want_value) in zip(family.optimal_sets(c, rows), lone):
+    for (got, got_value), (want, want_value) in zip(optimal_sets(family, c, rows), lone):
         assert got.vertices.tobytes() == want.vertices.tobytes()
         assert repr(got_value) == repr(want_value)

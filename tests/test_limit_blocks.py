@@ -36,6 +36,7 @@ from lpdist.limits import (
 )
 from lpdist.problem import FEAS_TOL, Polytope, quiet_lu, read_only, support
 
+from conftest import optimal_sets
 from test_geometry import wolfe_hausdorff
 from test_iter_bases import near, same_vertex_set
 
@@ -208,7 +209,7 @@ def test_single_rhs_matches_its_row_of_a_block(build):
     config = build()
     enum = AuxVertexEnumerator(config.lp.A, config.lp.c, support(config.targets.vertices[0]))
     rows = config.b_sampler.limit_noise(13, config.lp.k).draw_block(0, 300)
-    for row, (polytope, value) in zip(rows, enum.family.optimal_sets(enum.c, rows)):
+    for row, (polytope, value) in zip(rows, optimal_sets(enum.family, enum.c, rows)):
         single, single_value = enum.optimal_set(row)
         assert single.vertices.tobytes() == polytope.vertices.tobytes()
         assert single_value == value
@@ -271,12 +272,12 @@ def _check_against_reference(a, c, free, rhs_rows):
             _assert_close_sets(enum.optimal_set(rhs), expected[-1])
     feasible = [rhs for rhs, want in zip(rhs_rows, expected) if want is not None]
     if feasible:
-        for got, want in zip(enum.family.optimal_sets(enum.c, np.array(feasible)),
+        for got, want in zip(optimal_sets(enum.family, enum.c, np.array(feasible)),
                              [want for want in expected if want is not None]):
             _assert_close_sets(got, want)
     if len(feasible) < len(rhs_rows):
         with pytest.raises(Infeasible):
-            enum.family.optimal_sets(enum.c, np.array(rhs_rows))
+            optimal_sets(enum.family, enum.c, np.array(rhs_rows))
     return expected
 
 
@@ -340,9 +341,9 @@ def test_kernel_rejects_non_finite_rows(ot_lp):
         with pytest.raises(NonFiniteData):
             enum.optimal_set(np.array(bad))
         with pytest.raises(NonFiniteData):
-            enum.family.optimal_sets(enum.c, np.array([[0.1, -0.1, 0.0], bad]))
+            optimal_sets(enum.family, enum.c, np.array([[0.1, -0.1, 0.0], bad]))
     with pytest.raises(ValueError):
-        enum.family.optimal_sets(enum.c, np.zeros((2, 4)))
+        optimal_sets(enum.family, enum.c, np.zeros((2, 4)))
 
 
 def test_kernel_rejects_an_overflowing_objective():

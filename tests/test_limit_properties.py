@@ -16,6 +16,7 @@ from lpdist.problem import BasisFamily
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from conftest import optimal_sets  # noqa: E402
 from test_limit_blocks import _assert_close_sets, reference_optimal_set  # noqa: E402
 
 
@@ -51,10 +52,10 @@ def test_block_kernel_agrees_with_scalar_enumeration(program):
             expected.append(None)
     if any(want is None for want in expected):
         with pytest.raises(Infeasible):
-            enum.family.optimal_sets(enum.c, rows)
+            optimal_sets(enum.family, enum.c, rows)
     feasible = [i for i, want in enumerate(expected) if want is not None]
     if feasible:
-        for i, got in zip(feasible, enum.family.optimal_sets(enum.c, rows[feasible])):
+        for i, got in zip(feasible, optimal_sets(enum.family, enum.c, rows[feasible])):
             _assert_close_sets(got, expected[i])
             assert np.array_equal(got[0].vertices, enum.optimal_set(rows[i])[0].vertices)
 
@@ -73,10 +74,11 @@ def has_dual_feasible_basis(family: BasisFamily, c: np.ndarray) -> bool:
 @hypothesis.given(programs(), st.integers(0, 2**32 - 1), st.integers(0, 40))
 def test_a_limit_block_reads_as_the_kernels_optimal_sets(program, seed, draws):
     """Each record of ``sample_unique_limit``'s block has the bits of its
-    row of ``BasisFamily.optimal_sets`` at the block's noise, for noise
-    drawn from the program's rows; with an infeasible row both raise.  When
-    no basis of the family is dual feasible the response program is
-    unbounded below, and the block raises ``Unbounded`` before any draw."""
+    row of the kernel's optimal sets at the block's noise, for noise drawn
+    from the program's rows; with an infeasible row both raise
+    ``Infeasible``.  When no basis of the family is dual feasible the
+    response program is unbounded below, and a block with a draw and no
+    infeasible one raises ``Unbounded``."""
     a, c, free, rows = program
     try:
         lp = StandardLp(a, np.zeros(len(a)), c)
@@ -86,15 +88,15 @@ def test_a_limit_block_reads_as_the_kernels_optimal_sets(program, seed, draws):
     x_star = np.zeros(lp.m)
     x_star[free] = 1.0
     noise = NoiseSampler(EmpiricalLaw(rows), seed)
-    if not has_dual_feasible_basis(family, c):
-        with pytest.raises(Unbounded):
-            sample_unique_limit(lp, x_star, noise, draws)
-        return
     g = noise.draw_block(0, draws)
     try:
-        sets = family.optimal_sets(c, g)
+        sets = optimal_sets(family, c, g)
     except Infeasible:
         with pytest.raises(Infeasible):
+            sample_unique_limit(lp, x_star, noise, draws)
+        return
+    if draws and not has_dual_feasible_basis(family, c):
+        with pytest.raises(Unbounded):
             sample_unique_limit(lp, x_star, noise, draws)
         return
     block = sample_unique_limit(lp, x_star, noise, draws)

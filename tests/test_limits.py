@@ -161,6 +161,20 @@ def test_both_paths_detect_unbounded(monkeypatch, cap):
         sample_unique_limit(lp, [1.0, 0.0], NoiseSampler(GaussianLaw([[1.0]]), 3), 3)
 
 
+@pytest.mark.parametrize("cap", [None, 0])
+def test_both_paths_agree_at_zero_draws_when_unbounded(monkeypatch, cap):
+    """Only a draw can show the response program unbounded: at zero draws
+    both paths return an empty block, at three both raise ``Unbounded``."""
+    if cap is not None:
+        monkeypatch.setattr(problem, "ENUM_CAP", cap)
+    lp = StandardLp([[1.0, 1.0]], [1.0], [1.0, -2.0])
+    noise = NoiseSampler(GaussianLaw([[1.0]]), 3)
+    block = sample_unique_limit(lp, [1.0, 0.0], noise, 0)
+    assert len(block) == 0 and block.points.shape == (0, 2)
+    with pytest.raises(Unbounded):
+        sample_unique_limit(lp, [1.0, 0.0], noise, 3)
+
+
 # -------------------------------------------------- directional response LPs
 
 def test_aux_uniqueness_guard(ot_lp, ones_3x3_lp):

@@ -352,8 +352,10 @@ def _peak_bytes(call) -> int:
 
 def test_ordered_dot_forms_a_product_whole_by_its_size():
     """The dual window's one-row solve over 6 min-cost-flow bases (a product
-    of 1014 entries) is formed whole; the values of all 1888 bases, a
-    product of 24544 entries, are summed a column at a time."""
+    of 1014 entries) is formed whole; a product of 24544 entries, the size
+    of the dual values of all 1888 bases (which ``_window`` takes as one
+    BLAS product), and the full-family solve of one row (319072 entries),
+    the column loop's remaining caller, are summed a column at a time."""
     config = build_min_cost_flow()
     family = program_family(config.lp)
     duals = program_duals(config.lp)[0]
@@ -362,3 +364,4 @@ def test_ordered_dot_forms_a_product_whole_by_its_size():
     rows = config.lp.b[None, None, None, :]
     assert _peak_bytes(lambda: ordered_dot(rows, part.inverses)) >= 8 * 1014
     assert _peak_bytes(lambda: ordered_dot(duals, config.lp.b)) < 8 * 1888 * 4
+    assert _peak_bytes(lambda: ordered_dot(rows, family.inverses)) < 8 * 1888 * 13 * 4
