@@ -25,7 +25,6 @@ from .confidence import (
 from .errors import InstanceMismatch, LpError, SingularBasis
 from .geometry import hausdorff, min_norm_point, row_norms
 from .limits import (
-    BLOCK,
     LAWS,
     GaussianLaw,
     MultinomialLaw,
@@ -53,6 +52,8 @@ from .problem import (
 from .simplex import dual_certificate, solve_rows
 
 DEFAULT_SEED = 0x5EED
+# replicates per block in ``run_coverage``; the records do not depend on it
+BLOCK = 1024
 
 
 @dataclass
@@ -227,19 +228,18 @@ def optimal_face_vertices(lp: StandardLp, result) -> list:
     face, family = _face(lp, cols)
     if family is None:
         return [(cols, x_hat)]
-    pieces, errors = problem.block_sets(family, np.zeros(len(face)), lp.b[None, :])
+    points, _, bases, groups, errors = problem.block_sets(family, np.zeros(len(face)),
+                                                          lp.b[None, :])
     if errors:
         return [(cols, x_hat)]
-    [(_, _, _, (points, _, tied, groups, _))] = pieces
     if groups:
-        [(_, [kept], first)] = groups
+        [(_, [kept], first, _)] = groups
     else:  # one basis is feasible
-        kept, first = points, tied[:, 0].nonzero()[0]
+        kept, first = points, bases
     vertices = np.zeros((len(kept), lp.m))
     vertices[:, face] = kept
     far = (np.abs(vertices - x_hat).max(axis=1) > problem.DEDUP_TOL).nonzero()[0]
-    return [(cols, x_hat)] + [(tuple(face[family.cols[first[i]]].tolist()), vertices[i])
-                              for i in far.tolist()]
+    return [(cols, x_hat)] + [(tuple(face[first[i]].tolist()), vertices[i]) for i in far.tolist()]
 
 
 def _face(lp: StandardLp, cols: tuple) -> tuple:
@@ -333,10 +333,9 @@ def _reported_vertices(lp: StandardLp, rhs: np.ndarray, picks: np.ndarray) -> tu
     of ``picks``, in the order the tie rule keeps them (the family order of
     their first optimal basis).
     """
-    pieces, errors = problem.optimal_rows(lp, rhs)
-    points, _, groups = problem.row_sets(len(rhs), lp.m, pieces)
+    points, _, _, groups, errors = problem.optimal_rows(lp, rhs)
     x_hat = points.copy()
-    for rows, kept, _ in groups:
+    for rows, kept, *_ in groups:
         pick = (picks[rows] * kept.shape[1]).astype(np.intp)
         x_hat[rows] = kept[np.arange(len(rows)), pick]
     return x_hat, errors
@@ -431,10 +430,9 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
         # the distance to the one target vertex, as min_norm_point computes it
         finite = rate * row_norms(config.targets.vertices[0] - [r.x_hat for r in results])
     else:
-        pieces, errors = problem.optimal_rows(config.lp, block)
+        points, _, _, groups, errors = problem.optimal_rows(config.lp, block)
         if errors:
             raise problem.first_error(errors)
-        points, _, groups = problem.row_sets(draws, config.lp.m, pieces)
         ties = problem._tie_polytopes(groups)
         finite = rate * np.array([
             hausdorff(ties[i] if i in ties else problem._one_vertex(points[i:i + 1]),

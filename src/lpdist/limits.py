@@ -101,8 +101,6 @@ class LimitBlock(Sequence):
         return out
 
 
-# draws per block in ``sample_unique_limit``; the draws do not depend on it
-BLOCK = 1024
 # draws per Philox stream of a ``NoiseSampler``, whatever the block size
 STREAM_ROWS = 1024
 _THREAD = threading.local()
@@ -320,29 +318,31 @@ class AuxVertexEnumerator:
 
     Vertices are basic solutions at column sets of size k that contain every
     free index: the ``BasisFamily`` of ``a`` with the free indices fixed.
-    Its inverses depend only on the matrix, so one instance serves many
-    right-hand sides cheaply.
+    Its inverses and its dual feasible mask depend only on the matrix and
+    the cost, so one instance serves many right-hand sides cheaply; at one
+    where the program is feasible but no basis is dual feasible, the
+    program is unbounded below and ``optimal_set`` raises ``Unbounded``.
     """
 
     def __init__(self, a: np.ndarray, c: np.ndarray, free_indices):
         self.family = BasisFamily(a, fixed=free_indices)
         self.c = np.asarray(c, dtype=float)
+        y, _, dual_feasible = problem._family_duals(self.family, self.c)
+        self.duals = (y, dual_feasible, None)
 
     def optimal_set(self, rhs: np.ndarray) -> tuple:
         """(Polytope of optimal vertices, optimal value) for this rhs."""
-        points, values, ties = _response_sets(self.family, self.c,
-                                              np.asarray(rhs, dtype=float).reshape(1, -1))
+        points, values, ties = _response_sets(self, np.asarray(rhs, dtype=float).reshape(1, -1))
         return ties[0] if ties else problem._one_vertex(points), values[0]
 
 
-def _response_sets(family: BasisFamily, c: np.ndarray, rows: np.ndarray, duals=None) -> tuple:
-    """``(points, values, ties)`` of the response program over ``family`` at
-    each row of ``rows``: ``problem.block_sets`` through ``row_sets``, each
-    tied row's Polytope keyed by row.  Raises the block's ``first_error``."""
-    pieces, errors = problem.block_sets(family, c, rows, duals)
+def _response_sets(enum: AuxVertexEnumerator, rows: np.ndarray) -> tuple:
+    """``(points, values, ties)`` of ``enum``'s response program at each row
+    of ``rows``: ``problem.block_sets``, each tied row's Polytope keyed by
+    row.  Raises the block's ``first_error``."""
+    points, values, _, groups, errors = problem.block_sets(enum.family, enum.c, rows, enum.duals)
     if errors:
         raise problem.first_error(errors)
-    points, values, groups = problem.row_sets(len(rows), family.A.shape[1], pieces)
     return points, values, problem._tie_polytopes(groups)
 
 
@@ -351,17 +351,17 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
     """Draw rhs noise and collect the optimal sets of the response LP in a
     ``LimitBlock``.
 
-    Draws are solved in blocks of ``BLOCK``; sample ``i`` depends only on
-    the sampler and ``i``, not on ``n_draws`` or the block size.  Each
-    optimal set is exact, by vertex enumeration, unless the response LP has
-    more candidate bases than ``problem.ENUM_CAP``; then each draw gets the
-    one optimal vertex a simplex solve finds (each block in one
-    ``solve_rows`` call).  The response LP is unbounded below exactly when
-    ``x_star`` is not optimal, and both paths then raise ``Unbounded`` at a
-    feasible draw, and return an empty block at zero draws: the family path
-    finds no basis holding ``supp(x_star)`` dual feasible, the split path no
-    blocking row.  A family block with an infeasible draw raises that
-    draw's ``Infeasible`` first.
+    All draws go to one kernel call, which slices its solves by
+    ``problem.SOLVE_CELLS``; sample ``i`` depends only on the sampler and
+    ``i``, not on ``n_draws`` or the slices.  Each optimal set is exact, by
+    vertex enumeration (``block_sets``), unless the response LP has more
+    candidate bases than ``problem.ENUM_CAP``; then each draw gets the one
+    optimal vertex a simplex solve finds (one ``solve_rows`` call).  The
+    response LP is unbounded below exactly when ``x_star`` is not optimal,
+    and both paths then raise ``Unbounded`` at a feasible draw, and return
+    an empty block at zero draws: the family path finds no basis holding
+    ``supp(x_star)`` dual feasible, the split path no blocking row.  On the
+    family path an infeasible draw raises its ``Infeasible`` first.
 
     With ``verify_unique`` the optimal set of ``lp`` is enumerated and
     ``NotUnique`` is raised unless it is the single vertex ``x_star``.
@@ -375,27 +375,17 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
     if verify_unique:
         _check_unique(lp, x_star)
     free = support(x_star)
+    g = sampler.draw_block(0, n_draws)
     try:
         enum = AuxVertexEnumerator(lp.A, lp.c, free)
     except InstanceTooLarge:  # raised before any block is factored
-        enum = None
         split, free_order = split_free(lp, free)
+        points, values, ties = np.zeros((n_draws, lp.m)), [], {}
+        for row, result in enumerate(solve_rows(split, g)):
+            points[row], value = _unsplit(result, free_order, lp.c)
+            values.append(value)
     else:
-        y, _, dual_feasible = problem._family_duals(enum.family, enum.c)
-    g = sampler.draw_block(0, n_draws)
-    points, values, ties = np.zeros((n_draws, lp.m)), [], {}
-    for start in range(0, n_draws, BLOCK):
-        block = g[start:start + BLOCK]
-        if enum is None:
-            part, part_values = zip(*[_unsplit(result, free_order, lp.c)
-                                      for result in solve_rows(split, block)])
-            part_ties = {}
-        else:
-            part, part_values, part_ties = _response_sets(enum.family, enum.c, block,
-                                                          (y, dual_feasible, None))
-        points[start:start + len(block)] = part
-        values += part_values
-        ties.update((start + row, polytope) for row, polytope in part_ties.items())
+        points, values, ties = _response_sets(enum, g)
     distances = row_norms(points).tolist()
     for row in ties:
         distances[row] = None

@@ -573,15 +573,16 @@ class BasisFamily:
         return out.transpose(1, 0, 2)
 
     def _optimal_block(self, c, x: np.ndarray) -> tuple:
-        """``(points, values, tied, groups, errors)`` for finite ``rows``
+        """``(points, values, bases, groups, errors)`` for finite ``rows``
         solved into ``x = self.solve(rows)``, by the rule of ``block_sets``:
-        each row's first optimal vertex, the array of optimal values; the
-        ``(len(self), N)`` mask ``tied``, whose column ``r`` marks the bases
-        in row ``r``'s set; the rows whose set has several bases, as
-        ``(rows, kept, first)`` groups, ``kept[i]`` the distinct vertices of
-        row ``rows[i]`` in the order of their first bases ``first``; and,
-        keyed by row, the ``Infeasible`` or ``NonFiniteData`` of each row
-        with no optimal value, whose other entries mean nothing."""
+        each row's first optimal vertex, the array of optimal values, the
+        columns of each row's first optimal basis; the rows whose set has
+        several bases, as ``(rows, kept, first, tied)`` groups, ``kept[i]``
+        the distinct vertices of row ``rows[i]`` in the order of their first
+        bases, whose columns are ``first``, and ``tied`` the columns of every
+        basis in those rows' set; and, keyed by row, the ``Infeasible`` or
+        ``NonFiniteData`` of each row with no optimal value, whose other
+        entries mean nothing."""
         # a signed coordinate below -FEAS_TOL makes the basis infeasible
         infeasible = np.matmul(x < -FEAS_TOL, self._signed)[:, :, 0]
         values = np.add.reduce(x * c[self.cols][:, None, :], axis=2)  # objectives
@@ -598,22 +599,23 @@ class BasisFamily:
         if errors:
             tied[:, list(errors)] = False
         points, every = np.zeros((x.shape[1], self.A.shape[1])), np.arange(x.shape[1])
-        points[every[:, None], self.cols[winner]] = x[winner, every]
+        bases = self.cols[winner]
+        points[every[:, None], bases] = x[winner, every]
         groups = []
         if np.count_nonzero(tied) > x.shape[1] - len(errors):  # some row ties
             multi = (tied.sum(axis=0) > 1).nonzero()[0]
             for pattern, rows in group_rows(tied[:, multi].T, multi):
-                bases = pattern.nonzero()[0]
-                vertices = np.zeros((len(rows), len(bases), self.A.shape[1]))
-                vertices[:, np.arange(len(bases))[:, None], self.cols[bases]] = \
-                    x[bases[:, None], rows].transpose(1, 0, 2)
+                at = pattern.nonzero()[0]
+                cols = self.cols[at]
+                vertices = np.zeros((len(rows), len(at), self.A.shape[1]))
+                vertices[:, np.arange(len(at))[:, None], cols] = x[at[:, None], rows].transpose(1, 0, 2)
                 keep = _keep_first(vertices)
                 if keep.all():
-                    groups.append((rows, vertices, bases))
+                    groups.append((rows, vertices, cols, cols))
                     continue
                 for kept, at in group_rows(keep, np.arange(len(rows))):
-                    groups.append((rows[at], vertices[at][:, kept], bases[kept]))
-        return read_only(points)[0], best, tied, groups, errors
+                    groups.append((rows[at], vertices[at][:, kept], cols[kept], cols))
+        return points, best, bases, groups, errors
 
 
 def program_family(lp: StandardLp) -> BasisFamily:
@@ -784,28 +786,44 @@ def _slices(rows: np.ndarray, bases: int):
 
 
 def block_sets(family: BasisFamily, c, rhs, duals=None) -> tuple:
-    """``(pieces, errors)``: the optimal set of ``min <c, x>  s.t.  A x = r``
-    over the bases of ``family``, its ``fixed`` coordinates free in sign and
-    the others nonnegative, at each row ``r`` of the ``(N, k)`` block
-    ``rhs``.  A basis is feasible when its signed coordinates are at least
-    ``-FEAS_TOL``; the optimal value ``best`` is the first smallest
-    objective of a feasible basis, and the set holds every feasible basis
-    within ``1e-8 * (1 + |best|)`` of it.  ``ValueError`` for rows of the
-    wrong length.
+    """``(points, values, bases, groups, errors)``: the optimal set of ``min
+    <c, x>  s.t.  A x = r`` over the bases of ``family``, its ``fixed``
+    coordinates free in sign and the others nonnegative, at each row ``r``
+    of the ``(N, k)`` block ``rhs``.  A basis is feasible when its signed
+    coordinates are at least ``-FEAS_TOL``; the optimal value ``best`` is
+    the first smallest objective of a feasible basis, and the set holds
+    every feasible basis within ``1e-8 * (1 + |best|)`` of it.
+    ``ValueError`` for rows of the wrong length.
 
-    ``pieces`` lists ``(at, part, x, block)``: rows ``at`` of ``rhs``, the
-    bases ``part`` of ``family`` solved for them (the family, or ``take`` of
-    some), ``x = part.solve(rhs[at])`` and ``block = part._optimal_block(c,
-    x)``, whose row ``i`` is row ``at[i]``.  ``errors`` maps each row with
-    no optimal set, whose entries in a piece mean nothing, to its own
-    ``LpError``: ``NonFiniteData`` for a row that holds NaN or infinity,
-    ``_optimal_block``'s ``Infeasible`` or ``NonFiniteData``, and
-    ``Unbounded`` for every row left when ``duals``, None or ``(duals,
-    feasible, edges)`` at ``c`` as ``program_duals`` gives them, marks no
-    basis dual feasible.  With window ``edges`` the block solves the union
-    of its rows' windows (``_window``), and a row whose window does not
-    hold is solved by the whole family, as is every row otherwise; a solve
-    takes ``SOLVE_CELLS // len(part)`` rows at a time."""
+    ``points`` is the read-only ``(N, m)`` array of each row's first
+    optimal vertex, ``values`` the list of optimal values and ``bases`` the
+    ``(N, k)`` array of the columns of each row's first optimal basis.
+    ``groups`` holds the rows whose set has several bases, as ``(rows,
+    kept, first, tied)``: the rows, numbered in the block; ``kept[i]``, the
+    distinct vertices of row ``rows[i]``, in the order of their first
+    bases; ``first``, the columns of those bases; and ``tied``, the columns
+    of every basis in the set, in family order.  ``errors`` maps each row
+    with no optimal set, whose entries elsewhere mean nothing (its point
+    and value are zero), to its own ``LpError``: ``NonFiniteData`` for a
+    row that holds NaN or infinity, ``_optimal_block``'s ``Infeasible`` or
+    ``NonFiniteData``, and ``Unbounded`` for every row left when ``duals``,
+    None or ``(duals, feasible, edges)`` at ``c`` as ``program_duals``
+    gives them, marks no basis dual feasible.  With window ``edges`` the
+    block solves the union of its rows' windows (``_window``), and a row
+    whose window does not hold is solved by the whole family, as is every
+    row otherwise; a solve takes ``SOLVE_CELLS // len(part)`` rows at a
+    time, and no row's result depends on the others."""
+    c = np.asarray(c, dtype=float)
+    solved, errors = _solved(family, rhs, duals)
+    return _assembled(c, np.shape(rhs), solved, errors, None if duals is None else duals[1])
+
+
+def _solved(family: BasisFamily, rhs, duals) -> tuple:
+    """``(solved, errors)``: ``block_sets``'s solves as ``(at, part, x)``,
+    rows ``at`` of ``rhs`` solved by the bases ``part`` of ``family`` (the
+    family, or ``take`` of some) into ``x = part.solve(rhs[at])``, a row
+    that falls back to the whole family last; and the ``NonFiniteData`` of
+    each row that is not finite."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 2 or rhs.shape[1] != len(family.A):
         raise ValueError(f"rhs rows must have length {len(family.A)}")
@@ -824,8 +842,7 @@ def block_sets(family: BasisFamily, c, rhs, duals=None) -> tuple:
         rest = np.concatenate(left) if left else rest[:0]
     solved += [(rows, family, family.solve(rhs.take(rows, axis=0)))
                for rows in _slices(rest, len(family))]
-    return _solved_sets(np.asarray(c, dtype=float), solved, errors,
-                        None if duals is None else duals[1])
+    return solved, errors
 
 
 def _finite_rows(rhs: np.ndarray) -> tuple:
@@ -838,22 +855,25 @@ def _finite_rows(rhs: np.ndarray) -> tuple:
                                  for row in (~finite).nonzero()[0].tolist()}
 
 
-def _solved_sets(c: np.ndarray, solved: list, errors: dict, dual_feasible) -> tuple:
-    """``block_sets``'s ``(pieces, errors)`` from its ``(at, part, x)``
-    triples, its non-finite rows' errors and its dual feasible mask or None."""
-    pieces = []
+def _assembled(c: np.ndarray, shape: tuple, solved: list, errors: dict, dual_feasible) -> tuple:
+    """``block_sets``'s result for a block of ``shape``, from ``_solved``'s
+    ``(at, part, x)`` triples and errors and the dual feasible mask or None."""
+    (count, k), m = shape, len(c)
+    points, values = np.zeros((count, m)), np.zeros(count)
+    bases, groups = np.zeros((count, k), dtype=np.intp), []
     for at, part, x in solved:
         if len(at):
-            block = part._optimal_block(c, x)
-            if block[-1]:
-                errors.update(zip(at[list(block[-1])].tolist(), block[-1].values()))
-            pieces.append((at, part, x, block))
+            points[at], values[at], bases[at], part_groups, part_errors = part._optimal_block(c, x)
+            groups += [(at[rows], *rest) for rows, *rest in part_groups]
+            errors.update(zip(at[list(part_errors)].tolist(), part_errors.values()))
     if dual_feasible is not None and not dual_feasible.any():
-        unbounded = [row for at, *_ in pieces for row in at.tolist() if row not in errors]
+        unbounded = [row for at, *_ in solved for row in at.tolist() if row not in errors]
         errors.update((row, Unbounded("no basis is dual feasible: the objective is unbounded "
                                       "below")) for row in unbounded)
-        pieces = []
-    return pieces, errors
+        groups = []
+    if errors:
+        points[list(errors)] = values[list(errors)] = 0.0
+    return read_only(points)[0], values.tolist(), bases, groups, errors
 
 
 def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> tuple:
@@ -865,21 +885,8 @@ def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> tuple:
     except InstanceTooLarge as exc:
         rest, errors = _finite_rows(rhs)
         errors.update(dict.fromkeys(rest.tolist(), exc))
-        return [], errors
+        return _assembled(lp.c, np.shape(rhs), [], errors, None)
     return block_sets(family, lp.c, rhs, program_duals(lp))
-
-
-def row_sets(count: int, m: int, pieces: list) -> tuple:
-    """``(points, values, groups)`` of ``block_sets``'s ``pieces`` of a block
-    of ``count`` rows: each row's first optimal vertex as a row of the
-    read-only ``(count, m)`` array ``points`` (zeros in a row of no piece),
-    the list of optimal values, and the pieces' tied groups numbered in the block."""
-    points, values, groups = np.zeros((count, m)), np.zeros(count), []
-    for at, _, _, (part_points, part_values, _, part_groups, _) in pieces:
-        points[at] = part_points
-        values[at] = part_values
-        groups += [(at[rows], kept, first) for rows, kept, first in part_groups]
-    return read_only(points)[0], values.tolist(), groups
 
 
 def first_error(errors: dict) -> LpError:
@@ -890,36 +897,36 @@ def first_error(errors: dict) -> LpError:
 
 
 def _tie_polytopes(groups: list) -> dict:
-    """The Polytope of each row of ``_optimal_block``'s ``groups``, keyed by row."""
+    """The Polytope of each row of ``block_sets``'s ``groups``, keyed by row."""
     return {row: _lexsorted(kept)
-            for rows, block, _ in groups for row, kept in zip(rows.tolist(), block)}
+            for rows, block, *_ in groups for row, kept in zip(rows.tolist(), block)}
 
 
 def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
     """The best feasible vertices and every basis attaining their value:
-    ``optimal_rows`` at the one row ``lp.b``, or the family's
-    ``_optimal_block`` at the basic points when they are kept already.
-    Raises ``Infeasible`` when no feasible basis exists, and ``Unbounded``
-    when one does but no basis is dual feasible (see ``program_duals``).
-    The program's first call that returns keeps the Polytope (its vertices
-    read-only) and the bases in ``lp.at_b``, and the basic points when it
-    solved every basis; one that raises keeps nothing.  Each call returns a
-    new list of bases."""
+    ``optimal_rows`` at the one row ``lp.b``, or its assembly from the
+    basic points when they are kept already.  Raises ``Infeasible`` when no
+    feasible basis exists, and ``Unbounded`` when one does but no basis is
+    dual feasible (see ``program_duals``).  The program's first call that
+    returns keeps the Polytope (its vertices read-only) and the bases in
+    ``lp.at_b``, and the basic points when it solved every basis; one that
+    raises keeps nothing.  Each call returns a new list of bases."""
     family = program_family(lp)  # the cap is checked on every call
     optimal = lp.at_b.get("optimal")
     if optimal is None:
-        points = lp.at_b.get("points")
+        points, duals = lp.at_b.get("points"), program_duals(lp)
         if points is None:
-            pieces, errors = optimal_rows(lp, lp.b[None, :])
+            solved, errors = _solved(family, lp.b[None, :], duals)
         else:
-            solved = [(np.zeros(1, dtype=np.intp), family, points[:, None, :])]
-            pieces, errors = _solved_sets(lp.c, solved, {}, program_duals(lp)[1])
+            solved, errors = [(np.zeros(1, dtype=np.intp), family, points[:, None, :])], {}
+        vertices, _, bases, groups, errors = _assembled(lp.c, (1, lp.k), solved, errors, duals[1])
         if errors:
             raise errors[0]
-        [(_, part, x, (vertices, _, tied, groups, _))] = pieces
-        ties = _tie_polytopes(groups)
-        optimal = (ties[0] if ties else _one_vertex(vertices[:1]),
-                   tuple(map(_family_basis, part.cols[tied[:, 0]].tolist())))
+        if groups:
+            [(_, [kept], _, bases)] = groups
+        optimal = (_lexsorted(kept) if groups else _one_vertex(vertices),
+                   tuple(map(_family_basis, bases.tolist())))
+        _, part, x = solved[-1]  # the row's solve, after an empty window piece if any
         if part is family and points is None:
             lp.at_b["points"] = read_only(x[:, 0].copy())[0]
         lp.at_b["optimal"] = optimal

@@ -51,12 +51,11 @@ def transport_lp(row_marginals, col_marginals, cost):
 def optimal_sets(family, c, rows, duals=None) -> list:
     """``(Polytope of optimal vertices, optimal value)`` at each row of the
     ``(N, k)`` block ``rows`` over the basis family ``family``, composed
-    from ``problem.block_sets``, ``row_sets`` and ``_tie_polytopes``; any
-    row's error raises the block's ``first_error``."""
-    pieces, errors = problem.block_sets(family, c, rows, duals)
+    from ``problem.block_sets`` and ``_tie_polytopes``; any row's error
+    raises the block's ``first_error``."""
+    points, values, _, groups, errors = problem.block_sets(family, c, rows, duals)
     if errors:
         raise problem.first_error(errors)
-    points, values, groups = problem.row_sets(len(rows), family.A.shape[1], pieces)
     ties = problem._tie_polytopes(groups)
     return [(ties[i] if i in ties else problem._one_vertex(points[i:i + 1]), value)
             for i, value in enumerate(values)]

@@ -32,7 +32,15 @@ from lpdist import (
 )
 from lpdist import problem
 from lpdist.errors import Infeasible, NonFiniteData, Unbounded
-from lpdist.problem import BasisFamily, iter_bases, program_family, solve_lu
+from lpdist.problem import (
+    Basis,
+    BasisFamily,
+    basic_solution,
+    iter_bases,
+    program_duals,
+    program_family,
+    solve_lu,
+)
 
 from conftest import optimal_sets
 from test_iter_bases import PROGRAMS, dual_infeasible, near
@@ -163,14 +171,31 @@ def test_block_sets_give_each_row_its_own_error():
     family = BasisFamily(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), fixed=[0])
     c = np.array([0.0, 1.0, 2.0])
     rows = np.array([[np.nan, 1.0], [1.0, -1.0], [1.0, 2.0]])
-    pieces, errors = problem.block_sets(family, c, rows)
+    points, values, _, groups, errors = problem.block_sets(family, c, rows)
     assert sorted(errors) == [0, 1]
     assert isinstance(errors[0], NonFiniteData) and isinstance(errors[1], Infeasible)
     assert problem.first_error(errors) is errors[1]
-    points, values, groups = problem.row_sets(len(rows), 3, pieces)
     [(want, want_value)] = optimal_sets(family, c, rows[2:])
     assert groups == [] and points[2:].tobytes() == want.vertices.tobytes()
     assert repr(values[2]) == repr(want_value)
+
+
+def test_a_windowed_tie_names_its_bases_by_their_columns():
+    """On the min-cost flow at its own ``b`` the dual window is taken and
+    the set ties, so the kernel solves a part of the family: ``tied`` names
+    the bases ``optimal_vertices`` returns, and each ``first`` is a basis of
+    the whole family whose basic solution is its kept vertex."""
+    lp = build_min_cost_flow().lp
+    assert program_duals(lp)[2] is not None
+    _, _, _, [(rows, [kept], first, tied)], errors = problem.optimal_rows(lp, lp.b[None, :])
+    assert not errors and rows.tolist() == [0] and len(kept) == len(first) > 1
+    _, bases = optimal_vertices(lp)
+    assert [tuple(cols) for cols in tied.tolist()] == [basis.indices for basis in bases]
+    family = [tuple(cols) for cols in program_family(lp).cols.tolist()]
+    bound = 1e-12 * (1.0 + np.abs(lp.b).max())
+    for cols, vertex in zip(first.tolist(), kept):
+        assert tuple(cols) in family
+        assert np.abs(basic_solution(lp, Basis(cols)).x - vertex).max() <= bound
 
 
 def test_a_subnormal_pivot_is_not_invertible():

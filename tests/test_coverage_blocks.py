@@ -26,13 +26,13 @@ from lpdist import (
 from lpdist import problem
 from lpdist.errors import LpError, Unbounded
 from lpdist.experiments import (
+    BLOCK,
     ExperimentConfig,
     ReplicateRecord,
     build_min_cost_flow,
     build_ot_2x2,
     run_coverage,
 )
-from lpdist.limits import BLOCK
 
 
 def canonical_pick(lp, u):

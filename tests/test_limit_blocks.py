@@ -18,8 +18,8 @@ import pytest
 from scipy.linalg import lu_solve
 
 from lpdist import StandardLp, kolmogorov_smirnov, optimal_vertices, solve
-from lpdist import limits, problem
-from lpdist.errors import Infeasible, LpError, NonFiniteData
+from lpdist import problem
+from lpdist.errors import Infeasible, LpError, NonFiniteData, Unbounded
 from lpdist.experiments import build_min_cost_flow, build_ot_2x2, run_limit_comparison
 from lpdist.geometry import hausdorff, min_norm_point
 from lpdist.limits import (
@@ -147,11 +147,11 @@ def test_a_wide_gaussian_block_takes_memory_of_its_own_size():
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
-def test_draws_do_not_depend_on_the_block_size(name, monkeypatch):
+def test_draws_do_not_depend_on_the_block_size(name):
     sampler = SAMPLERS[name]()
     default = sampler.draw_block(0, 40)
-    monkeypatch.setattr(limits, "BLOCK", 7)
-    assert sampler.draw_block(0, 40).tobytes() == default.tobytes()
+    sevens = np.concatenate([sampler.draw_block(start, 7) for start in range(0, 40, 7)])
+    assert sevens[:40].tobytes() == default.tobytes()
 
 
 def test_threads_may_share_a_sampler():
@@ -196,11 +196,13 @@ def test_limit_samples_are_prefix_stable():
 
 
 def test_limit_samples_do_not_depend_on_the_block_size(monkeypatch):
+    """With ``SOLVE_CELLS`` patched, the kernel solves the draws 7 at a time."""
     config = build_ot_2x2()
     noise = config.b_sampler.limit_noise(12, config.lp.k)
     x_star = config.targets.vertices[0]
     default = sample_unique_limit(config.lp, x_star, noise, 50)
-    monkeypatch.setattr(limits, "BLOCK", 7)
+    family = AuxVertexEnumerator(config.lp.A, config.lp.c, support(x_star)).family
+    monkeypatch.setattr(problem, "SOLVE_CELLS", 7 * len(family))
     _same_samples(sample_unique_limit(config.lp, x_star, noise, 50), default)
 
 
@@ -259,6 +261,9 @@ def _assert_close_sets(got, want):
 
 
 def _check_against_reference(a, c, free, rhs_rows):
+    """The kernel's sets, without a dual mask, against the reference at each
+    row; the enumerator's too, unless no basis is dual feasible: then the
+    response program is unbounded at each feasible row, and it raises."""
     enum = AuxVertexEnumerator(a, c, free)
     expected = []
     for rhs in rhs_rows:
@@ -269,6 +274,10 @@ def _check_against_reference(a, c, free, rhs_rows):
             with pytest.raises(Infeasible):
                 enum.optimal_set(rhs)
         else:
+            if not enum.duals[1].any():
+                with pytest.raises(Unbounded):
+                    enum.optimal_set(rhs)
+                continue
             _assert_close_sets(enum.optimal_set(rhs), expected[-1])
     feasible = [rhs for rhs, want in zip(rhs_rows, expected) if want is not None]
     if feasible:
@@ -532,17 +541,19 @@ def test_an_empty_limit_block_has_columns_of_its_widths(ot_lp):
     assert block.statistic("hausdorff").shape == (0,)
 
 
-def test_ties_at_a_block_boundary_keep_their_draw_index():
-    """At seed 0 draws 1023 and 1024, the last of one solve block and the
-    first of the next, are positive, so each ties two vertices; draws 1022
-    and 1025 are negative and have one."""
+def test_ties_at_a_block_boundary_keep_their_draw_index(monkeypatch):
+    """At seed 0 draws 1023 and 1024, the last of one solve slice and the
+    first of the next (``SOLVE_CELLS`` patched to 1024 rows a slice), are
+    positive, so each ties two vertices; draws 1022 and 1025 are negative
+    and have one."""
     lp, x_star, _ = _half_tied_case()
     noise = NoiseSampler(GaussianLaw([[1.0]]), 0)
+    enum = AuxVertexEnumerator(lp.A, lp.c, support(x_star))
+    monkeypatch.setattr(problem, "SOLVE_CELLS", 1024 * len(enum.family))
     block = sample_unique_limit(lp, x_star, noise, 2048)
     positive = np.flatnonzero(block.g[:, 0] > 0).tolist()
     assert sorted(block.ties) == positive
     assert [i in block.ties for i in (1022, 1023, 1024, 1025)] == [False, True, True, False]
-    enum = AuxVertexEnumerator(lp.A, lp.c, support(x_star))
     for i in (1022, 1023, 1024, 1025):
         polytope, value = enum.optimal_set(noise.draw(i))
         record = block[i]

@@ -39,6 +39,9 @@ def programs(draw):
 @hypothesis.example((np.array([[-1.0, 1.0, 1.0, 1.0, 0.0, 0.0], [2.0, 1.0, 0.0, -2.0, 0.0, -1.0]]),
                      np.zeros(6), [], np.array([[0.5, -1.0]])))
 def test_block_kernel_agrees_with_scalar_enumeration(program):
+    """The kernel's sets, without a dual mask, are the reference's; the
+    enumerator's are too, where some basis is dual feasible, and where none
+    is, the response program is unbounded and it raises ``Unbounded``."""
     a, c, free, rows = program
     try:
         enum = AuxVertexEnumerator(a, c, free)
@@ -57,7 +60,11 @@ def test_block_kernel_agrees_with_scalar_enumeration(program):
     if feasible:
         for i, got in zip(feasible, optimal_sets(enum.family, enum.c, rows[feasible])):
             _assert_close_sets(got, expected[i])
-            assert np.array_equal(got[0].vertices, enum.optimal_set(rows[i])[0].vertices)
+            if has_dual_feasible_basis(enum.family, c):
+                assert np.array_equal(got[0].vertices, enum.optimal_set(rows[i])[0].vertices)
+            else:
+                with pytest.raises(Unbounded):
+                    enum.optimal_set(rows[i])
 
 
 def has_dual_feasible_basis(family: BasisFamily, c: np.ndarray) -> bool:

@@ -175,6 +175,16 @@ def test_both_paths_agree_at_zero_draws_when_unbounded(monkeypatch, cap):
         sample_unique_limit(lp, [1.0, 0.0], noise, 3)
 
 
+def test_the_enumerator_raises_unbounded_where_no_basis_is_dual_feasible():
+    """The response program of that ``x_star`` over the one-column family:
+    ``x_0`` is free and column 1 improves without bound, so the enumerator
+    raises ``Unbounded`` rather than report the one basic point."""
+    enum = AuxVertexEnumerator([[1.0, 1.0]], [1.0, -2.0], {0})
+    assert not enum.duals[1].any()
+    with pytest.raises(Unbounded):
+        enum.optimal_set([1.0])
+
+
 # -------------------------------------------------- directional response LPs
 
 def test_aux_uniqueness_guard(ot_lp, ones_3x3_lp):

@@ -46,16 +46,13 @@ def alone(lp, b):
 
 def in_block(lp, rhs) -> list:
     """Each row's outcome from one ``optimal_rows`` call on the block ``rhs``."""
-    pieces, errors = optimal_rows(lp, rhs)
-    out = {row: (type(exc).__name__, str(exc)) for row, exc in errors.items()}
-    for at, part, _, (points, _, tied, groups, _) in pieces:
-        ties = problem._tie_polytopes(groups)
-        for i, row in enumerate(at.tolist()):
-            if row in errors:
-                continue
-            vertices = ties[i].vertices if i in ties else points[i:i + 1]
-            out[row] = (vertices.tobytes(), [tuple(cols) for cols in part.cols[tied[:, i]].tolist()])
-    return [out[row] for row in range(len(rhs))]
+    points, _, bases, groups, errors = optimal_rows(lp, rhs)
+    ties = problem._tie_polytopes(groups)
+    tied = {row: cols for rows, _, _, cols in groups for row in rows.tolist()}
+    return [(type(errors[row]).__name__, str(errors[row])) if row in errors else
+            ((ties[row].vertices if row in ties else points[row:row + 1]).tobytes(),
+             [tuple(cols) for cols in tied.get(row, bases[row:row + 1]).tolist()])
+            for row in range(len(rhs))]
 
 
 @functools.cache
@@ -125,11 +122,11 @@ def test_a_row_above_the_room_falls_back_to_the_full_familys_set():
     assert program_duals(lp)[2] is not None
     huge = above_the_room(lp, slater)
     rhs = np.array([lp.b, huge, lp.A @ slater])
-    pieces, errors = optimal_rows(lp, rhs)
-    assert not errors
-    [fallback] = [(at, part) for at, part, *_ in pieces if 1 in at.tolist()]
+    assert not optimal_rows(lp, rhs)[-1]
+    solved, _ = problem._solved(program_family(lp), rhs, program_duals(lp))
+    [fallback] = [(at, part) for at, part, _ in solved if 1 in at.tolist()]
     assert fallback[0].tolist() == [1] and fallback[1] is program_family(lp)
-    assert all(len(part) < len(program_family(lp)) for at, part, *_ in pieces if 1 not in at)
+    assert all(len(part) < len(program_family(lp)) for at, part, _ in solved if 1 not in at)
     full = in_block(with_cells(1, math.inf), rhs)
     assert in_block(lp, rhs) == full and isinstance(full[1][0], bytes)
 
