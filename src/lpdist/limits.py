@@ -328,7 +328,7 @@ class AuxVertexEnumerator:
         self.family = BasisFamily(a, fixed=free_indices)
         self.c = np.asarray(c, dtype=float)
         y, _, dual_feasible = problem._family_duals(self.family, self.c)
-        self.duals = (y, dual_feasible, None)
+        self._duals = (y, dual_feasible, None)
 
     def optimal_set(self, rhs: np.ndarray) -> tuple:
         """(Polytope of optimal vertices, optimal value) for this rhs."""
@@ -340,7 +340,7 @@ def _response_sets(enum: AuxVertexEnumerator, rows: np.ndarray) -> tuple:
     """``(points, values, ties)`` of ``enum``'s response program at each row
     of ``rows``: ``problem.block_sets``, each tied row's Polytope keyed by
     row.  Raises the block's ``first_error``."""
-    points, values, _, groups, errors = problem.block_sets(enum.family, enum.c, rows, enum.duals)
+    points, values, _, groups, errors = problem.block_sets(enum.family, enum.c, rows, enum._duals)
     if errors:
         raise problem.first_error(errors)
     return points, values, problem._tie_polytopes(groups)

@@ -608,7 +608,8 @@ class BasisFamily:
                 at = pattern.nonzero()[0]
                 cols = self.cols[at]
                 vertices = np.zeros((len(rows), len(at), self.A.shape[1]))
-                vertices[:, np.arange(len(at))[:, None], cols] = x[at[:, None], rows].transpose(1, 0, 2)
+                vertices[:, np.arange(len(at))[:, None], cols] = \
+                    x[at[:, None], rows].transpose(1, 0, 2)
                 keep = _keep_first(vertices)
                 if keep.all():
                     groups.append((rows, vertices, cols, cols))
@@ -922,10 +923,11 @@ def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
         vertices, _, bases, groups, errors = _assembled(lp.c, (1, lp.k), solved, errors, duals[1])
         if errors:
             raise errors[0]
-        if groups:
+        polytope = _one_vertex(vertices)
+        if groups:  # the tied set's vertices and every basis in it
             [(_, [kept], _, bases)] = groups
-        optimal = (_lexsorted(kept) if groups else _one_vertex(vertices),
-                   tuple(map(_family_basis, bases.tolist())))
+            polytope = _lexsorted(kept)
+        optimal = (polytope, tuple(map(_family_basis, bases.tolist())))
         _, part, x = solved[-1]  # the row's solve, after an empty window piece if any
         if part is family and points is None:
             lp.at_b["points"] = read_only(x[:, 0].copy())[0]

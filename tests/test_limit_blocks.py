@@ -274,7 +274,7 @@ def _check_against_reference(a, c, free, rhs_rows):
             with pytest.raises(Infeasible):
                 enum.optimal_set(rhs)
         else:
-            if not enum.duals[1].any():
+            if not enum._duals[1].any():
                 with pytest.raises(Unbounded):
                     enum.optimal_set(rhs)
                 continue

@@ -180,7 +180,7 @@ def test_the_enumerator_raises_unbounded_where_no_basis_is_dual_feasible():
     ``x_0`` is free and column 1 improves without bound, so the enumerator
     raises ``Unbounded`` rather than report the one basic point."""
     enum = AuxVertexEnumerator([[1.0, 1.0]], [1.0, -2.0], {0})
-    assert not enum.duals[1].any()
+    assert not enum._duals[1].any()
     with pytest.raises(Unbounded):
         enum.optimal_set([1.0])
 
