@@ -812,24 +812,24 @@ def block_sets(family: BasisFamily, c, rhs, duals=None) -> tuple:
     gives them, marks no basis dual feasible.  With window ``edges`` the
     block solves the union of its rows' windows (``_window``), and a row
     whose window does not hold is solved by the whole family, as is every
-    row otherwise; a solve takes ``SOLVE_CELLS // len(part)`` rows at a
-    time, and no row's result depends on the others."""
-    c = np.asarray(c, dtype=float)
-    solved, errors = _solved(family, rhs, duals)
-    return _assembled(c, np.shape(rhs), solved, errors, None if duals is None else duals[1])
-
-
-def _solved(family: BasisFamily, rhs, duals) -> tuple:
-    """``(solved, errors)``: ``block_sets``'s solves as ``(at, part, x)``,
-    rows ``at`` of ``rhs`` solved by the bases ``part`` of ``family`` (the
-    family, or ``take`` of some) into ``x = part.solve(rhs[at])``, a row
-    that falls back to the whole family last; and the ``NonFiniteData`` of
-    each row that is not finite."""
-    rhs = np.asarray(rhs, dtype=float)
+    row otherwise.  A solve takes ``SOLVE_CELLS // len(part)`` rows at a
+    time and is assembled before the next is made, so the block holds the
+    solved coordinates of one solve at a time, and no row's result depends
+    on the others."""
+    c, rhs = np.asarray(c, dtype=float), np.asarray(rhs, dtype=float)
     if rhs.ndim != 2 or rhs.shape[1] != len(family.A):
         raise ValueError(f"rhs rows must have length {len(family.A)}")
     rest, errors = _finite_rows(rhs)
-    solved = []
+    return _assembled(c, rhs.shape, _solved(family, rhs, rest, duals), errors,
+                      None if duals is None else duals[1])
+
+
+def _solved(family: BasisFamily, rhs: np.ndarray, rest: np.ndarray, duals):
+    """``block_sets``'s solves of the finite rows ``rest`` of ``rhs``, made
+    one at a time as ``(at, part, x)``: rows ``at`` solved by the bases
+    ``part`` of ``family`` (the family, or ``take`` of some) into ``x =
+    part.solve(rhs[at])``, the rows that fall back to the whole family
+    last."""
     if duals is not None and duals[2] is not None:
         near, at = _window(family, *duals, rhs.take(rest, axis=0))
         part, left = family.take(at), [] if len(near) == len(rest) else [np.delete(rest, near)]
@@ -839,11 +839,10 @@ def _solved(family: BasisFamily, rhs, duals) -> tuple:
             holds = (signs & (x.min(axis=2) >= -FEAS_TOL)).any(axis=0)
             if not holds.all():
                 rows, x, left = rows[holds], x[:, holds], left + [rows[~holds]]
-            solved.append((rows, part, x))
+            yield rows, part, x
         rest = np.concatenate(left) if left else rest[:0]
-    solved += [(rows, family, family.solve(rhs.take(rows, axis=0)))
-               for rows in _slices(rest, len(family))]
-    return solved, errors
+    for rows in _slices(rest, len(family)):
+        yield rows, family, family.solve(rhs.take(rows, axis=0))
 
 
 def _finite_rows(rhs: np.ndarray) -> tuple:
@@ -856,9 +855,10 @@ def _finite_rows(rhs: np.ndarray) -> tuple:
                                  for row in (~finite).nonzero()[0].tolist()}
 
 
-def _assembled(c: np.ndarray, shape: tuple, solved: list, errors: dict, dual_feasible) -> tuple:
+def _assembled(c: np.ndarray, shape: tuple, solved, errors: dict, dual_feasible) -> tuple:
     """``block_sets``'s result for a block of ``shape``, from ``_solved``'s
-    ``(at, part, x)`` triples and errors and the dual feasible mask or None."""
+    ``(at, part, x)`` triples, each read as it comes, the errors of the rows
+    left unsolved, and the dual feasible mask or None."""
     (count, k), m = shape, len(c)
     points, values = np.zeros((count, m)), np.zeros(count)
     bases, groups = np.zeros((count, k), dtype=np.intp), []
@@ -867,8 +867,8 @@ def _assembled(c: np.ndarray, shape: tuple, solved: list, errors: dict, dual_fea
             points[at], values[at], bases[at], part_groups, part_errors = part._optimal_block(c, x)
             groups += [(at[rows], *rest) for rows, *rest in part_groups]
             errors.update(zip(at[list(part_errors)].tolist(), part_errors.values()))
-    if dual_feasible is not None and not dual_feasible.any():
-        unbounded = [row for at, *_ in solved for row in at.tolist() if row not in errors]
+    if dual_feasible is not None and not dual_feasible.any():  # every finite row was solved
+        unbounded = [row for row in range(count) if row not in errors]
         errors.update((row, Unbounded("no basis is dual feasible: the objective is unbounded "
                                       "below")) for row in unbounded)
         groups = []
@@ -916,11 +916,11 @@ def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
     optimal = lp.at_b.get("optimal")
     if optimal is None:
         points, duals = lp.at_b.get("points"), program_duals(lp)
-        if points is None:
-            solved, errors = _solved(family, lp.b[None, :], duals)
+        if points is None:  # lp.b is finite, so its one row is solved
+            solved = list(_solved(family, lp.b[None, :], np.zeros(1, dtype=np.intp), duals))
         else:
-            solved, errors = [(np.zeros(1, dtype=np.intp), family, points[:, None, :])], {}
-        vertices, _, bases, groups, errors = _assembled(lp.c, (1, lp.k), solved, errors, duals[1])
+            solved = [(np.zeros(1, dtype=np.intp), family, points[:, None, :])]
+        vertices, _, bases, groups, errors = _assembled(lp.c, (1, lp.k), solved, {}, duals[1])
         if errors:
             raise errors[0]
         polytope = _one_vertex(vertices)

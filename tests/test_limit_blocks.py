@@ -206,6 +206,33 @@ def test_limit_samples_do_not_depend_on_the_block_size(monkeypatch):
     _same_samples(sample_unique_limit(config.lp, x_star, noise, 50), default)
 
 
+def test_limit_sampling_holds_one_solve_at_a_time():
+    """At ``x_star = 0`` every one of the 190 bases of a 3x12 program is a
+    candidate, so a draw's solved coordinates (190 * 3 floats) outweigh its
+    result (12 + 3 floats and two list entries) many times.  The kernel
+    assembles each solve of ``SOLVE_CELLS`` entries before it makes the
+    next, so the peak grows with the result alone: holding every solve
+    would take 4.6 kB a draw, 14 MB more at 4000 draws than at 1000
+    (numpy reports its arrays to ``tracemalloc``)."""
+    rng = np.random.default_rng(3)
+    a = np.hstack([np.eye(3), -np.eye(3), rng.uniform(-1.0, 1.0, (3, 6))])
+    lp = StandardLp(a, np.zeros(3), rng.uniform(1.0, 2.0, 12))
+    noise = NoiseSampler(GaussianLaw(np.eye(3)), 4)
+    assert len(AuxVertexEnumerator(lp.A, lp.c, []).family) == 190
+    sample_unique_limit(lp, np.zeros(12), noise, 10)
+    peaks = []
+    for n in (1000, 4000):
+        tracemalloc.start()
+        try:
+            sample_unique_limit(lp, np.zeros(12), noise, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_draw = 8 * 4 * (lp.m + lp.k)
+    assert peaks[1] - peaks[0] < 3000 * per_draw
+    assert peaks[1] < 8 * 4 * problem.SOLVE_CELLS * lp.k + 4000 * per_draw
+
+
 @pytest.mark.parametrize("build", [build_ot_2x2, build_min_cost_flow])
 def test_single_rhs_matches_its_row_of_a_block(build):
     config = build()

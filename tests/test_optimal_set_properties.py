@@ -123,7 +123,7 @@ def test_a_row_above_the_room_falls_back_to_the_full_familys_set():
     huge = above_the_room(lp, slater)
     rhs = np.array([lp.b, huge, lp.A @ slater])
     assert not optimal_rows(lp, rhs)[-1]
-    solved, _ = problem._solved(program_family(lp), rhs, program_duals(lp))
+    solved = list(problem._solved(program_family(lp), rhs, np.arange(len(rhs)), program_duals(lp)))
     [fallback] = [(at, part) for at, part, _ in solved if 1 in at.tolist()]
     assert fallback[0].tolist() == [1] and fallback[1] is program_family(lp)
     assert all(len(part) < len(program_family(lp)) for at, part, _ in solved if 1 not in at)
