@@ -173,9 +173,8 @@ def cmd_coverage(args) -> int:
     n_values = ([int(part) for part in args.n_values.split(",")]
                 if args.n_values else None)
     report = run_coverage(config, n_values=n_values, replicates=args.replicates)
-    lines = ["n,replicates,covered,coverage,std_error"]
-    for row in report.rows:
-        lines.append(f"{row.n},{row.replicates},{row.covered},{row.coverage},{row.std_error}")
+    lines = ["n,replicates,covered,coverage,std_error,failed"]
+    lines += [",".join(map(str, asdict(row).values())) for row in report.rows]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

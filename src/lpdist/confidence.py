@@ -58,7 +58,7 @@ class EllipsoidRegion:
         check_support(self.support_indices, k)
         return np.eye(k)[:, self.support] @ self.chol
 
-    def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
+    def accepts(self, g: np.ndarray, tol: np.ndarray) -> np.ndarray:
         u = _forward_substitution(self.chol, g[:, self.support])
         inside = problem.ordered_dot(u, u) <= self.q + tol
         if self.support_indices is not None:
@@ -99,7 +99,8 @@ class BoxRegion:
             raise ValueError("box bounds must have one entry per constraint row")
         return np.eye(k)
 
-    def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
+    def accepts(self, g: np.ndarray, tol: np.ndarray) -> np.ndarray:
+        tol = tol[:, None]
         return (g >= self.lower - tol).all(axis=1) & (g <= self.upper + tol).all(axis=1)
 
     def interval(self, row: np.ndarray) -> tuple:
@@ -132,7 +133,7 @@ class SegmentFamilyRegion:
             raise ValueError("direction must have one entry per constraint row")
         return self.direction[:, None]
 
-    def accepts(self, g: np.ndarray, tol: float) -> np.ndarray:
+    def accepts(self, g: np.ndarray, tol: np.ndarray) -> np.ndarray:
         direction = self.direction
         t = problem.ordered_dot(g, direction) / float(direction @ direction)
         on_line = np.abs(g - t[:, None] * direction).max(axis=1) <= tol
@@ -177,9 +178,10 @@ def map_region(lp: StandardLp, I: Basis, region) -> MappedRegion:
 
     This is the region's image under ``g -> A_I^{-1} g``: ``accepts(g,
     tol)`` tests each row of an ``(N, k)`` block of realized rhs values
-    and returns a mask, ``interval(pos)`` bounds basis coordinate ``pos``
-    and ``to_dict()`` is what ``--mapped-out`` writes.  The basis is
-    factored, through the program's cache, before the region's checks.
+    within its entry of the ``(N,)`` ``tol`` and returns a mask,
+    ``interval(pos)`` bounds basis coordinate ``pos`` and ``to_dict()``
+    is what ``--mapped-out`` writes.  The basis is factored, through the
+    program's cache, before the region's checks.
     """
     cols = list(I.indices)
     factors = problem.cached_factors(lp, I.indices)
@@ -210,15 +212,17 @@ def contains(cs: ConfidenceSet, x: np.ndarray) -> bool:
     return bool(contains_rows(cs.mapped, cs.rate, cs.center[None, :], x)[0])
 
 
-def contains_rows(mapped, rate: float, centers: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``contains`` for the confidence sets with image ``mapped`` and
-    ``rate`` centred at each row of ``centers``, as a mask.
+def contains_rows(mapped, rate, centers: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``contains`` for the confidence sets with image ``mapped`` centred
+    at each row of ``centers``, as a mask; ``rate`` is one rate for every
+    row or one per row, and a row's tolerance is ``residual_tol`` of its own.
 
     Every sum runs over a row's own entries in a fixed order, so a row's
     answer does not depend on the block it came in.
     """
+    rate = np.full(len(centers), rate, dtype=float)[:, None]
     y = rate * (centers - np.asarray(x, dtype=float))
-    tol = problem.residual_tol(rate)
+    tol = problem.residual_tol(rate, axis=1)
     g = problem.ordered_dot(y[:, None, mapped.basis.indices], mapped.a_basis)  # A_I y_I
     inside = mapped.accepts(g, tol)
     if mapped.off.any():

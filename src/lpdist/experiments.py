@@ -52,7 +52,7 @@ from .problem import (
 from .simplex import dual_certificate, solve_rows
 
 DEFAULT_SEED = 0x5EED
-# replicates per block in ``run_coverage``; the records do not depend on it
+# rows per block in ``run_coverage``; the records do not depend on it
 BLOCK = 1024
 
 
@@ -94,6 +94,7 @@ class CoverageRow:
     covered: int
     coverage: float
     std_error: float
+    failed: int
 
 
 @dataclass(frozen=True)
@@ -260,15 +261,16 @@ def _face(lp: StandardLp, cols: tuple) -> tuple:
     return lp.basis_cache.get(("face", cols), build)
 
 
-def _sample_rows(config: ExperimentConfig, n: int, n_index: int, rate: float,
-                 replicates: range) -> tuple:
-    """``(rhs, picks)``: each replicate's rhs, drawn from its own Philox
-    stream at counter ``[0, 0, n_index, replicate]``, and the uniform that
-    stream draws next, from which the replicate picks its vertex."""
+def _sample_rows(config: ExperimentConfig, runs: list) -> tuple:
+    """``(rhs, picks)`` of the replicates of ``runs``, each a sample size's
+    ``(n_index, n, rate, replicates)``, in order: each replicate's rhs, drawn
+    from its own Philox stream at counter ``[0, 0, n_index, replicate]``,
+    and the uniform that stream draws next, from which it picks its vertex."""
     rhs, picks = [], []
-    for rng in philox_streams(_philox_key(config.seed), (0, 0, n_index), replicates):
-        rhs.append(config.b_sampler.sample(config.truth_b, n, rate, rng))
-        picks.append(rng.random())
+    for n_index, n, rate, replicates in runs:
+        for rng in philox_streams(_philox_key(config.seed), (0, 0, n_index), replicates):
+            rhs.append(config.b_sampler.sample(config.truth_b, n, rate, rng))
+            picks.append(rng.random())
     return _rhs_block(config.lp, rhs), np.array(picks)
 
 
@@ -284,9 +286,9 @@ def _rhs_block(lp: StandardLp, rhs: list) -> np.ndarray:
     return block
 
 
-def _coverage_block(config: ExperimentConfig, n: int, n_index: int,
-                    replicates: range) -> list:
-    """The ``ReplicateRecord`` of each of ``replicates`` at sample size ``n``.
+def _coverage_block(config: ExperimentConfig, runs: list) -> list:
+    """The ``ReplicateRecord`` of each replicate of ``runs``, in
+    ``_sample_rows``'s order; each row keeps its own ``n`` and rate.
 
     The block's optimal sets come from one ``optimal_rows`` call, each
     replicate reports the vertex its uniform picks (``_reported_vertices``),
@@ -295,8 +297,9 @@ def _coverage_block(config: ExperimentConfig, n: int, n_index: int,
     ``optimal_vertices`` at its rhs, ``selection_basis``, ``map_region``
     and ``contains``.
     """
-    rate = float(n) ** config.rate_exponent
-    rhs, picks = _sample_rows(config, n, n_index, rate, replicates)
+    labels = [(n, rep) for _, n, _, replicates in runs for rep in replicates]
+    rates = np.repeat([run[2] for run in runs], [len(run[3]) for run in runs])
+    rhs, picks = _sample_rows(config, runs)
     x_hat, errors = _reported_vertices(config.lp, rhs, picks)
     records = {}
     ok = np.array([row for row in range(len(rhs)) if row not in errors], dtype=np.intp)
@@ -307,20 +310,20 @@ def _coverage_block(config: ExperimentConfig, n: int, n_index: int,
         except LpError as exc:
             errors.update(dict.fromkeys(at.tolist(), exc))
             continue
-        centers = x_hat[at]
+        centers, rate = x_hat[at], rates[at]
         hits = np.array([contains_rows(mapped, rate, centers, v)
                          for v in config.targets.vertices]).reshape(-1, len(at))
         covered = hits.any(axis=0)
         if not covered.all():
-            covered[~covered] = contains_rows(mapped, rate, centers[~covered], projection)
+            covered[~covered] = contains_rows(mapped, rate[~covered], centers[~covered], projection)
         for row, hit, inside in zip(at.tolist(), hits.T.tolist(), covered.tolist()):
             records[row] = ReplicateRecord(
-                n=n, replicate=replicates[row], covered=inside,
+                *labels[row], covered=inside,
                 covered_targets=tuple(t for t, h in enumerate(hit) if h), basis=basis.indices)
     return [records[row] if row in records else
-            ReplicateRecord(n=n, replicate=rep, covered=False, covered_targets=(), basis=(),
+            ReplicateRecord(*labels[row], covered=False, covered_targets=(), basis=(),
                             error=str(errors[row]))
-            for row, rep in enumerate(replicates)]
+            for row in range(len(rhs))]
 
 
 def _reported_vertices(lp: StandardLp, rhs: np.ndarray, picks: np.ndarray) -> tuple:
@@ -363,34 +366,39 @@ def run_coverage(config: ExperimentConfig, *, n_values=None, replicates=None,
 
     A replicate counts as covered when the confidence set contains any
     enumerated target vertex or the projection of its reported basic
-    solution onto the target set.  Solver failures are logged and counted
-    as non-covered.
+    solution onto the target set.  Solver failures are logged, counted
+    as non-covered and counted in ``failed``.
 
-    The replicates of one sample size are sampled, solved and tested as
-    blocks of up to ``BLOCK`` rows.  Each replicate has its own random
-    stream, and each step treats a row as it would treat it alone, so a
-    replicate's record depends neither on ``replicates`` nor on the block
-    it ran in.
+    The call's replicates, sample size by sample size, are sampled, solved
+    and tested as blocks of up to ``BLOCK`` rows, so a block may span
+    sample sizes.  Each replicate has its own random stream, and each step
+    treats a row as it would treat it alone, so a replicate's record
+    depends neither on ``replicates`` nor on the block it ran in.
     """
     n_values = list(config.n_values if n_values is None else n_values)
     replicates = int(config.replicates if replicates is None else replicates)
     if replicates < 1 or min(n_values, default=1) < 1:
         raise ValueError("replicates and sample sizes must be positive")
+    rates = [float(n) ** config.rate_exponent for n in n_values]
+    total = len(n_values) * replicates
+    records = []  # row r is replicate r % replicates at n_values[r // replicates]
+    for start in range(0, total, BLOCK):
+        stop = min(start + BLOCK, total)
+        runs = [(i, n_values[i], rates[i], range(max(start - i * replicates, 0),
+                                                 min(stop - i * replicates, replicates)))
+                for i in range(start // replicates, (stop - 1) // replicates + 1)]
+        records.extend(_coverage_block(config, runs))
     rows = []
-    log = []
-    for n_index, n in enumerate(n_values):
-        records = [record for start in range(0, replicates, BLOCK)
-                   for record in _coverage_block(
-                       config, n, n_index, range(start, min(start + BLOCK, replicates)))]
-        covered = sum(1 for rec in records if rec.covered)
+    for i, n in enumerate(n_values):
+        chunk = records[i * replicates:(i + 1) * replicates]
+        covered = sum(1 for rec in chunk if rec.covered)
         coverage = covered / replicates
         rows.append(CoverageRow(
             n=int(n), replicates=replicates, covered=covered, coverage=coverage,
             std_error=math.sqrt(max(coverage * (1.0 - coverage), 0.0) / replicates),
+            failed=sum(1 for rec in chunk if rec.error is not None),
         ))
-        if keep_log:
-            log.extend(records)
-    return CoverageReport(rows=rows, log=log)
+    return CoverageReport(rows=rows, log=records if keep_log else [])
 
 
 def kolmogorov_smirnov(sample_a, sample_b) -> float:

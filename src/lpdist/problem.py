@@ -128,12 +128,13 @@ def symmetry_tol(sigma) -> float:
     return 1e-10 * np.abs(sigma).max(initial=0.0)
 
 
-def residual_tol(*arrays) -> float:
+def residual_tol(*arrays, axis=None):
     """The residual an equality or a membership test may keep; the largest
-    magnitudes of ``arrays`` are added to 1 left to right."""
+    magnitudes of ``arrays`` are added to 1 left to right.  With ``axis``,
+    the largest along it: one tolerance per entry of the other axes."""
     total = 1.0
     for arr in arrays:
-        total += np.abs(arr).max(initial=0.0)
+        total += np.abs(arr).max(axis=axis, initial=0.0)
     return 1e-7 * total
 
 

@@ -122,7 +122,7 @@ def test_coverage_csv_schema_and_determinism(tmp_path, capsys):
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     rows = out1.read_text().strip().splitlines()
-    assert rows[0] == "n,replicates,covered,coverage,std_error"
+    assert rows[0] == "n,replicates,covered,coverage,std_error,failed"
     assert len(rows) == 3
     first = rows[1].split(",")
     assert first[0] == "1" and first[1] == "50"

@@ -11,6 +11,7 @@ from lpdist.confidence import (
     SegmentFamilyRegion,
     confidence_set,
     contains,
+    contains_rows,
     coordinate_interval,
     map_region,
     region_from_dict,
@@ -349,3 +350,50 @@ def test_project_to_optimal_cases(ot_lp):
     assert np.allclose(_projection(ot_lp, Basis((0, 2, 3))), target, atol=1e-9)
     # a non-optimal basis projects onto the (unique) optimal plan as well
     assert np.allclose(_projection(ot_lp, Basis((0, 1, 2))), target, atol=1e-9)
+
+
+# ------------------------------------------------------------------ per-row rates
+
+# three rows, one per rate, each just past the boundary: row 0 by more than
+# its own tolerance (2e-7) and rows 1 and 2 by less than theirs (about 1e-5
+# and 1e-3), but each in a column whose tolerance, read as a flat (N,)
+# array against the k columns, would turn the answer over
+PER_ROW_RATES = np.array([1.0, 1e2, 1e4])
+PER_ROW_MASK = [False, True, True]
+
+
+def box_rows():
+    return np.array([[0.0, 0.0, 1.0 + 1e-6], [-1.0 - 1e-6, 0.0, 0.0], [0.0, 1.0 + 1e-4, 0.0]])
+
+
+def segment_rows():
+    t = np.array([1.0 + 1e-6, -1.0 - 1e-6, 1.0 + 1e-4])
+    return t[:, None] * np.array([1.0, -1.0, 0.0])
+
+
+def ellipsoid_rows():
+    # sigma diag(4, 1) on coordinates 0 and 2: row 0 leaves the support by
+    # 1e-6 in coordinate 1, rows 1 and 2 lie past the bound q by 1e-6 and 1e-4
+    q = chi_square_quantile(0.9, 2)
+    return np.array([[0.0, 1e-6, 0.0], [2.0 * np.sqrt(q + 1e-6), 0.0, 0.0],
+                     [0.0, 0.0, -np.sqrt(q + 1e-4)]])
+
+
+@pytest.mark.parametrize("region, rows", [
+    (BoxRegion([-1.0] * 3, [1.0] * 3), box_rows),
+    (SegmentFamilyRegion([1.0, -1.0, 0.0], 1.0), segment_rows),
+    (EllipsoidRegion(np.diag([4.0, 1.0]), 0.9, support_indices=(0, 2)), ellipsoid_rows),
+])
+def test_contains_rows_takes_each_rows_own_rate(region, rows):
+    lp = StandardLp([[1.0, 0.0, 0.0, 1.0], [0.0, 2.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]],
+                    [1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0])
+    mapped = map_region(lp, Basis((0, 1, 2)), region)
+    x = np.array([0.3, 0.2, 0.1, 0.0])
+    # a block of exactly k rows whose images A_I y_I are ``rows()``
+    y = np.linalg.solve(lp.A[:, :3], rows().T).T
+    centers = np.tile(x, (3, 1))
+    centers[:, :3] += y / PER_ROW_RATES[:, None]
+    got = contains_rows(mapped, PER_ROW_RATES, centers, x)
+    alone = [contains_rows(mapped, rate, centers[i:i + 1], x)[0]
+             for i, rate in enumerate(PER_ROW_RATES)]
+    assert got.tolist() == alone == PER_ROW_MASK

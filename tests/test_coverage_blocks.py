@@ -23,7 +23,7 @@ from lpdist import (
     optimal_vertices,
     selection_basis,
 )
-from lpdist import problem
+from lpdist import experiments, problem
 from lpdist.errors import LpError, Unbounded
 from lpdist.experiments import (
     BLOCK,
@@ -90,6 +90,30 @@ def test_records_past_the_first_block_equal_the_composition():
     report = run_coverage(config, replicates=BLOCK + 40, keep_log=True)
     for rep in range(BLOCK - 20, BLOCK + 40):
         assert report.log[rep] == reference_record(config, 10, 0, rep)
+
+
+@pytest.mark.parametrize("build", [build_ot_2x2, build_min_cost_flow])
+def test_block_boundaries_across_sample_sizes_do_not_move_records(build, monkeypatch):
+    config = build()
+    logs = []
+    for size in (7, 1024):
+        monkeypatch.setattr(experiments, "BLOCK", size)
+        logs.append(run_coverage(config, replicates=30, keep_log=True).log)
+    assert logs[0] == logs[1]
+
+
+def test_records_around_boundaries_inside_the_second_sample_size():
+    # rows are laid out sample size first: the second size starts at row
+    # BLOCK + 40, inside the second block, and the third block starts at
+    # its replicate BLOCK - 40
+    config = replace(build_ot_2x2(), n_values=(10, 100))
+    replicates = BLOCK + 40
+    report = run_coverage(config, replicates=replicates, keep_log=True)
+    around = [(0, rep) for rep in range(replicates - 20, replicates)]
+    around += [(1, rep) for rep in [*range(20), *range(BLOCK - 60, BLOCK - 20)]]
+    for n_index, rep in around:
+        n = config.n_values[n_index]
+        assert report.log[n_index * replicates + rep] == reference_record(config, n, n_index, rep)
 
 
 class MixedLaw:

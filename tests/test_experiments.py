@@ -344,3 +344,4 @@ def test_coverage_logs_replicates_whose_rhs_is_not_finite():
     assert [rec for rec in report.log if rec.error is None] == [
         rec for rec in plain.log if (rec.n, rec.replicate) != (10, 3)]
     assert [row.replicates for row in report.rows] == [20, 20]
+    assert [row.failed for row in report.rows] == [0, 1]

@@ -136,7 +136,7 @@ def test_an_infeasible_row_keeps_the_other_rows_sets():
     (sample-size index 2) has no feasible basis; the other 299 rows of its
     block keep their own sets."""
     config = build_min_cost_flow()
-    rhs, _ = _sample_rows(config, 5, 2, math.sqrt(5), range(300))
+    rhs, _ = _sample_rows(config, [(2, 5, math.sqrt(5), range(300))])
     got = in_block(config.lp, rhs)
     assert [row for row, outcome in enumerate(got) if outcome[0] == "Infeasible"] == [248]
     assert got[248] == ("Infeasible", "no feasible basis")
