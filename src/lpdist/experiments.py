@@ -23,7 +23,7 @@ from .confidence import (
     region_from_dict,
 )
 from .errors import InstanceMismatch, LpError, SingularBasis
-from .geometry import hausdorff, min_norm_point, row_norms
+from .geometry import min_norm_point
 from .limits import (
     LAWS,
     GaussianLaw,
@@ -31,6 +31,7 @@ from .limits import (
     _philox_key,
     philox_streams,
     sample_unique_limit,
+    set_statistic,
 )
 from . import problem
 from .problem import (
@@ -47,9 +48,10 @@ from .problem import (
     load_lp,
     optimal_vertices,
     read_only,
+    rhs_block,
     support,
 )
-from .simplex import dual_certificate, solve_rows
+from .simplex import dual_certificate
 
 DEFAULT_SEED = 0x5EED
 # rows per block in ``run_coverage``; the records do not depend on it
@@ -229,14 +231,10 @@ def optimal_face_vertices(lp: StandardLp, result) -> list:
     face, family = _face(lp, cols)
     if family is None:
         return [(cols, x_hat)]
-    points, _, bases, groups, errors = problem.block_sets(family, np.zeros(len(face)),
-                                                          lp.b[None, :])
-    if errors:
+    sets = problem.block_sets(family, np.zeros(len(face)), lp.b[None, :])
+    if sets.errors:
         return [(cols, x_hat)]
-    if groups:
-        [(_, [kept], first, _)] = groups
-    else:  # one basis is feasible
-        kept, first = points, bases
+    kept, first, _ = sets.row(0)
     vertices = np.zeros((len(kept), lp.m))
     vertices[:, face] = kept
     far = (np.abs(vertices - x_hat).max(axis=1) > problem.DEDUP_TOL).nonzero()[0]
@@ -271,19 +269,7 @@ def _sample_rows(config: ExperimentConfig, runs: list) -> tuple:
         for rng in philox_streams(_philox_key(config.seed), (0, 0, n_index), replicates):
             rhs.append(config.b_sampler.sample(config.truth_b, n, rate, rng))
             picks.append(rng.random())
-    return _rhs_block(config.lp, rhs), np.array(picks)
-
-
-def _rhs_block(lp: StandardLp, rhs: list) -> np.ndarray:
-    """The right-hand sides ``rhs`` as the rows of an ``(N, k)`` array;
-    ``ValueError`` for one of the wrong length, as ``with_rhs`` raises."""
-    block = np.empty((len(rhs), lp.k))
-    for row, b in zip(block, rhs):
-        b = np.asarray(b, dtype=float).ravel()
-        if b.shape != row.shape:
-            raise ValueError(f"b has length {b.size}, expected {lp.k}")
-        row[:] = b
-    return block
+    return rhs_block(config.lp, rhs), np.array(picks)
 
 
 def _coverage_block(config: ExperimentConfig, runs: list) -> list:
@@ -415,9 +401,12 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
                          statistic: str = "distance") -> dict:
     """KS distance between the finite-sample statistic and its limit law.
 
-    ``statistic`` is the scaled distance from the solved point to the target
-    set ("distance") or the scaled Hausdorff distance between optimal sets
-    ("hausdorff").  Returns the KS distance along with both sample means.
+    ``statistic`` is ``set_statistic``'s "distance" or "hausdorff", read on
+    both sides from one block of optimal sets: the finite side's from one
+    ``optimal_rows`` call over the draws' right-hand sides, about the one
+    target vertex ``x*`` and scaled by the rate; the limit side's from
+    ``sample_unique_limit``, about the origin.  Returns the KS distance
+    along with both sample means.
     """
     if statistic not in ("distance", "hausdorff"):
         raise ValueError("statistic must be 'distance' or 'hausdorff'")
@@ -430,22 +419,9 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
     # draw i comes from its own Philox stream at counter [1, 0, 0, i]
     rhs = [config.b_sampler.sample(config.truth_b, n, rate, rng)
            for rng in philox_streams(_philox_key(config.seed), (1, 0, 0), range(draws))]
-    block = _rhs_block(config.lp, rhs)
-    if statistic == "distance":
-        results = solve_rows(config.lp, block)
-        if errors := [result for result in results if isinstance(result, LpError)]:
-            raise errors[0]
-        # the distance to the one target vertex, as min_norm_point computes it
-        finite = rate * row_norms(config.targets.vertices[0] - [r.x_hat for r in results])
-    else:
-        points, _, _, groups, errors = problem.optimal_rows(config.lp, block)
-        if errors:
-            raise problem.first_error(errors)
-        ties = problem._tie_polytopes(groups)
-        finite = rate * np.array([
-            hausdorff(ties[i] if i in ties else problem._one_vertex(points[i:i + 1]),
-                      config.targets) for i in range(draws)])
     x_star = config.targets.vertices[0]
+    finite_sets = problem.optimal_rows(config.lp, rhs_block(config.lp, rhs)).check()
+    finite = rate * set_statistic(finite_sets, x_star, statistic)
     noise = config.b_sampler.limit_noise(config.seed, config.lp.k)
     limit = sample_unique_limit(config.lp, x_star, noise, draws).statistic(statistic)
     return {

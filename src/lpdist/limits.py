@@ -23,13 +23,13 @@ from .errors import InstanceTooLarge, LpError, NotUnique
 from .geometry import (
     SphereGrid,
     argmax_vertex,
-    hausdorff,
     min_norm_point,
     row_norms,
     support_function,
 )
 from .problem import (
     BasisFamily,
+    OptimalSets,
     Polytope,
     StandardLp,
     check_support,
@@ -52,53 +52,55 @@ class LimitSample(NamedTuple):
 
 class LimitBlock(Sequence):
     """The draws of ``sample_unique_limit`` as columns, read as a sequence of
-    ``LimitSample`` records: ``g``, the read-only ``(N, k)`` noise;
-    ``points``, the read-only ``(N, m)`` first optimal vertex of each draw;
-    the lists ``values`` and ``distances`` (``None`` at a tied draw); and
-    ``ties``, the Polytope of each tied draw by index.  A draw's record, and
-    an untied draw's one-vertex Polytope, is made only when it is read, so a
-    reader that drops each record holds no per-draw objects; a slice is a
-    block.  A block is not a list: it has no ``+`` or ``append``."""
+    ``LimitSample`` records: ``g``, the read-only ``(N, k)`` noise; the
+    draws' ``OptimalSets`` ``sets``, with their ``points``, ``values`` and
+    ``ties()`` as ``ties``; and the list ``distances``, each point's norm
+    (``None`` at a tied draw).  A record, and an untied draw's one-vertex
+    Polytope, is made only when it is read, so a reader that drops each
+    record holds no per-draw objects; a slice is a block.  A block is not a
+    list: it has no ``+`` or ``append``."""
 
-    __slots__ = ("g", "points", "values", "distances", "ties")
+    __slots__ = ("g", "sets", "points", "values", "ties", "distances")
 
-    def __init__(self, g, points, values, distances, ties):
-        self.g, self.points = read_only(g, points)
-        self.values, self.distances, self.ties = values, distances, ties
+    def __init__(self, g, sets: OptimalSets):
+        (self.g,) = read_only(g)
+        self.sets, self.points, self.values, self.ties = sets, sets.points, sets.values, sets.ties()
+        self.distances = row_norms(sets.points).tolist()
+        for i in self.ties:
+            self.distances[i] = None
 
     def __len__(self):
         return len(self.values)
 
     def __getitem__(self, index):
-        at = range(len(self))[index]
         if isinstance(index, slice):
-            ties = {at.index(i): tie for i, tie in self.ties.items() if i in at}
-            return LimitBlock(self.g[index], self.points[index], self.values[index],
-                              self.distances[index], ties)
-        polytope = self.ties[at] if at in self.ties else problem._one_vertex(self.points[at:at + 1])
-        return LimitSample(self.g[at], polytope, self.values[at], self.distances[at])
+            return LimitBlock(self.g[index], self.sets.take(index))
+        at = range(len(self))[index]
+        return LimitSample(self.g[at], self.sets.polytope(at), self.values[at], self.distances[at])
 
     def __iter__(self):
-        sets = map(problem._one_vertex, self.points[:, None])
-        if self.ties:
-            sets = map(self.ties.get, range(len(self)), sets)
         # LimitSample._make without its Python-level length check
         return map(tuple.__new__, repeat(LimitSample),
-                   zip(self.g, sets, self.values, self.distances))
+                   zip(self.g, self.sets.polytopes(), self.values, self.distances))
 
     def statistic(self, name: str) -> np.ndarray:
-        """Each draw's statistic as one array, with the bits of the per-draw
-        form: "distance", ``distance_statistic`` of the record, or
-        "hausdorff", ``hausdorff`` from its optimal set to the origin.  An
-        untied draw's is its carried distance; only tied draws are solved."""
-        if name not in ("distance", "hausdorff"):
-            raise ValueError("statistic must be 'distance' or 'hausdorff'")
-        out = np.array(self.distances, dtype=float)
-        origin = Polytope(np.zeros((1, self.points.shape[1])))
-        for i, polytope in self.ties.items():
-            out[i] = (distance_statistic(self[i]) if name == "distance"
-                      else hausdorff(polytope, origin))
-        return out
+        """Each draw's ``set_statistic`` about the origin: the bits of its
+        record's ``distance_statistic``, or ``hausdorff`` to the origin."""
+        return set_statistic(self.sets, np.zeros(self.points.shape[1]), name)
+
+
+def set_statistic(sets: OptimalSets, centre: np.ndarray, name: str) -> np.ndarray:
+    """Each row's statistic of the optimal ``sets`` about the point
+    ``centre`` as one array: "distance" from ``centre`` to the set
+    (``min_norm_point``), or "hausdorff", the farthest vertex's distance;
+    both are a one-vertex row's norm, so only tied rows are solved."""
+    if name not in ("distance", "hausdorff"):
+        raise ValueError("statistic must be 'distance' or 'hausdorff'")
+    out = row_norms(sets.points - centre)
+    for row, polytope in sets.ties().items():
+        out[row] = (min_norm_point(polytope, centre)[1] if name == "distance"
+                    else row_norms(polytope.vertices - centre).max())
+    return out
 
 
 # draws per Philox stream of a ``NoiseSampler``, whatever the block size
@@ -302,15 +304,19 @@ def split_free(lp: StandardLp, free) -> tuple:
                       np.concatenate([lp.c, -lp.c[free]])), free
 
 
-def _unsplit(result, free: list, c: np.ndarray) -> tuple:
-    """The mixed-sign point behind a solve of the split program and its
-    objective; ``result`` is a ``SolveResult`` or the error to raise."""
-    if isinstance(result, LpError):
-        raise result
-    m = len(c)
-    point = result.x_hat[:m].copy()
-    point[free] -= result.x_hat[m:]
-    return point, float(c @ point)
+def _unsplit(results: list, free: list, lp: StandardLp) -> OptimalSets:
+    """The ``OptimalSets`` behind solves of the split program, each a
+    ``SolveResult`` or the error to raise: each one's mixed-sign point, its
+    objective, and its basis with each negated copy read as its column."""
+    m, points = lp.m, np.zeros((len(results), lp.m))
+    bases = np.zeros((len(results), lp.k), dtype=np.intp)
+    for row, result in enumerate(results):
+        if isinstance(result, LpError):
+            raise result
+        points[row] = result.x_hat[:m]
+        points[row, free] -= result.x_hat[m:]
+        bases[row] = sorted(free[j - m] if j >= m else j for j in result.basis.indices)
+    return OptimalSets(read_only(points)[0], [float(lp.c @ x) for x in points], bases, [], {})
 
 
 class AuxVertexEnumerator:
@@ -332,18 +338,9 @@ class AuxVertexEnumerator:
 
     def optimal_set(self, rhs: np.ndarray) -> tuple:
         """(Polytope of optimal vertices, optimal value) for this rhs."""
-        points, values, ties = _response_sets(self, np.asarray(rhs, dtype=float).reshape(1, -1))
-        return ties[0] if ties else problem._one_vertex(points), values[0]
-
-
-def _response_sets(enum: AuxVertexEnumerator, rows: np.ndarray) -> tuple:
-    """``(points, values, ties)`` of ``enum``'s response program at each row
-    of ``rows``: ``problem.block_sets``, each tied row's Polytope keyed by
-    row.  Raises the block's ``first_error``."""
-    points, values, _, groups, errors = problem.block_sets(enum.family, enum.c, rows, enum._duals)
-    if errors:
-        raise problem.first_error(errors)
-    return points, values, problem._tie_polytopes(groups)
+        sets = problem.block_sets(self.family, self.c, np.asarray(rhs, dtype=float).reshape(1, -1),
+                                  self._duals).check()
+        return sets.polytope(0), sets.values[0]
 
 
 def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSampler,
@@ -380,16 +377,10 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
         enum = AuxVertexEnumerator(lp.A, lp.c, free)
     except InstanceTooLarge:  # raised before any block is factored
         split, free_order = split_free(lp, free)
-        points, values, ties = np.zeros((n_draws, lp.m)), [], {}
-        for row, result in enumerate(solve_rows(split, g)):
-            points[row], value = _unsplit(result, free_order, lp.c)
-            values.append(value)
+        sets = _unsplit(solve_rows(split, g), free_order, lp)
     else:
-        points, values, ties = _response_sets(enum, g)
-    distances = row_norms(points).tolist()
-    for row in ties:
-        distances[row] = None
-    return LimitBlock(g, points, values, distances, ties)
+        sets = problem.block_sets(enum.family, enum.c, g, enum._duals).check()
+    return LimitBlock(g, sets)
 
 
 def distance_statistic(sample: LimitSample) -> float:

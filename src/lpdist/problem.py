@@ -14,6 +14,7 @@ import math
 import mmap
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -21,7 +22,6 @@ from scipy.linalg import get_lapack_funcs
 from .errors import (
     Infeasible,
     InstanceTooLarge,
-    LpError,
     NonFiniteData,
     SingularBasis,
     SingularCovariance,
@@ -121,6 +121,11 @@ def pivot_tol(A) -> float:
 def reduced_cost_tol(c) -> float:
     """A reduced cost below minus this improves; one within it of zero ties."""
     return 1e-9 * (1.0 + np.abs(c).max(initial=0.0))
+
+
+def tie_tol(best):
+    """A feasible basis within this above the optimal value ``best`` ties it."""
+    return 1e-8 * (1.0 + np.abs(best))
 
 
 def symmetry_tol(sigma) -> float:
@@ -340,14 +345,6 @@ class Basis:
 
     def __len__(self):
         return len(self.indices)
-
-
-def _family_basis(cols: list) -> Basis:
-    """The Basis of one row of a family's ``cols``, as a list of ints, which
-    is sorted already: ``Basis(cols)`` without its checks."""
-    basis = object.__new__(Basis)
-    object.__setattr__(basis, "indices", tuple(cols))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -574,16 +571,10 @@ class BasisFamily:
         return out.transpose(1, 0, 2)
 
     def _optimal_block(self, c, x: np.ndarray) -> tuple:
-        """``(points, values, bases, groups, errors)`` for finite ``rows``
-        solved into ``x = self.solve(rows)``, by the rule of ``block_sets``:
-        each row's first optimal vertex, the array of optimal values, the
-        columns of each row's first optimal basis; the rows whose set has
-        several bases, as ``(rows, kept, first, tied)`` groups, ``kept[i]``
-        the distinct vertices of row ``rows[i]`` in the order of their first
-        bases, whose columns are ``first``, and ``tied`` the columns of every
-        basis in those rows' set; and, keyed by row, the ``Infeasible`` or
-        ``NonFiniteData`` of each row with no optimal value, whose other
-        entries mean nothing."""
+        """The fields of ``OptimalSets`` for finite ``rows`` solved into ``x =
+        self.solve(rows)``, by the rule of ``block_sets``, the groups' rows
+        and the errors' keys numbered in ``rows``: the ``Infeasible`` or
+        ``NonFiniteData`` of each row with no optimal value."""
         # a signed coordinate below -FEAS_TOL makes the basis infeasible
         infeasible = np.matmul(x < -FEAS_TOL, self._signed)[:, :, 0]
         values = np.add.reduce(x * c[self.cols][:, None, :], axis=2)  # objectives
@@ -596,7 +587,7 @@ class BasisFamily:
             errors = {row: Infeasible("no feasible basis") if empty[row] else
                       NonFiniteData("an objective value overflowed") for row in failed.tolist()}
             best[failed] = 0.0  # so that its row's comparisons below stay quiet
-        tied = values - best <= 1e-8 * (1.0 + np.abs(best))
+        tied = values - best <= tie_tol(best)
         if errors:
             tied[:, list(errors)] = False
         points, every = np.zeros((x.shape[1], self.A.shape[1])), np.arange(x.shape[1])
@@ -757,10 +748,11 @@ def _window(family: BasisFamily, duals, feasible, edges, rhs: np.ndarray) -> tup
       feasible bases and what depends on ``B`` over all bases, plus ``R``:
       a basis below the window is infeasible.
     - Upper edge.  When a dual feasible basis ``f`` in the window is
-      feasible, the best objective is at most ``v_f + R <= best + R``, and
-      by the lower edge at least ``best - L - R``.  A basis above ``best +
-      U``, ``U = 1e-8 (1 + |best| + L + R) + R``, then lies beyond the tie
-      cutoff ``1e-8 (1 + |objective|)`` of the best objective.
+      feasible, the best objective ``o`` is at most ``v_f + R <= best +
+      R``, and by the lower edge at least ``best - L - R``, so ``|o| <=
+      |best| + L + R``.  A basis above ``best + U``, ``U = tie_tol(|best| +
+      L + R) + R``, then lies beyond the tie cutoff ``tie_tol(o)`` of the
+      best objective, since ``tie_tol`` grows with ``|o|``.
 
     The union of the rows' windows keeps the family's order and holds each
     row's own window, so each row's winner (the first smallest objective)
@@ -775,7 +767,7 @@ def _window(family: BasisFamily, duals, feasible, edges, rhs: np.ndarray) -> tup
         values = rhs[at] @ duals.T
         best = values.take(feasible, axis=1).max(axis=1)
         low = lower + per_b * size[at]
-        upper = 1e-8 * (1.0 + np.abs(best) + low + rounding) + rounding
+        upper = tie_tol(np.abs(best) + low + rounding) + rounding
         union |= ((values >= (best - low)[:, None])
                   & (values <= (best + upper)[:, None])).any(axis=0)
     return rows, union.nonzero()[0]
@@ -787,36 +779,83 @@ def _slices(rows: np.ndarray, bases: int):
     return [rows[start:start + step] for start in range(0, len(rows), step)]
 
 
-def block_sets(family: BasisFamily, c, rhs, duals=None) -> tuple:
-    """``(points, values, bases, groups, errors)``: the optimal set of ``min
-    <c, x>  s.t.  A x = r`` over the bases of ``family``, its ``fixed``
-    coordinates free in sign and the others nonnegative, at each row ``r``
-    of the ``(N, k)`` block ``rhs``.  A basis is feasible when its signed
-    coordinates are at least ``-FEAS_TOL``; the optimal value ``best`` is
-    the first smallest objective of a feasible basis, and the set holds
-    every feasible basis within ``1e-8 * (1 + |best|)`` of it.
-    ``ValueError`` for rows of the wrong length.
+class OptimalSets(NamedTuple):
+    """The optimal sets of a block of rows, as ``block_sets`` gives them,
+    and the one rule for reading a row: the read-only ``(N, m)`` array of
+    each row's first optimal vertex, the list of optimal values, the ``(N,
+    k)`` columns of each row's first optimal basis; ``groups``, the rows
+    whose set has several bases, as ``(rows, kept, first, tied)``: ``kept[i]``
+    the distinct vertices of row ``rows[i]`` in the order of their first
+    bases, ``first`` those bases' columns, ``tied`` the columns of every
+    basis in the set, in family order; and ``errors``, the ``LpError`` of
+    each row with no optimal set, whose point and value are zero."""
 
-    ``points`` is the read-only ``(N, m)`` array of each row's first
-    optimal vertex, ``values`` the list of optimal values and ``bases`` the
-    ``(N, k)`` array of the columns of each row's first optimal basis.
-    ``groups`` holds the rows whose set has several bases, as ``(rows,
-    kept, first, tied)``: the rows, numbered in the block; ``kept[i]``, the
-    distinct vertices of row ``rows[i]``, in the order of their first
-    bases; ``first``, the columns of those bases; and ``tied``, the columns
-    of every basis in the set, in family order.  ``errors`` maps each row
-    with no optimal set, whose entries elsewhere mean nothing (its point
-    and value are zero), to its own ``LpError``: ``NonFiniteData`` for a
-    row that holds NaN or infinity, ``_optimal_block``'s ``Infeasible`` or
-    ``NonFiniteData``, and ``Unbounded`` for every row left when ``duals``,
-    None or ``(duals, feasible, edges)`` at ``c`` as ``program_duals``
-    gives them, marks no basis dual feasible.  With window ``edges`` the
-    block solves the union of its rows' windows (``_window``), and a row
-    whose window does not hold is solved by the whole family, as is every
-    row otherwise.  A solve takes ``SOLVE_CELLS // len(part)`` rows at a
-    time and is assembled before the next is made, so the block holds the
-    solved coordinates of one solve at a time, and no row's result depends
-    on the others."""
+    points: np.ndarray
+    values: list
+    bases: np.ndarray
+    groups: list
+    errors: dict
+
+    def row(self, i: int) -> tuple:
+        """``(kept, first, tied)`` of row ``i``, as its group has them, or
+        its rows of ``points``, ``bases`` and ``bases`` when it has one basis."""
+        for rows, kept, first, tied in self.groups:
+            if len(at := (rows == i).nonzero()[0]):
+                return kept[at[0]], first, tied
+        return self.points[i:i + 1], self.bases[i:i + 1], self.bases[i:i + 1]
+
+    def polytope(self, i: int) -> Polytope:
+        """The optimal set of row ``i``; one vertex is kept as its row of
+        ``points``, not copied."""
+        kept, _, tied = self.row(i)
+        return _one_vertex(kept) if len(tied) == 1 else _lexsorted(kept)
+
+    def ties(self) -> dict:
+        """The ``polytope`` of each row whose set has several bases, by row."""
+        return {i: _lexsorted(kept)
+                for rows, block, *_ in self.groups for i, kept in zip(rows.tolist(), block)}
+
+    def polytopes(self):
+        """Each row's ``polytope``, in row order, each made when it is read."""
+        sets = map(_one_vertex, self.points[:, None])
+        return map(self.ties().get, range(len(self.points)), sets) if self.groups else sets
+
+    def take(self, index: slice) -> "OptimalSets":
+        """The sets of the rows that ``index`` selects, numbered in that order."""
+        new = np.full(len(self.points), -1)
+        new[index] = np.arange(len(new[index]))
+        groups = [(new[rows][inside], kept[inside], first, tied)
+                  for rows, kept, first, tied in self.groups if (inside := new[rows] >= 0).any()]
+        return OptimalSets(self.points[index], self.values[index], self.bases[index], groups,
+                           {int(new[i]): exc for i, exc in self.errors.items() if new[i] >= 0})
+
+    def check(self) -> "OptimalSets":
+        """These sets, or, when a row has an error, raise the block's: the
+        first ``Infeasible`` (a row with no feasible basis), else the first."""
+        if self.errors:
+            raise next((exc for exc in self.errors.values() if isinstance(exc, Infeasible)),
+                       next(iter(self.errors.values())))
+        return self
+
+
+def block_sets(family: BasisFamily, c, rhs, duals=None) -> OptimalSets:
+    """The ``OptimalSets`` of ``min <c, x>  s.t.  A x = r`` over the bases
+    of ``family``, its ``fixed`` coordinates free in sign and the others
+    nonnegative, at each row ``r`` of the ``(N, k)`` block ``rhs``.  A basis
+    is feasible when its signed coordinates are at least ``-FEAS_TOL``; the
+    optimal value ``best`` is the first smallest objective of a feasible
+    basis, and the set holds every feasible basis within ``tie_tol(best)``
+    of it.  ``ValueError`` for rows of the wrong length.
+
+    A row's error is ``NonFiniteData`` for a row that holds NaN or
+    infinity, ``_optimal_block``'s, and ``Unbounded`` for every row left
+    when ``duals``, None or ``(duals, feasible, edges)`` at ``c`` as
+    ``program_duals`` gives them, marks no basis dual feasible.  With window ``edges`` the block solves the union
+    of its rows' windows (``_window``), and a row whose window does not
+    hold is solved by the whole family, as is every row otherwise.  A solve
+    takes ``SOLVE_CELLS // len(part)`` rows at a time and is assembled
+    before the next is made, so the block holds the solved coordinates of
+    one solve at a time, and no row's result depends on the others."""
     c, rhs = np.asarray(c, dtype=float), np.asarray(rhs, dtype=float)
     if rhs.ndim != 2 or rhs.shape[1] != len(family.A):
         raise ValueError(f"rhs rows must have length {len(family.A)}")
@@ -856,7 +895,7 @@ def _finite_rows(rhs: np.ndarray) -> tuple:
                                  for row in (~finite).nonzero()[0].tolist()}
 
 
-def _assembled(c: np.ndarray, shape: tuple, solved, errors: dict, dual_feasible) -> tuple:
+def _assembled(c: np.ndarray, shape: tuple, solved, errors: dict, dual_feasible) -> OptimalSets:
     """``block_sets``'s result for a block of ``shape``, from ``_solved``'s
     ``(at, part, x)`` triples, each read as it comes, the errors of the rows
     left unsolved, and the dual feasible mask or None."""
@@ -875,10 +914,10 @@ def _assembled(c: np.ndarray, shape: tuple, solved, errors: dict, dual_feasible)
         groups = []
     if errors:
         points[list(errors)] = values[list(errors)] = 0.0
-    return read_only(points)[0], values.tolist(), bases, groups, errors
+    return OptimalSets(read_only(points)[0], values.tolist(), bases, groups, errors)
 
 
-def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> tuple:
+def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> OptimalSets:
     """``block_sets`` of ``program_family(lp)`` at ``lp.c`` and its duals:
     the optimal set at each row of ``rhs`` that ``optimal_vertices`` gives
     that row.  Over ``ENUM_CAP`` each finite row gets the one ``InstanceTooLarge``."""
@@ -891,17 +930,13 @@ def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> tuple:
     return block_sets(family, lp.c, rhs, program_duals(lp))
 
 
-def first_error(errors: dict) -> LpError:
-    """The error a block raises for its rows' ``errors``: the first
-    ``Infeasible`` (a row with no feasible basis), else the first error."""
-    return next((exc for exc in errors.values() if isinstance(exc, Infeasible)),
-                next(iter(errors.values())))
-
-
-def _tie_polytopes(groups: list) -> dict:
-    """The Polytope of each row of ``block_sets``'s ``groups``, keyed by row."""
-    return {row: _lexsorted(kept)
-            for rows, block, *_ in groups for row, kept in zip(rows.tolist(), block)}
+def rhs_block(lp: StandardLp, rhs) -> np.ndarray:
+    """The right-hand sides ``rhs`` as the rows of an ``(N, k)`` array;
+    ``ValueError`` for one of the wrong length, as ``with_rhs`` raises."""
+    rows = [np.asarray(b, dtype=float).ravel() for b in rhs]
+    if wrong := [b.size for b in rows if b.size != lp.k]:
+        raise ValueError(f"b has length {wrong[0]}, expected {lp.k}")
+    return np.array(rows).reshape(len(rows), lp.k)
 
 
 def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
@@ -921,14 +956,8 @@ def optimal_vertices(lp: StandardLp) -> tuple[Polytope, list[Basis]]:
             solved = list(_solved(family, lp.b[None, :], np.zeros(1, dtype=np.intp), duals))
         else:
             solved = [(np.zeros(1, dtype=np.intp), family, points[:, None, :])]
-        vertices, _, bases, groups, errors = _assembled(lp.c, (1, lp.k), solved, {}, duals[1])
-        if errors:
-            raise errors[0]
-        polytope = _one_vertex(vertices)
-        if groups:  # the tied set's vertices and every basis in it
-            [(_, [kept], _, bases)] = groups
-            polytope = _lexsorted(kept)
-        optimal = (polytope, tuple(map(_family_basis, bases.tolist())))
+        sets = _assembled(lp.c, (1, lp.k), solved, {}, duals[1]).check()
+        optimal = (sets.polytope(0), tuple(map(Basis, sets.row(0)[2].tolist())))
         _, part, x = solved[-1]  # the row's solve, after an empty window piece if any
         if part is family and points is None:
             lp.at_b["points"] = read_only(x[:, 0].copy())[0]

@@ -85,19 +85,21 @@ def _b_free_half(lp: StandardLp, family) -> tuple:
 
 
 def check_basis_inclusion(lp: StandardLp, b_prime: np.ndarray) -> bool:
-    """Whether every optimal basis of the perturbed LP is optimal originally."""
-    _, optimal_orig = optimal_vertices(lp)
-    _, optimal_pert = optimal_vertices(lp.with_rhs(b_prime))
-    return set(optimal_pert) <= set(optimal_orig)
+    """Whether every optimal basis of the perturbed LP is optimal
+    originally: the original bases are ``optimal_vertices(lp)``, kept in
+    the program's memo, and the perturbed ones come from one
+    ``optimal_rows`` row at ``b_prime``, which raises its error."""
+    _, original = optimal_vertices(lp)
+    perturbed = problem.optimal_rows(lp, problem.rhs_block(lp, [b_prime])).check()
+    return set(map(tuple, perturbed.row(0)[2].tolist())) <= {basis.indices for basis in original}
 
 
 def check_hausdorff_lipschitz(lp: StandardLp, b1: np.ndarray, b2: np.ndarray) -> float:
-    """Ratio of optimal-set Hausdorff distance to the rhs perturbation size."""
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    gap = float(np.linalg.norm(b1 - b2))
+    """Ratio of optimal-set Hausdorff distance to the rhs perturbation size;
+    both sets come from one ``optimal_rows`` call at ``b1`` and ``b2``,
+    which raises the block's error."""
+    gap = float(np.linalg.norm(np.subtract(b1, b2, dtype=float)))
     if gap == 0.0:
         raise DegenerateDenominator("identical right-hand sides")
-    set1, _ = optimal_vertices(lp.with_rhs(b1))
-    set2, _ = optimal_vertices(lp.with_rhs(b2))
-    return hausdorff(set1, set2) / gap
+    sets = problem.optimal_rows(lp, problem.rhs_block(lp, [b1, b2])).check()
+    return hausdorff(sets.polytope(0), sets.polytope(1)) / gap

@@ -50,15 +50,11 @@ def transport_lp(row_marginals, col_marginals, cost):
 
 def optimal_sets(family, c, rows, duals=None) -> list:
     """``(Polytope of optimal vertices, optimal value)`` at each row of the
-    ``(N, k)`` block ``rows`` over the basis family ``family``, composed
-    from ``problem.block_sets`` and ``_tie_polytopes``; any row's error
-    raises the block's ``first_error``."""
-    points, values, _, groups, errors = problem.block_sets(family, c, rows, duals)
-    if errors:
-        raise problem.first_error(errors)
-    ties = problem._tie_polytopes(groups)
-    return [(ties[i] if i in ties else problem._one_vertex(points[i:i + 1]), value)
-            for i, value in enumerate(values)]
+    ``(N, k)`` block ``rows`` over the basis family ``family``, read from
+    ``problem.block_sets``' ``OptimalSets``; any row's error raises the
+    block's error (``OptimalSets.check``)."""
+    sets = problem.block_sets(family, c, rows, duals).check()
+    return list(zip(sets.polytopes(), sets.values))
 
 
 @pytest.fixture

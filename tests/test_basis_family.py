@@ -26,6 +26,7 @@ from lpdist import (
     build_ot_2x2,
     hausdorff,
     kolmogorov_smirnov,
+    min_norm_point,
     optimal_vertices,
     run_limit_comparison,
     sample_unique_limit,
@@ -171,10 +172,13 @@ def test_block_sets_give_each_row_its_own_error():
     family = BasisFamily(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), fixed=[0])
     c = np.array([0.0, 1.0, 2.0])
     rows = np.array([[np.nan, 1.0], [1.0, -1.0], [1.0, 2.0]])
-    points, values, _, groups, errors = problem.block_sets(family, c, rows)
+    sets = problem.block_sets(family, c, rows)
+    points, values, _, groups, errors = sets
     assert sorted(errors) == [0, 1]
     assert isinstance(errors[0], NonFiniteData) and isinstance(errors[1], Infeasible)
-    assert problem.first_error(errors) is errors[1]
+    with pytest.raises(Infeasible) as raised:
+        sets.check()
+    assert raised.value is errors[1]
     [(want, want_value)] = optimal_sets(family, c, rows[2:])
     assert groups == [] and points[2:].tobytes() == want.vertices.tobytes()
     assert repr(values[2]) == repr(want_value)
@@ -207,22 +211,31 @@ def test_a_subnormal_pivot_is_not_invertible():
         BasisFamily(np.array([[1e-310]]))
 
 
-def reference_hausdorff_comparison(config, n, draws):
-    """``run_limit_comparison(statistic="hausdorff")`` as it was written before
-    the family: ``optimal_vertices`` on a ``with_rhs`` program per draw."""
+def reference_comparison(config, n, draws, statistic):
+    """``run_limit_comparison`` as it was written before the family:
+    ``optimal_vertices`` on a ``with_rhs`` program per draw, then, per draw
+    on both sides, ``min_norm_point`` from the centre (``x*``, or the
+    origin) to the optimal set for "distance", or ``hausdorff`` for
+    "hausdorff"."""
     rate = float(n) ** config.rate_exponent
+    origin = Polytope([np.zeros(config.lp.m)])
+
+    def of(polytope, centre):
+        if statistic == "distance":
+            return min_norm_point(polytope, centre.vertices[0])[1]
+        return hausdorff(polytope, centre)
+
     finite = []
     for i in range(draws):
         rng = np.random.Generator(np.random.Philox(key=config.seed, counter=[1, 0, 0, i]))
         b_n = config.b_sampler.sample(config.truth_b, n, rate, rng)
         shifted, _ = optimal_vertices(config.lp.with_rhs(b_n))
-        finite.append(rate * hausdorff(shifted, config.targets))
+        finite.append(rate * of(shifted, config.targets))
     noise = config.b_sampler.limit_noise(config.seed, config.lp.k)
     samples = sample_unique_limit(config.lp, config.targets.vertices[0], noise, draws)
-    origin = Polytope([np.zeros(config.lp.m)])
-    limit = np.array([hausdorff(s.optimal_set, origin) for s in samples])
+    limit = np.array([of(s.optimal_set, origin) for s in samples])
     finite = np.array(finite)
-    return {"n": n, "draws": draws, "statistic": "hausdorff",
+    return {"n": n, "draws": draws, "statistic": statistic,
             "ks_distance": kolmogorov_smirnov(finite, limit),
             "finite_mean": float(finite.mean()), "limit_mean": float(limit.mean())}
 
@@ -237,6 +250,8 @@ def _gaussian_config(lp, seed):
     *[lambda lp=lp: _gaussian_config(lp, 5) for lp, _ in PROGRAMS[2:8]],
 ])
 def test_hausdorff_comparison_equals_per_draw_reference(monkeypatch, make, cells):
+    """Both statistics of the comparison equal the per-draw reference, however
+    the finite draws' solves are sliced."""
     try:
         config = make()
     except Unbounded:
@@ -244,8 +259,9 @@ def test_hausdorff_comparison_equals_per_draw_reference(monkeypatch, make, cells
         assert dual_infeasible(make.__defaults__[0])
         return
     monkeypatch.setattr(problem, "SOLVE_CELLS", cells)
-    want = reference_hausdorff_comparison(config, 400, 30)
-    assert repr(run_limit_comparison(config, 400, 30, statistic="hausdorff")) == repr(want)
+    for statistic in ("distance", "hausdorff"):
+        want = reference_comparison(config, 400, 30, statistic)
+        assert repr(run_limit_comparison(config, 400, 30, statistic=statistic)) == repr(want)
 
 
 def test_windowed_hausdorff_comparison_equals_the_whole_family(monkeypatch):

@@ -310,7 +310,7 @@ def test_coverage_runs_no_simplex(monkeypatch):
 
     monkeypatch.setattr(simplex, "_pivot_budget", lambda k, n: 0)
     monkeypatch.setattr(simplex, "solve_block", refuse)
-    monkeypatch.setattr(experiments, "solve_rows", refuse)
+    assert not hasattr(experiments, "solve_rows")
     monkeypatch.setattr(experiments, "_face", refuse)
     again = run_coverage(cfg, n_values=(1, 10), replicates=40, keep_log=True)
     assert again == plain and all(rec.error is None for rec in again.log)

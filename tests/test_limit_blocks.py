@@ -32,6 +32,7 @@ from lpdist.limits import (
     NoiseSampler,
     distance_statistic,
     sample_unique_limit,
+    set_statistic,
     split_free,
 )
 from lpdist.problem import FEAS_TOL, Polytope, quiet_lu, read_only, support
@@ -492,8 +493,9 @@ def test_carried_distances_equal_per_draw_statistics(monkeypatch, name, vertex_o
 @pytest.mark.parametrize("statistic", ["distance", "hausdorff"])
 def test_limit_comparison_equals_per_draw_wolfe(statistic):
     """``run_limit_comparison`` against the same comparison with Wolfe's
-    algorithm on every draw: per-draw solves and ``min_norm_point`` to the
-    target, or the two-sided Hausdorff form."""
+    algorithm on every draw, on each draw's optimal set at a ``with_rhs``
+    program: ``min_norm_point`` from the target vertex to the set, or the
+    two-sided Hausdorff form."""
     config, n, draws, seed = build_ot_2x2(), 200, 2000, 41
     rate = float(n) ** config.rate_exponent
     origin = Polytope([np.zeros(config.lp.m)])
@@ -502,7 +504,8 @@ def test_limit_comparison_equals_per_draw_wolfe(statistic):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[1, 0, 0, i]))
         lp_n = config.lp.with_rhs(config.b_sampler.sample(config.truth_b, n, rate, rng))
         if statistic == "distance":
-            finite.append(rate * min_norm_point(config.targets, solve(lp_n).x_hat)[1])
+            finite.append(rate * min_norm_point(optimal_vertices(lp_n)[0],
+                                                config.targets.vertices[0])[1])
         else:
             finite.append(rate * wolfe_hausdorff(optimal_vertices(lp_n)[0], config.targets))
     noise = config.b_sampler.limit_noise(seed, config.lp.k)
@@ -633,6 +636,30 @@ def test_block_statistics_equal_per_draw_statistics(monkeypatch, name, vertex_on
     for i, sample in enumerate(block):
         assert _bits(distance[i]) == _bits(distance_statistic(sample))
         assert _bits(spread[i]) == _bits(hausdorff(sample.optimal_set, origin))
+
+
+def test_set_statistic_reads_a_two_vertex_row():
+    """On ``x0 + x1 - x2 = r`` at unit cost a row ``r > 0`` ties the vertices
+    ``r e0`` and ``r e1``, and a row ``r < 0`` has the one vertex ``-r e2``.
+    About a centre off the segment, the tied row's "distance" is Wolfe's
+    distance to the segment and its "hausdorff" the distance to the farther
+    vertex; the untied row's is its vertex's distance for both."""
+    lp = StandardLp([[1.0, 1.0, -1.0]], [1.0], [1.0, 1.0, 1.0])
+    sets = problem.optimal_rows(lp, np.array([[2.0], [-3.0]])).check()
+    tie = sets.polytope(0)
+    assert sorted(sets.ties()) == [0] and len(tie) == 2 and len(sets.polytope(1)) == 1
+    centre = np.array([1.0, 0.5, 0.0])
+    distance = set_statistic(sets, centre, "distance")
+    spread = set_statistic(sets, centre, "hausdorff")
+    assert _bits(distance[0]) == _bits(min_norm_point(tie, centre)[1])
+    assert _bits(spread[0]) == _bits(max(math.sqrt((v - centre) @ (v - centre))
+                                         for v in tie.vertices))
+    assert math.isclose(distance[0], 0.5 / math.sqrt(2.0), rel_tol=1e-12)
+    assert math.isclose(spread[0], math.sqrt(3.25), rel_tol=1e-12)
+    far = np.array([0.0, 0.0, 3.0]) - centre
+    assert _bits(distance[1]) == _bits(spread[1]) == _bits(math.sqrt(far @ far))
+    with pytest.raises(ValueError, match="statistic must be"):
+        set_statistic(sets, centre, "mean")
 
 
 def test_an_untied_draw_gets_its_polytope_only_when_read(monkeypatch):

@@ -46,12 +46,10 @@ def alone(lp, b):
 
 def in_block(lp, rhs) -> list:
     """Each row's outcome from one ``optimal_rows`` call on the block ``rhs``."""
-    points, _, bases, groups, errors = optimal_rows(lp, rhs)
-    ties = problem._tie_polytopes(groups)
-    tied = {row: cols for rows, _, _, cols in groups for row in rows.tolist()}
-    return [(type(errors[row]).__name__, str(errors[row])) if row in errors else
-            ((ties[row].vertices if row in ties else points[row:row + 1]).tobytes(),
-             [tuple(cols) for cols in tied.get(row, bases[row:row + 1]).tolist()])
+    sets = optimal_rows(lp, rhs)
+    return [(type(sets.errors[row]).__name__, str(sets.errors[row])) if row in sets.errors else
+            (sets.polytope(row).vertices.tobytes(),
+             [tuple(cols) for cols in sets.row(row)[2].tolist()])
             for row in range(len(rhs))]
 
 
