@@ -81,7 +81,7 @@ class LimitBlock(Sequence):
     def __iter__(self):
         # LimitSample._make without its Python-level length check
         return map(tuple.__new__, repeat(LimitSample),
-                   zip(self.g, self.sets.polytopes(), self.values, self.distances))
+                   zip(self.g, self.sets.polytopes(self.ties), self.values, self.distances))
 
     def statistic(self, name: str) -> np.ndarray:
         """Each draw's ``set_statistic`` about the origin: the bits of its

@@ -815,10 +815,11 @@ class OptimalSets(NamedTuple):
         return {i: _lexsorted(kept)
                 for rows, block, *_ in self.groups for i, kept in zip(rows.tolist(), block)}
 
-    def polytopes(self):
-        """Each row's ``polytope``, in row order, each made when it is read."""
-        sets = map(_one_vertex, self.points[:, None])
-        return map(self.ties().get, range(len(self.points)), sets) if self.groups else sets
+    def polytopes(self, ties=None):
+        """Each row's ``polytope`` in row order, made when it is read; a
+        caller that keeps ``ties()`` passes it as ``ties``."""
+        one = map(_one_vertex, self.points[:, None])
+        return map((ties or self.ties()).get, range(len(self.points)), one) if self.groups else one
 
     def take(self, index: slice) -> "OptimalSets":
         """The sets of the rows that ``index`` selects, numbered in that order."""
@@ -850,12 +851,13 @@ def block_sets(family: BasisFamily, c, rhs, duals=None) -> OptimalSets:
     A row's error is ``NonFiniteData`` for a row that holds NaN or
     infinity, ``_optimal_block``'s, and ``Unbounded`` for every row left
     when ``duals``, None or ``(duals, feasible, edges)`` at ``c`` as
-    ``program_duals`` gives them, marks no basis dual feasible.  With window ``edges`` the block solves the union
-    of its rows' windows (``_window``), and a row whose window does not
-    hold is solved by the whole family, as is every row otherwise.  A solve
-    takes ``SOLVE_CELLS // len(part)`` rows at a time and is assembled
-    before the next is made, so the block holds the solved coordinates of
-    one solve at a time, and no row's result depends on the others."""
+    ``program_duals`` gives them, marks no basis dual feasible.  With
+    window ``edges`` the block solves the union of its rows' windows
+    (``_window``), and a row whose window does not hold is solved by the
+    whole family, as is every row otherwise.  A solve takes ``SOLVE_CELLS
+    // len(part)`` rows at a time and is assembled before the next is made,
+    so the block holds the solved coordinates of one solve at a time, and
+    no row's result depends on the others."""
     c, rhs = np.asarray(c, dtype=float), np.asarray(rhs, dtype=float)
     if rhs.ndim != 2 or rhs.shape[1] != len(family.A):
         raise ValueError(f"rhs rows must have length {len(family.A)}")

@@ -85,10 +85,9 @@ def _b_free_half(lp: StandardLp, family) -> tuple:
 
 
 def check_basis_inclusion(lp: StandardLp, b_prime: np.ndarray) -> bool:
-    """Whether every optimal basis of the perturbed LP is optimal
-    originally: the original bases are ``optimal_vertices(lp)``, kept in
-    the program's memo, and the perturbed ones come from one
-    ``optimal_rows`` row at ``b_prime``, which raises its error."""
+    """Whether every optimal basis of the perturbed LP is optimal originally:
+    one ``optimal_rows`` row at ``b_prime``, which raises its error, against
+    ``optimal_vertices(lp)``, kept in the program's memo."""
     _, original = optimal_vertices(lp)
     perturbed = problem.optimal_rows(lp, problem.rhs_block(lp, [b_prime])).check()
     return set(map(tuple, perturbed.row(0)[2].tolist())) <= {basis.indices for basis in original}
