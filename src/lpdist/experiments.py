@@ -48,7 +48,6 @@ from .problem import (
     load_lp,
     optimal_vertices,
     read_only,
-    rhs_block,
     support,
 )
 from .simplex import dual_certificate
@@ -263,13 +262,28 @@ def _sample_rows(config: ExperimentConfig, runs: list) -> tuple:
     """``(rhs, picks)`` of the replicates of ``runs``, each a sample size's
     ``(n_index, n, rate, replicates)``, in order: each replicate's rhs, drawn
     from its own Philox stream at counter ``[0, 0, n_index, replicate]``,
-    and the uniform that stream draws next, from which it picks its vertex."""
-    rhs, picks = [], []
+    and the uniform that stream draws next, from which it picks its vertex.
+    Each run is one ``sample_rows`` call of the law."""
+    count = sum(len(run[3]) for run in runs)
+    rhs, picks = np.empty((count, config.lp.k)), np.empty(count)
+    start = 0
     for n_index, n, rate, replicates in runs:
-        for rng in philox_streams(_philox_key(config.seed), (0, 0, n_index), replicates):
-            rhs.append(config.b_sampler.sample(config.truth_b, n, rate, rng))
-            picks.append(rng.random())
-    return rhs_block(config.lp, rhs), np.array(picks)
+        at = slice(start, start + len(replicates))
+        streams = philox_streams(_philox_key(config.seed), (0, 0, n_index), replicates)
+        rhs[at] = config.b_sampler.sample_rows(config.truth_b, n, rate,
+                                               _then_pick(streams, picks[at]))
+        start = at.stop
+    return rhs, picks
+
+
+def _then_pick(streams, picks: np.ndarray):
+    """Each generator of ``streams`` in turn; when the law asks for the next,
+    the uniform the last one draws next goes to its entry of ``picks``.
+    ``philox_streams`` resets one generator, so each pick is drawn before
+    the next stream starts."""
+    for i, rng in enumerate(streams):
+        yield rng
+        picks[i] = rng.random()
 
 
 def _coverage_block(config: ExperimentConfig, runs: list) -> list:
@@ -417,10 +431,10 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
         raise InstanceMismatch("limit comparison needs a unique target optimum")
     rate = float(n) ** config.rate_exponent
     # draw i comes from its own Philox stream at counter [1, 0, 0, i]
-    rhs = [config.b_sampler.sample(config.truth_b, n, rate, rng)
-           for rng in philox_streams(_philox_key(config.seed), (1, 0, 0), range(draws))]
+    streams = philox_streams(_philox_key(config.seed), (1, 0, 0), range(draws))
+    rhs = config.b_sampler.sample_rows(config.truth_b, n, rate, streams)
     x_star = config.targets.vertices[0]
-    finite_sets = problem.optimal_rows(config.lp, rhs_block(config.lp, rhs)).check()
+    finite_sets = problem.optimal_rows(config.lp, rhs).check()
     finite = rate * set_statistic(finite_sets, x_star, statistic)
     noise = config.b_sampler.limit_noise(config.seed, config.lp.k)
     limit = sample_unique_limit(config.lp, x_star, noise, draws).statistic(statistic)
@@ -462,7 +476,7 @@ def _custom_config(lp, b_sampler, region, truth_b=None, rate_exponent=0.5, n_val
     if truth_b is not None:
         lp = lp.with_rhs(truth_b)
     sampler = build_kind(LAWS, b_sampler, "b_sampler")
-    if not hasattr(sampler, "sample"):
+    if not hasattr(sampler, "sample_rows"):
         raise ValueError(f"{sampler.kind} b_sampler spec: the law has no finite-sample form")
     region = region_from_dict(region)
     for part in (sampler, region):

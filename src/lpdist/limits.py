@@ -86,18 +86,19 @@ class LimitBlock(Sequence):
     def statistic(self, name: str) -> np.ndarray:
         """Each draw's ``set_statistic`` about the origin: the bits of its
         record's ``distance_statistic``, or ``hausdorff`` to the origin."""
-        return set_statistic(self.sets, np.zeros(self.points.shape[1]), name)
+        return set_statistic(self.sets, np.zeros(self.points.shape[1]), name, self.ties)
 
 
-def set_statistic(sets: OptimalSets, centre: np.ndarray, name: str) -> np.ndarray:
+def set_statistic(sets: OptimalSets, centre: np.ndarray, name: str, ties=None) -> np.ndarray:
     """Each row's statistic of the optimal ``sets`` about the point
     ``centre`` as one array: "distance" from ``centre`` to the set
     (``min_norm_point``), or "hausdorff", the farthest vertex's distance;
-    both are a one-vertex row's norm, so only tied rows are solved."""
+    both are a one-vertex row's norm, so only tied rows are solved.  A
+    caller that keeps ``sets.ties()`` passes it as ``ties``."""
     if name not in ("distance", "hausdorff"):
         raise ValueError("statistic must be 'distance' or 'hausdorff'")
     out = row_norms(sets.points - centre)
-    for row, polytope in sets.ties().items():
+    for row, polytope in (ties or sets.ties()).items():
         out[row] = (min_norm_point(polytope, centre)[1] if name == "distance"
                     else row_norms(polytope.vertices - centre).max())
     return out
@@ -142,6 +143,18 @@ def philox_streams(key: np.ndarray, lead: tuple, indices):
         yield rng
 
 
+def _one_row(law, truth_b, n, rate, rng) -> np.ndarray:
+    """A law's ``sample``: row 0 of its ``sample_rows`` on the one stream ``rng``.
+
+    ``sample_rows(truth_b, n, rate, streams)`` is a law's finite-sample
+    form: the rhs of each generator of ``streams``, in order, as the rows of
+    an array.  It takes each generator once, in turn, and draws from it only
+    that row's variates before it asks for the next; it then transforms all
+    rows at once, by sums in a fixed order, so a row's bits depend on its
+    stream alone."""
+    return law.sample_rows(truth_b, n, rate, (rng,))[0]
+
+
 class GaussianLaw:
     """Centred Gaussian noise with covariance ``sigma``, placed on the
     ``support_indices`` of a rhs (of ``dim`` coordinates in a limit row).
@@ -166,13 +179,21 @@ class GaussianLaw:
             raise ValueError("dim without support_indices must match the covariance")
         self._place = list(self.support_indices or range(r))
 
-    def sample(self, truth_b, n, rate, rng) -> np.ndarray:
-        shift = np.zeros(len(truth_b))
-        shift[self._place] = ordered_dot(rng.standard_normal(len(self._chol)), self._chol)
+    sample = _one_row
+
+    def sample_rows(self, truth_b, n, rate, streams) -> np.ndarray:
+        r = len(self._chol)
+        z = np.array([rng.standard_normal(r) for rng in streams]).reshape(-1, r)
+        shift = np.zeros((len(z), len(truth_b)))
+        self._correlate(z, shift)
         return np.asarray(truth_b, dtype=float) + shift / rate
 
     def limit_block(self, rng, out: np.ndarray):
-        z = rng.standard_normal((len(out), len(self._chol)))
+        self._correlate(rng.standard_normal((len(out), len(self._chol))), out)
+
+    def _correlate(self, z: np.ndarray, out: np.ndarray):
+        """The Cholesky product of each row of the normals ``z``, placed on
+        the support in its row of ``out``."""
         out[:, self._place] = ordered_dot(z[:, None, :], self._chol)
 
     def limit_noise(self, seed, dim) -> "NoiseSampler":
@@ -208,9 +229,15 @@ class MultinomialLaw:
     def kind(self) -> str:
         return "multinomial_marginal" if self.pad_to is None else "multinomial_clt"
 
-    def sample(self, truth_b, n, rate, rng) -> np.ndarray:
-        counts = rng.multinomial(int(n), self.probabilities)
-        return np.concatenate([counts / float(n), self.tail])
+    sample = _one_row
+
+    def sample_rows(self, truth_b, n, rate, streams) -> np.ndarray:
+        p = self.probabilities
+        counts = np.array([rng.multinomial(int(n), p) for rng in streams]).reshape(-1, len(p))
+        out = np.empty((len(counts), len(p) + len(self.tail)))
+        out[:, :len(p)] = counts / float(n)
+        out[:, len(p):] = self.tail
+        return out
 
     def limit_block(self, rng, out: np.ndarray):
         # root * z - p * (root @ z) for iid normals z has the limit covariance

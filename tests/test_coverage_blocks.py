@@ -121,14 +121,20 @@ class MixedLaw:
     replicate's stream makes some rows NaN and puts -1 in the last entry
     of others."""
 
+    def sample_rows(self, truth_b, n, rate, streams):
+        rows = []
+        for rng in streams:
+            u = rng.random()
+            b = np.asarray(truth_b, dtype=float) + rng.standard_normal(len(truth_b)) / rate
+            if u < 0.2:
+                b[0] = np.nan
+            elif u < 0.4:
+                b[-1] = -1.0
+            rows.append(b)
+        return np.array(rows)
+
     def sample(self, truth_b, n, rate, rng):
-        u = rng.random()
-        b = np.asarray(truth_b, dtype=float) + rng.standard_normal(len(truth_b)) / rate
-        if u < 0.2:
-            b[0] = np.nan
-        elif u < 0.4:
-            b[-1] = -1.0
-        return b
+        return self.sample_rows(truth_b, n, rate, (rng,))[0]
 
 
 def test_good_infeasible_and_nonfinite_rows_share_a_block():

@@ -328,13 +328,16 @@ def test_coverage_logs_replicates_whose_rhs_is_not_finite():
         def __init__(self):
             self.calls = 0
 
-        def sample(self, truth_b, n, rate, rng):
-            b = cfg.b_sampler.sample(truth_b, n, rate, rng)
-            self.calls += 1
-            if self.calls == 24:
-                b = np.array(b, dtype=float)
-                b[0] = np.nan
-            return b
+        def sample_rows(self, truth_b, n, rate, streams):
+            rows = []
+            for rng in streams:
+                b = cfg.b_sampler.sample(truth_b, n, rate, rng)
+                self.calls += 1
+                if self.calls == 24:
+                    b = np.array(b, dtype=float)
+                    b[0] = np.nan
+                rows.append(b)
+            return np.array(rows)
 
     report = run_coverage(replace(cfg, b_sampler=NanOnce()), n_values=(1, 10),
                           replicates=20, keep_log=True)

@@ -662,6 +662,20 @@ def test_set_statistic_reads_a_two_vertex_row():
         set_statistic(sets, centre, "mean")
 
 
+def test_block_statistics_reuse_the_kept_tie_polytopes(monkeypatch):
+    """``block.statistic`` reads the tie Polytopes the block keeps, so it
+    makes none again, and gives ``set_statistic``'s bits on its sets."""
+    lp, x_star, noise = LIMIT_CASES["half_tied"]()
+    block = sample_unique_limit(lp, x_star, noise, 2000)
+    names = ("distance", "hausdorff")
+    want = [set_statistic(block.sets, np.zeros(lp.m), name) for name in names]
+    calls = []
+    ties = problem.OptimalSets.ties
+    monkeypatch.setattr(problem.OptimalSets, "ties", lambda sets: calls.append(1) or ties(sets))
+    assert [block.statistic(name).tobytes() for name in names] == [w.tobytes() for w in want]
+    assert calls == [] and len(block.ties) > 500
+
+
 def test_an_untied_draw_gets_its_polytope_only_when_read(monkeypatch):
     made = []
 
