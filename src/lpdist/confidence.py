@@ -14,7 +14,7 @@ generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -158,12 +158,13 @@ def region_from_dict(data: dict):
 
 class MappedRegion:
     """``region`` through ``basis``: ``image`` is A_I^{-1} times its
-    generator, ``a_basis`` is A_I and ``off`` masks the non-basic columns."""
+    generator, ``a_basis`` is A_I and ``columns`` lists the basis's columns,
+    then the others."""
 
-    def __init__(self, region, basis: Basis, a_basis: np.ndarray, off: np.ndarray,
+    def __init__(self, region, basis: Basis, a_basis: np.ndarray, columns: np.ndarray,
                  image: np.ndarray):
-        self.region, self.basis, self.a_basis, self.off, self.image = (
-            region, basis, a_basis, off, image)
+        self.region, self.basis, self.a_basis, self.columns, self.image = (
+            region, basis, a_basis, columns, image)
         self.accepts = region.accepts  # bound once, as contains_rows calls it
 
     def interval(self, pos: int) -> tuple:
@@ -187,8 +188,29 @@ def map_region(lp: StandardLp, I: Basis, region) -> MappedRegion:
     factors = problem.cached_factors(lp, I.indices)
     off = np.ones(lp.m, dtype=bool)
     off[cols] = False
+    columns = np.concatenate([cols, np.flatnonzero(off)])
     image = problem.solve_lu(factors, region.generator(len(cols)))
-    return MappedRegion(region, I, lp.A[:, cols], off, image)
+    return MappedRegion(region, I, lp.A[:, cols], columns, image)
+
+
+class RowBases(NamedTuple):
+    """A basis per row of a block, as ``contains_rows`` reads it: the
+    region's ``accepts`` and each row's ``columns`` ``(N, m)`` and
+    ``a_basis`` ``(N, k, k)``.  ``of`` puts row ``i`` in the basis of
+    ``mapped[which[i]]``, each entry a ``MappedRegion`` of one region, and
+    ``take`` picks rows."""
+
+    accepts: Callable
+    columns: np.ndarray
+    a_basis: np.ndarray
+
+    @classmethod
+    def of(cls, mapped: Sequence[MappedRegion], which: np.ndarray) -> RowBases:
+        return cls(mapped[0].accepts, np.array([m.columns for m in mapped])[which],
+                   np.array([m.a_basis for m in mapped])[which])
+
+    def take(self, rows: np.ndarray) -> RowBases:
+        return RowBases(self.accepts, self.columns[rows], self.a_basis[rows])
 
 
 @dataclass
@@ -212,10 +234,12 @@ def contains(cs: ConfidenceSet, x: np.ndarray) -> bool:
     return bool(contains_rows(cs.mapped, cs.rate, cs.center[None, :], x)[0])
 
 
-def contains_rows(mapped, rate, centers: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``contains`` for the confidence sets with image ``mapped`` centred
-    at each row of ``centers``, as a mask; ``rate`` is one rate for every
-    row or one per row, and a row's tolerance is ``residual_tol`` of its own.
+def contains_rows(bases, rate, centers: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``contains`` for the confidence sets centred at each row of
+    ``centers``, as a mask.  ``bases`` is one ``MappedRegion``, whose basis
+    serves every row, or a ``RowBases`` of each row's own basis; ``rate``
+    is one rate for every row or one per row, ``x`` one point or one per
+    row, and a row's tolerance is ``residual_tol`` of its own.
 
     Every sum runs over a row's own entries in a fixed order, so a row's
     answer does not depend on the block it came in.
@@ -223,11 +247,11 @@ def contains_rows(mapped, rate, centers: np.ndarray, x: np.ndarray) -> np.ndarra
     rate = np.full(len(centers), rate, dtype=float)[:, None]
     y = rate * (centers - np.asarray(x, dtype=float))
     tol = problem.residual_tol(rate, axis=1)
-    g = problem.ordered_dot(y[:, None, mapped.basis.indices], mapped.a_basis)  # A_I y_I
-    inside = mapped.accepts(g, tol)
-    if mapped.off.any():
-        inside &= np.abs(y[:, mapped.off]).max(axis=1) <= tol
-    return inside
+    k = bases.a_basis.shape[-1]
+    # each row's basic coordinates y_I, then its others, which must vanish
+    y = y.take(bases.columns + y.shape[1] * np.arange(len(y))[:, None])
+    g = problem.ordered_dot(y[:, None, :k], bases.a_basis)  # A_I y_I
+    return bases.accepts(g, tol) & (np.abs(y[:, k:]).max(axis=1, initial=0.0) <= tol)
 
 
 def _forward_substitution(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:

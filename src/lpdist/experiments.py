@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import chain, repeat
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .confidence import (
     EllipsoidRegion,
+    RowBases,
     SegmentFamilyRegion,
     contains_rows,
     coordinate_interval,
@@ -98,8 +100,7 @@ class CoverageRow:
     failed: int
 
 
-@dataclass(frozen=True)
-class ReplicateRecord:
+class ReplicateRecord(NamedTuple):
     n: int
     replicate: int
     covered: bool
@@ -286,44 +287,52 @@ def _then_pick(streams, picks: np.ndarray):
         picks[i] = rng.random()
 
 
-def _coverage_block(config: ExperimentConfig, runs: list) -> list:
-    """The ``ReplicateRecord`` of each replicate of ``runs``, in
-    ``_sample_rows``'s order; each row keeps its own ``n`` and rate.
+def _coverage_block(config: ExperimentConfig, runs: list) -> tuple:
+    """``(covered, hits, which, bases, errors)``, the coverage of each
+    replicate of ``runs`` as columns in ``_sample_rows``'s order, each row
+    with its own ``n`` and rate: the ``(N,)`` mask ``covered``, the ``(N,
+    T)`` mask of the targets each row's set contains, each row's index
+    ``which`` into the list ``bases`` of selection bases (-1 for a row with
+    none) and the ``LpError`` of each row that fails, by row.
 
     The block's optimal sets come from one ``optimal_rows`` call, each
     replicate reports the vertex its uniform picks (``_reported_vertices``),
-    and the block is tested for coverage once per selection basis; each
-    record is the one the replicate gets on its own from its stream,
-    ``optimal_vertices`` at its rhs, ``selection_basis``, ``map_region``
-    and ``contains``.
+    and each target is tested once over the block, each row in its own
+    selection basis; each row's result is the one the replicate gets on its
+    own from its stream, ``optimal_vertices`` at its rhs,
+    ``selection_basis``, ``map_region`` and ``contains``.
     """
-    labels = [(n, rep) for _, n, _, replicates in runs for rep in replicates]
     rates = np.repeat([run[2] for run in runs], [len(run[3]) for run in runs])
     rhs, picks = _sample_rows(config, runs)
     x_hat, errors = _reported_vertices(config.lp, rhs, picks)
-    records = {}
-    ok = np.array([row for row in range(len(rhs)) if row not in errors], dtype=np.intp)
-    for mask, at in group_rows(np.abs(x_hat[ok]) > problem.FEAS_TOL, ok):
+    which = np.full(len(rhs), -1, dtype=np.intp)
+    solved = np.ones(len(rhs), dtype=bool)
+    solved[list(errors)] = False
+    bases, mapped, projections = [], [], []
+    for mask, at in group_rows(np.abs(x_hat[solved]) > problem.FEAS_TOL, solved.nonzero()[0]):
         try:
-            basis = _selection(config.lp, tuple(np.flatnonzero(mask).tolist()))
-            mapped, projection = _basis_parts(config, basis)
+            basis = _selection(config.lp, tuple(mask.nonzero()[0].tolist()))
+            parts = _basis_parts(config, basis)
         except LpError as exc:
             errors.update(dict.fromkeys(at.tolist(), exc))
             continue
-        centers, rate = x_hat[at], rates[at]
-        hits = np.array([contains_rows(mapped, rate, centers, v)
-                         for v in config.targets.vertices]).reshape(-1, len(at))
-        covered = hits.any(axis=0)
-        if not covered.all():
-            covered[~covered] = contains_rows(mapped, rate[~covered], centers[~covered], projection)
-        for row, hit, inside in zip(at.tolist(), hits.T.tolist(), covered.tolist()):
-            records[row] = ReplicateRecord(
-                *labels[row], covered=inside,
-                covered_targets=tuple(t for t, h in enumerate(hit) if h), basis=basis.indices)
-    return [records[row] if row in records else
-            ReplicateRecord(*labels[row], covered=False, covered_targets=(), basis=(),
-                            error=str(errors[row]))
-            for row in range(len(rhs))]
+        which[at] = len(bases)
+        bases.append(basis.indices)
+        mapped.append(parts[0])
+        projections.append(parts[1])
+    hits = np.zeros((len(rhs), len(config.targets)), dtype=bool)
+    covered = np.zeros(len(rhs), dtype=bool)
+    ok = (which >= 0).nonzero()[0]
+    if len(ok):
+        rows, rate, centers = RowBases.of(mapped, which[ok]), rates[ok], x_hat[ok]
+        hit = np.array([contains_rows(rows, rate, centers, v) for v in config.targets.vertices])
+        inside = hit.any(axis=0)
+        miss = (~inside).nonzero()[0]
+        if len(miss):  # each row's own projection
+            inside[miss] = contains_rows(rows.take(miss), rate[miss], centers[miss],
+                                         np.array(projections)[which[ok[miss]]])
+        hits[ok], covered[ok] = hit.T, inside
+    return covered, hits, which, bases, errors
 
 
 def _reported_vertices(lp: StandardLp, rhs: np.ndarray, picks: np.ndarray) -> tuple:
@@ -375,30 +384,67 @@ def run_coverage(config: ExperimentConfig, *, n_values=None, replicates=None,
     treats a row as it would treat it alone, so a replicate's record
     depends neither on ``replicates`` nor on the block it ran in.
     """
-    n_values = list(config.n_values if n_values is None else n_values)
+    n_values = [_whole("sample size", n)
+                for n in (config.n_values if n_values is None else n_values)]
     replicates = int(config.replicates if replicates is None else replicates)
     if replicates < 1 or min(n_values, default=1) < 1:
         raise ValueError("replicates and sample sizes must be positive")
+    if not n_values:
+        return CoverageReport(rows=[])
     rates = [float(n) ** config.rate_exponent for n in n_values]
     total = len(n_values) * replicates
-    records = []  # row r is replicate r % replicates at n_values[r // replicates]
+    blocks = []  # row r is replicate r % replicates at n_values[r // replicates]
     for start in range(0, total, BLOCK):
         stop = min(start + BLOCK, total)
         runs = [(i, n_values[i], rates[i], range(max(start - i * replicates, 0),
                                                  min(stop - i * replicates, replicates)))
                 for i in range(start // replicates, (stop - 1) // replicates + 1)]
-        records.extend(_coverage_block(config, runs))
+        blocks.append(_coverage_block(config, runs))
+    covered = np.concatenate([block[0] for block in blocks])
+    failed = np.concatenate([block[2] for block in blocks]) < 0
     rows = []
-    for i, n in enumerate(n_values):
-        chunk = records[i * replicates:(i + 1) * replicates]
-        covered = sum(1 for rec in chunk if rec.covered)
-        coverage = covered / replicates
+    for n, hit, lost in zip(n_values, covered.reshape(-1, replicates).sum(axis=1).tolist(),
+                            failed.reshape(-1, replicates).sum(axis=1).tolist()):
+        coverage = hit / replicates
         rows.append(CoverageRow(
-            n=int(n), replicates=replicates, covered=covered, coverage=coverage,
+            n=n, replicates=replicates, covered=hit, coverage=coverage,
             std_error=math.sqrt(max(coverage * (1.0 - coverage), 0.0) / replicates),
-            failed=sum(1 for rec in chunk if rec.error is not None),
+            failed=lost,
         ))
-    return CoverageReport(rows=rows, log=records if keep_log else [])
+    if not keep_log:
+        return CoverageReport(rows=rows)
+    columns = zip(*map(_record_columns, blocks))
+    # ReplicateRecord._make without its Python-level length check
+    log = list(map(tuple.__new__, repeat(ReplicateRecord), zip(
+        chain.from_iterable(repeat(n, replicates) for n in n_values),
+        chain.from_iterable(repeat(range(replicates), len(n_values))),
+        covered.tolist(), *map(chain.from_iterable, columns))))
+    return CoverageReport(rows=rows, log=log)
+
+
+def _record_columns(block: tuple) -> tuple:
+    """The ``covered_targets``, ``basis`` and ``error`` of each row of
+    ``_coverage_block``'s ``block``, as three iterables; each distinct hit
+    pattern's ``covered_targets`` is made once."""
+    covered, hits, which, bases, errors = block
+    pattern = np.empty(len(covered), dtype=np.intp)
+    targets = []
+    for key, at in group_rows(hits, np.arange(len(covered))):
+        pattern[at] = len(targets)
+        targets.append(tuple(np.flatnonzero(key).tolist()))
+    error = [None] * len(covered)
+    for row, exc in errors.items():
+        error[row] = str(exc)
+    return (map(targets.__getitem__, pattern.tolist()),
+            map([*bases, ()].__getitem__, which.tolist()), error)
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as a Python int, or ``ValueError`` naming ``name`` when it
+    is not a whole number."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, not {value}")
+    return int(value)
 
 
 def kolmogorov_smirnov(sample_a, sample_b) -> float:
@@ -424,6 +470,7 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
     """
     if statistic not in ("distance", "hausdorff"):
         raise ValueError("statistic must be 'distance' or 'hausdorff'")
+    n, draws = _whole("n", n), _whole("draws", draws)
     for name, value in (("n", n), ("draws", draws)):
         if value < 1:
             raise ValueError(f"{name} must be positive, not {value}")
@@ -439,8 +486,8 @@ def run_limit_comparison(config: ExperimentConfig, n: int, draws: int, *,
     noise = config.b_sampler.limit_noise(config.seed, config.lp.k)
     limit = sample_unique_limit(config.lp, x_star, noise, draws).statistic(statistic)
     return {
-        "n": int(n),
-        "draws": int(draws),
+        "n": n,
+        "draws": draws,
         "statistic": statistic,
         "ks_distance": kolmogorov_smirnov(finite, limit),
         "finite_mean": float(finite.mean()),
@@ -483,6 +530,6 @@ def _custom_config(lp, b_sampler, region, truth_b=None, rate_exponent=0.5, n_val
         check_support(getattr(part, "support_indices", None), lp.k)
     return ExperimentConfig(
         lp=lp, b_sampler=sampler, region=region, rate_exponent=float(rate_exponent),
-        n_values=tuple(int(v) for v in n_values), replicates=int(replicates),
+        n_values=tuple(_whole("sample size", v) for v in n_values), replicates=int(replicates),
         seed=int(seed), name=name,
     )

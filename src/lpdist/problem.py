@@ -625,13 +625,22 @@ def program_family(lp: StandardLp) -> BasisFamily:
 def group_rows(keys: np.ndarray, rows: np.ndarray) -> list:
     """``(key, rows with that key)`` for each distinct row of the 2-d
     ``keys``, whose rows label the entries of ``rows`` one for one; groups
-    come in order of first appearance, entries in their own order."""
+    come in order of first appearance, entries in their own order.  Two
+    rows are one key when their bytes are equal (so ``-0.0`` is not
+    ``0.0``): a stable sort of the bytes puts each key's rows together."""
     if len(keys) == 1:
         return [(keys[0], rows)]
-    groups: dict = {}
-    for i, key in enumerate(map(bytes, np.ascontiguousarray(keys))):
-        groups.setdefault(key, []).append(i)
-    return [(keys[at[0]], rows[at]) for at in groups.values()]
+    data = np.ascontiguousarray(keys)
+    data = (np.packbits(data, axis=1) if data.dtype == bool
+            else data.view(np.uint8))
+    if not data.size:
+        return [(keys[0], rows)] if len(keys) else []
+    order = np.lexsort(data.T)
+    data = data[order]
+    starts = np.flatnonzero(np.concatenate([[True], (data[1:] != data[:-1]).any(axis=1)]))
+    stops = np.append(starts[1:], len(order))
+    return [(keys[order[starts[g]]], rows[order[starts[g]:stops[g]]])
+            for g in np.argsort(order[starts]).tolist()]
 
 
 def basic_points(lp: StandardLp) -> np.ndarray:

@@ -348,3 +348,50 @@ def test_coverage_logs_replicates_whose_rhs_is_not_finite():
         rec for rec in plain.log if (rec.n, rec.replicate) != (10, 3)]
     assert [row.replicates for row in report.rows] == [20, 20]
     assert [row.failed for row in report.rows] == [0, 1]
+
+
+@pytest.mark.parametrize("n", [10.5, np.float64(2.5), float("nan"), float("inf")])
+def test_run_coverage_rejects_a_sample_size_that_is_not_whole(n):
+    with pytest.raises(ValueError, match=f"sample size must be a whole number, not {n}"):
+        run_coverage(build_ot_2x2(), n_values=[1, n], replicates=3)
+    with pytest.raises(ValueError, match="sample size must be a whole number"):
+        run_coverage(replace(build_ot_2x2(), n_values=(n,)), replicates=3)
+
+
+def test_run_coverage_carries_a_whole_sample_size_as_an_int():
+    cfg = build_ot_2x2()
+    plain = run_coverage(cfg, n_values=[10], replicates=12, keep_log=True)
+    for n in (10.0, np.float64(10.0), np.int64(10)):
+        report = run_coverage(cfg, n_values=[n], replicates=12, keep_log=True)
+        assert report == plain
+        assert type(report.rows[0].n) is int
+        assert {type(rec.n) for rec in report.log} == {int}
+
+
+def test_a_custom_config_rejects_a_sample_size_that_is_not_whole():
+    data = {"lp": lp_to_dict(build_ot_2x2().lp),
+            "b_sampler": {"kind": "multinomial_marginal", "probabilities": [0.5, 0.5],
+                          "tail": [0.5]},
+            "region": {"kind": "segment", "direction": [1, -1, 0], "half_width": 0.98},
+            "n_values": [10.5]}
+    with pytest.raises(ValueError, match="sample size must be a whole number, not 10.5"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("n", [10.5, np.float64(200.5)])
+def test_run_limit_comparison_rejects_an_n_that_is_not_whole(n):
+    with pytest.raises(ValueError, match=f"n must be a whole number, not {n}"):
+        run_limit_comparison(build_ot_2x2(), n, 20)
+
+
+def test_run_limit_comparison_carries_a_whole_n_as_an_int():
+    cfg = build_ot_2x2()
+    plain = run_limit_comparison(cfg, 200, 40)
+    for n in (200.0, np.float64(200.0), np.int64(200)):
+        out = run_limit_comparison(cfg, n, 40)
+        assert repr(out) == repr(plain) and type(out["n"]) is int
+
+
+def test_run_coverage_of_no_sample_sizes_is_an_empty_report():
+    report = run_coverage(build_ot_2x2(), n_values=[], replicates=3, keep_log=True)
+    assert report.rows == [] and report.log == []
