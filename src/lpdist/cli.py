@@ -22,9 +22,8 @@ from .confidence import (
 )
 from .errors import Infeasible, LpError, Unbounded
 from .experiments import (
+    BUILT_IN,
     DEFAULT_SEED,
-    build_min_cost_flow,
-    build_ot_2x2,
     config_from_dict,
     run_coverage,
     run_limit_comparison,
@@ -78,13 +77,11 @@ def _emit(text: str, out_path):
 
 
 def _experiment_config(args):
-    if args.experiment == "ot2x2":
-        config = build_ot_2x2()
-    elif args.experiment == "mcf":
-        config = build_min_cost_flow()
+    if args.experiment in BUILT_IN:
+        config = BUILT_IN[args.experiment]()
+    elif not args.config:
+        raise ValueError("--experiment custom requires --config")
     else:
-        if not args.config:
-            raise ValueError("--experiment custom requires --config")
         config = config_from_dict(_load_json(args.config))
     if args.seed is not None:
         config.seed = int(args.seed)
@@ -245,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_confidence)
 
     p = sub.add_parser("coverage", help="Monte Carlo coverage study")
-    p.add_argument("--experiment", choices=("ot2x2", "mcf", "custom"), required=True)
+    p.add_argument("--experiment", choices=(*BUILT_IN, "custom"), required=True)
     p.add_argument("--config", help="custom experiment JSON (with --experiment custom)")
     p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--n-values", help="comma-separated sample sizes override")
@@ -255,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit-compare",
                        help="KS distance between finite-sample and limit statistics")
-    p.add_argument("--experiment", choices=("ot2x2", "mcf", "custom"), required=True)
+    p.add_argument("--experiment", choices=(*BUILT_IN, "custom"), required=True)
     p.add_argument("--config")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--draws", type=int, default=2000)

@@ -38,17 +38,11 @@ class EllipsoidRegion:
     to_dict = spec_to_dict
 
     def __init__(self, sigma, level: float, support_indices=None, q: Optional[float] = None):
-        self.sigma, self.chol = factor_covariance(sigma)
+        self.sigma, self.chol, self.support_indices = factor_covariance(sigma, support_indices)
         self.level = float(level)
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0,1)")
         self.coverage_target = self.level
-        self.support_indices = None
-        if support_indices is not None:
-            self.support_indices = tuple(int(i) for i in support_indices)
-            if len(self.support_indices) != self.sigma.shape[0]:
-                raise ValueError("support size does not match the covariance")
-            check_support(self.support_indices)
         self.q = float(q) if q is not None else chi_square_quantile(self.level, self.sigma.shape[0])
         self.support = slice(None) if support_indices is None else list(self.support_indices)
 

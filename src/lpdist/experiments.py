@@ -220,6 +220,10 @@ def build_min_cost_flow() -> ExperimentConfig:
     return config
 
 
+# the ready-made experiments by the name ``lpdist --experiment`` gives them
+BUILT_IN = {"ot2x2": build_ot_2x2, "mcf": build_min_cost_flow}
+
+
 def optimal_face_vertices(lp: StandardLp, result) -> list:
     """The solved vertex and the other vertices of its optimal face, as
     ``[(basis_indices, x), ...]``: the solved vertex first, then each vertex
@@ -386,7 +390,7 @@ def run_coverage(config: ExperimentConfig, *, n_values=None, replicates=None,
     """
     n_values = [_whole("sample size", n)
                 for n in (config.n_values if n_values is None else n_values)]
-    replicates = int(config.replicates if replicates is None else replicates)
+    replicates = _whole("replicates", config.replicates if replicates is None else replicates)
     if replicates < 1 or min(n_values, default=1) < 1:
         raise ValueError("replicates and sample sizes must be positive")
     if not n_values:
@@ -530,6 +534,6 @@ def _custom_config(lp, b_sampler, region, truth_b=None, rate_exponent=0.5, n_val
         check_support(getattr(part, "support_indices", None), lp.k)
     return ExperimentConfig(
         lp=lp, b_sampler=sampler, region=region, rate_exponent=float(rate_exponent),
-        n_values=tuple(_whole("sample size", v) for v in n_values), replicates=int(replicates),
-        seed=int(seed), name=name,
+        n_values=tuple(_whole("sample size", v) for v in n_values),
+        replicates=_whole("replicates", replicates), seed=int(seed), name=name,
     )

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import problem
-from .errors import InstanceTooLarge, LpError, NotUnique
+from .errors import InstanceTooLarge, NotUnique
 from .geometry import (
     SphereGrid,
     argmax_vertex,
@@ -32,7 +32,6 @@ from .problem import (
     OptimalSets,
     Polytope,
     StandardLp,
-    check_support,
     factor_covariance,
     optimal_vertices,
     ordered_dot,
@@ -40,7 +39,7 @@ from .problem import (
     spec_to_dict,
     support,
 )
-from .simplex import solve_rows
+from .simplex import solve_block
 
 
 class LimitSample(NamedTuple):
@@ -166,16 +165,12 @@ class GaussianLaw:
     to_dict = spec_to_dict
 
     def __init__(self, sigma, support_indices=None, dim=None):
-        self.sigma, self._chol = factor_covariance(sigma)
-        r = self.sigma.shape[0]
-        self.dim = int(dim) if dim is not None else r
-        self.support_indices = None
-        if support_indices is not None:
-            self.support_indices = tuple(int(i) for i in support_indices)
-            if len(self.support_indices) != r:
-                raise ValueError("support size must match the covariance")
-            check_support(self.support_indices, None if dim is None else self.dim)
-        elif self.dim != r:
+        dim = None if dim is None else int(dim)
+        self.sigma, self._chol, self.support_indices = factor_covariance(
+            sigma, support_indices, dim)
+        r = len(self.sigma)
+        self.dim = r if dim is None else dim
+        if self.support_indices is None and self.dim != r:
             raise ValueError("dim without support_indices must match the covariance")
         self._place = list(self.support_indices or range(r))
 
@@ -331,18 +326,17 @@ def split_free(lp: StandardLp, free) -> tuple:
                       np.concatenate([lp.c, -lp.c[free]])), free
 
 
-def _unsplit(results: list, free: list, lp: StandardLp) -> OptimalSets:
-    """The ``OptimalSets`` behind solves of the split program, each a
-    ``SolveResult`` or the error to raise: each one's mixed-sign point, its
+def _unsplit(sets: OptimalSets, free: list, lp: StandardLp) -> OptimalSets:
+    """The ``OptimalSets`` of ``lp`` with the columns ``free`` free in sign
+    behind ``sets``, those of its split program (``split_free``), or the
+    error ``sets.check()`` raises: each row's mixed-sign point, its
     objective, and its basis with each negated copy read as its column."""
-    m, points = lp.m, np.zeros((len(results), lp.m))
-    bases = np.zeros((len(results), lp.k), dtype=np.intp)
-    for row, result in enumerate(results):
-        if isinstance(result, LpError):
-            raise result
-        points[row] = result.x_hat[:m]
-        points[row, free] -= result.x_hat[m:]
-        bases[row] = sorted(free[j - m] if j >= m else j for j in result.basis.indices)
+    m, split = lp.m, sets.check().points
+    points = split[:, :m].copy()
+    points[:, free] -= split[:, m:]
+    column = np.arange(m + len(free))
+    column[m:] = free
+    bases = np.sort(column[sets.bases], axis=1)
     return OptimalSets(read_only(points)[0], [float(lp.c @ x) for x in points], bases, [], {})
 
 
@@ -380,12 +374,13 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
     ``i``, not on ``n_draws`` or the slices.  Each optimal set is exact, by
     vertex enumeration (``block_sets``), unless the response LP has more
     candidate bases than ``problem.ENUM_CAP``; then each draw gets the one
-    optimal vertex a simplex solve finds (one ``solve_rows`` call).  The
+    optimal vertex a simplex solve finds (one ``solve_block`` call).  The
     response LP is unbounded below exactly when ``x_star`` is not optimal,
     and both paths then raise ``Unbounded`` at a feasible draw, and return
     an empty block at zero draws: the family path finds no basis holding
-    ``supp(x_star)`` dual feasible, the split path no blocking row.  On the
-    family path an infeasible draw raises its ``Infeasible`` first.
+    ``supp(x_star)`` dual feasible, the split path no blocking row.  Both
+    raise through ``OptimalSets.check``, so an infeasible draw raises its
+    ``Infeasible`` first.
 
     With ``verify_unique`` the optimal set of ``lp`` is enumerated and
     ``NotUnique`` is raised unless it is the single vertex ``x_star``.
@@ -404,7 +399,7 @@ def sample_unique_limit(lp: StandardLp, x_star: np.ndarray, sampler: NoiseSample
         enum = AuxVertexEnumerator(lp.A, lp.c, free)
     except InstanceTooLarge:  # raised before any block is factored
         split, free_order = split_free(lp, free)
-        sets = _unsplit(solve_rows(split, g), free_order, lp)
+        sets = _unsplit(solve_block(split, g), free_order, lp)
     else:
         sets = problem.block_sets(enum.family, enum.c, g, enum._duals).check()
     return LimitBlock(g, sets)

@@ -278,10 +278,13 @@ def check_support(indices, dim: int | None = None):
         raise ValueError(f"support_indices {outside} are not rows of a {dim}-row program")
 
 
-def factor_covariance(sigma) -> tuple:
-    """``(sigma, chol)``: a covariance as a float array and its Cholesky factor.
-    ``ValueError`` unless it is finite, square and symmetric within
-    ``symmetry_tol``; ``SingularCovariance`` unless it is positive definite."""
+def factor_covariance(sigma, support_indices=None, dim: int | None = None) -> tuple:
+    """``(sigma, chol, support)``: a covariance as a float array, its
+    Cholesky factor, and the ``support_indices`` it sits on as a tuple of
+    ints, or None.  ``ValueError`` unless the covariance is finite, square
+    and symmetric within ``symmetry_tol``, and the support has one index
+    per row of it that ``check_support`` passes with ``dim``;
+    ``SingularCovariance`` unless it is positive definite."""
     sigma = np.array(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("covariance must be a square matrix")
@@ -289,9 +292,15 @@ def factor_covariance(sigma) -> tuple:
     if np.abs(sigma - sigma.T).max(initial=0.0) > symmetry_tol(sigma):
         raise ValueError("covariance must be symmetric")
     try:
-        return sigma, np.linalg.cholesky(sigma)
+        chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("covariance is not positive definite") from exc
+    if support_indices is not None:
+        support_indices = tuple(int(i) for i in support_indices)
+        if len(support_indices) != len(sigma):
+            raise ValueError("support size must match the covariance")
+        check_support(support_indices, dim)
+    return sigma, chol, support_indices
 
 
 def _invertible(lu: np.ndarray, tol: float) -> bool:
@@ -867,10 +876,8 @@ def block_sets(family: BasisFamily, c, rhs, duals=None) -> OptimalSets:
     // len(part)`` rows at a time and is assembled before the next is made,
     so the block holds the solved coordinates of one solve at a time, and
     no row's result depends on the others."""
-    c, rhs = np.asarray(c, dtype=float), np.asarray(rhs, dtype=float)
-    if rhs.ndim != 2 or rhs.shape[1] != len(family.A):
-        raise ValueError(f"rhs rows must have length {len(family.A)}")
-    rest, errors = _finite_rows(rhs)
+    c = np.asarray(c, dtype=float)
+    rhs, rest, errors = _finite_rows(rhs, len(family.A))
     return _assembled(c, rhs.shape, _solved(family, rhs, rest, duals), errors,
                       None if duals is None else duals[1])
 
@@ -896,14 +903,19 @@ def _solved(family: BasisFamily, rhs: np.ndarray, rest: np.ndarray, duals):
         yield rows, family, family.solve(rhs.take(rows, axis=0))
 
 
-def _finite_rows(rhs: np.ndarray) -> tuple:
-    """``(rest, errors)``: the finite rows of the block ``rhs``, and the
-    ``NonFiniteData`` of each other row."""
+def _finite_rows(rhs, k: int) -> tuple:
+    """``(rhs, rest, errors)``: the block ``rhs`` as an ``(N, k)`` float
+    array, its finite rows, and the ``NonFiniteData`` of each other row;
+    ``ValueError`` for rows of another length.  The rhs intake of
+    ``block_sets`` and ``simplex.solve_block``."""
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim != 2 or rhs.shape[1] != k:
+        raise ValueError(f"rhs rows must have length {k}")
     if np.isfinite(rhs).all():  # the common case, without a per-row reduction
-        return np.arange(len(rhs)), {}
+        return rhs, np.arange(len(rhs)), {}
     finite = np.isfinite(rhs).all(axis=1)
-    return finite.nonzero()[0], {row: NonFiniteData("b holds NaN or infinity")
-                                 for row in (~finite).nonzero()[0].tolist()}
+    return rhs, finite.nonzero()[0], {row: NonFiniteData("b holds NaN or infinity")
+                                      for row in (~finite).nonzero()[0].tolist()}
 
 
 def _assembled(c: np.ndarray, shape: tuple, solved, errors: dict, dual_feasible) -> OptimalSets:
@@ -935,9 +947,9 @@ def optimal_rows(lp: StandardLp, rhs: np.ndarray) -> OptimalSets:
     try:
         family = program_family(lp)
     except InstanceTooLarge as exc:
-        rest, errors = _finite_rows(rhs)
+        rhs, rest, errors = _finite_rows(rhs, lp.k)
         errors.update(dict.fromkeys(rest.tolist(), exc))
-        return _assembled(lp.c, np.shape(rhs), [], errors, None)
+        return _assembled(lp.c, rhs.shape, [], errors, None)
     return block_sets(family, lp.c, rhs, program_duals(lp))
 
 

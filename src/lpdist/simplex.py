@@ -12,10 +12,11 @@ from typing import Optional
 import numpy as np
 
 from . import problem
-from .errors import Infeasible, LpError, NoConvergence, NonFiniteData, SingularBasis, Unbounded
+from .errors import Infeasible, LpError, NoConvergence, SingularBasis, Unbounded
 from .problem import (
     Basis,
     BasisCache,
+    OptimalSets,
     StandardLp,
     cached_factors,
     group_rows,
@@ -166,25 +167,17 @@ def dual_certificate(lp: StandardLp, cols: tuple) -> tuple:
     return lp.basis_cache.get(("certificate", cols), build)
 
 
-def solve_block(lp: StandardLp, rhs: np.ndarray) -> tuple:
-    """Optimal bases and vertices of ``lp`` at each row of the ``(N, k)``
-    block ``rhs``, grouped by basis.
-
-    Returns ``(groups, errors)``: ``groups`` maps each optimal basis (sorted
-    columns) to ``(rows, X)``, the indices of its rows and their optimal
-    vertices as the rows of ``X``; ``errors`` maps each other row to its
-    ``LpError``.  A row's result is the one ``solve`` gives at that rhs.
+def solve_block(lp: StandardLp, rhs) -> OptimalSets:
+    """The ``OptimalSets`` of ``lp`` at each row of the ``(N, k)`` block
+    ``rhs`` as the simplex finds them: each row's one optimal vertex, its
+    value and the sorted columns of its final basis, and no groups; each
+    other row's ``LpError`` is in ``errors``, in row order.  ``ValueError``
+    for rows of the wrong length.  A row's result is the one ``solve``
+    gives at that rhs.
     """
-    rhs = np.asarray(rhs, dtype=float)
     k, m = lp.k, lp.m
-    if rhs.ndim != 2 or rhs.shape[1] != k:
-        raise ValueError(f"rhs rows must have length {k}")
+    rhs, finite, errors = problem._finite_rows(rhs, k)
     cache = lp.basis_cache
-    errors: dict = {}
-    finite = np.isfinite(rhs).all(axis=1)
-    if not finite.all():
-        _fail(errors, np.flatnonzero(~finite), NonFiniteData, "b holds NaN or infinity")
-    finite = np.flatnonzero(finite)
     phase2: dict = {}
     for pattern, rows in group_rows(rhs[finite] < 0, finite):
         signs = pattern.tobytes()
@@ -208,29 +201,27 @@ def solve_block(lp: StandardLp, rhs: np.ndarray) -> tuple:
             phase2.setdefault(basis, []).append(at)
     # phase two: every sign pattern's rows on the program itself
     phase2 = {basis: _joined(parts) for basis, parts in phase2.items()}
-    finals: dict = {}
+    points, bases = np.zeros((len(rhs), m)), np.zeros((len(rhs), k), dtype=np.intp)
     for basis, at, _ in _bland(cache, ("phase2",), lp.A, lp.c, rhs, phase2, errors, m):
-        finals.setdefault(tuple(sorted(basis)), []).append(at)
-    groups = {}
-    for cols, parts in finals.items():
-        at = _joined(parts)
+        cols = tuple(sorted(basis))
         try:
             lu_piv = cached_factors(lp, cols)
         except LpError as exc:
             _fail(errors, at, type(exc), str(exc))
             continue
-        x = np.zeros((len(at), m))
-        x[:, cols] = solve_factored((lu_piv,), rhs, at)[0]
-        # phase one accepts an artificial mass up to FEAS_TOL, which can be a
-        # whole row's scale; the vertex it leads to need not be feasible
-        low = x.min(axis=1) < -problem.FEAS_TOL
-        for row, point in zip(at[low].tolist(), x[low]):
-            j = int(point.argmin())
-            errors[row] = NoConvergence(f"the final basis gives x[{j}] = {float(point[j])!r}, "
-                                        "below -FEAS_TOL")
-        if not low.all():
-            groups[cols] = (at[~low], x[~low])
-    return groups, errors
+        points[at[:, None], list(cols)] = solve_factored((lu_piv,), rhs, at)[0]
+        bases[at] = cols
+    # phase one accepts an artificial mass up to FEAS_TOL, which can be a
+    # whole row's scale; the vertex it leads to need not be feasible
+    for row in (points.min(axis=1) < -problem.FEAS_TOL).nonzero()[0].tolist():
+        j = int(points[row].argmin())
+        errors[row] = NoConvergence(f"the final basis gives x[{j}] = {float(points[row, j])!r}, "
+                                    "below -FEAS_TOL")
+    if errors:
+        errors = dict(sorted(errors.items()))
+        points[list(errors)] = 0.0
+    values = [0.0 if row in errors else float(lp.c @ x) for row, x in enumerate(points)]
+    return OptimalSets(read_only(points)[0], values, bases, [], errors)
 
 
 def solve_rows(lp: StandardLp, rows) -> list:
@@ -242,15 +233,16 @@ def solve_rows(lp: StandardLp, rows) -> list:
     result, bit for bit, depends neither on the other rows nor on their
     order.
     """
-    rows = np.asarray(rows, dtype=float)
-    groups, errors = solve_block(lp, rows)
-    out = [errors.get(i) for i in range(len(rows))]
-    for cols, (at, x) in groups.items():
+    sets = solve_block(lp, rows)
+    out = [sets.errors.get(row) for row in range(len(sets.points))]
+    solved = np.array([row for row, result in enumerate(out) if result is None], dtype=np.intp)
+    for cols, at in group_rows(sets.bases[solved], solved):
+        cols = tuple(cols.tolist())
         basis = Basis(cols)
         dual, slack = dual_certificate(lp, cols)
-        for row, point in zip(at.tolist(), x):
-            out[row] = SolveResult(x_hat=point, basis=basis, objective=float(lp.c @ point),
-                                   dual=dual, slack=slack)
+        for row in at.tolist():
+            out[row] = SolveResult(x_hat=sets.points[row], basis=basis,
+                                   objective=sets.values[row], dual=dual, slack=slack)
     return out
 
 

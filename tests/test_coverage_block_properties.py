@@ -1,13 +1,14 @@
-"""Property tests of the block simplex: ``solve_rows`` gives each row the
-bits ``solve`` gives it alone, whatever the block around it, and the
-block ratio test keeps Bland's rule of ties to the lowest basic column.
+"""Property tests of the block simplex: ``solve_rows`` and ``solve_block``
+give each row the bits ``solve`` gives it alone, whatever the block around
+it, and the block ratio test keeps Bland's rule of ties to the lowest basic
+column.
 """
 import numpy as np
 import pytest
 
 from lpdist import StandardLp, solve, solve_rows
 from lpdist.errors import LpError
-from lpdist.simplex import _pivot, ratio_test
+from lpdist.simplex import _pivot, ratio_test, solve_block
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -58,10 +59,19 @@ def blocks(draw):
 def test_solve_rows_gives_each_row_its_lone_solve(case):
     A, c, rows, order = case
     lp = StandardLp(A, rows[0], c)
-    alone = [_bits(_solve_alone(A, b, c)) for b in rows]
+    results = [_solve_alone(A, b, c) for b in rows]
+    alone = list(map(_bits, results))
     assert [_bits(result) for result in solve_rows(lp, rows)] == alone
     assert [_bits(result) for result in solve_rows(lp, rows[order])] == \
         [alone[i] for i in order]
+    sets = solve_block(lp, rows)
+    for row, result in enumerate(results):
+        if isinstance(result, LpError):
+            assert _bits(sets.errors[row]) == _bits(result)
+            continue
+        assert sets.points[row].tobytes() == result.x_hat.tobytes()
+        assert tuple(sets.bases[row].tolist()) == result.basis.indices
+        assert repr(sets.values[row]) == repr(result.objective)
 
 
 def reference_leaving(x_b, rows, direction, basis):

@@ -356,6 +356,8 @@ def test_run_coverage_rejects_a_sample_size_that_is_not_whole(n):
         run_coverage(build_ot_2x2(), n_values=[1, n], replicates=3)
     with pytest.raises(ValueError, match="sample size must be a whole number"):
         run_coverage(replace(build_ot_2x2(), n_values=(n,)), replicates=3)
+    with pytest.raises(ValueError, match=f"replicates must be a whole number, not {n}"):
+        run_coverage(build_ot_2x2(), n_values=[1], replicates=n)
 
 
 def test_run_coverage_carries_a_whole_sample_size_as_an_int():
@@ -376,6 +378,8 @@ def test_a_custom_config_rejects_a_sample_size_that_is_not_whole():
             "n_values": [10.5]}
     with pytest.raises(ValueError, match="sample size must be a whole number, not 10.5"):
         config_from_dict(data)
+    with pytest.raises(ValueError, match="replicates must be a whole number, not 20.9"):
+        config_from_dict({**data, "n_values": [10], "replicates": 20.9})
 
 
 @pytest.mark.parametrize("n", [10.5, np.float64(200.5)])

@@ -175,6 +175,20 @@ def test_both_paths_agree_at_zero_draws_when_unbounded(monkeypatch, cap):
         sample_unique_limit(lp, [1.0, 0.0], noise, 3)
 
 
+@pytest.mark.parametrize("cap", [None, 0])
+def test_both_paths_raise_an_infeasible_draw_first(monkeypatch, cap):
+    """``e_0`` is not optimal, so the response program is unbounded at the
+    feasible draw 0 and infeasible at draw 1, where row 1 asks three
+    nonnegative columns to sum to -1: both paths raise ``Infeasible``."""
+    if cap is not None:
+        monkeypatch.setattr(problem, "ENUM_CAP", cap)
+    lp = StandardLp([[1, 0, 1, -1, 1], [0, 1, 1, 1, 0]], [1, 0], [0, 0, 0, 0, -1])
+    noise = NoiseSampler(EmpiricalLaw([[0, -1], [0, 1]]), 3)
+    assert noise.draw_block(0, 2).tolist() == [[0.0, 1.0], [0.0, -1.0]]
+    with pytest.raises(Infeasible):
+        sample_unique_limit(lp, [1, 0, 0, 0, 0], noise, 2)
+
+
 def test_the_enumerator_raises_unbounded_where_no_basis_is_dual_feasible():
     """The response program of that ``x_star`` over the one-column family:
     ``x_0`` is free and column 1 improves without bound, so the enumerator
