@@ -565,18 +565,20 @@ class BasisFamily:
 
     def solve(self, rows: np.ndarray) -> np.ndarray:
         """Entry ``[i, r]`` is ``A_i^{-1} rows[r]``: the ``ordered_dot`` of
-        ``rows[r]`` with the rows of the inverse, or the lone-row ``getrs``
-        solve where that sum's error bound ``k^2 eps max|A_i^{-1}|
-        max|rows[r]|`` passes ``1e-12``.  Its bits do not depend on the other
-        rows."""
+        ``rows[r]`` with the rows of the inverse, or the ``getrs`` solve
+        where that sum's error bound ``k^2 eps max|A_i^{-1}| max|rows[r]|``
+        passes ``1e-12``: such a basis is factored once, and all of its rows
+        go to one ``solve_factored`` call, which solves a lone row as two.
+        Its bits do not depend on the other rows."""
         rows = np.asarray(rows, dtype=float)
         out = ordered_dot(rows[:, None, None, :], self.inverses)
         if np.abs(rows).max(initial=0.0) > self._room:
             peaks = np.abs(self.inverses).max(axis=(1, 2)) * len(self.A) ** 2 * np.finfo(float).eps
             loose = np.multiply.outer(np.abs(rows).max(axis=1), peaks) > 1e-12
-            for r, i in zip(*np.nonzero(loose)):
+            for i in loose.any(axis=0).nonzero()[0]:
+                at = loose[:, i].nonzero()[0]
                 lu_piv = quiet_lu(self.A.take(self.cols[i], axis=1))
-                out[r, i] = solve_factored((lu_piv,), rows, [r])[0, 0]
+                out[at, i] = solve_factored((lu_piv,), rows, at)[0]
         return out.transpose(1, 0, 2)
 
     def _optimal_block(self, c, x: np.ndarray) -> tuple:
@@ -738,9 +740,11 @@ def _window(family: BasisFamily, duals, feasible, edges, rhs: np.ndarray) -> tup
     bases of ``family`` whose dual value at one of them lies in a window
     around that row's best dual value.  Beyond the room, or where no dual
     feasible basis in the window is feasible, a row's window does not hold,
-    and every basis must be solved there.  The rows go ``SOLVE_CELLS //
-    len(family)`` at a time, so that a block of dual values stays within
-    ``SOLVE_CELLS`` entries.
+    and every basis must be solved there.  A block of more rows than
+    ``SOLVE_CELLS // len(family)`` first keeps only the bases its ``_box``
+    leaves in play.  The rows go ``SOLVE_CELLS // (bases tested)`` at a
+    time, so that a block of dual values stays within ``SOLVE_CELLS``
+    entries.
 
     Every basis's value ``v = y_B . b``, ``y_B`` its row of ``duals``, is
     its objective ``c_B' A_B^{-1} b``; let ``best = max v`` over the dual
@@ -776,19 +780,80 @@ def _window(family: BasisFamily, duals, feasible, edges, rhs: np.ndarray) -> tup
     row's own window, so each row's winner (the first smallest objective)
     and tied bases are the family's, bit for bit; and a feasible dual
     feasible basis of the union lies in the row's own window, since one
-    below it is infeasible."""
+    below it is infeasible.  ``_box`` drops only bases that the test keeps
+    at no row in any order of summation, a row's best dual feasible basis
+    among them; so the test on the bases it keeps is the family's test in
+    another order, and its union such a union."""
     size = np.abs(rhs).max(axis=1)
     rows = (size <= family._room).nonzero()[0]
-    lower, per_b, rounding = edges
-    union, feasible = np.zeros(len(family), dtype=bool), feasible.nonzero()[0]
-    for at in _slices(rows, len(family)):
+    union, kept = np.zeros(len(family), dtype=bool), slice(None)
+    if len(rows) > SOLVE_CELLS // len(family):
+        kept = _box(duals, feasible, edges, rhs[rows], size[rows])
+        duals, feasible = duals[kept], feasible[kept]
+    feasible = feasible.nonzero()[0]
+    for at in _slices(rows, len(duals)):
         values = rhs[at] @ duals.T
         best = values.take(feasible, axis=1).max(axis=1)
-        low = lower + per_b * size[at]
-        upper = tie_tol(np.abs(best) + low + rounding) + rounding
-        union |= ((values >= (best - low)[:, None])
-                  & (values <= (best + upper)[:, None])).any(axis=0)
+        low, upper = _window_ends(edges, best, size[at])
+        union[kept] |= ((values >= (best - low)[:, None])
+                        & (values <= (best + upper)[:, None])).any(axis=0)
     return rows, union.nonzero()[0]
+
+
+def _window_ends(edges, best, size) -> tuple:
+    """``(L, U)`` of ``_window`` at rows whose best dual value is ``best``
+    and whose ``|b|`` is ``size``."""
+    lower, per_b, rounding = edges
+    low = lower + per_b * size
+    return low, tie_tol(np.abs(best) + low + rounding) + rounding
+
+
+def _box(duals, feasible, edges, rhs: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The bases, in family order, that a box around the rows of ``rhs``
+    (each within the room, ``size`` its ``|b|``) leaves in play: every other
+    basis is kept at no row by ``_window``'s test, in any order of summation.
+
+    Let ``mid`` and ``half`` be the midpoint and the half-width of the rows,
+    coordinate by coordinate, ``a`` the dual feasible basis best at ``mid``
+    and ``w = y_B - y_a``.  At each row ``b``, ``v_B - v_a = w . mid + w .
+    (b - mid)`` lies within ``w . mid +- |w| . half``.  The test keeps ``B``
+    at row ``b`` only when ``v_B`` lies in ``[best - L, best + U]``, so only
+    when ``v_B - v_a`` lies in ``[lo, hi]``, ``lo`` the least ``best - L -
+    v_a`` and ``hi`` the largest ``best + U - v_a`` over the rows.  Taking
+    differences from ``y_a`` cancels the drift that all values share as
+    ``b`` moves, which keeps the box narrow.
+
+    Rounding, in units of ``t = 1e-12 k max|c|``.  The rows and ``mid`` are
+    within the room and ``half`` within twice it, and ``|y|_1 <= k^2 max|c|
+    max|H|``, so a computed k-term sum of ``y`` or ``w = fl(y_B - y_a)``
+    with one of them is within ``t / 2`` or ``t``, and ``|w| . half``
+    within ``2 t``; ``w``'s own rounding moves ``w . b`` by ``t / k``,
+    ``half``'s moves ``|w| . (b - mid)`` by ``4 t / k``, and the box's last
+    sums and comparisons round by ``3 t / k``.  On the window's side, the
+    test's ``v_B`` and this ``v_a`` are each within ``t / 2`` of their
+    values, the two ``best`` within ``t`` of each other, and the parts of
+    ``best - L`` and ``best + U`` that do not scale with ``lo`` or ``hi``
+    round by ``2 t / k``.  In all at most ``5 t + 10 t / k <= 15 t < 2 R``.
+    The rest of the rounding of ``lo`` and ``hi`` (their subtraction of
+    ``v_a``, ``L`` and ``U``'s own terms, and the test's two ends) is at most
+    ``13 eps / 2`` times their size.  So a basis whose interval misses
+    ``[lo, hi]`` widened by ``2 R + 8 eps (|lo| + |hi|)`` is in no row's
+    window."""
+    top, bottom = rhs.max(axis=0), rhs.min(axis=0)
+    mid = 0.5 * (top + bottom)
+    half = np.maximum(top - mid, mid - bottom)
+    feasible = feasible.nonzero()[0]
+    dual = duals[feasible]
+    values = dual @ rhs.T  # one column per row, so the max runs along rows
+    anchor = int(np.argmax(dual @ mid))
+    best = values.max(axis=0)
+    low, upper = _window_ends(edges, best, size)
+    lo = float((best - low - values[anchor]).min())
+    hi = float((best + upper - values[anchor]).max())
+    slack = 2 * edges[2] + 8 * np.finfo(float).eps * (abs(lo) + abs(hi))
+    w = duals.T - duals[feasible[anchor], :, None]
+    center, radius = mid @ w, half @ np.abs(w)
+    return ((center + radius >= lo - slack) & (center - radius <= hi + slack)).nonzero()[0]
 
 
 def _slices(rows: np.ndarray, bases: int):

@@ -40,11 +40,13 @@ from lpdist.problem import (
     iter_bases,
     program_duals,
     program_family,
+    quiet_lu,
     solve_lu,
 )
 
 from conftest import optimal_sets
 from test_iter_bases import PROGRAMS, dual_infeasible, near
+from test_optimal_set_properties import in_block
 
 
 def _rows(lp, count, seed):
@@ -123,6 +125,26 @@ def test_an_ill_conditioned_block_is_solved_by_getrs():
     assert not near(family.inverses[0] @ row, want)
     assert family.solve(row[None, :])[0, 0].tobytes() == want.tobytes()
     assert_rows_match_lone_solves(family, np.array([row, [0.1, 0.2], row]))
+
+
+def test_rows_above_the_room_factor_each_basis_once(monkeypatch):
+    """Rows of the min-cost flow above its family's room (about 26.6) are
+    solved by ``getrs`` at nearly every basis.  A block of them factors each
+    such basis once and solves its rows in one call, and each row keeps the
+    bits it gets alone, in the solve and in ``optimal_rows``."""
+    lp, slater = PROGRAMS[1]
+    family = program_family(lp)
+    rng = np.random.Generator(np.random.Philox(key=5, counter=[0, 0, 0, 0]))
+    rows = np.array([lp.A @ (slater * rng.uniform(0.5, 1.5, lp.m)) for _ in range(6)])
+    rows *= np.array([1.5, 2.0, 3.0, 5.0, 10.0, 40.0])[:, None] * family._room \
+        / np.abs(rows).max(axis=1, keepdims=True)
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(problem, "quiet_lu", lambda block: calls.append(block) or quiet_lu(block))
+        family.solve(rows)
+    assert len(family) / 2 < len(calls) <= len(family)
+    assert_rows_match_lone_solves(family, rows)
+    assert in_block(lp, rows) == [in_block(lp, row[None, :])[0] for row in rows]
 
 
 @pytest.mark.parametrize("lp", [lp for lp, _ in PROGRAMS])

@@ -12,6 +12,7 @@ messages.  A windowed call that returns leaves the basic points out of
 """
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import pytest
 from lpdist import StandardLp
 from lpdist import problem
 from lpdist.errors import LpError
+from lpdist.experiments import _sample_rows, build_min_cost_flow
 from lpdist.problem import (
     FEAS_TOL,
     optimal_vertices,
@@ -28,6 +30,7 @@ from lpdist.problem import (
 )
 
 from test_iter_bases import PROGRAMS, dual_infeasible
+from test_optimal_set_properties import alone, in_block
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -152,6 +155,85 @@ def test_the_lower_edge_keeps_a_basis_below_the_dual_bound():
     assert _optimal(windowed.with_rhs(lp.b))[1] == [(0,)]
 
 
+def _block(lp, slater, count, spread):
+    """``count`` rows of ``_rhs`` at seeds 0, 1, ..."""
+    return np.array([_rhs(lp, slater, seed, spread) for seed in range(count)])
+
+
+def _row_windows(family, duals, rhs) -> set:
+    """The bases that ``_window`` keeps at some row of ``rhs`` taken alone."""
+    return {int(i) for b in rhs for i in problem._window(family, *duals, b[None, :])[1]}
+
+
+@pytest.mark.parametrize("spread", [0.05, 0.2])
+@pytest.mark.parametrize("index", range(len(PROGRAMS)))
+def test_the_box_keeps_every_basis_that_a_row_alone_keeps(index, spread):
+    """``_box`` over the rows within the room of a 40-row block around
+    ``b`` keeps each basis that ``_window`` keeps at one of them alone."""
+    lp, slater = PROGRAMS[index]
+    windowed, _ = _pair(index)
+    family, duals = program_family(windowed), program_duals(windowed)
+    if duals[2] is None:  # no basis is dual feasible, so there is no window
+        assert dual_infeasible(lp)
+        return
+    rhs = _block(lp, slater, 40, spread)
+    size = np.abs(rhs).max(axis=1)
+    rhs, size = rhs[size <= family._room], size[size <= family._room]
+    if not len(rhs):  # program 3's room is about 0.3
+        return
+    kept = set(problem._box(*duals, rhs, size).tolist())
+    assert _row_windows(family, duals, rhs) <= kept
+
+
+def test_the_box_of_a_coverage_block_keeps_few_bases():
+    """On 150-row coverage blocks of the min-cost flow, 75 replicates at
+    each of its two sample sizes, the box keeps about a twentieth of the
+    1888 bases, and every basis that a row's window keeps."""
+    config = build_min_cost_flow()
+    family, duals = program_family(config.lp), program_duals(config.lp)
+    for seed in (41, 42, 43):
+        rhs, _ = _sample_rows(replace(config, seed=seed),
+                              [(0, 50, math.sqrt(50), range(75)), (1, 500, math.sqrt(500), range(75))])
+        kept = set(problem._box(*duals, rhs, np.abs(rhs).max(axis=1)).tolist())
+        assert len(kept) < 150 and _row_windows(family, duals, rhs) <= kept
+
+
+def test_the_box_keeps_a_basis_below_the_dual_bound(monkeypatch):
+    """The program of the test above on a block of 18 rows from ``b`` to
+    ``b / 2``, with ``SOLVE_CELLS`` patched to 17 rows of its two bases so
+    that the block takes the box: basis (1,) alone is optimal at every row,
+    and only the box's lower edge keeps it.  With the box's edges cut to
+    their rounding term, and the exact test's left whole, every row loses it."""
+    lp = StandardLp([[1.0, 1.0]], [-5e-10], [0.0, 100.0])
+    rhs = lp.b * np.linspace(0.5, 1.0, 18)[:, None]
+    want = in_block(_with_cells(lp, math.inf), rhs)
+    assert all(bases == [(1,)] for _, bases in want)
+    windowed = _with_cells(lp, 0)
+    monkeypatch.setattr(problem, "SOLVE_CELLS", 17 * 2)
+    assert in_block(windowed, rhs) == want
+    rounding = program_duals(windowed)[2][2]
+    box = problem._box
+    monkeypatch.setattr(problem, "_box", lambda duals, feasible, edges, *rows: box(
+        duals, feasible, (rounding, 0.0, rounding), *rows))
+    assert all(bases == [(0,)] for _, bases in in_block(windowed, rhs))
+
+
+@pytest.mark.parametrize("count", [17, 18])
+def test_both_sides_of_the_row_threshold_give_the_same_bits(monkeypatch, count):
+    """On the min-cost flow a slice of the per-row window is ``SOLVE_CELLS
+    // 1888 = 17`` rows: a block of 17 rows keeps that path and one of 18
+    takes the box, and both give each row the bits of the full family and
+    of the row alone."""
+    lp, slater = PROGRAMS[1]
+    assert problem.SOLVE_CELLS // len(program_family(lp)) == 17
+    rhs = _block(lp, slater, count, 0.05)
+    calls, box = [], problem._box
+    monkeypatch.setattr(problem, "_box", lambda *args: calls.append(len(args[3])) or box(*args))
+    got = in_block(lp, rhs)
+    assert calls == ([18] if count == 18 else [])
+    assert got == in_block(_pair(1)[1], rhs) == [alone(lp, b) for b in rhs]
+
+
 @pytest.mark.parametrize("index", [0, 1, 2])  # ot2x2; the min-cost flow; a random program
 def test_both_sides_of_the_size_constant_give_the_same_bits(index):
     lp, slater = PROGRAMS[index]
@@ -165,11 +247,13 @@ def test_both_sides_of_the_size_constant_give_the_same_bits(index):
 
 
 @st.composite
-def near_degenerate(draw):
-    """A program of ``PROGRAMS`` and ``b' = A_B x_B`` for one of its bases,
-    each basic coordinate a draw from around the feasibility tolerance
-    (``0``, ``+-FEAS_TOL`` and their neighbours) or from ``[0, 2]``."""
-    index = draw(st.integers(0, len(PROGRAMS) - 1))
+def near_degenerate(draw, index=None):
+    """A program of ``PROGRAMS`` (``index``, or a draw) and ``b' = A_B x_B``
+    for one of its bases, each basic coordinate a draw from around the
+    feasibility tolerance (``0``, ``+-FEAS_TOL`` and their neighbours) or
+    from ``[0, 2]``."""
+    if index is None:
+        index = draw(st.integers(0, len(PROGRAMS) - 1))
     lp, _ = PROGRAMS[index]
     family = program_family(lp)
     cols = family.cols[draw(st.integers(0, len(family) - 1))]
