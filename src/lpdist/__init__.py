@@ -10,11 +10,12 @@ from .confidence import (
     ConfidenceSet,
     EllipsoidRegion,
     SegmentFamilyRegion,
-    confidence_set,
+    confidence_rows,
     contains,
     coordinate_interval,
     map_region,
     region_from_dict,
+    selection_basis,
 )
 from .errors import (
     DegenerateDenominator,
@@ -42,7 +43,6 @@ from .experiments import (
     kolmogorov_smirnov,
     run_coverage,
     run_limit_comparison,
-    selection_basis,
 )
 from .geometry import (
     Direction,

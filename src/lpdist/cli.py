@@ -14,12 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .confidence import (
-    confidence_set,
-    coordinate_interval,
-    map_region,
-    region_from_dict,
-)
+from .confidence import ConfidenceSet, confidence_rows, coordinate_interval, region_from_dict
 from .errors import Infeasible, LpError, Unbounded
 from .experiments import (
     BUILT_IN,
@@ -27,11 +22,10 @@ from .experiments import (
     config_from_dict,
     run_coverage,
     run_limit_comparison,
-    selection_basis,
 )
 from .geometry import SphereGrid, hausdorff, support_function
 from .limits import LAWS, sample_unique_limit
-from .problem import Polytope, build_kind, load_lp, lp_to_dict
+from .problem import Polytope, build_kind, load_lp, lp_to_dict, rhs_block
 from .simplex import solve, verify_kkt
 from .stability import stability_report
 
@@ -143,10 +137,10 @@ def cmd_confidence(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be positive, not {args.n}")
     rate = float(args.n) ** args.rate_exponent
-    result = solve(lp.with_rhs(b_n))
-    basis = selection_basis(lp, result.x_hat)
-    mapped = map_region(lp, basis, region)
-    cs = confidence_set(result, rate, mapped)
+    centers, _, mapped, errors = confidence_rows(lp, region, rhs_block(lp, [b_n]), np.zeros(1))
+    if errors:
+        raise errors[0]
+    cs = ConfidenceSet(centers[0], rate, mapped[0])
     lines = ["coordinate,lower,upper"]
     for i in range(lp.m):
         lo, hi = coordinate_interval(cs, i)
@@ -154,11 +148,11 @@ def cmd_confidence(args) -> int:
     _emit("\n".join(lines) + "\n", args.out)
     if args.mapped_out:
         payload = {
-            "basis": list(basis.indices),
+            "basis": list(cs.mapped.basis.indices),
             "kind": region.kind,
             "rate": rate,
-            "center": result.x_hat.tolist(),
-            **mapped.to_dict(),
+            "center": cs.center.tolist(),
+            **cs.mapped.to_dict(),
         }
         with open(args.mapped_out, "w") as fh:
             json.dump(_sanitize(payload), fh)

@@ -1,10 +1,11 @@
 """Confidence sets for LP solutions built from rhs confidence regions.
 
-A region for the scaled rhs noise is pushed through the solved basis: the
-image of ``G`` is the basic-solution displacement ``x(I;G)``, and the
-confidence set collects ``x_hat - image/rate``.  Coordinates off the basis
-are pinned, which is what produces singleton intervals in degenerate
-problems.
+A region for the scaled rhs noise is pushed through the selection basis of
+the reported vertex (``confidence_rows``, which ``lpdist confidence`` and
+coverage both read): the image of ``G`` is the basic-solution displacement
+``x(I;G)``, and the confidence set collects ``x_hat - image/rate``.
+Coordinates off the basis are pinned, which is what produces singleton
+intervals in degenerate problems.
 
 A region kind is one class plus its entry in ``REGIONS``: spec keys,
 ``generator(k)``, ``accepts``, ``interval`` and ``mapped_fields``.  Its
@@ -19,9 +20,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import problem
-from .problem import Basis, StandardLp, build_kind, check_support, factor_covariance, spec_to_dict
+from .errors import InstanceTooLarge, LpError, SingularBasis
+from .problem import (Basis, StandardLp, build_kind, check_support, factor_covariance,
+                      greedy_columns, group_rows, spec_to_dict, support)
 from .quantiles import chi_square_quantile
-from .simplex import SolveResult
+from .simplex import solve_block
 
 
 class EllipsoidRegion:
@@ -187,6 +190,73 @@ def map_region(lp: StandardLp, I: Basis, region) -> MappedRegion:
     return MappedRegion(region, I, lp.A[:, cols], columns, image)
 
 
+def selection_basis(lp: StandardLp, x: np.ndarray) -> Basis:
+    """Deterministic reporting basis: the support of ``x`` completed by the
+    smallest-index columns that keep the block invertible.
+
+    Any completion is an optimal basis when ``x`` is an optimal basic
+    solution, and for a nondegenerate solution this is the only basis; the
+    greedy completion pins down which one is used on degenerate replicates.
+    The completion depends on the support only and is kept in the program's
+    basis cache.
+    """
+    return _selection(lp, tuple(sorted(support(x))))
+
+
+def _selection(lp: StandardLp, sup: tuple) -> Basis:
+    """``selection_basis`` of a point with support ``sup`` (sorted)."""
+    return lp.basis_cache.get(("selection", sup), lambda: _complete_support(lp, sup))
+
+
+def _complete_support(lp: StandardLp, sup: tuple) -> Basis:
+    chosen = greedy_columns(lp.A, sup, lp.rank_tol)
+    if chosen is None:
+        raise SingularBasis("support columns are linearly dependent")
+    if len(chosen) < lp.k:
+        raise SingularBasis("could not complete the support to a basis")
+    return Basis(tuple(chosen))
+
+
+def confidence_rows(lp: StandardLp, region, rhs: np.ndarray, picks: np.ndarray) -> tuple:
+    """``(centers, which, mapped, errors)``: the confidence set of ``lp``'s
+    solution at each row of the ``(N, k)`` block ``rhs``, at any rate.  Row
+    ``i`` is centred at row ``i`` of ``centers`` and its set is ``region``
+    through that vertex's ``selection_basis``, ``mapped[which[i]]``; a row
+    with no set has ``which`` -1 and its ``LpError`` in ``errors``.
+
+    Practical solvers select arbitrarily among multiply-optimal vertices;
+    the centre models that selection canonically: a row with ``t`` distinct
+    optimal vertices reports vertex ``floor(u t)`` of them, ``u`` its entry
+    of ``picks``, in the family order of their first optimal bases.  Above
+    ``ENUM_CAP``, where no optimal set is enumerated, it is the vertex
+    ``solve`` gives (``simplex.solve_block``).  ``lp.at_b`` keeps each
+    ``MappedRegion`` under its basis and the region's id, with the region,
+    so that ``map_region`` runs once per selection basis and region.
+    """
+    sets = problem.optimal_rows(lp, rhs)
+    if any(isinstance(exc, InstanceTooLarge) for exc in sets.errors.values()):
+        sets = solve_block(lp, rhs)
+    centers, errors = sets.points.copy(), sets.errors
+    for rows, kept, *_ in sets.groups:
+        centers[rows] = kept[np.arange(len(rows)), (picks[rows] * kept.shape[1]).astype(np.intp)]
+    which = np.full(len(rhs), -1, dtype=np.intp)
+    solved = np.ones(len(rhs), dtype=bool)
+    solved[list(errors)] = False
+    mapped = []
+    for mask, at in group_rows(np.abs(centers[solved]) > problem.FEAS_TOL, solved.nonzero()[0]):
+        try:
+            basis = _selection(lp, tuple(mask.nonzero()[0].tolist()))
+            key = ("mapped", basis.indices, id(region))
+            if key not in lp.at_b:
+                lp.at_b[key] = (region, map_region(lp, basis, region))
+        except LpError as exc:
+            errors.update(dict.fromkeys(at.tolist(), exc))
+            continue
+        which[at] = len(mapped)
+        mapped.append(lp.at_b[key][1])
+    return centers, which, mapped, errors
+
+
 class RowBases(NamedTuple):
     """A basis per row of a block, as ``contains_rows`` reads it: the
     region's ``accepts`` and each row's ``columns`` ``(N, m)`` and
@@ -217,10 +287,6 @@ class ConfidenceSet:
         self.rate = float(self.rate)
         if not 0.0 < self.rate < np.inf:
             raise ValueError(f"rate must be positive and finite, not {self.rate}")
-
-
-def confidence_set(result: SolveResult, rate: float, mapped: MappedRegion) -> ConfidenceSet:
-    return ConfidenceSet(center=np.array(result.x_hat, dtype=float), rate=rate, mapped=mapped)
 
 
 def contains(cs: ConfidenceSet, x: np.ndarray) -> bool:

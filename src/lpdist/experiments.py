@@ -19,12 +19,12 @@ from .confidence import (
     EllipsoidRegion,
     RowBases,
     SegmentFamilyRegion,
+    confidence_rows,
     contains_rows,
     coordinate_interval,
-    map_region,
     region_from_dict,
 )
-from .errors import InstanceMismatch, LpError, SingularBasis
+from .errors import InstanceMismatch, LpError
 from .geometry import min_norm_point
 from .limits import (
     LAWS,
@@ -45,12 +45,10 @@ from .problem import (
     build_from_spec,
     build_kind,
     check_support,
-    greedy_columns,
     group_rows,
     load_lp,
     optimal_vertices,
     read_only,
-    support,
 )
 from .simplex import dual_certificate
 
@@ -113,33 +111,6 @@ class ReplicateRecord(NamedTuple):
 class CoverageReport:
     rows: list
     log: list = field(default_factory=list)
-
-
-def selection_basis(lp: StandardLp, x: np.ndarray) -> Basis:
-    """Deterministic reporting basis: the support of ``x`` completed by the
-    smallest-index columns that keep the block invertible.
-
-    Any completion is an optimal basis when ``x`` is an optimal basic
-    solution, and for a nondegenerate solution this is the only basis; the
-    greedy completion pins down which one is used on degenerate replicates.
-    The completion depends on the support only and is kept in the program's
-    basis cache.
-    """
-    return _selection(lp, tuple(sorted(support(x))))
-
-
-def _selection(lp: StandardLp, sup: tuple) -> Basis:
-    """``selection_basis`` of a point with support ``sup`` (sorted)."""
-    return lp.basis_cache.get(("selection", sup), lambda: _complete_support(lp, sup))
-
-
-def _complete_support(lp: StandardLp, sup: tuple) -> Basis:
-    chosen = greedy_columns(lp.A, sup, lp.rank_tol)
-    if chosen is None:
-        raise SingularBasis("support columns are linearly dependent")
-    if len(chosen) < lp.k:
-        raise SingularBasis("could not complete the support to a basis")
-    return Basis(tuple(chosen))
 
 
 def build_ot_2x2() -> ExperimentConfig:
@@ -299,31 +270,23 @@ def _coverage_block(config: ExperimentConfig, runs: list) -> tuple:
     ``which`` into the list ``bases`` of selection bases (-1 for a row with
     none) and the ``LpError`` of each row that fails, by row.
 
-    The block's optimal sets come from one ``optimal_rows`` call, each
-    replicate reports the vertex its uniform picks (``_reported_vertices``),
-    and each target is tested once over the block, each row in its own
+    The block's confidence sets come from one ``confidence_rows`` call, and
+    each target is tested once over the block, each row in its own
     selection basis; each row's result is the one the replicate gets on its
-    own from its stream, ``optimal_vertices`` at its rhs,
-    ``selection_basis``, ``map_region`` and ``contains``.
+    own from its stream, ``optimal_vertices`` at its rhs, the vertex its
+    uniform picks, ``selection_basis``, ``map_region`` and ``contains``.
     """
     rates = np.repeat([run[2] for run in runs], [len(run[3]) for run in runs])
     rhs, picks = _sample_rows(config, runs)
-    x_hat, errors = _reported_vertices(config.lp, rhs, picks)
-    which = np.full(len(rhs), -1, dtype=np.intp)
-    solved = np.ones(len(rhs), dtype=bool)
-    solved[list(errors)] = False
-    bases, mapped, projections = [], [], []
-    for mask, at in group_rows(np.abs(x_hat[solved]) > problem.FEAS_TOL, solved.nonzero()[0]):
+    x_hat, which, mapped, errors = confidence_rows(config.lp, config.region, rhs, picks)
+    projections = np.zeros((len(mapped), config.lp.m))
+    for i, basis in enumerate(image.basis for image in mapped):
         try:
-            basis = _selection(config.lp, tuple(mask.nonzero()[0].tolist()))
-            parts = _basis_parts(config, basis)
+            projections[i] = _projection(config, basis)
         except LpError as exc:
+            at = (which == i).nonzero()[0]
             errors.update(dict.fromkeys(at.tolist(), exc))
-            continue
-        which[at] = len(bases)
-        bases.append(basis.indices)
-        mapped.append(parts[0])
-        projections.append(parts[1])
+            which[at] = -1
     hits = np.zeros((len(rhs), len(config.targets)), dtype=bool)
     covered = np.zeros(len(rhs), dtype=bool)
     ok = (which >= 0).nonzero()[0]
@@ -334,43 +297,19 @@ def _coverage_block(config: ExperimentConfig, runs: list) -> tuple:
         miss = (~inside).nonzero()[0]
         if len(miss):  # each row's own projection
             inside[miss] = contains_rows(rows.take(miss), rate[miss], centers[miss],
-                                         np.array(projections)[which[ok[miss]]])
+                                         projections[which[ok[miss]]])
         hits[ok], covered[ok] = hit.T, inside
-    return covered, hits, which, bases, errors
+    return covered, hits, which, [image.basis.indices for image in mapped], errors
 
 
-def _reported_vertices(lp: StandardLp, rhs: np.ndarray, picks: np.ndarray) -> tuple:
-    """``(x_hat, errors)``: the vertex each row of ``rhs`` reports, as the
-    rows of ``x_hat``, and the ``LpError`` of each row that has none.
-
-    Practical solvers select arbitrarily among multiply-optimal vertices;
-    this models that selection canonically: a row with ``t`` distinct
-    optimal vertices reports vertex ``floor(u t)`` of them, ``u`` its entry
-    of ``picks``, in the order the tie rule keeps them (the family order of
-    their first optimal basis).
-    """
-    points, _, _, groups, errors = problem.optimal_rows(lp, rhs)
-    x_hat = points.copy()
-    for rows, kept, *_ in groups:
-        pick = (picks[rows] * kept.shape[1]).astype(np.intp)
-        x_hat[rows] = kept[np.arange(len(rows)), pick]
-    return x_hat, errors
-
-
-def _basis_parts(config: ExperimentConfig, basis: Basis) -> tuple:
-    """The mapped region and the projection of the truth's basic point onto
-    the targets.  Both depend on the program's own ``b``, the selection
-    basis and the region only, so ``config.lp.at_b`` keeps them under the
-    basis and the region's id, with the region itself, so that its id is not
-    reused while the entry lives."""
-    key = ("parts", basis.indices, id(config.region))
-    found = config.lp.at_b.get(key)
-    if found is None:
-        mapped = map_region(config.lp, basis, config.region)
+def _projection(config: ExperimentConfig, basis: Basis) -> np.ndarray:
+    """The truth's basic point in ``basis`` projected onto the targets, kept
+    in ``config.lp.at_b``: the targets are the program's optimal set."""
+    key = ("projection", basis.indices)
+    if key not in config.lp.at_b:
         anchor = basic_solution(config.lp, basis).x
-        projection, _ = min_norm_point(config.targets, anchor)
-        found = config.lp.at_b[key] = (config.region, mapped, projection)
-    return found[1:]
+        config.lp.at_b[key] = min_norm_point(config.targets, anchor)[0]
+    return config.lp.at_b[key]
 
 
 def run_coverage(config: ExperimentConfig, *, n_values=None, replicates=None,

@@ -11,13 +11,12 @@ from dataclasses import replace
 import numpy as np
 
 from lpdist import StandardLp, solve, optimal_vertices, stability_report
-from lpdist.confidence import confidence_set, coordinate_interval, map_region
+from lpdist.confidence import ConfidenceSet, coordinate_interval, map_region, selection_basis
 from lpdist.experiments import (
     build_min_cost_flow,
     build_ot_2x2,
     run_coverage,
     run_limit_comparison,
-    selection_basis,
     singleton_coordinates,
 )
 from lpdist.geometry import (
@@ -49,7 +48,8 @@ def test_transport_confidence_intervals_at_n20():
     config = build_ot_2x2()
     result = solve(config.lp.with_rhs(np.array([0.55, 0.45, 0.5])))
     basis = selection_basis(config.lp, result.x_hat)
-    cs = confidence_set(result, math.sqrt(20.0), map_region(config.lp, basis, config.region))
+    mapped = map_region(config.lp, basis, config.region)
+    cs = ConfidenceSet(result.x_hat, math.sqrt(20.0), mapped)
     assert singleton_coordinates(cs) == [0, 2]
     assert coordinate_interval(cs, 0) == (0.5, 0.5)
     assert coordinate_interval(cs, 2) == (0.0, 0.0)

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from lpdist import SphereGrid, load_lp
+from lpdist import (SphereGrid, build_min_cost_flow, build_ot_2x2, load_lp, lp_to_dict, problem,
+                    solve)
 from lpdist.cli import main
 OT_DATA = {
     "A": [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 0.0]],
@@ -625,3 +626,40 @@ def test_json_input_of_the_wrong_type_exits_2(ot_file, write_json, capsys, comma
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("b, code, message", [
+    ("0.5,0.5,2", 1, "no feasible basis"),
+    ("0.5,nan,0.5", 2, "NaN"),
+    ("0.5,0.5", 2, "b has length 2, expected 3"),
+])
+def test_confidence_at_a_bad_rhs_exits_without_traceback(ot_file, write_json, b, code, message):
+    # a first marginal pair summing to 1 cannot meet a column marginal of 2
+    region = write_json("region.json", BOX_REGION)
+    proc = subprocess.run([sys.executable, "-m", "lpdist.cli", "confidence", "--lp", ot_file,
+                           "--region", region, "--b", b, "--n", "20"],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("build", [build_ot_2x2, build_min_cost_flow])
+def test_confidence_above_the_cap_centres_at_the_simplex_vertex(build, write_json, tmp_path,
+                                                                 monkeypatch, capsys):
+    # with no optimal set enumerable, the centre is the vertex solve gives
+    config = build()
+    lp_file = write_json("lp.json", lp_to_dict(config.lp))
+    region = write_json("region.json", config.region.to_dict())
+    mapped_path = tmp_path / "mapped.json"
+    monkeypatch.setattr(problem, "ENUM_CAP", 0)
+    rng = np.random.Generator(np.random.Philox(key=9, counter=[0, 0, 0, 0]))
+    for b_n in [config.truth_b] + [config.b_sampler.sample(config.truth_b, 20, 20 ** 0.5, rng)
+                                   for _ in range(3)]:
+        b_file = write_json("b.json", b_n.tolist())
+        assert main(["confidence", "--lp", lp_file, "--region", region, "--b", "@" + b_file,
+                     "--n", "20", "--mapped-out", str(mapped_path)]) == 0
+        center = np.array(json.loads(mapped_path.read_text())["center"])
+        assert center.tobytes() == solve(config.lp.with_rhs(b_n)).x_hat.tobytes()
+    capsys.readouterr()

@@ -9,7 +9,6 @@ from lpdist.confidence import (
     ConfidenceSet,
     EllipsoidRegion,
     SegmentFamilyRegion,
-    confidence_set,
     contains,
     contains_rows,
     coordinate_interval,
@@ -34,7 +33,7 @@ def reported_run(ot_lp):
     result = solve(lp_n)
     region = SegmentFamilyRegion([1.0, -1.0, 0.0], two_sided_normal_quantile(0.05) / 2.0)
     mapped = map_region(ot_lp, result.basis, region)
-    return confidence_set(result, np.sqrt(20.0), mapped)
+    return ConfidenceSet(result.x_hat, np.sqrt(20.0), mapped)
 
 
 # ------------------------------------------------------------------ regions
@@ -169,7 +168,7 @@ def test_segment_generator_matches_linear_solve(ot_lp):
 def test_zero_width_segment_collapses(ot_lp):
     result = solve(ot_lp.with_rhs([0.55, 0.45, 0.5]))
     region = SegmentFamilyRegion([1.0, -1.0, 0.0], 0.0)
-    cs = confidence_set(result, np.sqrt(20.0), map_region(ot_lp, result.basis, region))
+    cs = ConfidenceSet(result.x_hat, np.sqrt(20.0), map_region(ot_lp, result.basis, region))
     for i in range(4):
         lo, hi = coordinate_interval(cs, i)
         assert lo == hi
@@ -182,7 +181,7 @@ def test_ellipsoid_membership_full_rank():
     lp = StandardLp(np.eye(2), [1.0, 2.0], [1.0, 1.0])
     region = EllipsoidRegion(np.eye(2), 0.95)
     result = solve(lp)
-    cs = confidence_set(result, 2.0, map_region(lp, result.basis, region))
+    cs = ConfidenceSet(result.x_hat, 2.0, map_region(lp, result.basis, region))
     q = region.q
     # identity basis: membership reduces to |rate*(center-x)|^2 <= q
     inside = cs.center - np.sqrt(q) * 0.99 / 2.0 * np.array([1.0, 0.0])
@@ -196,7 +195,7 @@ def test_ellipsoid_membership_full_rank():
 def test_ellipsoid_interval_is_tight(ot_lp):
     region = EllipsoidRegion(np.diag([0.25, 0.25, 0.1]), 0.9)
     result = solve(ot_lp.with_rhs([0.55, 0.45, 0.5]))
-    cs = confidence_set(result, 3.0, map_region(ot_lp, result.basis, region))
+    cs = ConfidenceSet(result.x_hat, 3.0, map_region(ot_lp, result.basis, region))
     rng = np.random.Generator(np.random.Philox(key=8, counter=[0, 0, 0, 0]))
     chol = np.linalg.cholesky(region.sigma)
     sup = np.zeros(4)
@@ -222,7 +221,7 @@ def test_ellipsoid_support_subspace(ot_lp):
     result = solve(ot_lp.with_rhs([0.55, 0.45, 0.5]))
     mapped = map_region(ot_lp, result.basis, region)
     assert "quadratic" not in mapped.to_dict()  # rank-deficient: no full quadratic form
-    cs = confidence_set(result, 1.0, mapped)
+    cs = ConfidenceSet(result.x_hat, 1.0, mapped)
     assert contains(cs, cs.center)
     # displacement consistent with g = (0.1, -0.2, 0) stays inside
     g = np.array([0.1, -0.2, 0.0])
@@ -291,7 +290,7 @@ def test_box_intervals_sign_split():
     lp = StandardLp(np.eye(2), [1.0, 2.0], [1.0, 1.0])
     region = BoxRegion([-0.5, -1.0], [1.5, 2.0])
     result = solve(lp)
-    cs = confidence_set(result, 1.0, map_region(lp, result.basis, region))
+    cs = ConfidenceSet(result.x_hat, 1.0, map_region(lp, result.basis, region))
     lo0, hi0 = coordinate_interval(cs, 0)
     # identity map: interval is center - [lower, upper] reversed
     assert abs(lo0 - (1.0 - 1.5)) < 1e-12
@@ -311,20 +310,12 @@ def test_rate_scaling_halves_interval(ot_lp):
     result = solve(ot_lp.with_rhs([0.55, 0.45, 0.5]))
     region = SegmentFamilyRegion([1.0, -1.0, 0.0], 0.98)
     mapped = map_region(ot_lp, result.basis, region)
-    slow = confidence_set(result, 1.0, mapped)
-    fast = confidence_set(result, 2.0, mapped)
+    slow = ConfidenceSet(result.x_hat, 1.0, mapped)
+    fast = ConfidenceSet(result.x_hat, 2.0, mapped)
     for i in range(4):
         lo_s, hi_s = coordinate_interval(slow, i)
         lo_f, hi_f = coordinate_interval(fast, i)
         assert abs((hi_f - lo_f) - (hi_s - lo_s) / 2.0) < 1e-12
-
-
-def test_confidence_set_requires_positive_rate(ot_lp):
-    result = solve(ot_lp)
-    region = SegmentFamilyRegion([1.0, -1.0, 0.0], 0.5)
-    mapped = map_region(ot_lp, result.basis, region)
-    with pytest.raises(ValueError):
-        confidence_set(result, 0.0, mapped)
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])

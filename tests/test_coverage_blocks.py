@@ -5,8 +5,10 @@ public per-replicate calls: its own Philox stream, which draws the rhs and
 then one uniform ``u``; ``optimal_vertices`` at that rhs; the pick of
 vertex ``floor(u t)`` among its ``t`` vertices, ordered by their first
 optimal basis; ``selection_basis``, ``map_region`` and ``contains``.  Rows
-that fail must get their own error without disturbing the others.
+that fail must get their own error without disturbing the others.  Above
+``ENUM_CAP`` a row reports the vertex ``solve`` gives at its rhs.
 """
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +24,10 @@ from lpdist import (
     min_norm_point,
     optimal_vertices,
     selection_basis,
+    solve,
 )
 from lpdist import experiments, problem
+from lpdist.cli import main
 from lpdist.errors import LpError, Unbounded
 from lpdist.experiments import (
     BLOCK,
@@ -33,6 +37,7 @@ from lpdist.experiments import (
     build_ot_2x2,
     run_coverage,
 )
+from lpdist.problem import lp_to_dict
 
 
 def canonical_pick(lp, u):
@@ -49,15 +54,16 @@ def canonical_pick(lp, u):
     return polytope.vertices[order[int(u * len(order))]]
 
 
-def reference_record(config, n, n_index, replicate):
-    """One replicate composed from the public calls, as before blocks."""
+def reference_record(config, n, n_index, replicate, pick=canonical_pick):
+    """One replicate composed from the public calls, as before blocks, its
+    vertex chosen by ``pick(lp_n, u)``."""
     rate = float(n) ** config.rate_exponent
     rng = np.random.Generator(np.random.Philox(key=config.seed,
                                                counter=[0, 0, n_index, replicate]))
     b_n = config.b_sampler.sample(config.truth_b, n, rate, rng)
     u = rng.random()
     try:
-        x_hat = canonical_pick(config.lp.with_rhs(b_n), u)
+        x_hat = pick(config.lp.with_rhs(b_n), u)
         basis = selection_basis(config.lp, x_hat)
         cs = ConfidenceSet(center=np.array(x_hat, dtype=float), rate=rate,
                            mapped=map_region(config.lp, basis, config.region))
@@ -167,9 +173,49 @@ def test_unbounded_infeasible_and_nonfinite_rows_share_a_block():
     assert "no feasible basis" in messages
 
 
-def test_a_family_that_cannot_be_built_fails_its_rows(monkeypatch):
-    # the min-cost flow's 8568 candidate blocks are more than this cap
+def test_a_family_that_cannot_be_built_reports_the_simplex_vertex(monkeypatch):
+    # the min-cost flow's 8568 candidate blocks are more than this cap, so no
+    # row's optimal set is enumerated and each row reports the vertex solve gives
     config = replace(build_min_cost_flow(), n_values=(50,))
     monkeypatch.setattr(problem, "ENUM_CAP", 10)
-    log = assert_records_match_reference(config, 20)
-    assert {rec.error for rec in log} == {"8568 candidate bases exceed the cap of 10"}
+    report = run_coverage(config, replicates=20, keep_log=True)
+    simplex = lambda lp, u: solve(lp).x_hat
+    assert report.log == [reference_record(config, 50, 0, rep, simplex) for rep in range(20)]
+    assert all(rec.error is None for rec in report.log)
+
+
+@pytest.mark.parametrize("build, n, replicates", [(build_ot_2x2, 10, 20),
+                                                   (build_min_cost_flow, 50, 40)])
+def test_the_cli_prints_the_set_a_replicate_was_tested_against(build, n, replicates, tmp_path,
+                                                                capsys):
+    """``lpdist confidence`` at a replicate's rhs prints, for each replicate
+    whose uniform picks vertex 0 as the CLI's pick does, the basis the
+    replicate was tested in and its centre, bit for bit."""
+    config = replace(build(), n_values=(n,))
+    log = run_coverage(config, replicates=replicates, keep_log=True).log
+    paths = {name: tmp_path / f"{name}.json" for name in ("lp", "region", "b", "mapped")}
+    paths["lp"].write_text(json.dumps(lp_to_dict(config.lp)))
+    paths["region"].write_text(json.dumps(config.region.to_dict()))
+    checked = moved = 0
+    for record in log:
+        rng = np.random.Generator(np.random.Philox(key=config.seed,
+                                                   counter=[0, 0, 0, record.replicate]))
+        b_n = config.b_sampler.sample(config.truth_b, n, float(n) ** config.rate_exponent, rng)
+        lp_n = config.lp.with_rhs(b_n)
+        u = rng.random()
+        if int(u * len(optimal_vertices(lp_n)[0])):
+            continue
+        paths["b"].write_text(json.dumps(b_n.tolist()))
+        assert main(["confidence", "--lp", str(paths["lp"]), "--region", str(paths["region"]),
+                     "--b", "@" + str(paths["b"]), "--n", str(n),
+                     "--mapped-out", str(paths["mapped"])]) == 0
+        payload = json.loads(paths["mapped"].read_text())
+        assert payload["basis"] == list(record.basis)
+        center = np.array(payload["center"])
+        assert center.tobytes() == canonical_pick(lp_n, u).tobytes()
+        checked += 1
+        moved += center.tobytes() != solve(lp_n).x_hat.tobytes()
+    capsys.readouterr()
+    assert checked >= replicates // 3
+    if build is build_min_cost_flow:  # a centre the simplex would give in other bits
+        assert moved

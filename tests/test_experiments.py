@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from lpdist import Basis, StandardLp, optimal_vertices, solve
-from lpdist.confidence import EllipsoidRegion, confidence_set, map_region
+from lpdist.confidence import ConfidenceSet, EllipsoidRegion, map_region, selection_basis
 from lpdist.errors import InstanceMismatch, SingularBasis
 from lpdist.experiments import (
     DEFAULT_SEED,
@@ -19,7 +19,6 @@ from lpdist.experiments import (
     optimal_face_vertices,
     run_coverage,
     run_limit_comparison,
-    selection_basis,
     singleton_coordinates,
 )
 from lpdist.limits import GaussianLaw, MultinomialLaw
@@ -180,7 +179,7 @@ def test_every_replicate_pins_two_coordinates():
             b_n = cfg.b_sampler.sample(cfg.truth_b, n, rate, rng)
             result = solve(cfg.lp.with_rhs(b_n))
             basis = selection_basis(cfg.lp, result.x_hat)
-            cs = confidence_set(result, rate, map_region(cfg.lp, basis, cfg.region))
+            cs = ConfidenceSet(result.x_hat, rate, map_region(cfg.lp, basis, cfg.region))
             assert len(singleton_coordinates(cs)) == 2
 
 

@@ -283,16 +283,19 @@ def test_memoised_results_equal_fresh_programs(case):
 
 
 
-def _parts(lp) -> dict:
-    """The coverage parts ``run_coverage`` keeps in ``lp.at_b``, by key."""
-    return {key: value for key, value in lp.at_b.items() if isinstance(key, tuple)}
+def _parts(lp, kind) -> dict:
+    """The coverage parts of ``kind``, "mapped" or "projection", that
+    ``run_coverage`` keeps in ``lp.at_b``, by basis and, for a mapped
+    region, the region's id."""
+    return {key[1:]: value for key, value in lp.at_b.items()
+            if isinstance(key, tuple) and key[0] == kind}
 
 
 def test_coverage_parts_follow_the_region():
-    """A config whose region is replaced shares the program, so its parts
-    are kept under the new region's id beside the old ones, and its records
-    equal those of a fresh program; the narrower region covers less, so a
-    stale image would show."""
+    """A config whose region is replaced shares the program, so its mapped
+    regions are kept under the new region's id beside the old ones, and its
+    records equal those of a fresh program; the narrower region covers
+    less, so a stale image would show."""
     config = build_ot_2x2()
     narrow = SegmentFamilyRegion((1.0, -1.0, 0.0), 0.2, coverage_target=0.95)
     settings = dict(n_values=(10, 100), replicates=60, keep_log=True)
@@ -302,28 +305,31 @@ def test_coverage_parts_follow_the_region():
     got = run_coverage(swapped, **settings)
     assert got == run_coverage(replace(build_ot_2x2(), region=narrow), **settings)
     assert [row.covered for row in got.rows] < [row.covered for row in wide.rows]
-    regions = [value[0] for value in _parts(config.lp).values()]
-    assert {id(region) for region in regions} == {id(config.region), id(narrow)}
+    mapped = _parts(config.lp, "mapped")
+    assert {id(region) for region, _ in mapped.values()} == {id(config.region), id(narrow)}
+    for (basis, region_id), (region, parts) in mapped.items():
+        assert (parts.basis.indices, id(parts.region), id(region)) == (basis, region_id, region_id)
     assert run_coverage(config, **settings) == wide
 
 
 def test_coverage_parts_are_not_shared_with_a_sibling():
-    """A ``with_rhs`` sibling starts without its parent's parts: its own are
-    made at its own ``b``, and its records equal a fresh program's."""
+    """A ``with_rhs`` sibling starts without its parent's parts: its own
+    projections are made at its own ``b``, and its records equal a fresh
+    program's."""
     config = build_min_cost_flow()
     settings = dict(n_values=(50,), replicates=40, keep_log=True)
     run_coverage(config, **settings)
     slater = PROGRAMS[1][1]
     sibling = config.lp.with_rhs(config.lp.A @ (slater * np.linspace(0.9, 1.1, config.lp.m)))
     shifted = replace(config, lp=sibling)
-    assert _parts(sibling) == {}
+    assert _parts(sibling, "mapped") == _parts(sibling, "projection") == {}
     got = run_coverage(shifted, **settings)
     fresh = replace(config, lp=StandardLp(sibling.A, sibling.b, sibling.c))
     assert got == run_coverage(fresh, **settings)
-    parent = _parts(config.lp)
-    assert parent.keys() & _parts(sibling).keys()
-    for key, (region, mapped, projection) in _parts(sibling).items():
-        anchor = basic_solution(sibling, Basis(key[1])).x
+    parent = _parts(config.lp, "projection")
+    assert parent.keys() & _parts(sibling, "projection").keys()
+    for key, projection in _parts(sibling, "projection").items():
+        anchor = basic_solution(sibling, Basis(key[0])).x
         assert projection.tobytes() == min_norm_point(shifted.targets, anchor)[0].tobytes()
         if key in parent:
-            assert projection.tobytes() != parent[key][2].tobytes()
+            assert projection.tobytes() != parent[key].tobytes()
